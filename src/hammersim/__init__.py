@@ -10,113 +10,4 @@ guard-row mitigation.  The harness runs seeded Monte-Carlo trials and
 reports placement, flip, and footprint statistics as CSV.
 """
 
-from .ambush import (
-    AmbushPlan,
-    DRIVER_SG,
-    DRIVER_VIDEO,
-    DRIVERS,
-    MappingDriver,
-    Placement,
-    plan,
-    run_ambush,
-    verify_adjacency,
-)
-from .buddy_alloc import (
-    Block,
-    BuddyState,
-    OutOfMemoryError,
-    Partition,
-    preload_workload,
-)
-from .dram_model import (
-    Dram,
-    DramGeometry,
-    HammerParams,
-    MappingSpec,
-    VulnerabilityMap,
-    derive_seed,
-    map_phys_to_dram,
-    rows_size_per_row_index,
-    target_block_size,
-    unmap_dram_to_phys,
-)
-from .exploit import (
-    ExploitOutcome,
-    escalate_root,
-    hammer_loop,
-    verify_and_take_pt,
-)
-from .harness import (
-    AggregateReport,
-    STRATEGIES,
-    TrialReport,
-    build_sim,
-    emit_report,
-    evaluate_mitigation,
-    parse_report,
-    run_single_trial,
-    run_trials,
-)
-from .os_model import OsModel, PteEntry
-from .profiles import (
-    MachineProfile,
-    builtin_profiles,
-    dell_profile,
-    get_profile,
-    lenovo_profile,
-    load_profile,
-)
-from .timing_channel import ChannelModel, sample_latency, select_hammer_pair
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AggregateReport",
-    "AmbushPlan",
-    "Block",
-    "BuddyState",
-    "ChannelModel",
-    "Dram",
-    "DramGeometry",
-    "DRIVER_SG",
-    "DRIVER_VIDEO",
-    "DRIVERS",
-    "ExploitOutcome",
-    "HammerParams",
-    "MachineProfile",
-    "MappingDriver",
-    "MappingSpec",
-    "OsModel",
-    "OutOfMemoryError",
-    "Partition",
-    "Placement",
-    "PteEntry",
-    "STRATEGIES",
-    "TrialReport",
-    "VulnerabilityMap",
-    "build_sim",
-    "builtin_profiles",
-    "dell_profile",
-    "derive_seed",
-    "emit_report",
-    "escalate_root",
-    "evaluate_mitigation",
-    "get_profile",
-    "hammer_loop",
-    "lenovo_profile",
-    "load_profile",
-    "map_phys_to_dram",
-    "parse_report",
-    "plan",
-    "preload_workload",
-    "run_ambush",
-    "run_single_trial",
-    "run_trials",
-    "rows_size_per_row_index",
-    "sample_latency",
-    "select_hammer_pair",
-    "target_block_size",
-    "unmap_dram_to_phys",
-    "verify_adjacency",
-    "verify_and_take_pt",
-]

@@ -151,7 +151,6 @@ class Placement:
     drained_pt_pages: int
     stuffed_pt_pages: int
     vmas_created: int
-    fresh_injected_bytes: int
     mitigated: bool
 
     @property
@@ -279,7 +278,7 @@ def run_ambush(
 ) -> Placement:
     """Execute the full placement: file, drain, buffers, stuffing."""
     mapper = MappingDriver(os_model, plan_)
-    drained, injected = drain_small_blocks(
+    drained, _ = drain_small_blocks(
         os_model,
         mapper,
         fresh_injector=fresh_injector,
@@ -293,7 +292,6 @@ def run_ambush(
         drained_pt_pages=drained,
         stuffed_pt_pages=mapper.pt_pages - drained,
         vmas_created=mapper.mapped,
-        fresh_injected_bytes=injected,
         mitigated=mitigation,
     )
     if placement.footprint_bytes > plan_.threshold_mem_size:

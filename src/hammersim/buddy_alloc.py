@@ -80,31 +80,18 @@ class IsolatedAllocation:
     block: Block
     guard_spans: tuple[tuple[int, int], ...]
 
-    @property
-    def guard_bytes(self) -> int:
-        return sum(size for _, size in self.guard_spans)
-
 
 @dataclass(frozen=True)
 class BuddyInfoSnapshot:
     """Free-block counts per order for every partition."""
 
     counts: tuple[tuple[str, tuple[int, ...]], ...]
-    max_order: int
 
     def order_counts(self, partition: str) -> tuple[int, ...]:
         for name, row in self.counts:
             if name == partition:
                 return row
         raise KeyError(partition)
-
-    def free_bytes_below(self, partition: str, order: int) -> int:
-        row = self.order_counts(partition)
-        return sum(n * (PAGE_SIZE << o) for o, n in enumerate(row[:order]))
-
-    def total_free_bytes(self, partition: str) -> int:
-        row = self.order_counts(partition)
-        return sum(n * (PAGE_SIZE << o) for o, n in enumerate(row))
 
     def text(self) -> str:
         lines = []
@@ -139,7 +126,6 @@ class BuddyState:
         *,
         max_order: int = 10,
         row_span: int | None = None,
-        record_splits: bool = False,
     ) -> None:
         parts = sorted(partitions, key=lambda p: p.base)
         if not parts:
@@ -171,8 +157,6 @@ class BuddyState:
         self._guards: dict[str, list[tuple[int, int]]] = {p.name: [] for p in parts}
         self._free_bytes: dict[str, int] = {p.name: 0 for p in parts}
         self._alloc_bytes: dict[str, int] = {p.name: 0 for p in parts}
-        self.split_log: list[tuple[str, int, int]] = []
-        self._record_splits = record_splits
         for p in parts:
             lists: list[list[int]] = [[] for _ in range(max_order + 1)]
             self._free[p.name] = lists
@@ -187,7 +171,7 @@ class BuddyState:
             (name, tuple(len(lst) for lst in lists))
             for name, lists in self._free.items()
         )
-        return BuddyInfoSnapshot(rows, self.max_order)
+        return BuddyInfoSnapshot(rows)
 
     def buddyinfo_text(self) -> str:
         return self.buddy_info().text()
@@ -213,12 +197,6 @@ class BuddyState:
             if partition is None or block.partition == partition:
                 yield block
 
-    def partition_of(self, addr: int) -> Partition | None:
-        for p in self.partitions.values():
-            if p.base <= addr < p.end:
-                return p
-        return None
-
     # -- allocation ------------------------------------------------------
 
     def allocate(self, partition: str, order: int, owner: str) -> Block:
@@ -230,8 +208,6 @@ class BuddyState:
         for j in range(order, self.max_order + 1):
             if lists[j]:
                 base = lists[j].pop(0)
-                if self._record_splits and j != order:
-                    self.split_log.append((partition, order, j))
                 while j > order:
                     j -= 1
                     insort(lists[j], base + (PAGE_SIZE << j))

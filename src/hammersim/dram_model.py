@@ -1,11 +1,19 @@
 """DRAM geometry, physical-address mapping, row-buffer state, and hammering.
 
-The address map is linear over GF(2): every DIMM/rank/bank coordinate bit is
-the XOR of a configured set of physical-address bits, the row index is a
-contiguous bit range, and the column packs whatever bits remain.  The first
-bit of each selector list (its "primary" bit) must be unique, outside the row
-range, and not an auxiliary bit of another selector; that keeps the map
-constructively invertible, which unmap_dram_to_phys exploits.
+The address map is linear over GF(2), the form DRAMA (Pessl et al., USENIX
+Security 2016) measured on real memory controllers: every DIMM/rank/bank
+coordinate bit is the XOR of a configured set of physical-address bits,
+the row index is a contiguous bit range, and the column packs whatever
+bits remain, in order.  The first bit of each selector list (its "primary"
+bit) must be distinct and outside the row range; the bits that are
+neither row bits nor primaries are the column bits.
+
+DramGeometry builds the map once as one square GF(2) matrix: the packed
+coordinate (column, row, bank, rank, dimm from the low end) of every
+physical-address bit.  Its inverse comes from Gauss-Jordan elimination, so
+a selector set that is not a bijection raises MappingError.
+map_phys_to_dram, unmap_dram_to_phys and page_row_keys read only these two
+matrices, through 8-bit slice lookup tables.
 
 Hammering is cell-granular and seeded.  A row only disturbs its neighbours
 when it is re-activated repeatedly, which requires a row-buffer conflict:
@@ -66,8 +74,42 @@ def _ilog2(n: int, what: str) -> int:
     return n.bit_length() - 1
 
 
-def _parity(x: int) -> int:
-    return x.bit_count() & 1
+def _invert(images: list[int]) -> list[int]:
+    """Gauss-Jordan inverse of the square GF(2) matrix whose column i is
+    images[i]: returns the preimage of every unit vector."""
+    n = len(images)
+    rows = [(image, 1 << i) for i, image in enumerate(images)]
+    for j in range(n):
+        i = next((i for i in range(j, n) if rows[i][0] >> j & 1), None)
+        if i is None:
+            raise MappingError("selector functions are linearly dependent; "
+                               "the address map is not invertible")
+        rows[j], rows[i] = rows[i], rows[j]
+        image, source = rows[j]
+        for k in range(n):
+            if k != j and rows[k][0] >> j & 1:
+                rows[k] = (rows[k][0] ^ image, rows[k][1] ^ source)
+    return [source for _, source in rows]
+
+
+def _slice_tables(images: list[int]) -> tuple[tuple[int, ...], ...]:
+    """Lookup tables of the linear map sending bit i to images[i]: table k
+    holds the image of every value of input bits 8k..8k+7."""
+    tables = []
+    for lo in range(0, len(images), 8):
+        table = [0]
+        for image in images[lo:lo + 8]:
+            table += [t ^ image for t in table]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def _apply(tables: tuple[tuple[int, ...], ...], x: int) -> int:
+    out = 0
+    for table in tables:
+        out ^= table[x & 0xFF]
+        x >>= 8
+    return out
 
 
 @dataclass(frozen=True)
@@ -97,9 +139,6 @@ class MappingSpec:
             (int(row_range[0]), int(row_range[1])),
         )
 
-    def selectors(self) -> tuple[tuple[int, ...], ...]:
-        return self.dimm_select_bits + self.rank_select_bits + self.bank_select_bits
-
 
 @dataclass(frozen=True)
 class DramCoord:
@@ -124,7 +163,8 @@ class DramGeometry:
 
     All counts must be powers of two and the row size a multiple of the
     page size, so capacity is a power of two and the mapping can be a
-    bit-level bijection.
+    bit-level bijection.  A packed coordinate is the mixed-radix number
+    (dimm, rank, bank, row, column); a packed row key drops the column.
     """
 
     dimms: int
@@ -133,13 +173,18 @@ class DramGeometry:
     rows_per_bank: int
     row_size: int
     mapping: MappingSpec
+    # Slice tables of the address matrix and of its inverse, and the row
+    # keys XORed onto a page's base key by its in-page address bits.
+    _forward: tuple = field(init=False, repr=False, compare=False)
+    _inverse: tuple = field(init=False, repr=False, compare=False)
+    _page_deltas: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         dimm_bits = _ilog2(self.dimms, "dimms")
         rank_bits = _ilog2(self.ranks_per_dimm, "ranks_per_dimm")
         bank_bits = _ilog2(self.banks_per_rank, "banks_per_rank")
         row_bits = _ilog2(self.rows_per_bank, "rows_per_bank")
-        _ilog2(self.row_size, "row_size")
+        column_width = _ilog2(self.row_size, "row_size")
         if self.row_size % PAGE_SIZE:
             raise ValueError("row_size must be a multiple of the page size")
 
@@ -151,54 +196,45 @@ class DramGeometry:
         if len(m.bank_select_bits) != bank_bits:
             raise MappingError("bank selector count does not match bank count")
 
-        addr_bits = (
-            dimm_bits + rank_bits + bank_bits + row_bits + _ilog2(self.row_size, "row_size")
-        )
+        addr_bits = dimm_bits + rank_bits + bank_bits + row_bits + column_width
         row_lo, row_hi = m.row_index_bit_range
         if row_hi - row_lo + 1 != row_bits:
             raise MappingError("row bit range width does not match rows_per_bank")
         if row_lo < 0 or row_hi >= addr_bits:
             raise MappingError("row bit range outside the address width")
 
-        row_set = set(range(row_lo, row_hi + 1))
-        primaries: list[int] = []
-        for sel in m.selectors():
+        # Bank, rank and dimm bits sit above the row in a packed coordinate.
+        selectors = m.bank_select_bits + m.rank_select_bits + m.dimm_select_bits
+        for sel in selectors:
             if not sel:
                 raise MappingError("empty selector bit list")
             if any(b < 0 or b >= addr_bits for b in sel):
                 raise MappingError("selector bit outside the address width")
-            primaries.append(sel[0])
-        if len(set(primaries)) != len(primaries):
+        primaries = {sel[0] for sel in selectors}
+        if len(primaries) != len(selectors):
             raise MappingError("selector primary bits must be distinct")
-        if row_set & set(primaries):
+        row_range = range(row_lo, row_hi + 1)
+        if any(b in row_range for b in primaries):
             raise MappingError("selector primary bits must not overlap the row range")
 
-        column_bits = tuple(
-            b for b in range(addr_bits) if b not in row_set and b not in set(primaries)
-        )
-        known = row_set | set(column_bits)
-        for sel in m.selectors():
-            for b in sel[1:]:
-                if b not in known:
-                    raise MappingError(
-                        "auxiliary selector bits must come from row or column bits"
-                    )
+        # images[b] is the packed coordinate of physical address 1 << b.
+        images = [0] * addr_bits
+        column_bits = [b for b in range(addr_bits)
+                       if b not in row_range and b not in primaries]
+        for i, b in enumerate(column_bits):
+            images[b] = 1 << i
+        for i, b in enumerate(row_range):
+            images[b] = 1 << (column_width + i)
+        for i, sel in enumerate(selectors):
+            for b in sel:
+                images[b] ^= 1 << (column_width + row_bits + i)
 
-        masks = tuple(sum(1 << b for b in sel) for sel in m.selectors())
-        object.__setattr__(self, "_addr_bits", addr_bits)
-        object.__setattr__(self, "_row_lo", row_lo)
-        object.__setattr__(self, "_row_hi", row_hi)
-        object.__setattr__(self, "_column_bits", column_bits)
-        object.__setattr__(self, "_primaries", tuple(primaries))
-        object.__setattr__(self, "_selector_masks", masks)
-        object.__setattr__(self, "_dimm_bits", dimm_bits)
-        object.__setattr__(self, "_rank_bits", rank_bits)
-        object.__setattr__(self, "_bank_bits", bank_bits)
-        # Bits below the page offset that can change the row key of an
-        # address; a 4 KiB page spans several rows when any are present.
-        inpage = [b for b in primaries if b < 12]
-        inpage += [b for b in range(row_lo, row_hi + 1) if b < 12]
-        object.__setattr__(self, "_inpage_row_bits", tuple(sorted(set(inpage))))
+        deltas = {0}
+        for image in images[:PAGE_SIZE.bit_length() - 1]:
+            deltas |= {d ^ (image >> column_width) for d in deltas}
+        object.__setattr__(self, "_forward", _slice_tables(images))
+        object.__setattr__(self, "_inverse", _slice_tables(_invert(images)))
+        object.__setattr__(self, "_page_deltas", tuple(sorted(deltas)))
 
     @property
     def capacity(self) -> int:
@@ -210,14 +246,6 @@ class DramGeometry:
             * self.row_size
         )
 
-    @property
-    def addr_bits(self) -> int:
-        return self._addr_bits  # type: ignore[attr-defined]
-
-    @property
-    def column_bits(self) -> tuple[int, ...]:
-        return self._column_bits  # type: ignore[attr-defined]
-
     def validate_coord(self, coord: DramCoord) -> None:
         if not (
             0 <= coord.dimm < self.dimms
@@ -227,6 +255,13 @@ class DramGeometry:
             and 0 <= coord.column < self.row_size
         ):
             raise AddressRangeError(f"coordinate out of bounds: {coord}")
+
+    def _row_key(self, key: int) -> tuple[int, int, int, int]:
+        """(dimm, rank, bank, row) of a packed row key."""
+        key, row = divmod(key, self.rows_per_bank)
+        key, bank = divmod(key, self.banks_per_rank)
+        dimm, rank = divmod(key, self.ranks_per_dimm)
+        return (dimm, rank, bank, row)
 
 
 def rows_size_per_row_index(geometry: DramGeometry) -> int:
@@ -243,62 +278,18 @@ def map_phys_to_dram(addr: int, geometry: DramGeometry) -> DramCoord:
     """Translate a physical byte address to its DRAM coordinate."""
     if addr < 0 or addr >= geometry.capacity:
         raise AddressRangeError(f"address {addr:#x} outside capacity")
-    masks = geometry._selector_masks  # type: ignore[attr-defined]
-    nd = geometry._dimm_bits  # type: ignore[attr-defined]
-    nr = geometry._rank_bits  # type: ignore[attr-defined]
-    vals = [_parity(addr & m) for m in masks]
-    dimm = rank = bank = 0
-    for i in range(nd):
-        dimm |= vals[i] << i
-    for i in range(nr):
-        rank |= vals[nd + i] << i
-    for i in range(len(masks) - nd - nr):
-        bank |= vals[nd + nr + i] << i
-    row_lo = geometry._row_lo  # type: ignore[attr-defined]
-    row_hi = geometry._row_hi  # type: ignore[attr-defined]
-    row = (addr >> row_lo) & ((1 << (row_hi - row_lo + 1)) - 1)
-    column = 0
-    for i, b in enumerate(geometry.column_bits):
-        column |= ((addr >> b) & 1) << i
-    return DramCoord(dimm, rank, bank, row, column)
+    key, column = divmod(_apply(geometry._forward, addr), geometry.row_size)
+    return DramCoord(*geometry._row_key(key), column)
 
 
 def unmap_dram_to_phys(coord: DramCoord, geometry: DramGeometry) -> int:
     """Inverse of map_phys_to_dram."""
     geometry.validate_coord(coord)
-    row_lo = geometry._row_lo  # type: ignore[attr-defined]
-    addr = coord.row << row_lo
-    for i, b in enumerate(geometry.column_bits):
-        addr |= ((coord.column >> i) & 1) << b
-    nd = geometry._dimm_bits  # type: ignore[attr-defined]
-    nr = geometry._rank_bits  # type: ignore[attr-defined]
-    want: list[int] = []
-    for i in range(nd):
-        want.append((coord.dimm >> i) & 1)
-    for i in range(nr):
-        want.append((coord.rank >> i) & 1)
-    for i in range(geometry._bank_bits):  # type: ignore[attr-defined]
-        want.append((coord.bank >> i) & 1)
-    primaries = geometry._primaries  # type: ignore[attr-defined]
-    masks = geometry._selector_masks  # type: ignore[attr-defined]
-    # Auxiliary bits live in row/column positions, all already placed.
-    for prim, mask, target in zip(primaries, masks, want):
-        aux = mask & ~(1 << prim)
-        if target ^ _parity(addr & aux):
-            addr |= 1 << prim
-    return addr
-
-
-def row_neighbors(
-    coord: DramCoord, geometry: DramGeometry
-) -> tuple[DramCoord | None, DramCoord | None]:
-    """Rows physically adjacent in the same bank, None at array edges."""
-    below = above = None
-    if coord.row > 0:
-        below = DramCoord(coord.dimm, coord.rank, coord.bank, coord.row - 1, coord.column)
-    if coord.row < geometry.rows_per_bank - 1:
-        above = DramCoord(coord.dimm, coord.rank, coord.bank, coord.row + 1, coord.column)
-    return below, above
+    g = geometry
+    key = coord.dimm * g.ranks_per_dimm + coord.rank
+    key = key * g.banks_per_rank + coord.bank
+    key = key * g.rows_per_bank + coord.row
+    return _apply(g._inverse, key * g.row_size + coord.column)
 
 
 def page_row_keys(pfn: int, geometry: DramGeometry) -> set[tuple[int, int, int, int]]:
@@ -306,29 +297,8 @@ def page_row_keys(pfn: int, geometry: DramGeometry) -> set[tuple[int, int, int, 
     base = pfn * PAGE_SIZE
     if base < 0 or base + PAGE_SIZE > geometry.capacity:
         raise AddressRangeError(f"page {pfn:#x} outside capacity")
-    bits = geometry._inpage_row_bits  # type: ignore[attr-defined]
-    masks = geometry._selector_masks  # type: ignore[attr-defined]
-    nd = geometry._dimm_bits  # type: ignore[attr-defined]
-    nr = geometry._rank_bits  # type: ignore[attr-defined]
-    nb = geometry._bank_bits  # type: ignore[attr-defined]
-    row_lo = geometry._row_lo  # type: ignore[attr-defined]
-    row_mask = (1 << (geometry._row_hi - row_lo + 1)) - 1  # type: ignore[attr-defined]
-    keys: set[tuple[int, int, int, int]] = set()
-    # Same fold as map_phys_to_dram, skipping the unused column.
-    for combo in range(1 << len(bits)):
-        addr = base
-        for i, b in enumerate(bits):
-            if (combo >> i) & 1:
-                addr |= 1 << b
-        dimm = rank = bank = 0
-        for i in range(nd):
-            dimm |= ((addr & masks[i]).bit_count() & 1) << i
-        for i in range(nr):
-            rank |= ((addr & masks[nd + i]).bit_count() & 1) << i
-        for i in range(nb):
-            bank |= ((addr & masks[nd + nr + i]).bit_count() & 1) << i
-        keys.add((dimm, rank, bank, (addr >> row_lo) & row_mask))
-    return keys
+    key = _apply(geometry._forward, base) // geometry.row_size
+    return {geometry._row_key(key ^ d) for d in geometry._page_deltas}
 
 
 @dataclass(frozen=True)

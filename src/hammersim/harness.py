@@ -344,6 +344,8 @@ def run_single_trial(
         raise HarnessError(f"unknown strategy {strategy!r}")
     if driver not in DRIVERS:
         raise HarnessError(f"unknown driver {driver!r}")
+    if rounds_cap is not None and rounds_cap < 0:
+        raise HarnessError("rounds_cap must be >= 0")
     if strategy == STRATEGY_AMBUSH:
         return _run_ambush_trial(
             profile,

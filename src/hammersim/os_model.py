@@ -100,9 +100,8 @@ class PteEntry:
         present: bool = True,
         writable: bool = True,
         user: bool = True,
-        extra_flags: int = 0,
     ) -> "PteEntry":
-        raw = (pfn << PTE_PFN_SHIFT) | extra_flags
+        raw = pfn << PTE_PFN_SHIFT
         if present:
             raw |= PTE_PRESENT
         if writable:

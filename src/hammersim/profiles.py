@@ -18,12 +18,7 @@ import configparser
 from dataclasses import dataclass, field, replace
 
 from .ambush import DRIVER_SG, DRIVER_VIDEO, DRIVERS
-from .dram_model import (
-    DramGeometry,
-    HammerParams,
-    MappingSpec,
-    rows_size_per_row_index,
-)
+from .dram_model import DramGeometry, HammerParams, MappingSpec
 from .timing_channel import ChannelModel
 
 MIB = 1024 * 1024
@@ -146,10 +141,6 @@ class MachineProfile:
         if self.rounds_cap < 0 or self.reps_per_round <= 0:
             raise ProfileError("rounds_cap >= 0 and reps_per_round > 0 required")
 
-    @property
-    def row_span(self) -> int:
-        return rows_size_per_row_index(self.geometry)
-
     def threshold_for(self, driver: str) -> int:
         if driver not in DRIVERS:
             raise ProfileError(f"unknown driver {driver!r}")
@@ -243,13 +234,19 @@ def _parse_size(text: str) -> int:
         raise ProfileError(f"bad size value {text!r}") from None
 
 
+_DRAM_KEYS = ("dimms", "ranks_per_dimm", "banks_per_rank", "rows_per_bank",
+              "row_size", "row_bits")
+
+
 def load_profile(path: str) -> MachineProfile:
     """Load a profile from flat INI text.
 
     Sections: ``[profile]`` (name, optional base to inherit a builtin),
     ``[dram]`` (geometry and mapping), ``[allocator]``, ``[workload]``,
     ``[channel]``, ``[vulnerability]``, ``[attack]``.  Any omitted value
-    falls back to the base profile (default ``dell``).
+    falls back to the base profile (default ``dell``), except that a
+    ``[dram]`` section replaces the whole geometry, so it must give every
+    key of _DRAM_KEYS; only the selector lists may be left out (empty).
     """
     parser = configparser.ConfigParser()
     read = parser.read(path)
@@ -263,6 +260,9 @@ def load_profile(path: str) -> MachineProfile:
     geometry = base.geometry
     if parser.has_section("dram"):
         d = parser["dram"]
+        missing = [key for key in _DRAM_KEYS if key not in d]
+        if missing:
+            raise ProfileError(f"[dram] is missing {', '.join(missing)}")
         mapping = MappingSpec.make(
             dimm=_parse_selectors(d.get("dimm_bits", "")),
             rank=_parse_selectors(d.get("rank_bits", "")),

@@ -14,7 +14,6 @@ contractual.
 
 from __future__ import annotations
 
-import csv
 import random
 from dataclasses import dataclass
 
@@ -133,11 +132,3 @@ def select_hammer_pair(
         f"no conflicting pair classified within {max_attempts} attempts"
     )
 
-
-def samples_to_csv(samples, stream) -> None:
-    writer = csv.writer(stream)
-    writer.writerow(["addr_a", "addr_b", "cycles", "classified_conflict", "true_conflict"])
-    for s in samples:
-        writer.writerow(
-            [s.addr_a, s.addr_b, s.cycles, int(s.classified_conflict), int(s.true_conflict)]
-        )

@@ -172,7 +172,7 @@ def test_isolated_buffer_reserves_guards_both_sides():
     buddy = make_pool(8 * MIB, row_span=span)
     iso = buddy.allocate_isolated_buffer("pool", span, "buffer")
     assert iso.block.size == span
-    assert iso.guard_bytes == 2 * span
+    assert sum(size for _, size in iso.guard_spans) == 2 * span
     (lo_base, lo_size), (hi_base, hi_size) = iso.guard_spans
     assert lo_base + lo_size == iso.block.base
     assert hi_base == iso.block.end and hi_size == span
@@ -198,7 +198,7 @@ def test_isolated_buffer_rounds_to_row_span():
     buddy = make_pool(8 * MIB, row_span=span)
     iso = buddy.allocate_isolated_buffer("pool", span + 1, "buffer")
     assert iso.block.size == 2 * span
-    assert iso.guard_bytes == 2 * span
+    assert sum(size for _, size in iso.guard_spans) == 2 * span
 
 
 def test_isolated_buffer_requires_row_span():

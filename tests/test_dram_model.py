@@ -30,7 +30,6 @@ from hammersim.dram_model import (
     derive_seed,
     map_phys_to_dram,
     page_row_keys,
-    row_neighbors,
     rows_size_per_row_index,
     target_block_size,
     unmap_dram_to_phys,
@@ -127,6 +126,11 @@ def test_invalid_mapping_specs_rejected():
     with pytest.raises(MappingError):
         DramGeometry(1, 1, 2, 4, 4096, make(dimm=[], rank=[], bank=[[11]],
                                             row_range=(12, 14)))
+    # Two selectors computing the same XOR leave the map singular.
+    with pytest.raises(MappingError):
+        DramGeometry(1, 1, 4, 4, 4096, make(dimm=[], rank=[],
+                                            bank=[[12, 13], [13, 12]],
+                                            row_range=(14, 15)))
 
 
 # --- exhaustive bijectivity ---
@@ -164,6 +168,15 @@ def test_dell_mapping_roundtrip_sampled():
     for _ in range(2000):
         addr = rng.randrange(geo.capacity)
         assert unmap_dram_to_phys(map_phys_to_dram(addr, geo), geo) == addr
+
+
+def test_selector_may_xor_another_primary():
+    # bank0 = a12 ^ a13 and bank1 = a13 is invertible even though bit 13 is
+    # both a primary and an auxiliary bit.
+    geo = DramGeometry(1, 1, 4, 4, 4096, MappingSpec.make(
+        dimm=[], rank=[], bank=[[12, 13], [13]], row_range=(14, 15)))
+    _exhaustive_check(geo)
+    assert map_phys_to_dram(1 << 13, geo).bank == 0b11
 
 
 @st.composite
@@ -228,20 +241,6 @@ def test_row_aligned_block_covers_rows_completely():
 # --- row adjacency and page row keys ---
 
 
-def test_row_neighbors_edges():
-    geo = simple_mapping(banks=2, rows=16, row_size=8192)
-    first = DramCoord(0, 0, 0, 0, 0)
-    below, above = row_neighbors(first, geo)
-    assert below is None and above is not None and above.row == 1
-    mid = DramCoord(0, 0, 1, 7, 5)
-    below, above = row_neighbors(mid, geo)
-    assert below.row == 6 and above.row == 8
-    assert below.bank_key() == above.bank_key() == mid.bank_key()
-    last = DramCoord(0, 0, 0, 15, 0)
-    below, above = row_neighbors(last, geo)
-    assert below is not None and below.row == 14 and above is None
-
-
 def test_page_row_keys_span():
     # Dell's DIMM selector sits inside the page offset, so one 4 KiB page
     # interleaves across both DIMMs.
@@ -251,6 +250,25 @@ def test_page_row_keys_span():
     # The simple layout keeps whole pages inside one row.
     geo = simple_mapping(banks=2, rows=16, row_size=8192)
     assert len(page_row_keys(3, geo)) == 1
+
+
+def test_page_row_keys_match_oracle():
+    # In-page auxiliary bits (7 and 9) under bank selectors whose primaries
+    # sit above the page offset split every page across all four banks, on
+    # top of the in-page DIMM primary (bit 6): 8 row keys per page.
+    geo = DramGeometry(2, 1, 4, 8, 8192, MappingSpec.make(
+        dimm=[[6, 15]], rank=[], bank=[[13, 7], [14, 9, 16]],
+        row_range=(15, 17)))
+    row_keys = numpy_coord_keys(geo) // np.uint64(geo.row_size)
+    for pfn in range(geo.capacity // PAGE_SIZE):
+        truth = set(row_keys[pfn * PAGE_SIZE:(pfn + 1) * PAGE_SIZE].tolist())
+        packed = {
+            ((d * geo.ranks_per_dimm + r) * geo.banks_per_rank + b)
+            * geo.rows_per_bank + row
+            for d, r, b, row in page_row_keys(pfn, geo)
+        }
+        assert packed == truth
+        assert len(packed) == 8
 
 
 # --- vulnerability map ---

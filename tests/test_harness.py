@@ -228,6 +228,19 @@ def test_load_profile_overrides(ini_path):
     assert profile.channel.p_high_given_conflict == pytest.approx(0.927)
 
 
+@pytest.mark.parametrize("key", ["row_bits", "row_size", "banks_per_rank"])
+def test_cli_rejects_partial_dram_section(tmp_path, capsys, key):
+    # A [dram] section replaces the whole geometry, so it cannot omit a
+    # geometry key; leaving one out must not end in a traceback.
+    path = tmp_path / "partial.ini"
+    path.write_text("\n".join(line for line in INI_SMALL.splitlines()
+                              if not line.startswith(key + " ")))
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--profile", str(path)])
+    assert exc.value.code == 2
+    assert f"error: [dram] is missing {key}" in capsys.readouterr().err
+
+
 def test_load_profile_fallbacks(tmp_path):
     path = tmp_path / "bare.ini"
     path.write_text("[profile]\nname = clone\n")
@@ -279,6 +292,13 @@ def test_cli_rejects_unknown_profile():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--profile", "warehouse"])
     assert exc.value.code == 2
+
+
+def test_cli_rejects_negative_rounds_cap(ini_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--profile", ini_path, "--rounds-cap", "-3"])
+    assert exc.value.code == 2
+    assert "error: rounds_cap must be >= 0" in capsys.readouterr().err
 
 
 def test_cli_reports_infeasible_guarded_placement(ini_path, capsys):

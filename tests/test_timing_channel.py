@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import random
 
 import pytest
@@ -18,7 +17,6 @@ from hammersim.timing_channel import (
     is_row_conflict_pair,
     sample_latency,
     sample_latency_phys,
-    samples_to_csv,
     select_hammer_pair,
 )
 
@@ -166,17 +164,3 @@ def test_sample_latency_rejects_unmapped():
     with pytest.raises(ChannelError):
         sample_latency(os_model, 0xDEAD000, 0xBEEF000, ChannelModel(),
                        random.Random(0))
-
-
-def test_samples_to_csv_shape():
-    geo = geo64()
-    model = ChannelModel()
-    rng = random.Random(4)
-    samples = [sample_latency_phys(*conflict_pair(geo, rng), geo, model, rng)
-               for _ in range(3)]
-    out = io.StringIO()
-    samples_to_csv(samples, out)
-    lines = out.getvalue().strip().splitlines()
-    assert lines[0] == "addr_a,addr_b,cycles,classified_conflict,true_conflict"
-    assert len(lines) == 4
-    assert all(line.count(",") == 4 for line in lines[1:])
