@@ -201,33 +201,38 @@ def drain_small_blocks(
     small blocks it releases are drained too, up to fresh_cap_bytes extra.
     Returns (pt pages drained, fresh bytes injected).
     """
-    buddy = os_model.buddy
-    partition = os_model.kernel_partition
+    drained = _drain_phase(os_model, mapper)
+    if fresh_injector is None:
+        return drained, 0
+    injected = fresh_injector()
+    drained += _drain_phase(os_model, mapper, min(injected, fresh_cap_bytes))
+    return drained, injected
+
+
+def _drain_phase(
+    os_model: OsModel, mapper: MappingDriver, cap_bytes: int | None = None
+) -> int:
+    """Map until the small blocks free now are drained, or cap_bytes of
+    tables are; returns the table pages mapped.
+
+    Each table page takes one page from the smallest free block, so the
+    small blocks last exactly as many table pages as they hold pages.
+    """
     target_order = _order_of(target_block_size(os_model.dram.geometry))
-    start_pages = mapper.pt_pages
-    injected = 0
-    extra_budget = 0
-    injector_ran = False
-    while True:
-        while buddy.free_bytes_below(partition, target_order) > 0:
-            if mapper.budget_left <= 0:
-                raise DrainError(
-                    "mapping budget exhausted before small blocks were drained"
-                )
-            drained_so_far = (mapper.pt_pages - start_pages) * PAGE_SIZE
-            if injector_ran and drained_so_far >= extra_budget:
-                break
-            mapper.map_once()
-        if fresh_injector is not None and not injector_ran:
-            injector_ran = True
-            injected = fresh_injector()
-            extra_budget = (
-                (mapper.pt_pages - start_pages) * PAGE_SIZE
-                + min(injected, fresh_cap_bytes)
+    small_pages = (
+        os_model.buddy.free_bytes_below(os_model.kernel_partition, target_order)
+        // PAGE_SIZE
+    )
+    drained = 0
+    while drained < small_pages:
+        if mapper.budget_left <= 0:
+            raise DrainError(
+                "mapping budget exhausted before small blocks were drained"
             )
-            continue
-        break
-    return mapper.pt_pages - start_pages, injected
+        if cap_bytes is not None and drained * PAGE_SIZE >= cap_bytes:
+            break
+        drained += mapper.map_once()
+    return drained
 
 
 def _order_of(size: int) -> int:

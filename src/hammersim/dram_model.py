@@ -348,7 +348,6 @@ class VulnerabilityMap:
         weak_row_rate: float = 0.0,
         cells_per_weak_row: float = 0.0,
         cell_probability: float = 1.0,
-        directions: tuple[str, ...] = FLIP_DIRECTIONS,
         seed: int = 0,
     ) -> None:
         if not 0.0 <= weak_row_rate <= 1.0:
@@ -357,14 +356,10 @@ class VulnerabilityMap:
             raise ValueError("cells_per_weak_row must be non-negative")
         if not 0.0 <= cell_probability <= 1.0:
             raise ValueError("cell_probability must be within [0, 1]")
-        for d in directions:
-            if d not in FLIP_DIRECTIONS:
-                raise ValueError(f"unknown flip direction {d!r}")
         self.geometry = geometry
         self.weak_row_rate = weak_row_rate
         self.cells_per_weak_row = cells_per_weak_row
         self.cell_probability = cell_probability
-        self.directions = tuple(directions)
         self.seed = seed
         self._explicit: dict[tuple[int, int, int, int], tuple[VulnCell, ...]] = {}
         self._cache: dict[tuple[int, int, int, int], tuple[VulnCell, ...]] = {}
@@ -395,7 +390,7 @@ class VulnerabilityMap:
                 for _ in range(n):
                     col = rng.randrange(self.geometry.row_size)
                     bit = rng.randrange(8)
-                    direction = rng.choice(self.directions)
+                    direction = rng.choice(FLIP_DIRECTIONS)
                     made.append(
                         VulnCell(
                             DramCoord(d, r, b, row, col),

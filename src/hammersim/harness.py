@@ -49,7 +49,7 @@ from .exploit import (
     ExploitOutcome,
     hammer_loop,
 )
-from .os_model import OsModel
+from .os_model import KERNEL_PARTITION, USER_PARTITION, OsModel
 from .profiles import MachineProfile
 
 STRATEGY_AMBUSH = "ambush"
@@ -57,8 +57,6 @@ STRATEGY_SPRAY = "spray"
 STRATEGY_FENG_SHUI = "feng_shui"
 STRATEGIES = (STRATEGY_AMBUSH, STRATEGY_SPRAY, STRATEGY_FENG_SHUI)
 
-KERNEL_PARTITION = "kernel"
-USER_PARTITION = "user"
 POOL_PARTITION = "pool"
 
 DEFAULT_PID = 1
@@ -134,12 +132,7 @@ def build_sim(profile: MachineProfile, trial_seed: int) -> SimBundle:
         max_order=profile.max_order,
         row_span=row_span,
     )
-    os_model = OsModel(
-        dram,
-        buddy,
-        kernel_partition=KERNEL_PARTITION,
-        user_partition=USER_PARTITION,
-    )
+    os_model = OsModel(dram, buddy)
     preload = preload_workload(
         buddy,
         KERNEL_PARTITION,

@@ -53,6 +53,14 @@ SG_MAX_OPENS = 1021
 
 VMA_LIMIT = 65536
 
+KERNEL_PARTITION = "kernel"
+USER_PARTITION = "user"
+
+# Both bases are 2 MiB aligned, so a mapped page's entry index in its table
+# is its page number, or its page index in the file, modulo PTES_PER_PAGE.
+MAP_BASE = 0x2000_0000_0000
+BUFFER_BASE = 0x7000_0000_0000
+
 
 class OsModelError(Exception):
     pass
@@ -293,23 +301,14 @@ class OsModel:
     """Wires DRAM, the allocator, and the virtual-memory surface together."""
 
     def __init__(
-        self,
-        dram: Dram,
-        buddy: BuddyState,
-        *,
-        kernel_partition: str = "kernel",
-        user_partition: str = "user",
-        vma_limit: int = VMA_LIMIT,
-        map_base: int = 0x2000_0000_0000,
-        buffer_base: int = 0x7000_0000_0000,
+        self, dram: Dram, buddy: BuddyState, *, vma_limit: int = VMA_LIMIT
     ) -> None:
         self.dram = dram
         self.buddy = buddy
-        self.kernel_partition = kernel_partition
-        self.user_partition = user_partition
+        self.kernel_partition = KERNEL_PARTITION
+        self.user_partition = USER_PARTITION
         self.vma_limit = vma_limit
-        self.map_base = map_base
-        self.buffer_base = buffer_base
+        self.map_base = MAP_BASE
         self.memory = PhysicalMemory()
         self.memory.write_hook = self._on_phys_write
         self.tlb = TlbCache()
@@ -325,9 +324,8 @@ class OsModel:
         self._pt_templates: dict[tuple[int, int], bytes] = {}
         self._pte_dirty: set[int] = set()  # window page vaddrs
         self._dirty_file_pages: dict[int, set[int]] = {}
-        self._next_map_base = map_base
-        self._next_buffer_base = buffer_base
-        self._markers_written: set[int] = set()
+        self._next_map_base = MAP_BASE
+        self._next_buffer_base = BUFFER_BASE
 
     # -- physical write hook ----------------------------------------------
 
@@ -386,8 +384,8 @@ class OsModel:
         page = (window_base - vma.base) // PAGE_SIZE + idx
         return PteEntry.make(vma.file.pfns[page % len(vma.file.pfns)]).raw
 
-    def mmap_primitive(self, file: TmpFile, *, touch: bool = True) -> list[PageTablePage]:
-        """Map the file once at the next slot; touching builds its tables.
+    def mmap_primitive(self, file: TmpFile) -> list[PageTablePage]:
+        """Map the file once at the next slot and build its tables.
 
         Raises VmaLimitError when the mapping count would reach the limit.
         """
@@ -398,8 +396,6 @@ class OsModel:
         vma = Vma(base, file.size, file)
         self.vmas.append(vma)
         self._vma_bases.append(vma.base)
-        if not touch:
-            return []
         new_pts: list[PageTablePage] = []
         for window in range(vma.base, vma.end, PT_SPAN):
             if window in self.windows:
@@ -420,16 +416,14 @@ class OsModel:
         baseline, so the write hook is bypassed."""
         for pfn in file.pfns:
             self.memory.write_u64(pfn * PAGE_SIZE, MARKER, notify=False)
-        self._markers_written.add(file.file_id)
 
     # -- translation --------------------------------------------------------
 
-    def translate(self, vaddr: int, *, use_tlb: bool = True) -> int | None:
+    def translate(self, vaddr: int) -> int | None:
         vpage = vaddr & ~(PAGE_SIZE - 1)
-        if use_tlb:
-            cached = self.tlb.lookup(vpage)
-            if cached is not None:
-                return cached
+        cached = self.tlb.lookup(vpage)
+        if cached is not None:
+            return cached
         pfn = self._buffer_pages.get(vpage)
         if pfn is None:
             window = vpage & ~(PT_SPAN - 1)
@@ -485,22 +479,30 @@ class OsModel:
 
     # -- marker scan ----------------------------------------------------------
 
-    def iter_nonmarker_pages(self):
+    def iter_nonmarker_pages(self, slot: int | None = None):
         """Mapped pages whose first eight bytes differ from the marker,
         ascending, reads honouring the TLB.
 
+        With slot given, only pages mapped through that entry index of
+        their table are visited.
+
         Only dirty-index candidates are visited; any other page provably
         still translates to a file page with an intact marker header.
-        Candidates whose table entry has returned to its pristine value and
-        whose file header is intact are dropped from the index.
+        Candidates whose table entry has returned to its pristine value, with
+        the TLB agreeing, and whose file header is intact are dropped from
+        the index.
         """
-        cands = set(self._pte_dirty)
+        def wanted(page_number: int) -> bool:
+            return slot is None or page_number % PTES_PER_PAGE == slot
+
+        cands = {v for v in self._pte_dirty if wanted(v // PAGE_SIZE)}
         for file_id, dirty in self._dirty_file_pages.items():
-            if not dirty:
+            idxs = [idx for idx in dirty if wanted(idx)]
+            if not idxs:
                 continue
             for vma in self.vmas:
                 if vma.file.file_id == file_id:
-                    cands.update(vma.base + idx * PAGE_SIZE for idx in dirty)
+                    cands.update(vma.base + idx * PAGE_SIZE for idx in idxs)
         for vaddr in sorted(cands):
             if self._vma_at(vaddr) is None:
                 continue
@@ -513,11 +515,11 @@ class OsModel:
                 pt = self.windows.get(window)
                 if pt is not None:
                     raw = self.memory.read_u64(pt.pfn * PAGE_SIZE + idx * PTE_SIZE)
-                    if raw == self.pristine_pte(window, idx):
+                    # A stale TLB entry keeps the page reading elsewhere
+                    # until the next flush, so it stays a candidate.
+                    if (raw == self.pristine_pte(window, idx)
+                            and self.tlb.lookup(vaddr) == PteEntry(raw).pfn):
                         self._pte_dirty.discard(vaddr)
-
-    def scan_markers(self) -> list[int]:
-        return list(self.iter_nonmarker_pages())
 
     # -- double-owned device buffers -------------------------------------------
 

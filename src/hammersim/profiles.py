@@ -183,17 +183,20 @@ def lenovo_profile() -> MachineProfile:
     )
 
 
+_BUILTIN_PROFILES = {"dell": dell_profile, "lenovo": lenovo_profile}
+
+
 def builtin_profiles() -> dict[str, MachineProfile]:
-    return {p.name: p for p in (dell_profile(), lenovo_profile())}
+    return {name: make() for name, make in _BUILTIN_PROFILES.items()}
 
 
 def get_profile(name: str) -> MachineProfile:
-    profiles = builtin_profiles()
     try:
-        return profiles[name]
+        make = _BUILTIN_PROFILES[name]
     except KeyError:
-        known = ", ".join(sorted(profiles))
+        known = ", ".join(sorted(_BUILTIN_PROFILES))
         raise ProfileError(f"unknown profile {name!r} (builtin: {known})") from None
+    return make()
 
 
 def _parse_selectors(text: str) -> list[list[int]]:

@@ -1,4 +1,4 @@
-"""Golden digests: byte-identical CSV reports for fixed seeds.
+"""Golden digests: byte-identical reports for fixed seeds.
 
 The benchmark's digest gate pins the same reports in
 bench/expected_digests.json (read here, never written), so a refactor
@@ -8,8 +8,11 @@ that changes any report byte fails Tier-1 without running the benchmark.
 from __future__ import annotations
 
 import hashlib
+import importlib
+import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,7 +20,8 @@ from hammersim.ambush import DRIVER_VIDEO
 from hammersim.harness import STRATEGY_AMBUSH, emit_report, run_trials
 from hammersim.profiles import get_profile
 
-DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "expected_digests.json"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+DIGESTS = BENCH / "expected_digests.json"
 
 
 @pytest.mark.parametrize("workload, overrides", [
@@ -30,3 +34,22 @@ def test_report_digest(workload, overrides):
                            driver=DRIVER_VIDEO, **overrides)
     text = emit_report(aggregate, "csv")
     assert hashlib.sha256(text.encode()).hexdigest() == expected
+
+
+def test_scan_digest():
+    # The benchmark's own scan workload at its gate size: 24 ops, seed 2026.
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    hs = SimpleNamespace(**{
+        name: importlib.import_module(f"hammersim.{name}")
+        for name in ("profiles", "dram_model", "os_model", "ambush",
+                     "exploit", "harness")})
+    scan = workloads.ScanWorkload(hs, 2026)
+    records = []
+    for index in range(24):
+        scan.prepare(index)
+        records.append(scan.run(index))
+    expected = json.loads(DIGESTS.read_text())["scan"]
+    assert workloads.digest(scan.report(records)) == expected

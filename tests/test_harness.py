@@ -6,6 +6,7 @@ import dataclasses
 
 import pytest
 
+from hammersim import profiles
 from hammersim.cli import main
 from hammersim.harness import (
     STRATEGY_AMBUSH,
@@ -250,6 +251,19 @@ def test_load_profile_fallbacks(tmp_path):
     assert profile.geometry.rows_per_bank == 32768
     with pytest.raises(ProfileError):
         load_profile(str(tmp_path / "missing.ini"))
+
+
+def test_get_profile_builds_only_the_named_profile(monkeypatch):
+    built = []
+    original = profiles.dell_geometry
+
+    def counting_geometry():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(profiles, "dell_geometry", counting_geometry)
+    assert profiles.get_profile("dell").name == "dell"
+    assert len(built) == 1
 
 
 # --- command line ---

@@ -6,6 +6,14 @@ import copy
 import random
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 from hammersim.buddy_alloc import BuddyState, Partition
 from hammersim.dram_model import (
@@ -128,9 +136,9 @@ def test_vma_limit_enforced():
     os_model = make_os(vma_limit=4)
     file = os_model.create_tmp_file(PT_SPAN)
     for _ in range(3):
-        os_model.mmap_primitive(file, touch=False)
+        os_model.mmap_primitive(file)
     with pytest.raises(VmaLimitError):
-        os_model.mmap_primitive(file, touch=False)
+        os_model.mmap_primitive(file)
 
 
 def test_translate_unmapped_returns_none():
@@ -169,12 +177,27 @@ def test_demand_fault_heals_cleared_entry():
     (pt,) = os_model.mmap_primitive(file)
     vaddr = os_model.vmas[0].base + 5 * PAGE_SIZE
     os_model.memory.write_u64(pt.pfn * PAGE_SIZE + 5 * 8, 0)
-    assert os_model.translate(vaddr, use_tlb=False) == file.pfns[5]
+    assert os_model.translate(vaddr) == file.pfns[5]
     raw = os_model.memory.read_u64(pt.pfn * PAGE_SIZE + 5 * 8)
     assert raw == os_model.pristine_pte(os_model.vmas[0].base, 5)
 
 
 # --- marker scan ---
+
+
+def linear_sweep(os_model: OsModel, slot: int | None = None) -> list[int]:
+    """Every mapped page (or every page at entry slot of its table),
+    ascending, through the same read path, never consulting the index."""
+    out = []
+    for vma in os_model.vmas:
+        start, step = vma.base, PAGE_SIZE
+        if slot is not None:
+            start, step = vma.base + slot * PAGE_SIZE, PT_SPAN
+        for vaddr in range(start, vma.end, step):
+            value = os_model.read_u64_virtual(vaddr)
+            if value is not None and value != MARKER:
+                out.append(vaddr)
+    return out
 
 
 def test_scan_empty_when_pristine():
@@ -183,7 +206,7 @@ def test_scan_empty_when_pristine():
     os_model.write_markers(file)
     for _ in range(3):
         os_model.mmap_primitive(file)
-    assert os_model.scan_markers() == []
+    assert list(os_model.iter_nonmarker_pages()) == []
 
 
 def test_scan_reports_redirected_and_corrupted_pages():
@@ -199,7 +222,7 @@ def test_scan_reports_redirected_and_corrupted_pages():
     os_model.memory.write(file.pfns[9] * PAGE_SIZE, b"\x00")
     expect = sorted([victim_vma.base + 7 * PAGE_SIZE]
                     + [vma.base + 9 * PAGE_SIZE for vma in os_model.vmas])
-    assert os_model.scan_markers() == expect
+    assert list(os_model.iter_nonmarker_pages()) == expect
 
 
 def test_scan_matches_brute_force_sweep():
@@ -221,17 +244,10 @@ def test_scan_matches_brute_force_sweep():
         f = rng.choice(files)
         os_model.memory.write(f.pfns[rng.randrange(len(f.pfns))] * PAGE_SIZE,
                               bytes([rng.randrange(1, 256)]))
-    # Brute force: every mapped page, ascending, through the same read path.
-    brute = copy.deepcopy(os_model)
-    linear = []
-    for vma in brute.vmas:
-        for vaddr in range(vma.base, vma.end, PAGE_SIZE):
-            value = brute.read_u64_virtual(vaddr)
-            if value is not None and value != MARKER:
-                linear.append(vaddr)
-    assert os_model.scan_markers() == linear
+    linear = linear_sweep(copy.deepcopy(os_model))
+    assert list(os_model.iter_nonmarker_pages()) == linear
     # Scanning twice is stable.
-    assert os_model.scan_markers() == linear
+    assert list(os_model.iter_nonmarker_pages()) == linear
 
 
 def test_scan_prunes_restored_entries():
@@ -243,11 +259,104 @@ def test_scan_prunes_restored_entries():
     pristine = os_model.memory.read_u64(pt.pfn * PAGE_SIZE + 3 * 8)
     os_model.memory.write_u64(pt.pfn * PAGE_SIZE + 3 * 8, PROBE_PTE)
     os_model.flush_tlb()
-    assert os_model.scan_markers() == [vaddr]
+    assert list(os_model.iter_nonmarker_pages()) == [vaddr]
     os_model.memory.write_u64(pt.pfn * PAGE_SIZE + 3 * 8, pristine)
     os_model.flush_tlb()
-    assert os_model.scan_markers() == []
+    assert list(os_model.iter_nonmarker_pages()) == []
     assert vaddr not in os_model._pte_dirty
+
+
+def test_scan_keeps_restored_entry_while_tlb_is_stale():
+    os_model = make_os()
+    file = os_model.create_tmp_file(PT_SPAN)
+    os_model.write_markers(file)
+    (pt,) = os_model.mmap_primitive(file)
+    vaddr = os_model.vmas[0].base + 2 * PAGE_SIZE
+    entry = pt.pfn * PAGE_SIZE + 2 * 8
+    pristine = os_model.memory.read_u64(entry)
+    # Point the entry at the next file page, scan (caching that frame), and
+    # restore the entry without a flush: the TLB still serves the other page.
+    os_model.memory.write_u64(entry, PteEntry.make(file.pfns[3]).raw)
+    assert list(os_model.iter_nonmarker_pages()) == []
+    os_model.memory.write_u64(entry, pristine)
+    assert list(os_model.iter_nonmarker_pages()) == []
+    os_model.memory.write(file.pfns[3] * PAGE_SIZE, b"\x00")
+    expect = [vaddr, vaddr + PAGE_SIZE]
+    assert linear_sweep(copy.deepcopy(os_model)) == expect
+    assert list(os_model.iter_nonmarker_pages()) == expect
+
+
+class ScanMachine(RuleBasedStateMachine):
+    """Interleaves flips, header writes, probes, flushes and mappings; after
+    every step the indexed scan must match a linear sweep on a twin, in
+    result and in the memory it leaves behind."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.os = make_os()
+        self.files = [self.os.create_tmp_file(PT_SPAN) for _ in range(2)]
+        for file in self.files:
+            self.os.write_markers(file)
+            self.os.mmap_primitive(file)
+        self.probes: list[tuple[int, int]] = []  # (entry addr, saved raw)
+
+    def _table(self, index: int) -> int:
+        pfns = sorted(self.os.pt_pfns())
+        return pfns[index % len(pfns)]
+
+    # Entries and headers share the page range 0..3, and flipping a low
+    # frame-number bit points an entry at a neighbouring file page, so the
+    # rules often touch the same pages and undo each other.
+    @rule(table=st.integers(0, 7), entry=st.integers(0, 3),
+          bit=st.one_of(st.integers(12, 13), st.integers(0, 63)))
+    def flip_table_bit(self, table, entry, bit):
+        addr = self._table(table) * PAGE_SIZE + entry * 8 + bit // 8
+        if self.os.memory.read(addr, 1)[0] >> bit % 8 & 1:
+            self.os.memory.flip_bit(addr, bit % 8, FLIP_ONE_TO_ZERO)
+        else:
+            self.os.memory.flip_bit(addr, bit % 8, FLIP_ZERO_TO_ONE)
+
+    @rule(file=st.integers(0, 1), page=st.integers(0, 3),
+          offset=st.integers(0, 7), value=st.integers(0, 255))
+    def dirty_file_header(self, file, page, offset, value):
+        pfn = self.files[file].pfns[page]
+        self.os.memory.write(pfn * PAGE_SIZE + offset, bytes([value]))
+
+    @rule(table=st.integers(0, 63))
+    def write_probe(self, table):
+        addr = self._table(table) * PAGE_SIZE + 8
+        self.probes.append((addr, self.os.memory.read_u64(addr)))
+        self.os.memory.write_u64(addr, PROBE_PTE)
+
+    @precondition(lambda self: self.probes)
+    @rule()
+    def restore_probe(self):
+        addr, raw = self.probes.pop()
+        self.os.memory.write_u64(addr, raw)
+
+    @rule()
+    def flush_tlb(self):
+        self.os.flush_tlb()
+
+    @precondition(lambda self: len(self.os.vmas) < 5)
+    @rule(file=st.integers(0, 1))
+    def map_once_more(self, file):
+        self.os.mmap_primitive(self.files[file])
+
+    @invariant()
+    def scan_matches_linear_sweep(self):
+        for slot in (None, 1):
+            # Reads never touch the allocator, DRAM, files or frame index.
+            shared = (self.os.buddy, self.os.dram, self.os._file_frames,
+                      *self.files)
+            twin = copy.deepcopy(self.os, {id(obj): obj for obj in shared})
+            assert list(self.os.iter_nonmarker_pages(slot)) == linear_sweep(twin, slot)
+            assert self.os.memory.pages == twin.memory.pages
+
+
+TestScanMachine = ScanMachine.TestCase
+TestScanMachine.settings = settings(max_examples=10, stateful_step_count=20,
+                                    deadline=None)
 
 
 # --- device buffers ---
