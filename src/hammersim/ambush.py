@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dram_model import PAGE_SIZE, page_row_keys, target_block_size
+from .dram_model import PAGE_SIZE, target_block_size
+from .dram_model import page_row_keys  # noqa: F401  (bench/tracer.py patches it here)
 from .os_model import (
     OsModel,
     SG_MAX_BYTES,
@@ -178,14 +179,14 @@ class MappingDriver:
         return self.plan.vma_num - self.mapped
 
     def map_once(self) -> int:
-        if self.budget_left <= 0:
+        if self.mapped >= self.plan.vma_num:
             raise VmaLimitError("plan mapping budget exhausted")
-        new_pts = self.os.mmap_primitive(self.file)
+        added = len(self.os.mmap_primitive(self.file))
         self.mapped += 1
         if self.mapped == 1:
             self.os.write_markers(self.file)
-        self.pt_pages += len(new_pts)
-        return len(new_pts)
+        self.pt_pages += added
+        return added
 
 
 def drain_small_blocks(
@@ -313,27 +314,31 @@ class AdjacencyReport:
 
 
 def verify_adjacency(os_model: OsModel, placement: Placement) -> AdjacencyReport:
-    """Check whether any buffer row neighbours a page-table row in-bank."""
-    geometry = os_model.dram.geometry
-    pt_rows: set[tuple[int, int, int, int]] = set()
-    for pfn in os_model.pt_pfns():
-        pt_rows |= page_row_keys(pfn, geometry)
-    pairs = []
+    """Check whether any buffer row neighbours a page-table row in-bank.
+
+    Rows are compared as packed row keys; only reported pairs are decoded.
+    """
     buffer = placement.buffer
     if buffer is None:
         return AdjacencyReport(False, ())
-    seen: set[tuple] = set()
+    geometry = os_model.dram.geometry
+    rows = geometry.rows_per_bank
+    pt_rows = geometry.packed_row_keys(os_model.pt_pfns())
+    buffer_rows: set[int] = set()
     for chunk in buffer.chunks:
         first = chunk.block.base // PAGE_SIZE
-        for pfn in range(first, first + chunk.page_count()):
-            for key in page_row_keys(pfn, geometry):
-                d, r, b, row = key
-                for neighbor_row in (row - 1, row + 1):
-                    neighbor = (d, r, b, neighbor_row)
-                    if neighbor in pt_rows:
-                        pair = (key, neighbor)
-                        if pair not in seen:
-                            seen.add(pair)
-                            pairs.append(pair)
-    pairs.sort()
-    return AdjacencyReport(bool(pairs), tuple(pairs))
+        buffer_rows |= geometry.packed_row_keys(
+            range(first, first + chunk.page_count())
+        )
+    found = []
+    for key in buffer_rows:
+        row = key % rows
+        if row > 0 and key - 1 in pt_rows:
+            found.append((key, key - 1))
+        if row < rows - 1 and key + 1 in pt_rows:
+            found.append((key, key + 1))
+    pairs = tuple(
+        (geometry.unpack_row_key(a), geometry.unpack_row_key(b))
+        for a, b in sorted(found)
+    )
+    return AdjacencyReport(bool(pairs), pairs)

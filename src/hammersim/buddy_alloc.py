@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dram_model import PAGE_SIZE
 
@@ -55,9 +56,12 @@ class Partition:
         return self.base + self.size
 
 
-@dataclass(frozen=True)
-class Block:
-    """A live allocation; pages need not be a power of two for carve-outs."""
+class Block(NamedTuple):
+    """A live allocation; pages need not be a power of two for carve-outs.
+
+    A named tuple rather than a frozen dataclass: every page-table page is
+    one, and a tuple is built in about half the time.
+    """
 
     partition: str
     base: int
@@ -206,8 +210,9 @@ class BuddyState:
             raise ValueError(f"order {order} out of range")
         lists = self._free[partition]
         for j in range(order, self.max_order + 1):
-            if lists[j]:
-                base = lists[j].pop(0)
+            lst = lists[j]
+            if lst:
+                base = lst.pop(0)
                 while j > order:
                     j -= 1
                     insort(lists[j], base + (PAGE_SIZE << j))
@@ -270,8 +275,9 @@ class BuddyState:
 
     def _register(self, block: Block) -> None:
         self._allocated[block.base] = block
-        self._alloc_bytes[block.partition] += block.size
-        self._free_bytes[block.partition] -= block.size
+        size = block.pages * PAGE_SIZE
+        self._alloc_bytes[block.partition] += size
+        self._free_bytes[block.partition] -= size
 
     # -- freeing ---------------------------------------------------------
 
@@ -405,13 +411,15 @@ def preload_workload(
         slots = (part.end - start) // size
         if slots <= 0:
             raise OutOfMemoryError("region too small for requested order")
-        last_error: Exception | None = None
+        # Only the message is kept: holding the exception would tie its
+        # traceback's frames, and the caller's whole model, into a cycle.
+        last_error: str | None = None
         for _ in range(max_attempts):
             base = start + rng.randrange(slots) * size
             try:
                 return buddy.allocate_at(partition, base, order, owner)
             except OutOfMemoryError as exc:
-                last_error = exc
+                last_error = str(exc)
         raise OutOfMemoryError(f"workload placement failed: {last_error}")
 
     bulk_blocks: list[Block] = []

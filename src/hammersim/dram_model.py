@@ -12,8 +12,11 @@ DramGeometry builds the map once as one square GF(2) matrix: the packed
 coordinate (column, row, bank, rank, dimm from the low end) of every
 physical-address bit.  Its inverse comes from Gauss-Jordan elimination, so
 a selector set that is not a bijection raises MappingError.
-map_phys_to_dram, unmap_dram_to_phys and page_row_keys read only these two
-matrices, through 8-bit slice lookup tables.
+map_phys_to_dram, unmap_dram_to_phys and packed_row_keys read only these
+two matrices, through 8-bit slice lookup tables; packed_row_keys reads the
+forward matrix's page-number bits with the column already shifted out.  A
+packed row key is one int per (dimm, rank, bank, row), so row neighbours
+are key +/- 1.
 
 Hammering is cell-granular and seeded.  A row only disturbs its neighbours
 when it is re-activated repeatedly, which requires a row-buffer conflict:
@@ -27,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 PAGE_SIZE = 4096
@@ -173,11 +177,14 @@ class DramGeometry:
     rows_per_bank: int
     row_size: int
     mapping: MappingSpec
-    # Slice tables of the address matrix and of its inverse, and the row
-    # keys XORed onto a page's base key by its in-page address bits.
+    # Slice tables of the address matrix and of its inverse; slice tables
+    # from a page number to its base row key, the row keys XORed onto that
+    # key by the in-page address bits, and the page count.
     _forward: tuple = field(init=False, repr=False, compare=False)
     _inverse: tuple = field(init=False, repr=False, compare=False)
+    _page_rows: tuple = field(init=False, repr=False, compare=False)
     _page_deltas: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _pages: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         dimm_bits = _ilog2(self.dimms, "dimms")
@@ -229,12 +236,16 @@ class DramGeometry:
             for b in sel:
                 images[b] ^= 1 << (column_width + row_bits + i)
 
+        page_shift = PAGE_SIZE.bit_length() - 1
         deltas = {0}
-        for image in images[:PAGE_SIZE.bit_length() - 1]:
+        for image in images[:page_shift]:
             deltas |= {d ^ (image >> column_width) for d in deltas}
+        page_rows = [image >> column_width for image in images[page_shift:]]
         object.__setattr__(self, "_forward", _slice_tables(images))
         object.__setattr__(self, "_inverse", _slice_tables(_invert(images)))
+        object.__setattr__(self, "_page_rows", _slice_tables(page_rows))
         object.__setattr__(self, "_page_deltas", tuple(sorted(deltas)))
+        object.__setattr__(self, "_pages", 1 << (addr_bits - page_shift))
 
     @property
     def capacity(self) -> int:
@@ -256,12 +267,27 @@ class DramGeometry:
         ):
             raise AddressRangeError(f"coordinate out of bounds: {coord}")
 
-    def _row_key(self, key: int) -> tuple[int, int, int, int]:
+    def unpack_row_key(self, key: int) -> tuple[int, int, int, int]:
         """(dimm, rank, bank, row) of a packed row key."""
         key, row = divmod(key, self.rows_per_bank)
         key, bank = divmod(key, self.banks_per_rank)
         dimm, rank = divmod(key, self.ranks_per_dimm)
         return (dimm, rank, bank, row)
+
+    def packed_row_keys(self, pfns: Collection[int]) -> set[int]:
+        """Packed row keys of every row the given 4 KiB pages touch.
+
+        In-bank neighbours of key k are k - 1 and k + 1, unless k's row is
+        the first or the last of its bank.
+        """
+        if pfns:
+            low, high = min(pfns), max(pfns)
+            if low < 0 or high >= self._pages:
+                bad = low if low < 0 else high
+                raise AddressRangeError(f"page {bad:#x} outside capacity")
+        tables = self._page_rows
+        bases = {_apply(tables, pfn) for pfn in pfns}
+        return {key ^ d for key in bases for d in self._page_deltas}
 
 
 def rows_size_per_row_index(geometry: DramGeometry) -> int:
@@ -279,7 +305,7 @@ def map_phys_to_dram(addr: int, geometry: DramGeometry) -> DramCoord:
     if addr < 0 or addr >= geometry.capacity:
         raise AddressRangeError(f"address {addr:#x} outside capacity")
     key, column = divmod(_apply(geometry._forward, addr), geometry.row_size)
-    return DramCoord(*geometry._row_key(key), column)
+    return DramCoord(*geometry.unpack_row_key(key), column)
 
 
 def unmap_dram_to_phys(coord: DramCoord, geometry: DramGeometry) -> int:
@@ -294,11 +320,7 @@ def unmap_dram_to_phys(coord: DramCoord, geometry: DramGeometry) -> int:
 
 def page_row_keys(pfn: int, geometry: DramGeometry) -> set[tuple[int, int, int, int]]:
     """All (dimm, rank, bank, row) keys a 4 KiB page touches."""
-    base = pfn * PAGE_SIZE
-    if base < 0 or base + PAGE_SIZE > geometry.capacity:
-        raise AddressRangeError(f"page {pfn:#x} outside capacity")
-    key = _apply(geometry._forward, base) // geometry.row_size
-    return {geometry._row_key(key ^ d) for d in geometry._page_deltas}
+    return {geometry.unpack_row_key(key) for key in geometry.packed_row_keys((pfn,))}
 
 
 @dataclass(frozen=True)
@@ -429,6 +451,14 @@ class HammerParams:
     double_sided_multiplier: float = 1.0
     single_sided_multiplier: float = 0.5
     one_location_multiplier: float = 0.2
+
+    def __post_init__(self) -> None:
+        if self.dose <= 0:
+            raise ValueError("dose must be positive")
+        for mode in HAMMER_MODES:
+            m = self.multiplier(mode)
+            if not (m >= 0.0 and math.isfinite(m)):
+                raise ValueError(f"{mode}_multiplier must be finite and >= 0")
 
     def multiplier(self, mode: str) -> float:
         if mode == MODE_DOUBLE_SIDED:

@@ -44,6 +44,7 @@ PROBE_PTE = 0x27
 
 # Eight-byte tag written at offset 0 of every mapped file page.
 MARKER = int.from_bytes(b"filemark", "little")
+MARKER_PAGE = MARKER.to_bytes(8, "little").ljust(PAGE_SIZE, b"\0")
 
 VIDEO_CHUNK_BYTES = 600 * 1024
 VIDEO_MAX_CHUNKS = 32
@@ -120,7 +121,13 @@ class PteEntry:
 
 
 class PhysicalMemory:
-    """Sparse page store; unbacked pages read as zeros.
+    """Sparse copy-on-write page store; unbacked pages read as zeros.
+
+    A page is either an immutable bytes object, possibly shared by many
+    frames (set_page stores its argument as is), or a private bytearray.
+    The first write or flip to a shared page gives that frame its own copy,
+    so thousands of identical page tables cost one template until they
+    diverge.
 
     A single write hook reports every content change so the owner can keep
     derived indexes current.  Writes with notify=False establish pristine
@@ -128,20 +135,21 @@ class PhysicalMemory:
     """
 
     def __init__(self) -> None:
-        self.pages: dict[int, bytearray] = {}
+        self.pages: dict[int, bytes | bytearray] = {}
         self.write_hook = None
 
     def _page(self, pfn: int) -> bytearray:
+        """The frame's private, writable page, copied on first write."""
         page = self.pages.get(pfn)
-        if page is None:
-            page = bytearray(PAGE_SIZE)
+        if type(page) is not bytearray:
+            page = bytearray(PAGE_SIZE) if page is None else bytearray(page)
             self.pages[pfn] = page
         return page
 
     def set_page(self, pfn: int, content: bytes) -> None:
         if len(content) != PAGE_SIZE:
             raise ValueError("page content must be exactly one page")
-        self.pages[pfn] = bytearray(content)
+        self.pages[pfn] = bytes(content)  # no copy when content is bytes
 
     def read(self, addr: int, length: int) -> bytes:
         out = bytearray()
@@ -182,12 +190,11 @@ class PhysicalMemory:
         if direction == FLIP_ONE_TO_ZERO:
             if not current:
                 return False
-            page[off] &= ~(1 << bit)  # type: ignore[index]
+            self._page(pfn)[off] &= ~(1 << bit)
         elif direction == FLIP_ZERO_TO_ONE:
             if current:
                 return False
-            page = self._page(pfn)
-            page[off] |= 1 << bit
+            self._page(pfn)[off] |= 1 << bit
         else:
             raise ValueError(f"unknown flip direction {direction!r}")
         if self.write_hook is not None:
@@ -226,7 +233,7 @@ class TmpFile:
     blocks: tuple[Block, ...]
 
 
-@dataclass
+@dataclass(slots=True)
 class Vma:
     base: int
     size: int
@@ -237,7 +244,7 @@ class Vma:
         return self.base + self.size
 
 
-@dataclass
+@dataclass(slots=True)
 class PageTablePage:
     pfn: int
     window_base: int
@@ -297,6 +304,32 @@ def cred_pattern(uid: int) -> bytes:
     return struct.pack("<6I", uid, uid, uid, uid, uid, uid)
 
 
+class _DirtyIndexer:
+    """Physical memory's write hook: marks written table entries and
+    file-page headers in the model's dirty index.
+
+    It holds the index maps rather than the model, so a model and its
+    memory form no reference cycle and a finished model is freed at once
+    instead of waiting for a full run of the cycle collector.
+    """
+
+    def __init__(self, pt_windows, file_frames, pte_dirty, dirty_file_pages):
+        self.pt_windows = pt_windows
+        self.file_frames = file_frames
+        self.pte_dirty = pte_dirty
+        self.dirty_file_pages = dirty_file_pages
+
+    def __call__(self, pfn: int, start: int, end: int) -> None:
+        window = self.pt_windows.get(pfn)
+        if window is not None:
+            for idx in range(start // PTE_SIZE, (end + PTE_SIZE - 1) // PTE_SIZE):
+                self.pte_dirty.setdefault(idx, set()).add(window + idx * PAGE_SIZE)
+        frame = self.file_frames.get(pfn)
+        if frame is not None and start < 8:
+            file_id, idx = frame
+            self.dirty_file_pages.setdefault(file_id, set()).add(idx)
+
+
 class OsModel:
     """Wires DRAM, the allocator, and the virtual-memory surface together."""
 
@@ -310,7 +343,6 @@ class OsModel:
         self.vma_limit = vma_limit
         self.map_base = MAP_BASE
         self.memory = PhysicalMemory()
-        self.memory.write_hook = self._on_phys_write
         self.tlb = TlbCache()
         self.vmas: list[Vma] = []
         self._vma_bases: list[int] = []
@@ -322,22 +354,17 @@ class OsModel:
         self._file_frames: dict[int, tuple[int, int]] = {}  # pfn -> (file_id, idx)
         self._buffer_pages: dict[int, int] = {}  # vpage -> pfn
         self._pt_templates: dict[tuple[int, int], bytes] = {}
-        self._pte_dirty: set[int] = set()  # window page vaddrs
+        # entry index -> page vaddrs mapped through a dirty entry
+        self._pte_dirty: dict[int, set[int]] = {}
         self._dirty_file_pages: dict[int, set[int]] = {}
+        self.memory.write_hook = _DirtyIndexer(
+            self._pt_windows,
+            self._file_frames,
+            self._pte_dirty,
+            self._dirty_file_pages,
+        )
         self._next_map_base = MAP_BASE
         self._next_buffer_base = BUFFER_BASE
-
-    # -- physical write hook ----------------------------------------------
-
-    def _on_phys_write(self, pfn: int, start: int, end: int) -> None:
-        window = self._pt_windows.get(pfn)
-        if window is not None:
-            for idx in range(start // PTE_SIZE, (end + PTE_SIZE - 1) // PTE_SIZE):
-                self._pte_dirty.add(window + idx * PAGE_SIZE)
-        frame = self._file_frames.get(pfn)
-        if frame is not None and start < 8:
-            file_id, idx = frame
-            self._dirty_file_pages.setdefault(file_id, set()).add(idx)
 
     # -- files and mappings -------------------------------------------------
 
@@ -392,18 +419,17 @@ class OsModel:
         if len(self.vmas) + 1 >= self.vma_limit:
             raise VmaLimitError(f"mapping limit of {self.vma_limit} reached")
         base = self._next_map_base
-        self._next_map_base += file.size
-        vma = Vma(base, file.size, file)
-        self.vmas.append(vma)
-        self._vma_bases.append(vma.base)
+        end = self._next_map_base = base + file.size
+        self.vmas.append(Vma(base, file.size, file))
+        self._vma_bases.append(base)
         new_pts: list[PageTablePage] = []
-        for window in range(vma.base, vma.end, PT_SPAN):
+        for window in range(base, end, PT_SPAN):
             if window in self.windows:
                 continue
             block = self.buddy.allocate(self.kernel_partition, 0, "page_table")
             pfn = block.base // PAGE_SIZE
             self.memory.set_page(
-                pfn, self._pt_template(file, (window - vma.base) // PAGE_SIZE)
+                pfn, self._pt_template(file, (window - base) // PAGE_SIZE)
             )
             pt = PageTablePage(pfn, window, block)
             self.windows[window] = pt
@@ -412,10 +438,11 @@ class OsModel:
         return new_pts
 
     def write_markers(self, file: TmpFile) -> None:
-        """Stamp the marker into every page header; this is the pristine
-        baseline, so the write hook is bypassed."""
+        """Give every page of the fresh file the shared marker page, the
+        marker followed by zeros; this is the pristine baseline, so the
+        write hook is bypassed."""
         for pfn in file.pfns:
-            self.memory.write_u64(pfn * PAGE_SIZE, MARKER, notify=False)
+            self.memory.set_page(pfn, MARKER_PAGE)
 
     # -- translation --------------------------------------------------------
 
@@ -479,12 +506,15 @@ class OsModel:
 
     # -- marker scan ----------------------------------------------------------
 
-    def iter_nonmarker_pages(self, slot: int | None = None):
+    def iter_nonmarker_pages(self, slot: int | None = None, *,
+                             entries_only: bool = False):
         """Mapped pages whose first eight bytes differ from the marker,
         ascending, reads honouring the TLB.
 
         With slot given, only pages mapped through that entry index of
-        their table are visited.
+        their table are visited.  With entries_only, pages reached through
+        an entry the index still counts as pristine are skipped: they read
+        their own file page's header, whichever mapping reaches it.
 
         Only dirty-index candidates are visited; any other page provably
         still translates to a file page with an intact marker header.
@@ -492,12 +522,14 @@ class OsModel:
         the TLB agreeing, and whose file header is intact are dropped from
         the index.
         """
-        def wanted(page_number: int) -> bool:
-            return slot is None or page_number % PTES_PER_PAGE == slot
-
-        cands = {v for v in self._pte_dirty if wanted(v // PAGE_SIZE)}
-        for file_id, dirty in self._dirty_file_pages.items():
-            idxs = [idx for idx in dirty if wanted(idx)]
+        if slot is None:
+            cands = set().union(*self._pte_dirty.values())
+        else:
+            cands = set(self._pte_dirty.get(slot, ()))
+        dirty_files = {} if entries_only else self._dirty_file_pages
+        for file_id, dirty in dirty_files.items():
+            idxs = [idx for idx in dirty
+                    if slot is None or idx % PTES_PER_PAGE == slot]
             if not idxs:
                 continue
             for vma in self.vmas:
@@ -509,17 +541,18 @@ class OsModel:
             value = self.read_u64_virtual(vaddr)
             if value is not None and value != MARKER:
                 yield vaddr
-            elif vaddr in self._pte_dirty:
-                window = vaddr & ~(PT_SPAN - 1)
-                idx = (vaddr - window) // PAGE_SIZE
-                pt = self.windows.get(window)
-                if pt is not None:
-                    raw = self.memory.read_u64(pt.pfn * PAGE_SIZE + idx * PTE_SIZE)
-                    # A stale TLB entry keeps the page reading elsewhere
-                    # until the next flush, so it stays a candidate.
-                    if (raw == self.pristine_pte(window, idx)
-                            and self.tlb.lookup(vaddr) == PteEntry(raw).pfn):
-                        self._pte_dirty.discard(vaddr)
+                continue
+            window = vaddr & ~(PT_SPAN - 1)
+            idx = (vaddr - window) // PAGE_SIZE
+            dirty = self._pte_dirty.get(idx, ())
+            pt = self.windows.get(window)
+            if vaddr in dirty and pt is not None:
+                raw = self.memory.read_u64(pt.pfn * PAGE_SIZE + idx * PTE_SIZE)
+                # A stale TLB entry keeps the page reading elsewhere
+                # until the next flush, so it stays a candidate.
+                if (raw == self.pristine_pte(window, idx)
+                        and self.tlb.lookup(vaddr) == PteEntry(raw).pfn):
+                    dirty.discard(vaddr)
 
     # -- double-owned device buffers -------------------------------------------
 

@@ -246,7 +246,8 @@ def load_profile(path: str) -> MachineProfile:
 
     Sections: ``[profile]`` (name, optional base to inherit a builtin),
     ``[dram]`` (geometry and mapping), ``[allocator]``, ``[workload]``,
-    ``[channel]``, ``[vulnerability]``, ``[attack]``.  Any omitted value
+    ``[channel]``, ``[vulnerability]``, ``[hammer]`` (the HammerParams
+    fields), ``[attack]``.  Any omitted value
     falls back to the base profile (default ``dell``), except that a
     ``[dram]`` section replaces the whole geometry, so it must give every
     key of _DRAM_KEYS; only the selector lists may be left out (empty).
@@ -314,6 +315,25 @@ def load_profile(path: str) -> MachineProfile:
             ),
         )
 
+    hammer = base.hammer
+    if parser.has_section("hammer"):
+        h = parser["hammer"]
+        try:
+            hammer = HammerParams(
+                dose=h.getint("dose", hammer.dose),
+                double_sided_multiplier=h.getfloat(
+                    "double_sided_multiplier", hammer.double_sided_multiplier
+                ),
+                single_sided_multiplier=h.getfloat(
+                    "single_sided_multiplier", hammer.single_sided_multiplier
+                ),
+                one_location_multiplier=h.getfloat(
+                    "one_location_multiplier", hammer.one_location_multiplier
+                ),
+            )
+        except ValueError as exc:
+            raise ProfileError(f"[hammer] {exc}") from None
+
     thresholds = dict(base.thresholds)
     rounds_cap = base.rounds_cap
     reps = base.reps_per_round
@@ -344,7 +364,7 @@ def load_profile(path: str) -> MachineProfile:
             "workload", "reserve_low_bytes", base.reserve_low_bytes
         ),
         fresh_bytes=size_of("workload", "fresh_bytes", base.fresh_bytes),
-        hammer=base.hammer,
+        hammer=hammer,
         rounds_cap=rounds_cap,
         reps_per_round=reps,
         pair_attempt_cap=pair_cap,

@@ -13,7 +13,7 @@ import random
 
 import numpy as np
 
-from hammersim.ambush import DRIVER_VIDEO, plan, run_ambush
+from hammersim.ambush import DRIVER_VIDEO, AdjacencyReport, plan, run_ambush
 from hammersim.buddy_alloc import (
     Block,
     BuddyState,
@@ -21,9 +21,16 @@ from hammersim.buddy_alloc import (
     Partition,
     preload_workload,
 )
-from hammersim.dram_model import PAGE_SIZE, Dram, DramGeometry, VulnerabilityMap
+from hammersim.dram_model import (
+    PAGE_SIZE,
+    Dram,
+    DramGeometry,
+    VulnerabilityMap,
+    page_row_keys,
+)
+from hammersim.harness import build_sim
 from hammersim.os_model import MARKER, PROBE_PTE, OsModel
-from hammersim.profiles import simple_mapping
+from hammersim.profiles import get_profile, simple_mapping
 
 MIB = 1024 * 1024
 
@@ -91,8 +98,15 @@ class BitmapBuddy:
         self._align = {
             p.name: [
                 self._aligned_mask(p.size // PAGE_SIZE, j)
-                for j in range(max_order + 2)
+                for j in range(max_order + 1)
             ]
+            for p in partitions
+        }
+        # name -> (bitmap, maximal masks of that bitmap), and per order the
+        # last mask seen with its blocks; one op changes only a few orders.
+        self._masks_of: dict[str, tuple[int, list[int]]] = {}
+        self._seen: dict[str, tuple[list[int], list[frozenset]]] = {
+            p.name: ([0] * (max_order + 1), [frozenset()] * (max_order + 1))
             for p in partitions
         }
 
@@ -105,55 +119,61 @@ class BitmapBuddy:
             mask |= 1 << pos
         return mask
 
-    def _full_masks(self, name: str) -> list[int]:
-        """full[j] has bit i set when pages [i, i + 2^j) are all free."""
-        part = self.partitions[name]
-        pages = part.size // PAGE_SIZE
-        full = [self.bits[name] & ((1 << pages) - 1)]
+    def _maximal_masks(self, name: str) -> list[int]:
+        """Entry j has bit i set when a maximal aligned free block of order
+        j starts at page i.
+
+        Kept per bitmap value: allocate asks again for the state that the
+        previous free_blocks call just derived.
+        """
+        bits = self.bits[name]
+        cached = self._masks_of.get(name)
+        if cached is not None and cached[0] == bits:
+            return cached[1]
+        pages = self.partitions[name].size // PAGE_SIZE
+        align = self._align[name]
+        # full has bit i set when pages [i, i + 2^j) are all free; shifts
+        # bring in zeros, so no block runs past the end of the pool.
+        full = bits & ((1 << pages) - 1)
+        aligned = [full & align[0]]
         for j in range(1, self.max_order + 1):
-            prev = full[j - 1]
-            full.append(prev & (prev >> (1 << (j - 1))))
-        return full
+            full &= full >> (1 << (j - 1))
+            aligned.append(full & align[j])
+        masks = []
+        for j in range(self.max_order):
+            # Drop halves of fully-free aligned parent blocks.
+            parents = aligned[j + 1]
+            masks.append(aligned[j] & ~(parents | (parents << (1 << j))))
+        masks.append(aligned[self.max_order])
+        self._masks_of[name] = (bits, masks)
+        return masks
 
     def free_blocks(self, name: str) -> set[tuple[int, int]]:
         """Maximal aligned free blocks as (absolute_base, order) pairs."""
-        part = self.partitions[name]
-        pages = part.size // PAGE_SIZE
-        base_page = part.base // PAGE_SIZE
-        full = self._full_masks(name)
-        align = self._align[name]
-        out: set[tuple[int, int]] = set()
-        for j in range(self.max_order + 1):
-            candidates = full[j] & align[j]
-            if j < self.max_order:
-                # Drop halves of fully-free aligned parent blocks.
-                parents = full[j + 1] & align[j + 1]
-                candidates &= ~(parents | (parents << (1 << j)))
-            pos = candidates
-            while pos:
-                low = (pos & -pos).bit_length() - 1
-                block_pages = 1 << j
-                if low + block_pages <= pages:
-                    out.add(((base_page + low) * PAGE_SIZE, j))
-                pos &= pos - 1
-        return out
+        base_page = self.partitions[name].base // PAGE_SIZE
+        seen_masks, seen_blocks = self._seen[name]
+        for j, mask in enumerate(self._maximal_masks(name)):
+            if mask != seen_masks[j]:
+                blocks = []
+                pos = mask
+                while pos:
+                    low = pos & -pos
+                    blocks.append(((base_page + low.bit_length() - 1) * PAGE_SIZE, j))
+                    pos ^= low
+                seen_masks[j] = mask
+                seen_blocks[j] = frozenset(blocks)
+        return set().union(*seen_blocks)
 
     def allocate(self, name: str, order: int) -> int | None:
         """Lowest address of the smallest sufficient maximal block."""
-        blocks = self.free_blocks(name)
-        best: int | None = None
+        masks = self._maximal_masks(name)
         for j in range(order, self.max_order + 1):
-            candidates = [b for b, o in blocks if o == j]
+            candidates = masks[j]
             if candidates:
-                best = min(candidates)
-                break
-        if best is None:
-            return None
-        page = (best - self.partitions[name].base) // PAGE_SIZE
-        span = (1 << order)
-        mask = ((1 << span) - 1) << page
-        self.bits[name] &= ~mask
-        return best
+                page = (candidates & -candidates).bit_length() - 1
+                self.bits[name] &= ~(((1 << (1 << order)) - 1) << page)
+                return self.partitions[name].base + page * PAGE_SIZE
+        return None
 
     def free(self, name: str, base: int, order: int) -> None:
         page = (base - self.partitions[name].base) // PAGE_SIZE
@@ -220,6 +240,37 @@ def small_attack_sim(*, vuln: VulnerabilityMap | None = None, seed: int = 1,
     return os_model, placement
 
 
+def full_placement(profile_name: str, driver: str, seed: int, *,
+                   mitigation: bool = False):
+    """A builtin machine after the full-scale placement for driver."""
+    profile = get_profile(profile_name)
+    os_model = build_sim(profile, seed).os
+    placement = run_ambush(
+        os_model,
+        plan(profile.threshold_for(driver), driver, sg_opens=profile.sg_opens),
+        mitigation=mitigation,
+    )
+    return os_model, placement
+
+
+def reference_adjacency(os_model: OsModel, placement) -> AdjacencyReport:
+    """Row adjacency on (dimm, rank, bank, row) tuple sets, one
+    page_row_keys call per page, neighbours built as tuples."""
+    geometry = os_model.dram.geometry
+    pt_rows: set[tuple[int, int, int, int]] = set()
+    for pfn in os_model.pt_pfns():
+        pt_rows |= page_row_keys(pfn, geometry)
+    pairs = set()
+    for chunk in placement.buffer.chunks:
+        first = chunk.block.base // PAGE_SIZE
+        for pfn in range(first, first + chunk.page_count()):
+            for d, r, b, row in page_row_keys(pfn, geometry):
+                for neighbor_row in (row - 1, row + 1):
+                    if (d, r, b, neighbor_row) in pt_rows:
+                        pairs.add(((d, r, b, row), (d, r, b, neighbor_row)))
+    return AdjacencyReport(bool(pairs), tuple(sorted(pairs)))
+
+
 def fuzz_injections(os_model: OsModel, rng: random.Random, count: int) -> int:
     """Flip random bits in table frames (and a few file headers)."""
     pt_list = sorted(os_model.pt_pfns())
@@ -248,7 +299,8 @@ def brute_force_verify(os_model: OsModel) -> tuple[int, int] | None:
     a page can only read non-marker if its entry or file header changed,
     and between sweeps only slot-1 entries change (probe writes and their
     restores), so checking every slot-1 position reproduces the capture
-    algorithm's reads, repairs, and result exactly.
+    algorithm's reads, repairs, and result exactly.  A probe position that
+    read non-marker in the first sweep counts only once its header changes.
     """
 
     def sweep(stride_from: int | None) -> list[tuple[int, int]]:
@@ -265,15 +317,16 @@ def brute_force_verify(os_model: OsModel) -> tuple[int, int] | None:
                     out.append((vaddr, value))
         return out
 
-    for va, _ in sweep(None):
+    before = dict(sweep(None))
+    for va in before:
         old_pte = os_model.read_u64_virtual(va + 8)
         if old_pte is None:
             continue
         os_model.write_u64_virtual(va + 8, PROBE_PTE)
         os_model.flush_tlb()
         found = None
-        for vb, _ in sweep(1):
-            if vb != va:
+        for vb, value in sweep(1):
+            if vb != va and value != before.get(vb):
                 found = vb
                 break
         if found is not None:

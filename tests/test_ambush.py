@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -20,10 +21,12 @@ from hammersim.ambush import (
     run_ambush,
     verify_adjacency,
 )
-from hammersim.buddy_alloc import BuddyState, Partition, preload_workload
+from hammersim.buddy_alloc import Block, BuddyState, Partition, preload_workload
 from hammersim.dram_model import PAGE_SIZE, Dram, target_block_size
-from hammersim.os_model import MARKER, OsModel, VmaLimitError
+from hammersim.os_model import MARKER, BufferChunk, OsModel, VmaLimitError
 from hammersim.profiles import simple_mapping
+
+from helpers import full_placement, reference_adjacency
 
 MIB = 1024 * 1024
 
@@ -223,6 +226,44 @@ def test_run_ambush_mitigated_has_no_adjacency():
     # Guard rows cost two spans per chunk.
     span = 2 * 8192
     assert sum(s for _, s in placement.buffer.guard_spans) == 64 * span
+
+
+@pytest.mark.parametrize("table_row, adjacent", [
+    ((0, 63), False),  # last row of bank 0: the packed key just below
+    ((1, 1), True),
+])
+def test_adjacency_stops_at_bank_edges(table_row, adjacent):
+    # simple_mapping packs keys as bank * 64 + row, so row 0 of bank 1 and
+    # row 63 of bank 0 are consecutive keys but not neighbours.
+    geo = simple_mapping(banks=2, rows=64, row_size=8192)
+
+    def page(bank, row):
+        return ((row << 14) | (bank << 13)) // PAGE_SIZE
+
+    os_model = SimpleNamespace(dram=SimpleNamespace(geometry=geo),
+                               pt_pfns=lambda: {page(*table_row)})
+    chunk = BufferChunk(Block("kernel", page(1, 0) * PAGE_SIZE, 1, "t"), PAGE_SIZE)
+    placement = SimpleNamespace(buffer=SimpleNamespace(chunks=[chunk]))
+    report = verify_adjacency(os_model, placement)
+    assert report == reference_adjacency(os_model, placement)
+    assert report.pairs == (((0, 0, 1, 0), (0, 0, *table_row)),) * adjacent
+
+
+# Guard rows for 256 sg buffers do not fit the lenovo pool, so the guarded
+# lenovo case uses the video driver.
+@pytest.mark.parametrize("profile, driver, mitigation", [
+    ("dell", DRIVER_VIDEO, False),
+    ("dell", DRIVER_VIDEO, True),
+    ("lenovo", DRIVER_SG, False),
+    ("lenovo", DRIVER_VIDEO, True),
+])
+def test_packed_key_adjacency_matches_tuple_reference(profile, driver, mitigation):
+    for seed in (1, 2):
+        os_model, placement = full_placement(profile, driver, seed,
+                                             mitigation=mitigation)
+        report = verify_adjacency(os_model, placement)
+        assert report == reference_adjacency(os_model, placement)
+        assert report.adjacent != mitigation
 
 
 def test_run_ambush_sg_driver():

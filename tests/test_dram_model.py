@@ -271,6 +271,17 @@ def test_page_row_keys_match_oracle():
         assert len(packed) == 8
 
 
+def test_packed_row_keys_of_many_pages():
+    geo = dell_geometry()
+    pfns = {0, 1, 7, 4096, 12345, geo.capacity // PAGE_SIZE - 1}
+    union = set().union(*(geo.packed_row_keys((pfn,)) for pfn in pfns))
+    assert geo.packed_row_keys(pfns) == union
+    assert geo.packed_row_keys(range(8, 8)) == set()
+    for bad in ({-1, 0}, {3, geo.capacity // PAGE_SIZE}):
+        with pytest.raises(AddressRangeError):
+            geo.packed_row_keys(bad)
+
+
 # --- vulnerability map ---
 
 

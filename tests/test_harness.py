@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
 from hammersim import profiles
+from hammersim.ambush import DRIVER_VIDEO, plan, run_ambush
 from hammersim.cli import main
+from hammersim.dram_model import HammerParams
 from hammersim.harness import (
     STRATEGY_AMBUSH,
     STRATEGY_FENG_SHUI,
@@ -15,6 +19,7 @@ from hammersim.harness import (
     AggregateReport,
     HarnessError,
     TrialReport,
+    build_sim,
     emit_report,
     evaluate_mitigation,
     parse_report,
@@ -158,6 +163,24 @@ def test_baseline_deterministic():
 # --- mitigation ---
 
 
+def test_finished_model_is_freed_without_the_cycle_collector():
+    # Seed 5's preload retries failed placements; a kept exception, like
+    # a write hook bound to the model, would hold the model in a cycle
+    # until a full collection.
+    profile = profiles.get_profile("dell")
+    gc.disable()
+    try:
+        bundle = build_sim(profile, 5)
+        run_ambush(bundle.os, plan(profile.threshold_for(DRIVER_VIDEO),
+                                   DRIVER_VIDEO), mitigation=True)
+        model, buddy = weakref.ref(bundle.os), weakref.ref(bundle.buddy)
+        del bundle
+        assert model() is None
+        assert buddy() is None
+    finally:
+        gc.enable()
+
+
 def test_mitigation_removes_adjacency():
     profile = small_profile(thresholds={"video": 26 * MIB, "sg": 36 * MIB})
     aggregate = evaluate_mitigation(profile, 3, 9)
@@ -240,6 +263,25 @@ def test_cli_rejects_partial_dram_section(tmp_path, capsys, key):
         main(["run", "--profile", str(path)])
     assert exc.value.code == 2
     assert f"error: [dram] is missing {key}" in capsys.readouterr().err
+
+
+def test_load_profile_hammer_section(tmp_path):
+    path = tmp_path / "hammer.ini"
+    path.write_text("[hammer]\ndose = 500000\nsingle_sided_multiplier = 0.25\n")
+    profile = load_profile(str(path))
+    assert profile.hammer == HammerParams(dose=500_000, single_sided_multiplier=0.25)
+
+
+@pytest.mark.parametrize("line", ["dose = 0", "dose = many",
+                                  "one_location_multiplier = -0.5",
+                                  "double_sided_multiplier = nan"])
+def test_cli_rejects_bad_hammer_value(tmp_path, capsys, line):
+    path = tmp_path / "hammer.ini"
+    path.write_text(f"[hammer]\n{line}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--profile", str(path)])
+    assert exc.value.code == 2
+    assert "error: [hammer]" in capsys.readouterr().err
 
 
 def test_load_profile_fallbacks(tmp_path):

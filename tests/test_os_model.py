@@ -38,6 +38,8 @@ from hammersim.os_model import (
 )
 from hammersim.profiles import simple_mapping
 
+from helpers import full_placement
+
 MIB = 1024 * 1024
 
 
@@ -95,6 +97,58 @@ def test_write_hook_reports_ranges():
     mem.write(0, b"y", notify=False)
     mem.write_u64(2 * PAGE_SIZE, 7)
     assert seen == [(2, 8, 24), (2, 0, 8)]
+
+
+# --- copy-on-write pages ---
+
+
+def test_tables_from_one_template_stay_independent():
+    os_model = make_os()
+    file = os_model.create_tmp_file(PT_SPAN)
+    (a,) = os_model.mmap_primitive(file)
+    (b,) = os_model.mmap_primitive(file)
+    pages = os_model.memory.pages
+    template = pages[a.pfn]
+    assert pages[b.pfn] is template
+    pristine = os_model.memory.read(a.pfn * PAGE_SIZE, PAGE_SIZE)
+    os_model.memory.write_u64(a.pfn * PAGE_SIZE + 3 * 8, PROBE_PTE)
+    assert os_model.memory.flip_bit(b.pfn * PAGE_SIZE + 5 * 8 + 2, 0,
+                                    FLIP_ZERO_TO_ONE)
+    assert os_model.memory.read_u64(a.pfn * PAGE_SIZE + 3 * 8) == PROBE_PTE
+    assert os_model.memory.read_u64(b.pfn * PAGE_SIZE + 3 * 8) != PROBE_PTE
+    assert os_model.memory.read(a.pfn * PAGE_SIZE + 5 * 8, 8) == pristine[40:48]
+    assert os_model.memory.read(b.pfn * PAGE_SIZE + 5 * 8, 8) != pristine[40:48]
+    assert template == pristine
+
+
+def test_flip_on_shared_page_makes_it_private():
+    os_model = make_os()
+    file = os_model.create_tmp_file(PT_SPAN)
+    (a,) = os_model.mmap_primitive(file)
+    (b,) = os_model.mmap_primitive(file)
+    pages = os_model.memory.pages
+    template = pages[a.pfn]
+    pristine = bytes(template)
+    # A pull towards the stored value changes nothing and copies nothing.
+    assert not os_model.memory.flip_bit(a.pfn * PAGE_SIZE, 0, FLIP_ZERO_TO_ONE)
+    assert pages[a.pfn] is template
+    assert os_model.memory.flip_bit(a.pfn * PAGE_SIZE, 0, FLIP_ONE_TO_ZERO)
+    assert type(pages[a.pfn]) is bytearray
+    assert pages[b.pfn] is template
+    assert template == pristine
+    assert os_model._pt_templates[(file.file_id, 0)] is template
+
+
+def test_placement_leaves_table_pages_shared():
+    os_model, _ = full_placement("dell", "video", 7)
+    pages = os_model.memory.pages
+    tables = os_model.pt_pfns()
+    private = [pfn for pfn in tables if type(pages[pfn]) is bytearray]
+    assert len(tables) > 10_000
+    assert private == []
+    # One 2 MiB file needs one template; its marker pages share one too.
+    assert len({id(pages[pfn]) for pfn in tables}) == 1
+    assert len({id(pages[pfn]) for pfn in os_model.files[0].pfns}) == 1
 
 
 # --- files, mappings, translation ---
@@ -263,7 +317,7 @@ def test_scan_prunes_restored_entries():
     os_model.memory.write_u64(pt.pfn * PAGE_SIZE + 3 * 8, pristine)
     os_model.flush_tlb()
     assert list(os_model.iter_nonmarker_pages()) == []
-    assert vaddr not in os_model._pte_dirty
+    assert vaddr not in os_model._pte_dirty.get(3, ())
 
 
 def test_scan_keeps_restored_entry_while_tlb_is_stale():
