@@ -5,7 +5,8 @@ is charged at whole mebibytes, the page-table budget is what remains of the
 threshold after the buffer and the mapping file, and the file doubles until
 the mapping count fits under the VMA limit.  One mapping of a 2 MiB file
 costs exactly one page-table page, so draining the allocator's small blocks
-is just repeated mapping.
+is just repeated mapping, and each phase knows its mapping count up front
+and maps it as one run.
 
 Execution enforces the threshold as a hard cap on actual bytes charged to
 the attack (buffer blocks + file pages + table pages), which stops the
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from .dram_model import PAGE_SIZE, target_block_size
 from .dram_model import page_row_keys  # noqa: F401  (bench/tracer.py patches it here)
 from .os_model import (
+    PT_SPAN,
     OsModel,
     SG_MAX_BYTES,
     VIDEO_CHUNK_BYTES,
@@ -90,10 +92,6 @@ class AmbushPlan:
             raise PlanError("device request must be chunk_size * chunk_count")
         if self.dev_buf_size != (self.dev_request_bytes // MIB) * MIB:
             raise PlanError("charged buffer size must be whole mebibytes")
-
-    @property
-    def pt_page_budget(self) -> int:
-        return self.pt_size // self.page_size
 
 
 def plan(
@@ -171,6 +169,7 @@ class MappingDriver:
         self.os = os_model
         self.plan = plan_
         self.file = os_model.create_tmp_file(plan_.file_size)
+        self.pages_per_map = plan_.file_size // PT_SPAN
         self.mapped = 0
         self.pt_pages = 0
 
@@ -178,13 +177,17 @@ class MappingDriver:
     def budget_left(self) -> int:
         return self.plan.vma_num - self.mapped
 
-    def map_once(self) -> int:
-        if self.mapped >= self.plan.vma_num:
+    def map(self, count: int) -> int:
+        """Map the file count more times as one run; returns the table
+        pages added."""
+        if count <= 0:
+            return 0
+        if count > self.budget_left:
             raise VmaLimitError("plan mapping budget exhausted")
-        added = len(self.os.mmap_primitive(self.file))
-        self.mapped += 1
-        if self.mapped == 1:
+        added = len(self.os.mmap_primitive(self.file, count))
+        if not self.mapped:
             self.os.write_markers(self.file)
+        self.mapped += count
         self.pt_pages += added
         return added
 
@@ -224,16 +227,18 @@ def _drain_phase(
         os_model.buddy.free_bytes_below(os_model.kernel_partition, target_order)
         // PAGE_SIZE
     )
-    drained = 0
-    while drained < small_pages:
-        if mapper.budget_left <= 0:
-            raise DrainError(
-                "mapping budget exhausted before small blocks were drained"
-            )
-        if cap_bytes is not None and drained * PAGE_SIZE >= cap_bytes:
-            break
-        drained += mapper.map_once()
-    return drained
+    per_map = mapper.pages_per_map
+    maps = -(-small_pages // per_map)
+    capped = False
+    if cap_bytes is not None:
+        cap_maps = -(-cap_bytes // (per_map * PAGE_SIZE))
+        capped = cap_maps < maps
+        maps = min(maps, cap_maps)
+    # Mapping one at a time checks the budget before every map, and once
+    # more before the cap ends the drain early.
+    if maps + capped > mapper.budget_left:
+        raise DrainError("mapping budget exhausted before small blocks were drained")
+    return mapper.map(maps)
 
 
 def _order_of(size: int) -> int:
@@ -264,13 +269,9 @@ def place_interleaved(
     fixed = buffer.allocated_bytes + plan_.file_size
     if fixed > plan_.threshold_mem_size:
         raise PlacementError("buffers and file alone exceed the threshold")
-    pages_per_map = plan_.file_size // (PAGE_SIZE * 512)
     cap_pages = (plan_.threshold_mem_size - fixed) // PAGE_SIZE
-    while (
-        mapper.budget_left > 0
-        and mapper.pt_pages + max(pages_per_map, 1) <= cap_pages
-    ):
-        mapper.map_once()
+    fits = max(0, (cap_pages - mapper.pt_pages) // mapper.pages_per_map)
+    mapper.map(min(mapper.budget_left, fits))
     return buffer
 
 

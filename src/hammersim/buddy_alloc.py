@@ -9,6 +9,9 @@ never shared across the divide.
 
 Guard spans reserved by allocate_isolated_buffer belong to neither the free
 pool nor any owner; conservation is allocated + free + guard == capacity.
+
+take_pages hands out many order-0 pages in one pass, like Linux's
+rmqueue_bulk, and registers them as one run instead of one block per page.
 """
 
 from __future__ import annotations
@@ -59,8 +62,8 @@ class Partition:
 class Block(NamedTuple):
     """A live allocation; pages need not be a power of two for carve-outs.
 
-    A named tuple rather than a frozen dataclass: every page-table page is
-    one, and a tuple is built in about half the time.
+    A named tuple rather than a frozen dataclass: a tuple is built in about
+    half the time.
     """
 
     partition: str
@@ -75,6 +78,15 @@ class Block(NamedTuple):
     @property
     def end(self) -> int:
         return self.base + self.size
+
+
+class Run(NamedTuple):
+    """Pages taken by one take_pages call, as (base, pages) spans; never
+    freed."""
+
+    partition: str
+    owner: str
+    spans: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -158,6 +170,7 @@ class BuddyState:
         self.row_span = row_span
         self._free: dict[str, list[list[int]]] = {}
         self._allocated: dict[int, Block] = {}
+        self._runs: list[Run] = []
         self._guards: dict[str, list[tuple[int, int]]] = {p.name: [] for p in parts}
         self._free_bytes: dict[str, int] = {p.name: 0 for p in parts}
         self._alloc_bytes: dict[str, int] = {p.name: 0 for p in parts}
@@ -185,9 +198,6 @@ class BuddyState:
 
     def allocated_bytes(self, partition: str) -> int:
         return self._alloc_bytes[partition]
-
-    def guard_bytes(self, partition: str) -> int:
-        return sum(size for _, size in self._guards[partition])
 
     def guard_spans(self, partition: str) -> tuple[tuple[int, int], ...]:
         return tuple(self._guards[partition])
@@ -234,16 +244,8 @@ class BuddyState:
         covering = self.allocate(partition, order, owner)
         if covering.pages == pages:
             return covering
-        del self._allocated[covering.base]
-        block = Block(partition, covering.base, pages, owner)
-        self._allocated[block.base] = block
-        tail_base = block.end
-        tail_pages = covering.pages - pages
-        self._alloc_bytes[partition] -= tail_pages * PAGE_SIZE
-        self._free_bytes[partition] += tail_pages * PAGE_SIZE
-        lists = self._free[partition]
-        for addr, o in _aligned_chunks(tail_base, tail_pages, self.max_order):
-            self._coalesce_in(lists, partition, addr, o)
+        block = self._allocated[covering.base] = Block(partition, covering.base, pages, owner)
+        self._release(partition, block.end, covering.pages - pages)
         return block
 
     def allocate_at(self, partition: str, base: int, order: int, owner: str) -> Block:
@@ -273,6 +275,52 @@ class BuddyState:
                 return block
         raise OutOfMemoryError(f"no free block containing {base:#x}")
 
+    def take_pages(self, partition: str, n: int, owner: str) -> list[int]:
+        """The frames that n allocate(partition, 0, owner) calls would
+        return, in that order, taken in one pass over the free lists.
+
+        Order-0 allocations consume the free blocks in (order, address)
+        order, each from its low end, so only the last block is split: its
+        remainder goes back as the aligned pieces the splits would leave.
+        The pages form one run, which free() never accepts.  Raises
+        OutOfMemoryError, with nothing changed, when fewer than n pages are
+        free.
+        """
+        if n < 0:
+            raise ValueError("page count must not be negative")
+        if n * PAGE_SIZE > self._free_bytes[partition]:
+            raise OutOfMemoryError(
+                f"{n} pages requested, {self._free_bytes[partition] // PAGE_SIZE}"
+                f" free in partition {partition!r}"
+            )
+        lists = self._free[partition]
+        spans: list[tuple[int, int]] = []
+        left = n
+        for order, lst in enumerate(lists):
+            if not left:
+                break
+            whole = min(len(lst), left >> order)
+            spans.extend((base, 1 << order) for base in lst[:whole])
+            del lst[:whole]
+            left -= whole << order
+            if left and lst:
+                # Every lower list is empty now, so the pieces land alone.
+                base = lst.pop(0)
+                spans.append((base, left))
+                rest = base + left * PAGE_SIZE
+                for addr, o in _aligned_chunks(rest, (1 << order) - left, self.max_order):
+                    insort(lists[o], addr)
+                left = 0
+        pfns: list[int] = []
+        for base, pages in spans:
+            first = base // PAGE_SIZE
+            pfns.extend(range(first, first + pages))
+        if n:
+            self._runs.append(Run(partition, owner, tuple(spans)))
+            self._alloc_bytes[partition] += n * PAGE_SIZE
+            self._free_bytes[partition] -= n * PAGE_SIZE
+        return pfns
+
     def _register(self, block: Block) -> None:
         self._allocated[block.base] = block
         size = block.pages * PAGE_SIZE
@@ -282,15 +330,21 @@ class BuddyState:
     # -- freeing ---------------------------------------------------------
 
     def free(self, block: Block) -> None:
+        """Return a registered block; any other block, including pages of a
+        take_pages run, raises FreeError."""
         registered = self._allocated.get(block.base)
         if registered is None or registered != block:
             raise FreeError(f"block at {block.base:#x} is not allocated")
         del self._allocated[block.base]
-        self._alloc_bytes[block.partition] -= block.size
-        self._free_bytes[block.partition] += block.size
-        lists = self._free[block.partition]
-        for addr, order in _aligned_chunks(block.base, block.pages, self.max_order):
-            self._coalesce_in(lists, block.partition, addr, order)
+        self._release(block.partition, block.base, block.pages)
+
+    def _release(self, partition: str, base: int, pages: int) -> None:
+        """Return allocated pages to the free lists, coalescing each piece."""
+        self._alloc_bytes[partition] -= pages * PAGE_SIZE
+        self._free_bytes[partition] += pages * PAGE_SIZE
+        lists = self._free[partition]
+        for addr, order in _aligned_chunks(base, pages, self.max_order):
+            self._coalesce_in(lists, partition, addr, order)
 
     def _coalesce_in(self, lists, partition: str, base: int, order: int) -> None:
         part = self.partitions[partition]
@@ -308,6 +362,43 @@ class BuddyState:
             else:
                 break
         insort(lists[order], base)
+
+    # -- invariants --------------------------------------------------------
+
+    def check_invariants(self) -> None:
+        """Raise BuddyError naming the first broken invariant.
+
+        Per partition: free blocks, allocated blocks, run spans (so page
+        tables too) and guards tile it exactly, and the byte counters
+        match them, so allocated + free + guard == capacity; every free
+        list is ascending and aligned to its order; and no free block's
+        buddy is free at the same order below max_order.
+        """
+        for name, part in self.partitions.items():
+            lists = self._free[name]
+            free = [(b, PAGE_SIZE << o) for o, lst in enumerate(lists) for b in lst]
+            taken = [(b.base, b.size) for b in self.blocks(name)] + [
+                (b, pages * PAGE_SIZE)
+                for run in self._runs if run.partition == name
+                for b, pages in run.spans]
+            if (sum(s for _, s in free), sum(s for _, s in taken)) != (
+                    self._free_bytes[name], self._alloc_bytes[name]):
+                raise BuddyError(f"{name}: byte counters disagree with the blocks")
+            end = part.base
+            for base, size in sorted(free + taken + self._guards[name]):
+                if base < end:
+                    raise BuddyError(f"{name}: spans overlap at {base:#x}")
+                end = base + size
+            covered = sum(s for _, s in free + taken + self._guards[name])
+            if end > part.end or covered != part.size:
+                raise BuddyError(f"{name}: allocated + free + guard != capacity")
+            for order, lst in enumerate(lists):
+                size = PAGE_SIZE << order
+                listed = set(lst)
+                if lst != sorted(listed) or any(b % size for b in lst):
+                    raise BuddyError(f"{name}: order-{order} list unsorted or misaligned")
+                if order < self.max_order and any(b ^ size in listed for b in lst):
+                    raise BuddyError(f"{name}: order-{order} free buddies left apart")
 
     # -- guarded buffers --------------------------------------------------
 
@@ -336,24 +427,15 @@ class BuddyState:
             raise GuardPlacementError(str(exc)) from exc
         # The covering block is aligned to its own size >= 4 row spans,
         # so carving at span boundaries keeps whole row indexes together.
-        base = covering.base
-        guard_lo = (base, span)
-        buffer_base = base + span
-        guard_hi = (buffer_base + body, span)
-        leftover_base = guard_hi[0] + span
-        leftover_pages = (covering.end - leftover_base) // PAGE_SIZE
         del self._allocated[covering.base]
-        self._alloc_bytes[partition] -= covering.size
-        block = Block(partition, buffer_base, body // PAGE_SIZE, owner)
+        block = Block(partition, covering.base + span, body // PAGE_SIZE, owner)
         self._allocated[block.base] = block
-        self._alloc_bytes[partition] += block.size
-        self._guards[partition].extend([guard_lo, guard_hi])
-        if leftover_pages > 0:
-            lists = self._free[partition]
-            self._free_bytes[partition] += leftover_pages * PAGE_SIZE
-            for addr, o in _aligned_chunks(leftover_base, leftover_pages, self.max_order):
-                self._coalesce_in(lists, partition, addr, o)
-        return IsolatedAllocation(block, (guard_lo, guard_hi))
+        guards = ((covering.base, span), (block.end, span))
+        self._guards[partition].extend(guards)
+        self._alloc_bytes[partition] -= 2 * span
+        leftover = block.end + span
+        self._release(partition, leftover, (covering.end - leftover) // PAGE_SIZE)
+        return IsolatedAllocation(block, guards)
 
 
 @dataclass
@@ -366,7 +448,6 @@ class PreloadState:
     """
 
     bulk_blocks: list[Block]
-    anchors: list[Block]
     fresh_halves: list[Block]
 
     def inject_fresh(self, buddy: "BuddyState") -> int:
@@ -432,8 +513,8 @@ def preload_workload(
         bulk_blocks.append(block)
         placed += block.size
 
-    def build_pairs(total_bytes: int) -> tuple[list[Block], list[Block]]:
-        pair_anchors: list[Block] = []
+    def build_pairs(total_bytes: int) -> list[Block]:
+        """Allocated (anchor, half) buddy pairs; returns the halves."""
         halves: list[Block] = []
         remaining = total_bytes // PAGE_SIZE
         while remaining > 0:
@@ -456,28 +537,24 @@ def preload_workload(
                 except OutOfMemoryError:
                     buddy.free(anchor)
                     continue
-                pair_anchors.append(anchor)
                 halves.append(half)
                 remaining -= 1 << order
                 break
             else:
                 raise OutOfMemoryError("could not place residue pair")
-        return pair_anchors, halves
+        return halves
 
-    anchors, residue_halves = build_pairs(residue_bytes)
-    fresh_anchors, fresh_halves = build_pairs(fresh_bytes)
-    anchors.extend(fresh_anchors)
+    residue_halves = build_pairs(residue_bytes)
+    fresh_halves = build_pairs(fresh_bytes)
 
     # Carving anchors splits large blocks and strands free siblings below
-    # the maximum order; take those as workload memory, so what remains
-    # free is max-order blocks plus exactly the halves freed below.
-    counts = buddy.buddy_info().order_counts(partition)
-    for order in range(min(buddy.max_order, len(counts))):
-        for _ in range(counts[order]):
-            anchors.append(buddy.allocate(partition, order, "workload"))
+    # the maximum order; take those whole as workload memory, so what
+    # remains free is max-order blocks plus exactly the halves freed below.
+    stranded = buddy.free_bytes_below(partition, buddy.max_order) // PAGE_SIZE
+    buddy.take_pages(partition, stranded, "workload")
 
     # Freeing the residue halves last keeps them out of the placements
     # above; each buddy is an allocated anchor, so nothing coalesces.
     for half in residue_halves:
         buddy.free(half)
-    return PreloadState(bulk_blocks, anchors, fresh_halves)
+    return PreloadState(bulk_blocks, fresh_halves)

@@ -240,17 +240,14 @@ def _feng_shui_footprint(buddy: BuddyState, profile: MachineProfile) -> tuple[in
         held.extend(_hoard(buddy, order, "feng_shui"))
     hole = min((b for b in held if b.size >= span),
                key=lambda b: b.size, default=None)
-    pt_pages = []
+    pt_pages = 0
     if hole is not None:
         held.remove(hole)
         buddy.free(hole)
-        while True:
-            try:
-                pt_pages.append(buddy.allocate(POOL_PARTITION, 0, "page_table"))
-            except OutOfMemoryError:
-                break
-    footprint = sum(b.size for b in held + pt_pages)
-    return footprint, len(pt_pages)
+        pt_pages = buddy.free_bytes(POOL_PARTITION) // PAGE_SIZE
+        buddy.take_pages(POOL_PARTITION, pt_pages, "page_table")
+    footprint = sum(b.size for b in held) + pt_pages * PAGE_SIZE
+    return footprint, pt_pages
 
 
 def _spray_footprint(buddy: BuddyState, profile: MachineProfile) -> tuple[int, int]:
@@ -522,26 +519,3 @@ def emit_report(aggregate: AggregateReport, fmt: str = "csv",
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
     return text
-
-
-def parse_report(text: str) -> list[TrialReport]:
-    """Read CSV report text back into trial rows (schema round-trip)."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or tuple(header) != CSV_COLUMNS:
-        raise HarnessError("report header does not match the schema")
-    out = []
-    for row in reader:
-        if len(row) != len(CSV_COLUMNS):
-            raise HarnessError("report row width does not match the schema")
-        kwargs = {}
-        for name, raw in zip(CSV_COLUMNS, row):
-            field_type = TrialReport.__dataclass_fields__[name].type
-            if field_type == "bool":
-                kwargs[name] = bool(int(raw))
-            elif field_type == "int":
-                kwargs[name] = int(raw)
-            else:
-                kwargs[name] = raw
-        out.append(TrialReport(**kwargs))
-    return out

@@ -6,6 +6,11 @@ reads and writes go through the TLB first; a stale entry keeps pointing at
 the old frame until an explicit flush, exactly the property the probing scan
 depends on.
 
+Mappings are runs: one file mapped count times back to back, from MAP_BASE
+up, with one table per 2 MiB window.  The tables are one list indexed by
+window number, so finding a page's entry, its run and its pristine value is
+arithmetic.
+
 The model keeps a dirty index over page-table entries and file-page headers
 (maintained from a single write hook on physical memory) so marker scans can
 visit only pages that can possibly differ from the marker.  Every candidate
@@ -18,7 +23,10 @@ from __future__ import annotations
 import bisect
 import random
 import struct
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from itertools import cycle
+from typing import NamedTuple
 
 from .buddy_alloc import Block, BuddyState, OutOfMemoryError
 from .dram_model import (
@@ -37,6 +45,7 @@ PTE_PRESENT = 1 << 0
 PTE_WRITABLE = 1 << 1
 PTE_USER = 1 << 2
 PTE_PFN_SHIFT = 12
+PTE_PFN_MASK = (1 << 40) - 1
 
 # Probe value written into a captured table: present, writable, user
 # (plus the accessed-style bit kernels set), frame number zero.
@@ -45,6 +54,9 @@ PROBE_PTE = 0x27
 # Eight-byte tag written at offset 0 of every mapped file page.
 MARKER = int.from_bytes(b"filemark", "little")
 MARKER_PAGE = MARKER.to_bytes(8, "little").ljust(PAGE_SIZE, b"\0")
+
+ZERO_PAGE = bytes(PAGE_SIZE)
+_U64 = struct.Struct("<Q")
 
 VIDEO_CHUNK_BYTES = 600 * 1024
 VIDEO_MAX_CHUNKS = 32
@@ -99,32 +111,20 @@ class PteEntry:
 
     @property
     def pfn(self) -> int:
-        return (self.raw >> PTE_PFN_SHIFT) & ((1 << 40) - 1)
+        return (self.raw >> PTE_PFN_SHIFT) & PTE_PFN_MASK
 
     @classmethod
-    def make(
-        cls,
-        pfn: int,
-        *,
-        present: bool = True,
-        writable: bool = True,
-        user: bool = True,
-    ) -> "PteEntry":
-        raw = pfn << PTE_PFN_SHIFT
-        if present:
-            raw |= PTE_PRESENT
-        if writable:
-            raw |= PTE_WRITABLE
-        if user:
-            raw |= PTE_USER
-        return cls(raw)
+    def make(cls, pfn: int) -> "PteEntry":
+        """A present, writable, user entry for frame pfn."""
+        return cls(pfn << PTE_PFN_SHIFT | PTE_PRESENT | PTE_WRITABLE | PTE_USER)
 
 
 class PhysicalMemory:
     """Sparse copy-on-write page store; unbacked pages read as zeros.
 
     A page is either an immutable bytes object, possibly shared by many
-    frames (set_page stores its argument as is), or a private bytearray.
+    frames (the model stores its table templates and marker page so), or
+    a private bytearray.
     The first write or flip to a shared page gives that frame its own copy,
     so thousands of identical page tables cost one template until they
     diverge.
@@ -146,27 +146,21 @@ class PhysicalMemory:
             self.pages[pfn] = page
         return page
 
-    def set_page(self, pfn: int, content: bytes) -> None:
-        if len(content) != PAGE_SIZE:
-            raise ValueError("page content must be exactly one page")
-        self.pages[pfn] = bytes(content)  # no copy when content is bytes
-
     def read(self, addr: int, length: int) -> bytes:
-        out = bytearray()
-        while length > 0:
+        chunks = []
+        end = addr + length
+        while addr < end:
             pfn, off = divmod(addr, PAGE_SIZE)
-            n = min(length, PAGE_SIZE - off)
-            page = self.pages.get(pfn)
-            if page is None:
-                out += bytes(n)
-            else:
-                out += page[off : off + n]
+            n = min(end - addr, PAGE_SIZE - off)
+            chunks.append(self.pages.get(pfn, ZERO_PAGE)[off : off + n])
             addr += n
-            length -= n
-        return bytes(out)
+        return b"".join(chunks)
 
     def read_u64(self, addr: int) -> int:
-        return int.from_bytes(self.read(addr, 8), "little")
+        pfn, off = divmod(addr, PAGE_SIZE)
+        if off > PAGE_SIZE - 8:
+            return int.from_bytes(self.read(addr, 8), "little")
+        return _U64.unpack_from(self.pages.get(pfn, ZERO_PAGE), off)[0]
 
     def write(self, addr: int, data: bytes, *, notify: bool = True) -> None:
         pos = 0
@@ -209,14 +203,8 @@ class TlbCache:
     """Unbounded virtual-page to frame cache with explicit flush."""
 
     def __init__(self) -> None:
-        self.entries: dict[int, int] = {}
+        self.entries: dict[int, int] = {}  # virtual page -> frame
         self.flush_count = 0
-
-    def lookup(self, vpage: int) -> int | None:
-        return self.entries.get(vpage)
-
-    def insert(self, vpage: int, pfn: int) -> None:
-        self.entries[vpage] = pfn
 
     def flush(self) -> None:
         self.entries.clear()
@@ -230,25 +218,42 @@ class TmpFile:
     file_id: int
     size: int
     pfns: tuple[int, ...]
-    blocks: tuple[Block, ...]
 
 
-@dataclass(slots=True)
-class Vma:
+class MapRun(NamedTuple):
+    """count mappings of one file, back to back from base."""
+
     base: int
-    size: int
     file: TmpFile
+    count: int
 
     @property
     def end(self) -> int:
-        return self.base + self.size
+        return self.base + self.count * self.file.size
 
 
-@dataclass(slots=True)
-class PageTablePage:
-    pfn: int
+class WindowTable(NamedTuple):
     window_base: int
-    block: Block
+    pfn: int
+
+
+class _Windows(Mapping):
+    """Read-only view of the table list: window base -> WindowTable."""
+
+    def __init__(self, pt_pfns: list[int]) -> None:
+        self._pfns = pt_pfns
+
+    def __getitem__(self, base: int) -> WindowTable:
+        number, rest = divmod(base - MAP_BASE, PT_SPAN)
+        if rest or not 0 <= number < len(self._pfns):
+            raise KeyError(base)
+        return WindowTable(base, self._pfns[number])
+
+    def __iter__(self):
+        return iter(range(MAP_BASE, MAP_BASE + len(self._pfns) * PT_SPAN, PT_SPAN))
+
+    def __len__(self) -> int:
+        return len(self._pfns)
 
 
 @dataclass
@@ -344,12 +349,11 @@ class OsModel:
         self.map_base = MAP_BASE
         self.memory = PhysicalMemory()
         self.tlb = TlbCache()
-        self.vmas: list[Vma] = []
-        self._vma_bases: list[int] = []
+        self.vmas: list[MapRun] = []
         self.files: list[TmpFile] = []
-        self.buffers: list[DoubleOwnedBuffer] = []
         self.creds: dict[int, CredPage] = {}
-        self.windows: dict[int, PageTablePage] = {}
+        self._pt_pfns: list[int] = []  # window number from MAP_BASE -> table
+        self.windows = _Windows(self._pt_pfns)
         self._pt_windows: dict[int, int] = {}  # pt pfn -> window base
         self._file_frames: dict[int, tuple[int, int]] = {}  # pfn -> (file_id, idx)
         self._buffer_pages: dict[int, int] = {}  # vpage -> pfn
@@ -363,7 +367,6 @@ class OsModel:
             self._pte_dirty,
             self._dirty_file_pages,
         )
-        self._next_map_base = MAP_BASE
         self._next_buffer_base = BUFFER_BASE
 
     # -- files and mappings -------------------------------------------------
@@ -371,17 +374,12 @@ class OsModel:
     def create_tmp_file(self, size: int) -> TmpFile:
         if size <= 0 or size % PT_SPAN:
             raise ValueError("file size must be a positive multiple of 2 MiB")
-        pages = size // PAGE_SIZE
-        blocks = []
-        pfns = []
-        for _ in range(pages):
-            block = self.buddy.allocate(self.user_partition, 0, "tmp_file")
-            blocks.append(block)
-            pfns.append(block.base // PAGE_SIZE)
-        file = TmpFile(len(self.files), size, tuple(pfns), tuple(blocks))
+        pfns = self.buddy.take_pages(self.user_partition, size // PAGE_SIZE, "tmp_file")
+        file = TmpFile(len(self.files), size, tuple(pfns))
         self.files.append(file)
-        for idx, pfn in enumerate(file.pfns):
-            self._file_frames[pfn] = (file.file_id, idx)
+        self._file_frames.update(
+            (pfn, (file.file_id, idx)) for idx, pfn in enumerate(pfns)
+        )
         return file
 
     def _pt_template(self, file: TmpFile, page_offset: int) -> bytes:
@@ -396,110 +394,98 @@ class OsModel:
             self._pt_templates[key] = cached
         return cached
 
-    def _vma_at(self, vaddr: int) -> Vma | None:
-        # Bases are appended in strictly ascending order.
-        i = bisect.bisect_right(self._vma_bases, vaddr) - 1
-        if i >= 0:
-            vma = self.vmas[i]
-            if vma.base <= vaddr < vma.end:
-                return vma
+    def _entry_addr(self, vaddr: int) -> int | None:
+        """Physical address of the table entry that maps vaddr, if any."""
+        number = (vaddr - MAP_BASE) // PT_SPAN
+        if 0 <= number < len(self._pt_pfns):
+            entry = vaddr // PAGE_SIZE % PTES_PER_PAGE
+            return self._pt_pfns[number] * PAGE_SIZE + entry * PTE_SIZE
         return None
 
-    def pristine_pte(self, window_base: int, idx: int) -> int:
-        vma = self._vma_at(window_base)
-        assert vma is not None
-        page = (window_base - vma.base) // PAGE_SIZE + idx
-        return PteEntry.make(vma.file.pfns[page % len(vma.file.pfns)]).raw
+    def pristine_pte(self, vaddr: int) -> int:
+        """The entry the file mapping puts in place for mapped vaddr."""
+        # Runs are appended at ascending bases and cover every window.
+        run = self.vmas[bisect.bisect_right(self.vmas, vaddr, key=lambda r: r.base) - 1]
+        page = (vaddr - run.base) // PAGE_SIZE
+        return PteEntry.make(run.file.pfns[page % len(run.file.pfns)]).raw
 
-    def mmap_primitive(self, file: TmpFile) -> list[PageTablePage]:
-        """Map the file once at the next slot and build its tables.
+    def mmap_primitive(self, file: TmpFile, count: int = 1) -> list[int]:
+        """Map the file count times back to back at the next free address
+        and build the tables; returns the new table frames in window order.
 
-        Raises VmaLimitError when the mapping count would reach the limit.
+        Raises VmaLimitError when the mapping count would reach the limit,
+        and OutOfMemoryError when the kernel partition lacks the table
+        pages; either way nothing changes.
         """
-        if len(self.vmas) + 1 >= self.vma_limit:
+        if count < 1:
+            raise ValueError("mapping count must be positive")
+        if sum(run.count for run in self.vmas) + count >= self.vma_limit:
             raise VmaLimitError(f"mapping limit of {self.vma_limit} reached")
-        base = self._next_map_base
-        end = self._next_map_base = base + file.size
-        self.vmas.append(Vma(base, file.size, file))
-        self._vma_bases.append(base)
-        new_pts: list[PageTablePage] = []
-        for window in range(base, end, PT_SPAN):
-            if window in self.windows:
-                continue
-            block = self.buddy.allocate(self.kernel_partition, 0, "page_table")
-            pfn = block.base // PAGE_SIZE
-            self.memory.set_page(
-                pfn, self._pt_template(file, (window - base) // PAGE_SIZE)
-            )
-            pt = PageTablePage(pfn, window, block)
-            self.windows[window] = pt
-            self._pt_windows[pfn] = window
-            new_pts.append(pt)
-        return new_pts
+        windows = file.size // PT_SPAN
+        pfns = self.buddy.take_pages(self.kernel_partition, count * windows, "page_table")
+        # Windows are contiguous from MAP_BASE, so the next one is free.
+        run = MapRun(MAP_BASE + len(self._pt_pfns) * PT_SPAN, file, count)
+        self.vmas.append(run)
+        self._pt_pfns.extend(pfns)
+        self._pt_windows.update(zip(pfns, range(run.base, run.end, PT_SPAN)))
+        templates = [self._pt_template(file, w * PTES_PER_PAGE) for w in range(windows)]
+        self.memory.pages.update(zip(pfns, cycle(templates)))
+        return pfns
 
     def write_markers(self, file: TmpFile) -> None:
         """Give every page of the fresh file the shared marker page, the
         marker followed by zeros; this is the pristine baseline, so the
         write hook is bypassed."""
-        for pfn in file.pfns:
-            self.memory.set_page(pfn, MARKER_PAGE)
+        self.memory.pages.update(dict.fromkeys(file.pfns, MARKER_PAGE))
 
     # -- translation --------------------------------------------------------
 
     def translate(self, vaddr: int) -> int | None:
         vpage = vaddr & ~(PAGE_SIZE - 1)
-        cached = self.tlb.lookup(vpage)
-        if cached is not None:
-            return cached
+        tlb = self.tlb.entries
+        pfn = tlb.get(vpage)
+        if pfn is not None:
+            return pfn
         pfn = self._buffer_pages.get(vpage)
         if pfn is None:
-            window = vpage & ~(PT_SPAN - 1)
-            pt = self.windows.get(window)
-            if pt is None:
+            entry = self._entry_addr(vpage)
+            if entry is None:
                 return None
-            idx = (vpage - window) // PAGE_SIZE
-            raw = self.memory.read_u64(pt.pfn * PAGE_SIZE + idx * PTE_SIZE)
-            entry = PteEntry(raw)
-            if not entry.present:
+            raw = self.memory.read_u64(entry)
+            if not raw & PTE_PRESENT:
                 # A file-backed access through a non-present entry takes a
                 # minor fault; the kernel reinstalls the mapping from the
                 # file, healing whatever cleared the bit.
-                if self._vma_at(vpage) is None:
-                    return None
-                raw = self.pristine_pte(window, idx)
-                self.memory.write_u64(pt.pfn * PAGE_SIZE + idx * PTE_SIZE, raw)
-                entry = PteEntry(raw)
-            pfn = entry.pfn
-        self.tlb.insert(vpage, pfn)
+                raw = self.pristine_pte(vpage)
+                self.memory.write_u64(entry, raw)
+            pfn = (raw >> PTE_PFN_SHIFT) & PTE_PFN_MASK
+        tlb[vpage] = pfn
         return pfn
 
     def flush_tlb(self) -> None:
         self.tlb.flush()
 
-    def read_virtual(self, vaddr: int, length: int) -> bytes | None:
-        end = (vaddr + length - 1) & ~(PAGE_SIZE - 1)
-        if end != vaddr & ~(PAGE_SIZE - 1):
-            raise ValueError("virtual reads must stay within one page")
+    def _phys_addr(self, vaddr: int, length: int) -> int | None:
+        """Physical address of an access of length bytes at vaddr."""
+        off = vaddr & (PAGE_SIZE - 1)
+        if off + length > PAGE_SIZE:
+            raise ValueError("virtual accesses must stay within one page")
         pfn = self.translate(vaddr)
-        if pfn is None:
-            return None
-        return self.memory.read(pfn * PAGE_SIZE + (vaddr & (PAGE_SIZE - 1)), length)
+        return None if pfn is None else pfn * PAGE_SIZE + off
+
+    def read_virtual(self, vaddr: int, length: int) -> bytes | None:
+        addr = self._phys_addr(vaddr, length)
+        return None if addr is None else self.memory.read(addr, length)
 
     def read_u64_virtual(self, vaddr: int) -> int | None:
-        data = self.read_virtual(vaddr, 8)
-        if data is None:
-            return None
-        return int.from_bytes(data, "little")
+        addr = self._phys_addr(vaddr, 8)
+        return None if addr is None else self.memory.read_u64(addr)
 
     def write_virtual(self, vaddr: int, data: bytes) -> bool:
-        end = (vaddr + len(data) - 1) & ~(PAGE_SIZE - 1)
-        if end != vaddr & ~(PAGE_SIZE - 1):
-            raise ValueError("virtual writes must stay within one page")
-        pfn = self.translate(vaddr)
-        if pfn is None:
-            return False
-        self.memory.write(pfn * PAGE_SIZE + (vaddr & (PAGE_SIZE - 1)), data)
-        return True
+        addr = self._phys_addr(vaddr, len(data))
+        if addr is not None:
+            self.memory.write(addr, data)
+        return addr is not None
 
     def write_u64_virtual(self, vaddr: int, value: int) -> bool:
         return self.write_virtual(vaddr, struct.pack("<Q", value))
@@ -527,31 +513,24 @@ class OsModel:
         else:
             cands = set(self._pte_dirty.get(slot, ()))
         dirty_files = {} if entries_only else self._dirty_file_pages
-        for file_id, dirty in dirty_files.items():
-            idxs = [idx for idx in dirty
-                    if slot is None or idx % PTES_PER_PAGE == slot]
-            if not idxs:
-                continue
-            for vma in self.vmas:
-                if vma.file.file_id == file_id:
-                    cands.update(vma.base + idx * PAGE_SIZE for idx in idxs)
+        for run in self.vmas:
+            for idx in dirty_files.get(run.file.file_id, ()):
+                if slot is None or idx % PTES_PER_PAGE == slot:
+                    cands.update(range(run.base + idx * PAGE_SIZE, run.end,
+                                       run.file.size))
+        tlb = self.tlb.entries
         for vaddr in sorted(cands):
-            if self._vma_at(vaddr) is None:
-                continue
             value = self.read_u64_virtual(vaddr)
             if value is not None and value != MARKER:
                 yield vaddr
                 continue
-            window = vaddr & ~(PT_SPAN - 1)
-            idx = (vaddr - window) // PAGE_SIZE
-            dirty = self._pte_dirty.get(idx, ())
-            pt = self.windows.get(window)
-            if vaddr in dirty and pt is not None:
-                raw = self.memory.read_u64(pt.pfn * PAGE_SIZE + idx * PTE_SIZE)
+            dirty = self._pte_dirty.get(vaddr // PAGE_SIZE % PTES_PER_PAGE, ())
+            if vaddr in dirty:
+                raw = self.memory.read_u64(self._entry_addr(vaddr))
                 # A stale TLB entry keeps the page reading elsewhere
                 # until the next flush, so it stays a candidate.
-                if (raw == self.pristine_pte(window, idx)
-                        and self.tlb.lookup(vaddr) == PteEntry(raw).pfn):
+                if (raw == self.pristine_pte(vaddr)
+                        and tlb.get(vaddr) == (raw >> PTE_PFN_SHIFT) & PTE_PFN_MASK):
                     dirty.discard(vaddr)
 
     # -- double-owned device buffers -------------------------------------------
@@ -597,9 +576,7 @@ class OsModel:
                 pages = -(-chunk_bytes // PAGE_SIZE)
                 block = self.buddy.allocate_pages(self.kernel_partition, pages, owner)
                 chunks.append(BufferChunk(block, chunk_bytes))
-        buffer = DoubleOwnedBuffer(driver, chunks, tuple(guards))
-        self.buffers.append(buffer)
-        return buffer
+        return DoubleOwnedBuffer(driver, chunks, tuple(guards))
 
     def map_buffer(self, buffer: DoubleOwnedBuffer) -> None:
         """Give the attacker a user mapping of every chunk."""
@@ -656,4 +633,4 @@ class OsModel:
         return applied
 
     def pt_pfns(self) -> set[int]:
-        return set(self._pt_windows)
+        return set(self._pt_pfns)

@@ -51,40 +51,6 @@ def dell_geometry() -> DramGeometry:
     )
 
 
-def simple_mapping(
-    *,
-    banks: int = 2,
-    rows: int = 64,
-    row_size: int = 8192,
-) -> DramGeometry:
-    """Small single-DIMM geometry for fast tests.
-
-    Layout: column bits at the bottom, then bank selector bits, then the
-    row index on top, so each row index owns one contiguous, row-aligned
-    span of rows_size_per_row_index bytes.
-    """
-    if banks & (banks - 1) or rows & (rows - 1) or row_size & (row_size - 1):
-        raise ProfileError("banks, rows, row_size must be powers of two")
-    bank_lo = (row_size - 1).bit_length()
-    bank_width = (banks - 1).bit_length()
-    row_lo = bank_lo + bank_width
-    row_hi = row_lo + (rows - 1).bit_length() - 1
-    mapping = MappingSpec.make(
-        dimm=[],
-        rank=[],
-        bank=[[bank_lo + i] for i in range(bank_width)],
-        row_range=(row_lo, row_hi),
-    )
-    return DramGeometry(
-        dimms=1,
-        ranks_per_dimm=1,
-        banks_per_rank=banks,
-        rows_per_bank=rows,
-        row_size=row_size,
-        mapping=mapping,
-    )
-
-
 @dataclass(frozen=True)
 class VulnCalibration:
     """Density knobs for the per-row vulnerability map."""

@@ -9,6 +9,8 @@ mapped page linearly instead of consulting the dirty index.
 
 from __future__ import annotations
 
+import csv
+import io
 import random
 
 import numpy as np
@@ -25,14 +27,72 @@ from hammersim.dram_model import (
     PAGE_SIZE,
     Dram,
     DramGeometry,
+    MappingSpec,
     VulnerabilityMap,
     page_row_keys,
 )
-from hammersim.harness import build_sim
+from hammersim.harness import CSV_COLUMNS, HarnessError, TrialReport, build_sim
 from hammersim.os_model import MARKER, PROBE_PTE, OsModel
-from hammersim.profiles import get_profile, simple_mapping
+from hammersim.profiles import ProfileError, get_profile
 
 MIB = 1024 * 1024
+
+
+def simple_mapping(
+    *,
+    banks: int = 2,
+    rows: int = 64,
+    row_size: int = 8192,
+) -> DramGeometry:
+    """Small single-DIMM geometry for fast tests.
+
+    Layout: column bits at the bottom, then bank selector bits, then the
+    row index on top, so each row index owns one contiguous, row-aligned
+    span of rows_size_per_row_index bytes.
+    """
+    if banks & (banks - 1) or rows & (rows - 1) or row_size & (row_size - 1):
+        raise ProfileError("banks, rows, row_size must be powers of two")
+    bank_lo = (row_size - 1).bit_length()
+    bank_width = (banks - 1).bit_length()
+    row_lo = bank_lo + bank_width
+    row_hi = row_lo + (rows - 1).bit_length() - 1
+    mapping = MappingSpec.make(
+        dimm=[],
+        rank=[],
+        bank=[[bank_lo + i] for i in range(bank_width)],
+        row_range=(row_lo, row_hi),
+    )
+    return DramGeometry(
+        dimms=1,
+        ranks_per_dimm=1,
+        banks_per_rank=banks,
+        rows_per_bank=rows,
+        row_size=row_size,
+        mapping=mapping,
+    )
+
+
+def parse_report(text: str) -> list[TrialReport]:
+    """Read CSV report text back into trial rows (schema round-trip)."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None or tuple(header) != CSV_COLUMNS:
+        raise HarnessError("report header does not match the schema")
+    out = []
+    for row in reader:
+        if len(row) != len(CSV_COLUMNS):
+            raise HarnessError("report row width does not match the schema")
+        kwargs = {}
+        for name, raw in zip(CSV_COLUMNS, row):
+            field_type = TrialReport.__dataclass_fields__[name].type
+            if field_type == "bool":
+                kwargs[name] = bool(int(raw))
+            elif field_type == "int":
+                kwargs[name] = int(raw)
+            else:
+                kwargs[name] = raw
+        out.append(TrialReport(**kwargs))
+    return out
 
 
 def numpy_coord_keys(geometry: DramGeometry) -> np.ndarray:
@@ -179,6 +239,20 @@ class BitmapBuddy:
         page = (base - self.partitions[name].base) // PAGE_SIZE
         span = 1 << order
         self.bits[name] |= ((1 << span) - 1) << page
+
+    def _range_mask(self, name: str, base: int, pages: int) -> int:
+        page = (base - self.partitions[name].base) // PAGE_SIZE
+        return ((1 << pages) - 1) << page
+
+    def range_free(self, name: str, base: int, pages: int) -> bool:
+        mask = self._range_mask(name, base, pages)
+        return self.bits[name] & mask == mask
+
+    def take_range(self, name: str, base: int, pages: int) -> None:
+        self.bits[name] &= ~self._range_mask(name, base, pages)
+
+    def free_range(self, name: str, base: int, pages: int) -> None:
+        self.bits[name] |= self._range_mask(name, base, pages)
 
     def free_pages(self, name: str) -> int:
         return self.bits[name].bit_count()

@@ -16,6 +16,7 @@ from hammersim.ambush import (
     DrainError,
     MappingDriver,
     PlanError,
+    _drain_phase,
     drain_small_blocks,
     plan,
     run_ambush,
@@ -24,9 +25,8 @@ from hammersim.ambush import (
 from hammersim.buddy_alloc import Block, BuddyState, Partition, preload_workload
 from hammersim.dram_model import PAGE_SIZE, Dram, target_block_size
 from hammersim.os_model import MARKER, BufferChunk, OsModel, VmaLimitError
-from hammersim.profiles import simple_mapping
 
-from helpers import full_placement, reference_adjacency
+from helpers import full_placement, reference_adjacency, simple_mapping
 
 MIB = 1024 * 1024
 
@@ -42,7 +42,7 @@ def test_plan_video_88mib():
     assert p.pt_size == 68 * MIB
     assert p.map_mem_size == 68 * MIB * 512
     assert p.vma_num == 17408
-    assert p.pt_page_budget == 68 * MIB // PAGE_SIZE
+    assert p.pt_size // PAGE_SIZE == 17408
 
 
 def test_plan_sg_109mib():
@@ -171,16 +171,57 @@ def test_drain_absorbs_fresh_blocks_up_to_cap():
     assert os_model.buddy.free_bytes_below("kernel", 3) == 0
 
 
+def _drain_one_map_at_a_time(small_pages, per_map, budget, cap_bytes):
+    """The drain as a loop of single mappings: maps made, or None where it
+    raises DrainError."""
+    maps = 0
+    while maps * per_map < small_pages:
+        if budget - maps <= 0:
+            return None
+        if cap_bytes is not None and maps * per_map * PAGE_SIZE >= cap_bytes:
+            break
+        maps += 1
+    return maps
+
+
+@pytest.mark.parametrize("per_map", [1, 2])
+def test_drain_count_matches_one_at_a_time_loop(per_map):
+    geometry = simple_mapping(banks=2, rows=8192, row_size=8192)
+    for small_pages in range(6):
+        for budget in range(5):
+            for cap_bytes in (None, 0, 1, PAGE_SIZE, 2 * PAGE_SIZE, 3 * PAGE_SIZE + 1):
+                os_model = SimpleNamespace(
+                    dram=SimpleNamespace(geometry=geometry), kernel_partition="kernel",
+                    buddy=SimpleNamespace(
+                        free_bytes_below=lambda *_: small_pages * PAGE_SIZE))
+                made = []
+                mapper = SimpleNamespace(
+                    pages_per_map=per_map, budget_left=budget,
+                    map=lambda count: made.append(count) or count * per_map)
+                want = _drain_one_map_at_a_time(small_pages, per_map, budget, cap_bytes)
+                if want is None:
+                    with pytest.raises(DrainError):
+                        _drain_phase(os_model, mapper, cap_bytes)
+                    assert made == []
+                else:
+                    assert _drain_phase(os_model, mapper, cap_bytes) == want * per_map
+                    assert made == [want]
+
+
 def test_mapping_driver_budget_and_markers():
     os_model, _ = build_sim(residue=0)
     p = plan(22 * MIB, DRIVER_VIDEO)  # pt 2 MiB -> 512 mappings
     mapper = MappingDriver(os_model, p)
     assert mapper.budget_left == 512
-    mapper.map_once()
+    assert mapper.map(1) == 1
     assert os_model.read_u64_virtual(os_model.vmas[0].base) == MARKER
-    mapper.mapped = p.vma_num
     with pytest.raises(VmaLimitError):
-        mapper.map_once()
+        mapper.map(512)
+    assert mapper.map(511) == 511
+    assert mapper.budget_left == 0
+    assert os_model.read_u64_virtual(os_model.vmas[1].end - PAGE_SIZE) == MARKER
+    with pytest.raises(VmaLimitError):
+        mapper.map(1)
 
 
 # --- full placement ---

@@ -2,14 +2,24 @@
 
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    Bundle,
+    RuleBasedStateMachine,
+    consumes,
+    invariant,
+    multiple,
+    rule,
+)
 
 from hammersim.buddy_alloc import (
     Block,
+    BuddyError,
     BuddyState,
     FreeError,
     GuardPlacementError,
@@ -18,6 +28,8 @@ from hammersim.buddy_alloc import (
     preload_workload,
 )
 from hammersim.dram_model import PAGE_SIZE
+from hammersim.harness import KERNEL_PARTITION, build_sim
+from hammersim.profiles import get_profile
 
 from helpers import BitmapBuddy, free_block_set, run_op_sequence
 
@@ -32,7 +44,7 @@ def conservation_ok(buddy: BuddyState, partition: str) -> bool:
     part = buddy.partitions[partition]
     total = (buddy.allocated_bytes(partition)
              + buddy.free_bytes(partition)
-             + buddy.guard_bytes(partition))
+             + sum(size for _, size in buddy.guard_spans(partition)))
     return total == part.size
 
 
@@ -304,3 +316,213 @@ def test_buddyinfo_text_lists_partitions():
     assert len(lines) == 2
     assert "kernel" in lines[0] and "user" in lines[1]
     assert len(lines[0].split()) == 12  # name + orders 0..10
+
+
+# --- bulk page takes ---
+
+
+def allocator_state(buddy: BuddyState):
+    return (copy.deepcopy(buddy._free), buddy.buddy_info(),
+            buddy.free_bytes("pool"), buddy.allocated_bytes("pool"))
+
+
+def fragmented_pool(seed: int) -> BuddyState:
+    """A 2 MiB pool after a random walk of allocations and frees."""
+    buddy = make_pool(2 * MIB)
+    rng = random.Random(seed)
+    live: list[Block] = []
+    for _ in range(60):
+        if live and rng.random() < 0.4:
+            buddy.free(live.pop(rng.randrange(len(live))))
+        else:
+            try:
+                live.append(buddy.allocate("pool", rng.randrange(8), "t"))
+            except OutOfMemoryError:
+                pass
+    return buddy
+
+
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from(["zero", "within one block", "across orders", "past free"]),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_take_pages_equals_sequential_order0_allocations(seed, case, data):
+    buddy = fragmented_pool(seed)
+    free_pages = buddy.free_bytes("pool") // PAGE_SIZE
+    first_block = next((1 << o for o, lst in enumerate(buddy._free["pool"]) if lst), 0)
+    assume(free_pages or case in ("zero", "past free"))
+    if case == "zero":
+        n = 0
+    elif case == "within one block":
+        n = data.draw(st.integers(1, first_block))
+    elif case == "across orders":
+        n = data.draw(st.integers(min(first_block + 1, free_pages), free_pages))
+    else:
+        n = data.draw(st.integers(free_pages + 1, free_pages + 64))
+    twin = copy.deepcopy(buddy)
+    if case == "past free":
+        before = allocator_state(buddy)
+        with pytest.raises(OutOfMemoryError):
+            buddy.take_pages("pool", n, "page_table")
+        assert allocator_state(buddy) == before
+        return
+    want = [twin.allocate("pool", 0, "page_table").base // PAGE_SIZE for _ in range(n)]
+    assert buddy.take_pages("pool", n, "page_table") == want
+    assert allocator_state(buddy) == allocator_state(twin)
+    buddy.check_invariants()
+
+
+def test_take_pages_on_the_dell_preload():
+    buddy = build_sim(get_profile("dell"), 2026).buddy
+    twin = copy.deepcopy(buddy)
+    n = 15872  # the table pages of one dell/video placement
+    want = [twin.allocate(KERNEL_PARTITION, 0, "page_table").base // PAGE_SIZE
+            for _ in range(n)]
+    assert buddy.take_pages(KERNEL_PARTITION, n, "page_table") == want
+    assert buddy._free == twin._free
+    assert buddy.buddy_info() == twin.buddy_info()
+    buddy.check_invariants()
+
+
+def test_free_rejects_pages_of_a_run():
+    buddy = make_pool(1 * MIB)
+    pfns = buddy.take_pages("pool", 3, "page_table")
+    for pfn in pfns:
+        with pytest.raises(FreeError):
+            buddy.free(Block("pool", pfn * PAGE_SIZE, 1, "page_table"))
+    with pytest.raises(FreeError):
+        buddy.free(Block("pool", pfns[0] * PAGE_SIZE, 2, "page_table"))
+    assert buddy.allocated_bytes("pool") == 3 * PAGE_SIZE
+    buddy.check_invariants()
+    with pytest.raises(ValueError):
+        buddy.take_pages("pool", -1, "page_table")
+
+
+def test_check_invariants_names_broken_state():
+    buddy = make_pool(1 * MIB)
+    buddy.take_pages("pool", 5, "page_table")
+    buddy.check_invariants()
+    broken = copy.deepcopy(buddy)
+    broken._free["pool"][0].append(0)  # a taken page listed free again
+    with pytest.raises(BuddyError, match="counters"):
+        broken.check_invariants()
+    broken = copy.deepcopy(buddy)
+    broken._runs.clear()  # the taken pages belong to nobody
+    with pytest.raises(BuddyError, match="counters"):
+        broken.check_invariants()
+    # Two free buddies of order 2 in place of their order-3 parent.
+    broken = copy.deepcopy(buddy)
+    lists = broken._free["pool"]
+    lists[3].remove(8 * PAGE_SIZE)
+    lists[2] = sorted(lists[2] + [8 * PAGE_SIZE, 12 * PAGE_SIZE])
+    with pytest.raises(BuddyError, match="buddies"):
+        broken.check_invariants()
+    broken = copy.deepcopy(buddy)
+    broken._free["pool"][0] = [0]  # free page 5 listed as taken page 0
+    with pytest.raises(BuddyError, match="overlap"):
+        broken.check_invariants()
+    broken = copy.deepcopy(buddy)
+    lists = broken._free["pool"]
+    lists[0], lists[1] = [7 * PAGE_SIZE], [5 * PAGE_SIZE]  # same pages, order-1 at 5
+    with pytest.raises(BuddyError, match="unsorted or misaligned"):
+        broken.check_invariants()
+    two = make_pool(8 * MIB)
+    two._free["pool"][10].reverse()
+    with pytest.raises(BuddyError, match="unsorted or misaligned"):
+        two.check_invariants()
+
+
+# --- state machine over every allocation path ---
+
+SPAN = 64 * 1024
+
+
+class AllocatorMachine(RuleBasedStateMachine):
+    """Mixes every allocator operation on a 2 MiB pool; after each step the
+    invariants hold and the free lists match the bitmap oracle."""
+
+    blocks = Bundle("blocks")
+
+    def __init__(self) -> None:
+        super().__init__()
+        part = Partition("pool", 0, 2 * MIB)
+        self.buddy = BuddyState([part], row_span=SPAN)
+        self.oracle = BitmapBuddy([part])
+
+    @rule(target=blocks, order=st.integers(0, 10))
+    def allocate(self, order):
+        want = self.oracle.allocate("pool", order)
+        try:
+            block = self.buddy.allocate("pool", order, "t")
+        except OutOfMemoryError:
+            assert want is None
+            return multiple()
+        assert block.base == want
+        return block
+
+    @rule(target=blocks, pages=st.integers(1, 40))
+    def allocate_pages(self, pages):
+        order = (pages - 1).bit_length()
+        want = self.oracle.allocate("pool", order)
+        try:
+            block = self.buddy.allocate_pages("pool", pages, "t")
+        except OutOfMemoryError:
+            assert want is None
+            return multiple()
+        assert block.base == want and block.pages == pages
+        self.oracle.free_range("pool", block.end, (1 << order) - pages)
+        return block
+
+    @rule(target=blocks, order=st.integers(0, 9), slot=st.integers(0, 511))
+    def allocate_at(self, order, slot):
+        base = slot % (512 >> order) * (PAGE_SIZE << order)
+        expect = self.oracle.range_free("pool", base, 1 << order)
+        try:
+            block = self.buddy.allocate_at("pool", base, order, "t")
+        except OutOfMemoryError:
+            assert not expect
+            return multiple()
+        assert expect
+        self.oracle.take_range("pool", base, 1 << order)
+        return block
+
+    @rule(block=consumes(blocks))
+    def free(self, block):
+        self.buddy.free(block)
+        self.oracle.free_range("pool", block.base, block.pages)
+
+    @rule(target=blocks, spans=st.integers(1, 2))
+    def allocate_isolated_buffer(self, spans):
+        order = ((spans + 2) * SPAN // PAGE_SIZE - 1).bit_length()
+        want = self.oracle.allocate("pool", order)
+        try:
+            iso = self.buddy.allocate_isolated_buffer("pool", spans * SPAN, "b")
+        except GuardPlacementError:
+            assert want is None
+            return multiple()
+        assert iso.guard_spans == ((want, SPAN), (want + (spans + 1) * SPAN, SPAN))
+        assert (iso.block.base, iso.block.size) == (want + SPAN, spans * SPAN)
+        # Only the guard-to-guard span stays taken; the rest is free again.
+        used = (spans + 2) * SPAN
+        self.oracle.free_range("pool", want + used, (1 << order) - used // PAGE_SIZE)
+        return multiple()  # a guarded buffer is never freed
+
+    @rule(n=st.integers(0, 80))
+    def take_pages(self, n):
+        if n > self.oracle.free_pages("pool"):
+            with pytest.raises(OutOfMemoryError):
+                self.buddy.take_pages("pool", n, "page_table")
+            return
+        want = [self.oracle.allocate("pool", 0) // PAGE_SIZE for _ in range(n)]
+        assert self.buddy.take_pages("pool", n, "page_table") == want
+
+    @invariant()
+    def matches_oracle(self):
+        self.buddy.check_invariants()
+        assert free_block_set(self.buddy, "pool") == self.oracle.free_blocks("pool")
+        assert self.buddy.free_bytes("pool") == self.oracle.free_pages("pool") * PAGE_SIZE
+
+
+TestAllocatorMachine = AllocatorMachine.TestCase
+TestAllocatorMachine.settings = settings(max_examples=60, stateful_step_count=30,
+                                         deadline=None)

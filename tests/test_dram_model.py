@@ -34,9 +34,9 @@ from hammersim.dram_model import (
     target_block_size,
     unmap_dram_to_phys,
 )
-from hammersim.profiles import dell_geometry, simple_mapping
+from hammersim.profiles import dell_geometry
 
-from helpers import numpy_coord_keys
+from helpers import numpy_coord_keys, simple_mapping
 
 
 # --- derive_seed ---

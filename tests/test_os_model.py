@@ -15,7 +15,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from hammersim.buddy_alloc import BuddyState, Partition
+from hammersim.buddy_alloc import BuddyState, OutOfMemoryError, Partition
 from hammersim.dram_model import (
     FLIP_ONE_TO_ZERO,
     FLIP_ZERO_TO_ONE,
@@ -36,9 +36,8 @@ from hammersim.os_model import (
     VmaLimitError,
     cred_pattern,
 )
-from hammersim.profiles import simple_mapping
 
-from helpers import full_placement
+from helpers import full_placement, simple_mapping
 
 MIB = 1024 * 1024
 
@@ -108,16 +107,16 @@ def test_tables_from_one_template_stay_independent():
     (a,) = os_model.mmap_primitive(file)
     (b,) = os_model.mmap_primitive(file)
     pages = os_model.memory.pages
-    template = pages[a.pfn]
-    assert pages[b.pfn] is template
-    pristine = os_model.memory.read(a.pfn * PAGE_SIZE, PAGE_SIZE)
-    os_model.memory.write_u64(a.pfn * PAGE_SIZE + 3 * 8, PROBE_PTE)
-    assert os_model.memory.flip_bit(b.pfn * PAGE_SIZE + 5 * 8 + 2, 0,
+    template = pages[a]
+    assert pages[b] is template
+    pristine = os_model.memory.read(a * PAGE_SIZE, PAGE_SIZE)
+    os_model.memory.write_u64(a * PAGE_SIZE + 3 * 8, PROBE_PTE)
+    assert os_model.memory.flip_bit(b * PAGE_SIZE + 5 * 8 + 2, 0,
                                     FLIP_ZERO_TO_ONE)
-    assert os_model.memory.read_u64(a.pfn * PAGE_SIZE + 3 * 8) == PROBE_PTE
-    assert os_model.memory.read_u64(b.pfn * PAGE_SIZE + 3 * 8) != PROBE_PTE
-    assert os_model.memory.read(a.pfn * PAGE_SIZE + 5 * 8, 8) == pristine[40:48]
-    assert os_model.memory.read(b.pfn * PAGE_SIZE + 5 * 8, 8) != pristine[40:48]
+    assert os_model.memory.read_u64(a * PAGE_SIZE + 3 * 8) == PROBE_PTE
+    assert os_model.memory.read_u64(b * PAGE_SIZE + 3 * 8) != PROBE_PTE
+    assert os_model.memory.read(a * PAGE_SIZE + 5 * 8, 8) == pristine[40:48]
+    assert os_model.memory.read(b * PAGE_SIZE + 5 * 8, 8) != pristine[40:48]
     assert template == pristine
 
 
@@ -127,14 +126,14 @@ def test_flip_on_shared_page_makes_it_private():
     (a,) = os_model.mmap_primitive(file)
     (b,) = os_model.mmap_primitive(file)
     pages = os_model.memory.pages
-    template = pages[a.pfn]
+    template = pages[a]
     pristine = bytes(template)
     # A pull towards the stored value changes nothing and copies nothing.
-    assert not os_model.memory.flip_bit(a.pfn * PAGE_SIZE, 0, FLIP_ZERO_TO_ONE)
-    assert pages[a.pfn] is template
-    assert os_model.memory.flip_bit(a.pfn * PAGE_SIZE, 0, FLIP_ONE_TO_ZERO)
-    assert type(pages[a.pfn]) is bytearray
-    assert pages[b.pfn] is template
+    assert not os_model.memory.flip_bit(a * PAGE_SIZE, 0, FLIP_ZERO_TO_ONE)
+    assert pages[a] is template
+    assert os_model.memory.flip_bit(a * PAGE_SIZE, 0, FLIP_ONE_TO_ZERO)
+    assert type(pages[a]) is bytearray
+    assert pages[b] is template
     assert template == pristine
     assert os_model._pt_templates[(file.file_id, 0)] is template
 
@@ -146,6 +145,9 @@ def test_placement_leaves_table_pages_shared():
     private = [pfn for pfn in tables if type(pages[pfn]) is bytearray]
     assert len(tables) > 10_000
     assert private == []
+    os_model.buddy.check_invariants()
+    kernel = os_model.buddy.partitions["kernel"]
+    assert all(kernel.base <= pfn * PAGE_SIZE < kernel.end for pfn in tables)
     # One 2 MiB file needs one template; its marker pages share one too.
     assert len({id(pages[pfn]) for pfn in tables}) == 1
     assert len({id(pages[pfn]) for pfn in os_model.files[0].pfns}) == 1
@@ -173,8 +175,8 @@ def test_mmap_builds_one_table_per_window():
     assert len(os_model.windows) == 2
     # Tables live in the kernel partition.
     kernel = os_model.buddy.partitions["kernel"]
-    for pt in pts:
-        assert kernel.base <= pt.pfn * PAGE_SIZE < kernel.end
+    for pfn in pts:
+        assert kernel.base <= pfn * PAGE_SIZE < kernel.end
     # Every mapping is a fresh VMA with fresh tables.
     pts2 = os_model.mmap_primitive(file)
     assert len(pts2) == 2
@@ -184,6 +186,68 @@ def test_mmap_builds_one_table_per_window():
     for vma in os_model.vmas:
         for i in range(len(file.pfns)):
             assert os_model.translate(vma.base + i * PAGE_SIZE) == file.pfns[i]
+
+
+def test_mmap_count_equals_repeated_single_maps():
+    bulk, single = make_os(), make_os()
+    for os_model in (bulk, single):
+        os_model.write_markers(os_model.create_tmp_file(2 * PT_SPAN))
+    file = bulk.files[0]
+    # Two table pages per mapping of a 4 MiB file.
+    pfns = bulk.mmap_primitive(file, 5)
+    want = [pfn for _ in range(5) for pfn in single.mmap_primitive(single.files[0])]
+    assert pfns == want and len(pfns) == 10
+    assert [(run.base, run.end, run.count) for run in bulk.vmas] == [
+        (bulk.map_base, bulk.map_base + 5 * file.size, 5)]
+    assert dict(bulk.windows) == dict(single.windows)
+    assert bulk.memory.pages == single.memory.pages
+    assert bulk.pt_pfns() == single.pt_pfns() == set(pfns)
+    # The second table of each mapping holds the file's second half.
+    for vaddr in range(bulk.map_base, bulk.vmas[0].end, PAGE_SIZE * 97):
+        assert bulk.translate(vaddr) == single.translate(vaddr)
+        page = (vaddr - bulk.map_base) // PAGE_SIZE % len(file.pfns)
+        assert bulk.translate(vaddr) == file.pfns[page]
+
+
+def test_mmap_failure_changes_nothing():
+    os_model = make_os(kernel=64 * 1024, vma_limit=8)
+    file = os_model.create_tmp_file(PT_SPAN)
+
+    def state():
+        return (os_model.buddy.buddy_info(), os_model.buddy.free_bytes("kernel"),
+                list(os_model.vmas), dict(os_model.windows),
+                dict(os_model.memory.pages), os_model.pt_pfns())
+
+    os_model.mmap_primitive(file, 3)
+    before = state()
+    with pytest.raises(VmaLimitError):
+        os_model.mmap_primitive(file, 5)  # the 8th mapping reaches the limit
+    assert state() == before
+    with pytest.raises(ValueError):
+        os_model.mmap_primitive(file, 0)
+    assert state() == before
+    big = make_os(kernel=64 * 1024)
+    big_file = big.create_tmp_file(PT_SPAN)
+    big.mmap_primitive(big_file, 10)
+    with pytest.raises(OutOfMemoryError):
+        big.mmap_primitive(big_file, 7)  # 16 kernel pages, 10 in use
+    assert len(big.pt_pfns()) == 10 and len(big.vmas) == 1
+    assert big.buddy.free_bytes("kernel") == 6 * PAGE_SIZE
+
+
+def test_windows_view_is_read_only_arithmetic():
+    os_model = make_os()
+    file = os_model.create_tmp_file(PT_SPAN)
+    pfns = os_model.mmap_primitive(file, 3)
+    windows = os_model.windows
+    assert len(windows) == 3
+    assert list(windows) == [os_model.map_base + i * PT_SPAN for i in range(3)]
+    assert [windows[base].pfn for base in windows] == pfns
+    for bad in (os_model.map_base - PT_SPAN, os_model.map_base + PAGE_SIZE,
+                os_model.map_base + 3 * PT_SPAN):
+        assert bad not in windows
+    with pytest.raises(TypeError):
+        windows[os_model.map_base] = None
 
 
 def test_vma_limit_enforced():
@@ -218,7 +282,7 @@ def test_tlb_staleness_until_flush():
     vaddr = os_model.vmas[0].base
     assert os_model.translate(vaddr) == file.pfns[0]
     # Rewrite the entry to point at frame 3; the TLB still serves the old one.
-    os_model.memory.write_u64(pt.pfn * PAGE_SIZE, PteEntry.make(3).raw)
+    os_model.memory.write_u64(pt * PAGE_SIZE, PteEntry.make(3).raw)
     assert os_model.translate(vaddr) == file.pfns[0]
     os_model.flush_tlb()
     assert os_model.translate(vaddr) == 3
@@ -230,10 +294,10 @@ def test_demand_fault_heals_cleared_entry():
     file = os_model.create_tmp_file(PT_SPAN)
     (pt,) = os_model.mmap_primitive(file)
     vaddr = os_model.vmas[0].base + 5 * PAGE_SIZE
-    os_model.memory.write_u64(pt.pfn * PAGE_SIZE + 5 * 8, 0)
+    os_model.memory.write_u64(pt * PAGE_SIZE + 5 * 8, 0)
     assert os_model.translate(vaddr) == file.pfns[5]
-    raw = os_model.memory.read_u64(pt.pfn * PAGE_SIZE + 5 * 8)
-    assert raw == os_model.pristine_pte(os_model.vmas[0].base, 5)
+    raw = os_model.memory.read_u64(pt * PAGE_SIZE + 5 * 8)
+    assert raw == os_model.pristine_pte(vaddr)
 
 
 # --- marker scan ---
@@ -270,7 +334,7 @@ def test_scan_reports_redirected_and_corrupted_pages():
     pts = [os_model.mmap_primitive(file)[0] for _ in range(3)]
     # Redirect one entry of the second table to an unbacked frame.
     victim_vma = os_model.vmas[1]
-    os_model.memory.write_u64(pts[1].pfn * PAGE_SIZE + 7 * 8,
+    os_model.memory.write_u64(pts[1] * PAGE_SIZE + 7 * 8,
                               PteEntry.make(0x7FF00).raw)
     # Corrupt one shared file page header: every mapping sees it.
     os_model.memory.write(file.pfns[9] * PAGE_SIZE, b"\x00")
@@ -310,11 +374,11 @@ def test_scan_prunes_restored_entries():
     os_model.write_markers(file)
     (pt,) = os_model.mmap_primitive(file)
     vaddr = os_model.vmas[0].base + 3 * PAGE_SIZE
-    pristine = os_model.memory.read_u64(pt.pfn * PAGE_SIZE + 3 * 8)
-    os_model.memory.write_u64(pt.pfn * PAGE_SIZE + 3 * 8, PROBE_PTE)
+    pristine = os_model.memory.read_u64(pt * PAGE_SIZE + 3 * 8)
+    os_model.memory.write_u64(pt * PAGE_SIZE + 3 * 8, PROBE_PTE)
     os_model.flush_tlb()
     assert list(os_model.iter_nonmarker_pages()) == [vaddr]
-    os_model.memory.write_u64(pt.pfn * PAGE_SIZE + 3 * 8, pristine)
+    os_model.memory.write_u64(pt * PAGE_SIZE + 3 * 8, pristine)
     os_model.flush_tlb()
     assert list(os_model.iter_nonmarker_pages()) == []
     assert vaddr not in os_model._pte_dirty.get(3, ())
@@ -326,7 +390,7 @@ def test_scan_keeps_restored_entry_while_tlb_is_stale():
     os_model.write_markers(file)
     (pt,) = os_model.mmap_primitive(file)
     vaddr = os_model.vmas[0].base + 2 * PAGE_SIZE
-    entry = pt.pfn * PAGE_SIZE + 2 * 8
+    entry = pt * PAGE_SIZE + 2 * 8
     pristine = os_model.memory.read_u64(entry)
     # Point the entry at the next file page, scan (caching that frame), and
     # restore the entry without a flush: the TLB still serves the other page.
@@ -393,9 +457,9 @@ class ScanMachine(RuleBasedStateMachine):
         self.os.flush_tlb()
 
     @precondition(lambda self: len(self.os.vmas) < 5)
-    @rule(file=st.integers(0, 1))
-    def map_once_more(self, file):
-        self.os.mmap_primitive(self.files[file])
+    @rule(file=st.integers(0, 1), count=st.integers(1, 3))
+    def map_more(self, file, count):
+        self.os.mmap_primitive(self.files[file], count)
 
     @invariant()
     def scan_matches_linear_sweep(self):
@@ -500,4 +564,4 @@ def test_pt_pfns_tracks_tables():
     file = os_model.create_tmp_file(PT_SPAN)
     assert os_model.pt_pfns() == set()
     pts = os_model.mmap_primitive(file)
-    assert os_model.pt_pfns() == {pts[0].pfn}
+    assert os_model.pt_pfns() == {pts[0]}

@@ -9,7 +9,7 @@ import pytest
 from hammersim.buddy_alloc import BuddyState, Partition
 from hammersim.dram_model import PAGE_SIZE, Dram, unmap_dram_to_phys, DramCoord
 from hammersim.os_model import OsModel
-from hammersim.profiles import dell_profile, lenovo_profile, simple_mapping
+from hammersim.profiles import dell_profile, lenovo_profile
 from hammersim.timing_channel import (
     ChannelError,
     ChannelModel,
@@ -19,6 +19,8 @@ from hammersim.timing_channel import (
     sample_latency_phys,
     select_hammer_pair,
 )
+
+from helpers import simple_mapping
 
 MIB = 1024 * 1024
 
