@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .buddy_alloc import PreloadState
 from .dram_model import PAGE_SIZE, target_block_size
 from .dram_model import page_row_keys  # noqa: F401  (bench/tracer.py patches it here)
 from .os_model import (
@@ -193,23 +194,18 @@ class MappingDriver:
 
 
 def drain_small_blocks(
-    os_model: OsModel,
-    mapper: MappingDriver,
-    *,
-    fresh_injector=None,
-    fresh_cap_bytes: int = 0,
+    os_model: OsModel, mapper: MappingDriver, *, preload: PreloadState | None = None
 ) -> tuple[int, int]:
     """Map the file until no free block below the target order remains.
 
-    When fresh_injector is given it runs once after the initial drain; any
-    small blocks it releases are drained too, up to fresh_cap_bytes extra.
-    Returns (pt pages drained, fresh bytes injected).
+    With a preload, its fresh blocks are then released, and as many bytes
+    of small blocks as that injected are drained too.  Returns (pt pages
+    drained, fresh bytes injected).
     """
     drained = _drain_phase(os_model, mapper)
-    if fresh_injector is None:
-        return drained, 0
-    injected = fresh_injector()
-    drained += _drain_phase(os_model, mapper, min(injected, fresh_cap_bytes))
+    injected = 0 if preload is None else preload.inject_fresh(os_model.buddy)
+    if injected:
+        drained += _drain_phase(os_model, mapper, injected)
     return drained, injected
 
 
@@ -280,17 +276,12 @@ def run_ambush(
     plan_: AmbushPlan,
     *,
     mitigation: bool = False,
-    fresh_injector=None,
-    fresh_cap_bytes: int = 0,
+    preload: PreloadState | None = None,
 ) -> Placement:
-    """Execute the full placement: file, drain, buffers, stuffing."""
+    """Execute the full placement: file, drain (with the preload's fresh
+    blocks, when given), buffers, stuffing."""
     mapper = MappingDriver(os_model, plan_)
-    drained, _ = drain_small_blocks(
-        os_model,
-        mapper,
-        fresh_injector=fresh_injector,
-        fresh_cap_bytes=fresh_cap_bytes,
-    )
+    drained, _ = drain_small_blocks(os_model, mapper, preload=preload)
     buffer = place_interleaved(os_model, plan_, mapper, mitigation=mitigation)
     placement = Placement(
         plan=plan_,

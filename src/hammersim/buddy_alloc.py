@@ -97,26 +97,6 @@ class IsolatedAllocation:
     guard_spans: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class BuddyInfoSnapshot:
-    """Free-block counts per order for every partition."""
-
-    counts: tuple[tuple[str, tuple[int, ...]], ...]
-
-    def order_counts(self, partition: str) -> tuple[int, ...]:
-        for name, row in self.counts:
-            if name == partition:
-                return row
-        raise KeyError(partition)
-
-    def text(self) -> str:
-        lines = []
-        for name, row in self.counts:
-            cells = " ".join(f"{n:6d}" for n in row)
-            lines.append(f"{name:>8} {cells}")
-        return "\n".join(lines)
-
-
 def _aligned_chunks(base: int, pages: int, max_order: int):
     """Split an arbitrary page run into maximal buddy-aligned blocks."""
     addr = base
@@ -146,6 +126,8 @@ class BuddyState:
         parts = sorted(partitions, key=lambda p: p.base)
         if not parts:
             raise ValueError("at least one partition required")
+        if max_order < 0:
+            raise ValueError("max_order must be >= 0")
         names = [p.name for p in parts]
         if len(set(names)) != len(names):
             raise ValueError("partition names must be unique")
@@ -183,15 +165,16 @@ class BuddyState:
 
     # -- queries ---------------------------------------------------------
 
-    def buddy_info(self) -> BuddyInfoSnapshot:
-        rows = tuple(
-            (name, tuple(len(lst) for lst in lists))
-            for name, lists in self._free.items()
-        )
-        return BuddyInfoSnapshot(rows)
+    def buddy_info(self) -> dict[str, tuple[int, ...]]:
+        """Free-block counts per order for every partition."""
+        return {name: tuple(len(lst) for lst in lists)
+                for name, lists in self._free.items()}
 
     def buddyinfo_text(self) -> str:
-        return self.buddy_info().text()
+        return "\n".join(
+            f"{name:>8} " + " ".join(f"{n:6d}" for n in row)
+            for name, row in self.buddy_info().items()
+        )
 
     def free_bytes(self, partition: str) -> int:
         return self._free_bytes[partition]
@@ -438,6 +421,10 @@ class BuddyState:
         return IsolatedAllocation(block, guards)
 
 
+# Random placements a workload block gets before the preload gives up.
+_PLACE_ATTEMPTS = 2000
+
+
 @dataclass
 class PreloadState:
     """What the workload preload left behind.
@@ -469,7 +456,6 @@ def preload_workload(
     small_max_order: int,
     rng: random.Random,
     fresh_bytes: int = 0,
-    max_attempts: int = 2000,
 ) -> PreloadState:
     """Seed a background-workload memory state.
 
@@ -495,7 +481,7 @@ def preload_workload(
         # Only the message is kept: holding the exception would tie its
         # traceback's frames, and the caller's whole model, into a cycle.
         last_error: str | None = None
-        for _ in range(max_attempts):
+        for _ in range(_PLACE_ATTEMPTS):
             base = start + rng.randrange(slots) * size
             try:
                 return buddy.allocate_at(partition, base, order, owner)
@@ -524,7 +510,7 @@ def preload_workload(
             pair_size = size * 2
             start = -(-lo // pair_size) * pair_size
             slots = (part.end - start) // pair_size
-            for _ in range(max_attempts):
+            for _ in range(_PLACE_ATTEMPTS):
                 pair_base = start + rng.randrange(slots) * pair_size
                 try:
                     anchor = buddy.allocate_at(partition, pair_base, order, "workload")

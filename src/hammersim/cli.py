@@ -100,7 +100,7 @@ def _cmd_buddyinfo(args: argparse.Namespace) -> int:
             else args.threshold_bytes
         )
         plan_ = plan(threshold, args.driver, sg_opens=profile.sg_opens)
-        run_ambush(bundle.os, plan_)
+        run_ambush(bundle.os, plan_, preload=bundle.preload)
         sys.stdout.write("after placement:\n")
         sys.stdout.write(bundle.buddy.buddyinfo_text() + "\n")
     return 0

@@ -354,6 +354,23 @@ def _poisson(rng: random.Random, lam: float) -> int:
         k += 1
 
 
+@dataclass(frozen=True)
+class VulnCalibration:
+    """Density knobs for the per-row vulnerability map."""
+
+    weak_row_rate: float = 0.0
+    cells_per_weak_row: float = 0.0
+    cell_probability: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.weak_row_rate <= 1.0:
+            raise ValueError("weak_row_rate must be within [0, 1]")
+        if not 0.0 <= self.cells_per_weak_row < math.inf:
+            raise ValueError("cells_per_weak_row must be finite and >= 0")
+        if not 0.0 <= self.cell_probability <= 1.0:
+            raise ValueError("cell_probability must be within [0, 1]")
+
+
 class VulnerabilityMap:
     """Sparse per-cell susceptibility, generated lazily per bank row.
 
@@ -364,49 +381,23 @@ class VulnerabilityMap:
     """
 
     def __init__(
-        self,
-        geometry: DramGeometry,
-        *,
-        weak_row_rate: float = 0.0,
-        cells_per_weak_row: float = 0.0,
-        cell_probability: float = 1.0,
-        seed: int = 0,
+        self, geometry: DramGeometry, calibration: VulnCalibration, *, seed: int = 0
     ) -> None:
-        if not 0.0 <= weak_row_rate <= 1.0:
-            raise ValueError("weak_row_rate must be within [0, 1]")
-        if cells_per_weak_row < 0:
-            raise ValueError("cells_per_weak_row must be non-negative")
-        if not 0.0 <= cell_probability <= 1.0:
-            raise ValueError("cell_probability must be within [0, 1]")
         self.geometry = geometry
-        self.weak_row_rate = weak_row_rate
-        self.cells_per_weak_row = cells_per_weak_row
-        self.cell_probability = cell_probability
+        self.calibration = calibration
         self.seed = seed
-        self._explicit: dict[tuple[int, int, int, int], tuple[VulnCell, ...]] = {}
         self._cache: dict[tuple[int, int, int, int], tuple[VulnCell, ...]] = {}
 
-    @classmethod
-    def from_cells(cls, geometry: DramGeometry, cells) -> "VulnerabilityMap":
-        vm = cls(geometry)
-        grouped: dict[tuple[int, int, int, int], list[VulnCell]] = {}
-        for cell in cells:
-            geometry.validate_coord(cell.coord)
-            grouped.setdefault(cell.coord.row_key(), []).append(cell)
-        vm._explicit = {k: tuple(v) for k, v in grouped.items()}
-        return vm
-
     def cells_in_row(self, row_key: tuple[int, int, int, int]) -> tuple[VulnCell, ...]:
-        if row_key in self._explicit:
-            return self._explicit[row_key]
         cached = self._cache.get(row_key)
         if cached is not None:
             return cached
+        cal = self.calibration
         cells: tuple[VulnCell, ...] = ()
-        if self.weak_row_rate > 0.0:
+        if cal.weak_row_rate > 0.0:
             rng = random.Random(derive_seed(self.seed, "row", *row_key))
-            if rng.random() < self.weak_row_rate:
-                n = _poisson(rng, self.cells_per_weak_row)
+            if rng.random() < cal.weak_row_rate:
+                n = _poisson(rng, cal.cells_per_weak_row)
                 d, r, b, row = row_key
                 made = []
                 for _ in range(n):
@@ -417,7 +408,7 @@ class VulnerabilityMap:
                         VulnCell(
                             DramCoord(d, r, b, row, col),
                             bit,
-                            self.cell_probability,
+                            cal.cell_probability,
                             direction,
                         )
                     )
@@ -490,7 +481,8 @@ class Dram:
         params: HammerParams | None = None,
     ) -> None:
         self.geometry = geometry
-        self.vuln_map = vuln_map if vuln_map is not None else VulnerabilityMap(geometry)
+        self.vuln_map = (vuln_map if vuln_map is not None
+                         else VulnerabilityMap(geometry, VulnCalibration()))
         self.params = params if params is not None else HammerParams()
         self.banks: dict[tuple[int, int, int], BankState] = {}
 

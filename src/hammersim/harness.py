@@ -115,11 +115,7 @@ def build_sim(profile: MachineProfile, trial_seed: int) -> SimBundle:
     """Build DRAM, partitioned allocator, OS state, and the preload."""
     geometry = profile.geometry
     vuln = VulnerabilityMap(
-        geometry,
-        weak_row_rate=profile.vulnerability.weak_row_rate,
-        cells_per_weak_row=profile.vulnerability.cells_per_weak_row,
-        cell_probability=profile.vulnerability.cell_probability,
-        seed=derive_seed(trial_seed, "vuln"),
+        geometry, profile.vulnerability, seed=derive_seed(trial_seed, "vuln")
     )
     dram = Dram(geometry, vuln_map=vuln, params=profile.hammer)
     row_span = rows_size_per_row_index(geometry)
@@ -165,15 +161,8 @@ def _run_ambush_trial(
         profile.threshold_for(driver) if threshold_bytes is None else threshold_bytes
     )
     plan_ = plan(threshold, driver, sg_opens=profile.sg_opens)
-    fresh_injector = None
-    if profile.fresh_bytes:
-        fresh_injector = lambda: bundle.preload.inject_fresh(bundle.buddy)
     placement = run_ambush(
-        bundle.os,
-        plan_,
-        mitigation=mitigation,
-        fresh_injector=fresh_injector,
-        fresh_cap_bytes=profile.fresh_bytes,
+        bundle.os, plan_, mitigation=mitigation, preload=bundle.preload
     )
     adjacency = verify_adjacency(bundle.os, placement)
     bundle.os.plant_cred(

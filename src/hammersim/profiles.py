@@ -9,7 +9,7 @@ and ``lenovo`` (same geometry with Lenovo's rates 100/99.0 and a larger
 so it mirrors the Dell layout).
 
 Profiles also load from flat INI-style text, one section per module; see
-``load_profile`` for the schema.
+``_SCHEMA`` for the layout.
 """
 
 from __future__ import annotations
@@ -18,7 +18,13 @@ import configparser
 from dataclasses import dataclass, field, replace
 
 from .ambush import DRIVER_SG, DRIVER_VIDEO, DRIVERS
-from .dram_model import DramGeometry, HammerParams, MappingSpec
+from .dram_model import (
+    DramError,
+    DramGeometry,
+    HammerParams,
+    MappingSpec,
+    VulnCalibration,
+)
 from .timing_channel import ChannelModel
 
 MIB = 1024 * 1024
@@ -52,23 +58,6 @@ def dell_geometry() -> DramGeometry:
 
 
 @dataclass(frozen=True)
-class VulnCalibration:
-    """Density knobs for the per-row vulnerability map."""
-
-    weak_row_rate: float = 0.0
-    cells_per_weak_row: float = 0.0
-    cell_probability: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.weak_row_rate <= 1.0:
-            raise ProfileError("weak_row_rate must be within [0, 1]")
-        if self.cells_per_weak_row < 0:
-            raise ProfileError("cells_per_weak_row must be >= 0")
-        if not 0.0 <= self.cell_probability <= 1.0:
-            raise ProfileError("cell_probability must be within [0, 1]")
-
-
-@dataclass(frozen=True)
 class MachineProfile:
     """Everything one seeded trial needs to build and drive a simulator."""
 
@@ -96,6 +85,9 @@ class MachineProfile:
             raise ProfileError("kernel partition must fit inside DRAM")
         if self.residue_bytes >= self.kernel_bytes:
             raise ProfileError("residue must fit inside the kernel partition")
+        for key in ("residue_bytes", "bulk_bytes", "reserve_low_bytes", "fresh_bytes"):
+            if getattr(self, key) < 0:
+                raise ProfileError(f"{key} must be >= 0")
         budget = self.residue_bytes + self.bulk_bytes + self.reserve_low_bytes
         if budget > self.kernel_bytes:
             raise ProfileError("workload preload exceeds the kernel partition")
@@ -106,6 +98,8 @@ class MachineProfile:
                 raise ProfileError("thresholds must be positive")
         if self.rounds_cap < 0 or self.reps_per_round <= 0:
             raise ProfileError("rounds_cap >= 0 and reps_per_round > 0 required")
+        if self.pair_attempt_cap < 1:
+            raise ProfileError("pair_attempt_cap must be >= 1")
 
     def threshold_for(self, driver: str) -> int:
         if driver not in DRIVERS:
@@ -174,17 +168,14 @@ def _parse_selectors(text: str) -> list[list[int]]:
     for group in text.split(";"):
         bits = [int(b.strip()) for b in group.split(",") if b.strip()]
         if not bits:
-            raise ProfileError(f"empty selector group in {text!r}")
+            raise ValueError(f"empty selector group in {text!r}")
         out.append(bits)
     return out
 
 
 def _parse_bit_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition("-")
-    try:
-        return int(lo), int(hi)
-    except ValueError:
-        raise ProfileError(f"bad bit range {text!r}, expected 'lo-hi'") from None
+    return int(lo), int(hi)
 
 
 def _parse_size(text: str) -> int:
@@ -197,143 +188,124 @@ def _parse_size(text: str) -> int:
             factor = mult
             text = text[: -len(suffix)].strip()
             break
-    try:
-        return int(text) * factor
-    except ValueError:
-        raise ProfileError(f"bad size value {text!r}") from None
+    return int(text) * factor
 
+
+def _geometry(dimms, ranks_per_dimm, banks_per_rank, rows_per_bank, row_size,
+              row_bits, dimm_bits=(), rank_bits=(), bank_bits=()) -> DramGeometry:
+    mapping = MappingSpec.make(dimm_bits, rank_bits, bank_bits, row_bits)
+    return DramGeometry(dimms, ranks_per_dimm, banks_per_rank, rows_per_bank,
+                        row_size, mapping)
+
+
+# Every INI section: the profile field it builds (None: it sets fields of
+# the profile itself) and, per key, the field the key sets and the parser
+# of its text.  A tuple field is one entry of a dict field; [profile] base
+# sets no field, it picks the profile the others override.  [dram] builds
+# the whole geometry, so it must give every key of _DRAM_KEYS; every other
+# section overrides single fields of the base profile.
+_SCHEMA = {
+    "profile": (None, {"name": ("name", str), "base": (None, str)}),
+    "dram": ("geometry", {
+        "dimms": ("dimms", int),
+        "ranks_per_dimm": ("ranks_per_dimm", int),
+        "banks_per_rank": ("banks_per_rank", int),
+        "rows_per_bank": ("rows_per_bank", int),
+        "row_size": ("row_size", _parse_size),
+        "dimm_bits": ("dimm_bits", _parse_selectors),
+        "rank_bits": ("rank_bits", _parse_selectors),
+        "bank_bits": ("bank_bits", _parse_selectors),
+        "row_bits": ("row_bits", _parse_bit_range),
+    }),
+    "allocator": (None, {
+        "kernel_bytes": ("kernel_bytes", _parse_size),
+        "max_order": ("max_order", int),
+    }),
+    "workload": (None, {
+        "residue_bytes": ("residue_bytes", _parse_size),
+        "bulk_bytes": ("bulk_bytes", _parse_size),
+        "reserve_low_bytes": ("reserve_low_bytes", _parse_size),
+        "fresh_bytes": ("fresh_bytes", _parse_size),
+    }),
+    "channel": ("channel", {
+        "threshold_cycles": ("threshold_cycles", int),
+        "conflict_rate": ("p_high_given_conflict", float),
+        "other_rate": ("p_low_given_other", float),
+    }),
+    "vulnerability": ("vulnerability", {
+        "weak_row_rate": ("weak_row_rate", float),
+        "cells_per_weak_row": ("cells_per_weak_row", float),
+        "cell_probability": ("cell_probability", float),
+    }),
+    "hammer": ("hammer", {
+        "dose": ("dose", int),
+        "double_sided_multiplier": ("double_sided_multiplier", float),
+        "single_sided_multiplier": ("single_sided_multiplier", float),
+        "one_location_multiplier": ("one_location_multiplier", float),
+    }),
+    "attack": (None, {
+        "threshold_video": (("thresholds", DRIVER_VIDEO), _parse_size),
+        "threshold_sg": (("thresholds", DRIVER_SG), _parse_size),
+        "rounds_cap": ("rounds_cap", int),
+        "reps_per_round": ("reps_per_round", int),
+        "sg_opens": ("sg_opens", int),
+        "pair_attempt_cap": ("pair_attempt_cap", int),
+    }),
+}
 
 _DRAM_KEYS = ("dimms", "ranks_per_dimm", "banks_per_rank", "rows_per_bank",
               "row_size", "row_bits")
 
 
 def load_profile(path: str) -> MachineProfile:
-    """Load a profile from flat INI text.
+    """Load a profile from flat INI text laid out as _SCHEMA.
 
-    Sections: ``[profile]`` (name, optional base to inherit a builtin),
-    ``[dram]`` (geometry and mapping), ``[allocator]``, ``[workload]``,
-    ``[channel]``, ``[vulnerability]``, ``[hammer]`` (the HammerParams
-    fields), ``[attack]``.  Any omitted value
-    falls back to the base profile (default ``dell``), except that a
-    ``[dram]`` section replaces the whole geometry, so it must give every
-    key of _DRAM_KEYS; only the selector lists may be left out (empty).
+    Any omitted value falls back to the base profile (``[profile] base``,
+    default ``dell``).  An unknown section or key, an unparseable value, or
+    a value its config rejects raises ProfileError naming the section.
     """
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ProfileError(f"cannot read profile file {path!r}")
+    try:
+        if not parser.read(path):
+            raise ProfileError(f"cannot read profile file {path!r}")
+        base = get_profile(parser.get("profile", "base", fallback="dell"))
+    except configparser.Error as exc:
+        raise ProfileError(str(exc)) from None
+    changes: dict[str, object] = {}
+    for section in parser.sections():
+        changes.update(_read_section(parser, section, base))
+    return replace(base, **changes)
 
-    base_name = parser.get("profile", "base", fallback="dell")
-    base = get_profile(base_name)
-    name = parser.get("profile", "name", fallback=base.name)
 
-    geometry = base.geometry
-    if parser.has_section("dram"):
-        d = parser["dram"]
-        missing = [key for key in _DRAM_KEYS if key not in d]
-        if missing:
-            raise ProfileError(f"[dram] is missing {', '.join(missing)}")
-        mapping = MappingSpec.make(
-            dimm=_parse_selectors(d.get("dimm_bits", "")),
-            rank=_parse_selectors(d.get("rank_bits", "")),
-            bank=_parse_selectors(d.get("bank_bits", "")),
-            row_range=_parse_bit_range(d["row_bits"]),
-        )
-        geometry = DramGeometry(
-            dimms=d.getint("dimms"),
-            ranks_per_dimm=d.getint("ranks_per_dimm"),
-            banks_per_rank=d.getint("banks_per_rank"),
-            rows_per_bank=d.getint("rows_per_bank"),
-            row_size=_parse_size(d["row_size"]),
-            mapping=mapping,
-        )
-
-    def size_of(section: str, key: str, default: int) -> int:
-        if parser.has_option(section, key):
-            return _parse_size(parser.get(section, key))
-        return default
-
-    channel = base.channel
-    if parser.has_section("channel"):
-        c = parser["channel"]
-        channel = ChannelModel(
-            threshold_cycles=c.getint(
-                "threshold_cycles", base.channel.threshold_cycles
-            ),
-            p_high_given_conflict=c.getfloat(
-                "conflict_rate", base.channel.p_high_given_conflict
-            ),
-            p_low_given_other=c.getfloat(
-                "other_rate", base.channel.p_low_given_other
-            ),
-        )
-
-    vuln = base.vulnerability
-    if parser.has_section("vulnerability"):
-        v = parser["vulnerability"]
-        vuln = VulnCalibration(
-            weak_row_rate=v.getfloat("weak_row_rate", vuln.weak_row_rate),
-            cells_per_weak_row=v.getfloat(
-                "cells_per_weak_row", vuln.cells_per_weak_row
-            ),
-            cell_probability=v.getfloat(
-                "cell_probability", vuln.cell_probability
-            ),
-        )
-
-    hammer = base.hammer
-    if parser.has_section("hammer"):
-        h = parser["hammer"]
-        try:
-            hammer = HammerParams(
-                dose=h.getint("dose", hammer.dose),
-                double_sided_multiplier=h.getfloat(
-                    "double_sided_multiplier", hammer.double_sided_multiplier
-                ),
-                single_sided_multiplier=h.getfloat(
-                    "single_sided_multiplier", hammer.single_sided_multiplier
-                ),
-                one_location_multiplier=h.getfloat(
-                    "one_location_multiplier", hammer.one_location_multiplier
-                ),
-            )
-        except ValueError as exc:
-            raise ProfileError(f"[hammer] {exc}") from None
-
-    thresholds = dict(base.thresholds)
-    rounds_cap = base.rounds_cap
-    reps = base.reps_per_round
-    sg_opens = base.sg_opens
-    pair_cap = base.pair_attempt_cap
-    if parser.has_section("attack"):
-        a = parser["attack"]
-        for driver in DRIVERS:
-            key = f"threshold_{driver}"
-            if key in a:
-                thresholds[driver] = _parse_size(a[key])
-        rounds_cap = a.getint("rounds_cap", rounds_cap)
-        reps = a.getint("reps_per_round", reps)
-        sg_opens = a.getint("sg_opens", sg_opens)
-        pair_cap = a.getint("pair_attempt_cap", pair_cap)
-
-    return MachineProfile(
-        name=name,
-        geometry=geometry,
-        channel=channel,
-        vulnerability=vuln,
-        kernel_bytes=size_of("allocator", "kernel_bytes", base.kernel_bytes),
-        max_order=parser.getint("allocator", "max_order",
-                                fallback=base.max_order),
-        residue_bytes=size_of("workload", "residue_bytes", base.residue_bytes),
-        bulk_bytes=size_of("workload", "bulk_bytes", base.bulk_bytes),
-        reserve_low_bytes=size_of(
-            "workload", "reserve_low_bytes", base.reserve_low_bytes
-        ),
-        fresh_bytes=size_of("workload", "fresh_bytes", base.fresh_bytes),
-        hammer=hammer,
-        rounds_cap=rounds_cap,
-        reps_per_round=reps,
-        pair_attempt_cap=pair_cap,
-        thresholds=thresholds,
-        sg_opens=sg_opens,
-    )
+def _read_section(parser: configparser.ConfigParser, section: str,
+                  base: MachineProfile) -> dict[str, object]:
+    """The profile fields one section sets, each config checked by its own
+    constructor."""
+    if section not in _SCHEMA:
+        raise ProfileError(f"unknown section [{section}]")
+    target, keys = _SCHEMA[section]
+    values: dict[str, object] = {}
+    try:
+        for key, text in parser.items(section):
+            if key not in keys:
+                raise ProfileError(f"unknown key {key!r}")
+            name, parse = keys[key]
+            try:
+                value = parse(text)
+            except ValueError:
+                raise ProfileError(f"bad {key} value {text!r}") from None
+            if isinstance(name, tuple):
+                name, entry = name
+                value = {**values.get(name, getattr(base, name)), entry: value}
+            if name is not None:
+                values[name] = value
+        if target is None:
+            return values
+        if target == "geometry":
+            missing = [key for key in _DRAM_KEYS if key not in values]
+            if missing:
+                raise ProfileError(f"is missing {', '.join(missing)}")
+            return {target: _geometry(**values)}
+        return {target: replace(getattr(base, target), **values)}
+    except (ValueError, DramError, configparser.Error) as exc:
+        raise ProfileError(f"[{section}] {exc}") from None

@@ -20,6 +20,9 @@ from dataclasses import dataclass
 from .dram_model import DramGeometry, map_phys_to_dram
 
 CONFLICT_THRESHOLD_CYCLES = 360
+# Widths of the latency lobes above and below the threshold, in cycles.
+HIGH_SPREAD = 140
+LOW_SPREAD = 120
 
 
 class ChannelError(Exception):
@@ -37,15 +40,13 @@ class ChannelModel:
     threshold_cycles: int = CONFLICT_THRESHOLD_CYCLES
     p_high_given_conflict: float = 1.0
     p_low_given_other: float = 1.0
-    high_spread: int = 140
-    low_spread: int = 120
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_high_given_conflict <= 1.0:
             raise ValueError("p_high_given_conflict must be within [0, 1]")
         if not 0.0 <= self.p_low_given_other <= 1.0:
             raise ValueError("p_low_given_other must be within [0, 1]")
-        if self.threshold_cycles <= self.low_spread + 1:
+        if self.threshold_cycles <= LOW_SPREAD + 1:
             raise ValueError("low lobe would cross below zero cycles")
 
 
@@ -82,13 +83,13 @@ def sample_latency_phys(
         above = rng.random() >= model.p_low_given_other
     if above:
         cycles = model.threshold_cycles + int(
-            rng.triangular(0, model.high_spread, model.high_spread * 0.25)
+            rng.triangular(0, HIGH_SPREAD, HIGH_SPREAD * 0.25)
         )
     else:
         cycles = (
             model.threshold_cycles
             - 1
-            - int(rng.triangular(0, model.low_spread, model.low_spread * 0.25))
+            - int(rng.triangular(0, LOW_SPREAD, LOW_SPREAD * 0.25))
         )
     classified = cycles >= model.threshold_cycles
     return LatencySample(addr_a, addr_b, cycles, classified, truth)

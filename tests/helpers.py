@@ -28,6 +28,7 @@ from hammersim.dram_model import (
     Dram,
     DramGeometry,
     MappingSpec,
+    VulnCalibration,
     VulnerabilityMap,
     page_row_keys,
 )
@@ -93,6 +94,17 @@ def parse_report(text: str) -> list[TrialReport]:
                 kwargs[name] = raw
         out.append(TrialReport(**kwargs))
     return out
+
+
+def cells_map(geometry: DramGeometry, cells) -> VulnerabilityMap:
+    """A map holding exactly the given cells: zero density, with their rows
+    already in the row cache."""
+    vm = VulnerabilityMap(geometry, VulnCalibration())
+    for cell in cells:
+        geometry.validate_coord(cell.coord)
+        key = cell.coord.row_key()
+        vm._cache[key] = vm._cache.get(key, ()) + (cell,)
+    return vm
 
 
 def numpy_coord_keys(geometry: DramGeometry) -> np.ndarray:
@@ -300,7 +312,7 @@ def small_attack_sim(*, vuln: VulnerabilityMap | None = None, seed: int = 1,
          Partition("user", 64 * MIB + span, 63 * MIB)],
         row_span=span,
     )
-    dram = Dram(geo, vuln if vuln is not None else VulnerabilityMap(geo))
+    dram = Dram(geo, vuln)
     os_model = OsModel(dram, buddy)
     preload_workload(
         buddy, "kernel",

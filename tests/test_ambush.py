@@ -161,11 +161,7 @@ def test_drain_respects_budget():
 def test_drain_absorbs_fresh_blocks_up_to_cap():
     os_model, preload = build_sim(residue=2 * MIB, fresh=1 * MIB)
     mapper = MappingDriver(os_model, plan(24 * MIB, DRIVER_VIDEO))
-    drained, injected = drain_small_blocks(
-        os_model, mapper,
-        fresh_injector=lambda: preload.inject_fresh(os_model.buddy),
-        fresh_cap_bytes=1 * MIB,
-    )
+    drained, injected = drain_small_blocks(os_model, mapper, preload=preload)
     assert injected == 1 * MIB
     assert drained == 3 * MIB // PAGE_SIZE
     assert os_model.buddy.free_bytes_below("kernel", 3) == 0

@@ -53,7 +53,7 @@ def conservation_ok(buddy: BuddyState, partition: str) -> bool:
 
 def test_fresh_pool_is_max_order_blocks():
     buddy = make_pool(4 * MIB)
-    counts = buddy.buddy_info().order_counts("pool")
+    counts = buddy.buddy_info()["pool"]
     assert counts[-1] == 4 * MIB // (PAGE_SIZE << 10)
     assert sum(counts[:-1]) == 0
 
@@ -265,7 +265,7 @@ def test_preload_leaves_exact_residue():
     # Everything free is either a pristine max-order block or residue.
     residue = buddy.free_bytes_below("pool", buddy.max_order)
     assert residue == 3 * MIB
-    top = buddy.buddy_info().order_counts("pool")[buddy.max_order]
+    top = buddy.buddy_info()["pool"][buddy.max_order]
     assert buddy.free_bytes("pool") == residue + top * (PAGE_SIZE << 10)
     # Bulk blocks respect the low reserve and stay allocated.
     assert sum(b.size for b in state.bulk_blocks) == 16 * MIB

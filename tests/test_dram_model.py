@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -25,6 +26,7 @@ from hammersim.dram_model import (
     HammerParams,
     MappingError,
     MappingSpec,
+    VulnCalibration,
     VulnCell,
     VulnerabilityMap,
     derive_seed,
@@ -36,7 +38,7 @@ from hammersim.dram_model import (
 )
 from hammersim.profiles import dell_geometry
 
-from helpers import numpy_coord_keys, simple_mapping
+from helpers import cells_map, numpy_coord_keys, simple_mapping
 
 
 # --- derive_seed ---
@@ -287,9 +289,9 @@ def test_packed_row_keys_of_many_pages():
 
 def test_vuln_map_query_order_independent():
     geo = simple_mapping(banks=2, rows=64, row_size=8192)
-    kwargs = dict(weak_row_rate=0.5, cells_per_weak_row=3.0, seed=99)
-    a = VulnerabilityMap(geo, **kwargs)
-    b = VulnerabilityMap(geo, **kwargs)
+    cal = VulnCalibration(weak_row_rate=0.5, cells_per_weak_row=3.0)
+    a = VulnerabilityMap(geo, cal, seed=99)
+    b = VulnerabilityMap(geo, cal, seed=99)
     keys = [(0, 0, bank, row) for bank in range(2) for row in range(64)]
     for key in keys:
         a.cells_in_row(key)
@@ -302,15 +304,17 @@ def test_vuln_map_query_order_independent():
 def test_vuln_map_from_cells_and_validation():
     geo = simple_mapping(banks=2, rows=16, row_size=8192)
     cell = VulnCell(DramCoord(0, 0, 1, 5, 100), 3, 1.0, FLIP_ONE_TO_ZERO)
-    vm = VulnerabilityMap.from_cells(geo, [cell])
+    vm = cells_map(geo, [cell])
     assert vm.cells_in_row((0, 0, 1, 5)) == (cell,)
     assert vm.cells_in_row((0, 0, 0, 5)) == ()
     with pytest.raises(ValueError):
         VulnCell(DramCoord(0, 0, 1, 5, 0), 9, 1.0, FLIP_ONE_TO_ZERO)
     with pytest.raises(ValueError):
         VulnCell(DramCoord(0, 0, 1, 5, 0), 0, 1.5, FLIP_ONE_TO_ZERO)
-    with pytest.raises(ValueError):
-        VulnerabilityMap(geo, weak_row_rate=2.0)
+    for bad in (dict(weak_row_rate=2.0), dict(cells_per_weak_row=-1.0),
+                dict(cells_per_weak_row=math.nan), dict(cell_probability=1.5)):
+        with pytest.raises(ValueError):
+            VulnCalibration(**bad)
 
 
 # --- hammering ---
@@ -327,8 +331,8 @@ def _addr(geo: DramGeometry, bank: int, row: int, column: int = 0) -> int:
 def test_hammer_different_banks_never_flips():
     geo = _geo16()
     # Saturated map: every row weak, plenty of certain cells.
-    vm = VulnerabilityMap(geo, weak_row_rate=1.0, cells_per_weak_row=8.0,
-                          cell_probability=1.0, seed=1)
+    cal = VulnCalibration(weak_row_rate=1.0, cells_per_weak_row=8.0, cell_probability=1.0)
+    vm = VulnerabilityMap(geo, cal, seed=1)
     dram = Dram(geo, vm)
     flips = dram.hammer(
         [_addr(geo, 0, 4), _addr(geo, 1, 4)],
@@ -343,7 +347,7 @@ def test_double_sided_fires_exactly_the_planted_cell():
     geo = _geo16()
     coord = DramCoord(0, 0, 1, 5, 123)
     cell = VulnCell(coord, 6, 1.0, FLIP_ONE_TO_ZERO)
-    dram = Dram(geo, VulnerabilityMap.from_cells(geo, [cell]))
+    dram = Dram(geo, cells_map(geo, [cell]))
     flips = dram.hammer(
         [_addr(geo, 1, 4), _addr(geo, 1, 6)],
         reps=dram.params.dose,
@@ -361,7 +365,7 @@ def test_double_sided_fires_exactly_the_planted_cell():
 def test_single_sided_needs_bank_conflict_to_flip():
     geo = _geo16()
     cell = VulnCell(DramCoord(0, 0, 0, 5, 0), 0, 1.0, FLIP_ZERO_TO_ONE)
-    dram = Dram(geo, VulnerabilityMap.from_cells(geo, [cell]))
+    dram = Dram(geo, cells_map(geo, [cell]))
     reps = dram.params.dose * 2  # overcome the 0.5 multiplier
     # Lone aggressor next to the victim: row buffer stays open, no flips.
     assert dram.hammer([_addr(geo, 0, 4)], reps, MODE_SINGLE_SIDED,
@@ -375,14 +379,14 @@ def test_single_sided_needs_bank_conflict_to_flip():
 def test_one_location_hammers_without_conflict():
     geo = _geo16()
     cell = VulnCell(DramCoord(0, 0, 0, 1, 0), 2, 1.0, FLIP_ONE_TO_ZERO)
-    dram = Dram(geo, VulnerabilityMap.from_cells(geo, [cell]))
+    dram = Dram(geo, cells_map(geo, [cell]))
     reps = dram.params.dose * 5  # overcome the 0.2 multiplier
     flips = dram.hammer([_addr(geo, 0, 2)], reps, MODE_ONE_LOCATION,
                         random.Random(3))
     assert [f.coord.row_key() for f in flips] == [(0, 0, 0, 1)]
     # Victim row 0 via aggressor row 1: the lower neighbor is the edge.
     edge_cell = VulnCell(DramCoord(0, 0, 0, 0, 9), 1, 1.0, FLIP_ZERO_TO_ONE)
-    dram2 = Dram(geo, VulnerabilityMap.from_cells(geo, [edge_cell]))
+    dram2 = Dram(geo, cells_map(geo, [edge_cell]))
     flips2 = dram2.hammer([_addr(geo, 0, 1)], reps, MODE_ONE_LOCATION,
                           random.Random(3))
     assert [f.coord.row for f in flips2] == [0]
@@ -438,8 +442,8 @@ def test_activation_accounting():
 @settings(max_examples=60, deadline=None)
 def test_flips_confined_to_adjacent_rows(rows, seed):
     geo = _geo16()
-    vm = VulnerabilityMap(geo, weak_row_rate=1.0, cells_per_weak_row=4.0,
-                          cell_probability=1.0, seed=5)
+    cal = VulnCalibration(weak_row_rate=1.0, cells_per_weak_row=4.0, cell_probability=1.0)
+    vm = VulnerabilityMap(geo, cal, seed=5)
     dram = Dram(geo, vm)
     addrs = [_addr(geo, bank, row) for bank, row in rows]
     flips = dram.hammer(addrs, 10_000_000, MODE_SINGLE_SIDED,
@@ -466,8 +470,8 @@ def test_hammer_reproducible_bit_for_bit():
     geo = simple_mapping(banks=4, rows=64, row_size=8192)
     results = []
     for _ in range(2):
-        vm = VulnerabilityMap(geo, weak_row_rate=0.3, cells_per_weak_row=2.0,
-                              cell_probability=0.7, seed=42)
+        cal = VulnCalibration(weak_row_rate=0.3, cells_per_weak_row=2.0, cell_probability=0.7)
+        vm = VulnerabilityMap(geo, cal, seed=42)
         dram = Dram(geo, vm)
         rng = random.Random(42)
         run = []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import configparser
 import dataclasses
 import gc
 import os
@@ -335,6 +336,57 @@ def test_load_profile_fallbacks(tmp_path):
     assert profile.geometry.rows_per_bank == 32768
     with pytest.raises(ProfileError):
         load_profile(str(tmp_path / "missing.ini"))
+
+
+# Profile files the CLI must reject with exit 2 and a one-line error, not
+# a traceback or a run on ignored or out-of-range values.
+BAD_PROFILES = {
+    "max_order": ("[allocator]\nmax_order = -1\n", "error: max_order must be >= 0"),
+    "repeated_key": ("[hammer]\ndose = 5\ndose = 6\n",
+                     "option 'dose' in section 'hammer' already exists"),
+    "no_section_header": ("dose = 5\n[hammer]\n",
+                          "error: File contains no section headers"),
+    "percent": ("[profile]\nname = 100%\n", "error: [profile] '%'"),
+    "section_typo": ("[hamer]\ndose = 5\n", "error: unknown section [hamer]"),
+    "hammer_key_typo": ("[hammer]\ndoze = 5\n", "error: [hammer] unknown key 'doze'"),
+    "attack_key_typo": ("[attack]\nthreshold_vidoe = 10m\n",
+                        "error: [attack] unknown key 'threshold_vidoe'"),
+    "negative_residue": ("[workload]\nresidue_bytes = -2m\n",
+                         "error: residue_bytes must be >= 0"),
+    "negative_bulk": ("[workload]\nbulk_bytes = -8m\n", "error: bulk_bytes must be >= 0"),
+    "negative_fresh": ("[workload]\nfresh_bytes = -4k\n", "error: fresh_bytes must be >= 0"),
+    "pair_attempt_cap": ("[attack]\npair_attempt_cap = -1\n",
+                         "error: pair_attempt_cap must be >= 1"),
+    "conflict_rate": ("[channel]\nconflict_rate = 1.5\n",
+                      "error: [channel] p_high_given_conflict"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "buddyinfo"])
+@pytest.mark.parametrize("text,message", BAD_PROFILES.values(), ids=BAD_PROFILES)
+def test_cli_rejects_bad_profile(tmp_path, capsys, command, text, message):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--profile", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_readme_schema_sample_loads_as_dell(tmp_path):
+    # The documented sample lists every key the loader knows, and with
+    # dell's name it loads as dell.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    schema = readme.split("## Profile INI schema", 1)[1]
+    sample = schema.split("```ini\n", 1)[1].split("```", 1)[0]
+    documented = configparser.ConfigParser()
+    documented.read_string(sample)
+    assert {name: set(documented[name]) for name in documented.sections()} == {
+        name: set(keys) for name, (_, keys) in profiles._SCHEMA.items()}
+    path = tmp_path / "readme.ini"
+    path.write_text(sample.replace("name = mybox", "name = dell"))
+    assert load_profile(str(path)) == profiles.get_profile("dell")
 
 
 def test_get_profile_builds_only_the_named_profile(monkeypatch):

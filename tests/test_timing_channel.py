@@ -11,6 +11,8 @@ from hammersim.dram_model import PAGE_SIZE, Dram, unmap_dram_to_phys, DramCoord
 from hammersim.os_model import OsModel
 from hammersim.profiles import dell_profile, lenovo_profile
 from hammersim.timing_channel import (
+    HIGH_SPREAD,
+    LOW_SPREAD,
     ChannelError,
     ChannelModel,
     PairSelectionError,
@@ -64,7 +66,7 @@ def test_channel_model_validation():
     with pytest.raises(ValueError):
         ChannelModel(p_low_given_other=-0.1)
     with pytest.raises(ValueError):
-        ChannelModel(threshold_cycles=100, low_spread=120)
+        ChannelModel(threshold_cycles=LOW_SPREAD + 1)
 
 
 def _rate_check(model: ChannelModel, n: int = 10_000, seed: int = 1):
@@ -105,9 +107,9 @@ def test_classification_is_pure_threshold_rule():
         assert s.classified_conflict == (s.cycles >= model.threshold_cycles)
         assert s.cycles >= 0
         if s.classified_conflict:
-            assert s.cycles <= model.threshold_cycles + model.high_spread
+            assert s.cycles <= model.threshold_cycles + HIGH_SPREAD
         else:
-            assert s.cycles >= model.threshold_cycles - 1 - model.low_spread
+            assert s.cycles >= model.threshold_cycles - 1 - LOW_SPREAD
 
 
 def test_sampling_deterministic():
