@@ -61,7 +61,8 @@ class PlacementError(AmbushError):
 
 @dataclass(frozen=True)
 class AmbushPlan:
-    """Derived placement arithmetic for one threshold/driver combination."""
+    """Derived placement arithmetic for one threshold/driver combination;
+    plan() is its constructor."""
 
     threshold_mem_size: int
     driver: str
@@ -74,25 +75,6 @@ class AmbushPlan:
     map_mem_size: int
     vma_num: int
     vma_limit: int
-    page_size: int = PAGE_SIZE
-
-    def __post_init__(self) -> None:
-        if self.driver not in DRIVERS:
-            raise PlanError(f"unknown driver {self.driver!r}")
-        if self.pt_size != self.threshold_mem_size - self.dev_buf_size - self.file_size:
-            raise PlanError("pt_size does not balance the threshold")
-        if self.pt_size < 0:
-            raise PlanError("threshold too small for the device buffers")
-        if self.map_mem_size != self.pt_size * (self.page_size // 8):
-            raise PlanError("map_mem_size must be pt_size * entries-per-page-byte")
-        if self.vma_num != self.map_mem_size // self.file_size:
-            raise PlanError("vma_num does not match map_mem_size / file_size")
-        if self.vma_num >= self.vma_limit:
-            raise PlanError("vma_num must stay below the VMA limit")
-        if self.dev_request_bytes != self.chunk_size * self.chunk_count:
-            raise PlanError("device request must be chunk_size * chunk_count")
-        if self.dev_buf_size != (self.dev_request_bytes // MIB) * MIB:
-            raise PlanError("charged buffer size must be whole mebibytes")
 
 
 def plan(

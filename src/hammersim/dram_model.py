@@ -1,4 +1,4 @@
-"""DRAM geometry, physical-address mapping, row-buffer state, and hammering.
+"""DRAM geometry, physical-address mapping, and hammering.
 
 The address map is linear over GF(2), the form DRAMA (Pessl et al., USENIX
 Security 2016) measured on real memory controllers: every DIMM/rank/bank
@@ -341,17 +341,23 @@ class VulnCell:
             raise ValueError(f"unknown flip direction {self.direction!r}")
 
 
+# exp(-lam) underflows to zero near 745, so a larger mean is drawn as a sum
+# of independent draws with means of at most this much; the sum is exact.
+_POISSON_PART = 700.0
+
+
 def _poisson(rng: random.Random, lam: float) -> int:
-    if lam <= 0:
-        return 0
-    limit = math.exp(-lam)
+    """Knuth's product method, one part of at most _POISSON_PART at a time."""
     k = 0
-    p = 1.0
-    while True:
-        p *= rng.random()
-        if p <= limit:
-            return k
-        k += 1
+    while lam > 0:
+        part = min(lam, _POISSON_PART)
+        lam -= part
+        limit = math.exp(-part)
+        p = rng.random()
+        while p > limit:
+            k += 1
+            p *= rng.random()
+    return k
 
 
 @dataclass(frozen=True)
@@ -417,18 +423,6 @@ class VulnerabilityMap:
         return cells
 
 
-@dataclass
-class BankState:
-    """Per-bank open row and activation counters."""
-
-    open_row: int | None = None
-    activation_counts: dict[int, int] = field(default_factory=dict)
-
-    def activate(self, row: int, count: int = 1) -> None:
-        self.open_row = row
-        self.activation_counts[row] = self.activation_counts.get(row, 0) + count
-
-
 @dataclass(frozen=True)
 class HammerParams:
     """Knobs shared by all hammer calls.
@@ -472,7 +466,7 @@ class InjectedFlip:
 
 
 class Dram:
-    """Geometry plus bank state and the hammer entry point."""
+    """Geometry, the hammer entry point, and its activation count."""
 
     def __init__(
         self,
@@ -484,20 +478,7 @@ class Dram:
         self.vuln_map = (vuln_map if vuln_map is not None
                          else VulnerabilityMap(geometry, VulnCalibration()))
         self.params = params if params is not None else HammerParams()
-        self.banks: dict[tuple[int, int, int], BankState] = {}
-
-    def bank(self, key: tuple[int, int, int]) -> BankState:
-        state = self.banks.get(key)
-        if state is None:
-            state = BankState()
-            self.banks[key] = state
-        return state
-
-    @property
-    def total_activations(self) -> int:
-        return sum(
-            sum(b.activation_counts.values()) for b in self.banks.values()
-        )
+        self.total_activations = 0
 
     def hammer(
         self,
@@ -540,15 +521,13 @@ class Dram:
 
         hammered: list[tuple[tuple[int, int, int], int]] = []
         for key, rows in per_bank.items():
-            state = self.bank(key)
             if mode == MODE_ONE_LOCATION or len(rows) >= 2:
-                for row in rows:
-                    state.activate(row, reps)
-                    hammered.append((key, row))
+                self.total_activations += reps * len(rows)
+                hammered.extend((key, row) for row in rows)
             else:
                 # A lone row per bank stays in the row buffer: opened once,
                 # never re-activated, so it cannot disturb its neighbours.
-                state.activate(rows[0], 1)
+                self.total_activations += 1
 
         mult = self.params.multiplier(mode)
         dose_factor = reps / self.params.dose

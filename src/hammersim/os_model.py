@@ -11,11 +11,12 @@ up, with one table per 2 MiB window.  The tables are one list indexed by
 window number, so finding a page's entry, its run and its pristine value is
 arithmetic.
 
-The model keeps a dirty index over page-table entries and file-page headers
-(maintained from a single write hook on physical memory) so marker scans can
-visit only pages that can possibly differ from the marker.  Every candidate
-is re-read through the normal translation path before being reported, which
-keeps the scan's observable behaviour identical to a full linear sweep.
+The model keeps a dirty index over page-table entries (maintained from a
+single write hook on physical memory) so marker scans visit only pages behind
+a written entry: a page behind a pristine entry reads its own file page, and
+the scan never reports such a page.  Every candidate is re-read through the
+normal translation path before being reported, which keeps the scan's
+observable behaviour identical to a full linear sweep.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import struct
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import cycle
+from operator import attrgetter
 from typing import NamedTuple
 
 from .buddy_alloc import Block, BuddyState, OutOfMemoryError
@@ -116,7 +118,12 @@ class PteEntry:
     @classmethod
     def make(cls, pfn: int) -> "PteEntry":
         """A present, writable, user entry for frame pfn."""
-        return cls(pfn << PTE_PFN_SHIFT | PTE_PRESENT | PTE_WRITABLE | PTE_USER)
+        return cls(_user_pte(pfn))
+
+
+def _user_pte(pfn: int) -> int:
+    """The raw PteEntry.make(pfn), without building the record."""
+    return pfn << PTE_PFN_SHIFT | PTE_PRESENT | PTE_WRITABLE | PTE_USER
 
 
 class PhysicalMemory:
@@ -130,8 +137,7 @@ class PhysicalMemory:
     diverge.
 
     A single write hook reports every content change so the owner can keep
-    derived indexes current.  Writes with notify=False establish pristine
-    baseline content without triggering the hook.
+    derived indexes current.
     """
 
     def __init__(self) -> None:
@@ -162,18 +168,18 @@ class PhysicalMemory:
             return int.from_bytes(self.read(addr, 8), "little")
         return _U64.unpack_from(self.pages.get(pfn, ZERO_PAGE), off)[0]
 
-    def write(self, addr: int, data: bytes, *, notify: bool = True) -> None:
+    def write(self, addr: int, data: bytes) -> None:
         pos = 0
         while pos < len(data):
             pfn, off = divmod(addr + pos, PAGE_SIZE)
             n = min(len(data) - pos, PAGE_SIZE - off)
             self._page(pfn)[off : off + n] = data[pos : pos + n]
-            if notify and self.write_hook is not None:
+            if self.write_hook is not None:
                 self.write_hook(pfn, off, off + n)
             pos += n
 
-    def write_u64(self, addr: int, value: int, *, notify: bool = True) -> None:
-        self.write(addr, struct.pack("<Q", value), notify=notify)
+    def write_u64(self, addr: int, value: int) -> None:
+        self.write(addr, struct.pack("<Q", value))
 
     def flip_bit(self, addr: int, bit: int, direction: str) -> bool:
         """Apply a disturbance flip; returns False when the cell's pull
@@ -230,6 +236,9 @@ class MapRun(NamedTuple):
     @property
     def end(self) -> int:
         return self.base + self.count * self.file.size
+
+
+_RUN_BASE = attrgetter("base")
 
 
 class WindowTable(NamedTuple):
@@ -310,29 +319,25 @@ def cred_pattern(uid: int) -> bytes:
 
 
 class _DirtyIndexer:
-    """Physical memory's write hook: marks written table entries and
-    file-page headers in the model's dirty index.
+    """Physical memory's write hook: marks written table entries in the
+    model's dirty index.
 
     It holds the index maps rather than the model, so a model and its
     memory form no reference cycle and a finished model is freed at once
-    instead of waiting for a full run of the cycle collector.
+    instead of waiting for a full run of the cycle collector.  It is a
+    class, not a closure, because deepcopy shares a closure: a copied
+    model would then mark the original's index.
     """
 
-    def __init__(self, pt_windows, file_frames, pte_dirty, dirty_file_pages):
+    def __init__(self, pt_windows, pte_dirty):
         self.pt_windows = pt_windows
-        self.file_frames = file_frames
         self.pte_dirty = pte_dirty
-        self.dirty_file_pages = dirty_file_pages
 
     def __call__(self, pfn: int, start: int, end: int) -> None:
         window = self.pt_windows.get(pfn)
         if window is not None:
             for idx in range(start // PTE_SIZE, (end + PTE_SIZE - 1) // PTE_SIZE):
                 self.pte_dirty.setdefault(idx, set()).add(window + idx * PAGE_SIZE)
-        frame = self.file_frames.get(pfn)
-        if frame is not None and start < 8:
-            file_id, idx = frame
-            self.dirty_file_pages.setdefault(file_id, set()).add(idx)
 
 
 class OsModel:
@@ -355,18 +360,11 @@ class OsModel:
         self._pt_pfns: list[int] = []  # window number from MAP_BASE -> table
         self.windows = _Windows(self._pt_pfns)
         self._pt_windows: dict[int, int] = {}  # pt pfn -> window base
-        self._file_frames: dict[int, tuple[int, int]] = {}  # pfn -> (file_id, idx)
         self._buffer_pages: dict[int, int] = {}  # vpage -> pfn
         self._pt_templates: dict[tuple[int, int], bytes] = {}
         # entry index -> page vaddrs mapped through a dirty entry
         self._pte_dirty: dict[int, set[int]] = {}
-        self._dirty_file_pages: dict[int, set[int]] = {}
-        self.memory.write_hook = _DirtyIndexer(
-            self._pt_windows,
-            self._file_frames,
-            self._pte_dirty,
-            self._dirty_file_pages,
-        )
+        self.memory.write_hook = _DirtyIndexer(self._pt_windows, self._pte_dirty)
         self._next_buffer_base = BUFFER_BASE
 
     # -- files and mappings -------------------------------------------------
@@ -377,9 +375,6 @@ class OsModel:
         pfns = self.buddy.take_pages(self.user_partition, size // PAGE_SIZE, "tmp_file")
         file = TmpFile(len(self.files), size, tuple(pfns))
         self.files.append(file)
-        self._file_frames.update(
-            (pfn, (file.file_id, idx)) for idx, pfn in enumerate(pfns)
-        )
         return file
 
     def _pt_template(self, file: TmpFile, page_offset: int) -> bytes:
@@ -402,12 +397,16 @@ class OsModel:
             return self._pt_pfns[number] * PAGE_SIZE + entry * PTE_SIZE
         return None
 
+    def _file_pfn(self, vaddr: int) -> int:
+        """The file frame that mapped vaddr reads through a pristine entry."""
+        # Runs are appended at ascending bases and cover every window.
+        run = self.vmas[bisect.bisect_right(self.vmas, vaddr, key=_RUN_BASE) - 1]
+        pfns = run.file.pfns
+        return pfns[(vaddr - run.base) // PAGE_SIZE % len(pfns)]
+
     def pristine_pte(self, vaddr: int) -> int:
         """The entry the file mapping puts in place for mapped vaddr."""
-        # Runs are appended at ascending bases and cover every window.
-        run = self.vmas[bisect.bisect_right(self.vmas, vaddr, key=lambda r: r.base) - 1]
-        page = (vaddr - run.base) // PAGE_SIZE
-        return PteEntry.make(run.file.pfns[page % len(run.file.pfns)]).raw
+        return _user_pte(self._file_pfn(vaddr))
 
     def mmap_primitive(self, file: TmpFile, count: int = 1) -> list[int]:
         """Map the file count times back to back at the next free address
@@ -492,46 +491,36 @@ class OsModel:
 
     # -- marker scan ----------------------------------------------------------
 
-    def iter_nonmarker_pages(self, slot: int | None = None, *,
-                             entries_only: bool = False):
-        """Mapped pages whose first eight bytes differ from the marker,
-        ascending, reads honouring the TLB.
+    def iter_nonmarker_pages(self, slot: int | None = None):
+        """Scan candidates, ascending: mapped pages whose first eight
+        bytes, read honouring the TLB, are neither the marker nor the
+        header of the page's own file page (what reading the file returns).
 
         With slot given, only pages mapped through that entry index of
-        their table are visited.  With entries_only, pages reached through
-        an entry the index still counts as pristine are skipped: they read
-        their own file page's header, whichever mapping reaches it.
+        their table are visited.
 
-        Only dirty-index candidates are visited; any other page provably
-        still translates to a file page with an intact marker header.
-        Candidates whose table entry has returned to its pristine value, with
-        the TLB agreeing, and whose file header is intact are dropped from
-        the index.
+        Only pages behind a dirty table entry are visited; any other page
+        reads its own file page.  Candidates whose table entry has returned
+        to its pristine value, with the TLB agreeing, are dropped from the
+        index.
         """
         if slot is None:
             cands = set().union(*self._pte_dirty.values())
         else:
             cands = set(self._pte_dirty.get(slot, ()))
-        dirty_files = {} if entries_only else self._dirty_file_pages
-        for run in self.vmas:
-            for idx in dirty_files.get(run.file.file_id, ()):
-                if slot is None or idx % PTES_PER_PAGE == slot:
-                    cands.update(range(run.base + idx * PAGE_SIZE, run.end,
-                                       run.file.size))
         tlb = self.tlb.entries
         for vaddr in sorted(cands):
             value = self.read_u64_virtual(vaddr)
-            if value is not None and value != MARKER:
+            if (value != MARKER
+                    and value != self.memory.read_u64(self._file_pfn(vaddr) * PAGE_SIZE)):
                 yield vaddr
                 continue
-            dirty = self._pte_dirty.get(vaddr // PAGE_SIZE % PTES_PER_PAGE, ())
-            if vaddr in dirty:
-                raw = self.memory.read_u64(self._entry_addr(vaddr))
-                # A stale TLB entry keeps the page reading elsewhere
-                # until the next flush, so it stays a candidate.
-                if (raw == self.pristine_pte(vaddr)
-                        and tlb.get(vaddr) == (raw >> PTE_PFN_SHIFT) & PTE_PFN_MASK):
-                    dirty.discard(vaddr)
+            raw = self.memory.read_u64(self._entry_addr(vaddr))
+            # A stale TLB entry keeps the page reading elsewhere until the
+            # next flush, so it stays a candidate.
+            if (raw == self.pristine_pte(vaddr)
+                    and tlb.get(vaddr) == raw >> PTE_PFN_SHIFT & PTE_PFN_MASK):
+                self._pte_dirty[vaddr // PAGE_SIZE % PTES_PER_PAGE].discard(vaddr)
 
     # -- double-owned device buffers -------------------------------------------
 
@@ -611,7 +600,7 @@ class OsModel:
             raise OutOfMemoryError("no free page for a cred record")
         offset = rng.randrange(0, PAGE_SIZE - 24 + 1, 4)
         pfn = block.base // PAGE_SIZE
-        self.memory.write(pfn * PAGE_SIZE + offset, cred_pattern(uid), notify=False)
+        self.memory.write(pfn * PAGE_SIZE + offset, cred_pattern(uid))
         cred = CredPage(pid, pfn, offset, uid)
         self.creds[pid] = cred
         return cred

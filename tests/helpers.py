@@ -380,13 +380,13 @@ def fuzz_injections(os_model: OsModel, rng: random.Random, count: int) -> int:
 def brute_force_verify(os_model: OsModel) -> tuple[int, int] | None:
     """Reference probe scan that never consults the dirty index.
 
-    The candidate list comes from one linear sweep of every mapped page.
+    The candidate list comes from one linear sweep of every mapped page:
+    those that read neither the marker nor their own file page's header.
     Re-scans after each probe walk the stride-512 probe positions directly:
-    a page can only read non-marker if its entry or file header changed,
-    and between sweeps only slot-1 entries change (probe writes and their
+    between sweeps only slot-1 entries change (probe writes and their
     restores), so checking every slot-1 position reproduces the capture
     algorithm's reads, repairs, and result exactly.  A probe position that
-    read non-marker in the first sweep counts only once its header changes.
+    was a candidate in the first sweep counts only once its header changes.
     """
 
     def sweep(stride_from: int | None) -> list[tuple[int, int]]:
@@ -397,9 +397,13 @@ def brute_force_verify(os_model: OsModel) -> tuple[int, int] | None:
             if stride_from is not None:
                 start = vma.base + stride_from * PAGE_SIZE
                 step = 512 * PAGE_SIZE
+            pfns = vma.file.pfns
             for vaddr in range(start, vma.end, step):
                 value = os_model.read_u64_virtual(vaddr)
-                if value is not None and value != MARKER:
+                if value is None or value == MARKER:
+                    continue
+                own = pfns[(vaddr - vma.base) // PAGE_SIZE % len(pfns)]
+                if value != os_model.memory.read_u64(own * PAGE_SIZE):
                     out.append((vaddr, value))
         return out
 

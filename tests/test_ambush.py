@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from hammersim.ambush import (
     DRIVER_SG,
     DRIVER_VIDEO,
-    AmbushPlan,
     DrainError,
     MappingDriver,
     PlanError,
@@ -71,14 +70,6 @@ def test_plan_boundary_and_errors():
         plan(88 * MIB, "floppy")
     with pytest.raises(PlanError):
         plan(88 * MIB, DRIVER_VIDEO, file_size=3 * MIB)
-    with pytest.raises(PlanError):
-        AmbushPlan(
-            threshold_mem_size=88 * MIB, driver=DRIVER_VIDEO,
-            chunk_size=600 * 1024, chunk_count=32,
-            dev_request_bytes=32 * 600 * 1024, dev_buf_size=18 * MIB,
-            file_size=2 * MIB, pt_size=1 * MIB,  # does not balance
-            map_mem_size=512 * MIB, vma_num=256, vma_limit=65536,
-        )
 
 
 @given(st.integers(21, 500), st.integers(1, 1021), st.integers(1, 124))
@@ -97,6 +88,9 @@ def test_plan_invariants(threshold_mib, opens, reserved_kib):
         assert p.map_mem_size == p.pt_size * 512
         assert p.vma_num == p.map_mem_size // p.file_size
         assert p.vma_num < p.vma_limit
+        assert p.driver == driver
+        assert p.dev_request_bytes == p.chunk_size * p.chunk_count
+        assert p.dev_buf_size == p.dev_request_bytes // MIB * MIB
         assert p.dev_buf_size <= p.dev_request_bytes < p.dev_buf_size + MIB
         assert p.file_size % (2 * MIB) == 0
 

@@ -301,6 +301,16 @@ def test_vuln_map_query_order_independent():
         assert a.cells_in_row(key) == b.cells_in_row(key)
 
 
+def test_vuln_map_cell_count_past_exp_underflow():
+    # exp(-1000) underflows to zero: one product draw would stop near 745.
+    geo = simple_mapping(banks=2, rows=128, row_size=8192)
+    cal = VulnCalibration(weak_row_rate=1.0, cells_per_weak_row=1000.0)
+    vm = VulnerabilityMap(geo, cal, seed=3)
+    counts = [len(vm.cells_in_row((0, 0, bank, row)))
+              for bank in range(2) for row in range(100)]
+    assert abs(sum(counts) / len(counts) - 1000) < 50
+
+
 def test_vuln_map_from_cells_and_validation():
     geo = simple_mapping(banks=2, rows=16, row_size=8192)
     cell = VulnCell(DramCoord(0, 0, 1, 5, 100), 3, 1.0, FLIP_ONE_TO_ZERO)
@@ -428,12 +438,10 @@ def test_activation_accounting():
     dram = Dram(geo)
     dram.hammer([_addr(geo, 0, 4), _addr(geo, 0, 8)], 500,
                 MODE_SINGLE_SIDED, random.Random(0))
-    state = dram.bank((0, 0, 0))
-    assert state.activation_counts == {4: 500, 8: 500}
     assert dram.total_activations == 1000
     # A lone row is opened once, not hammered.
     dram.hammer([_addr(geo, 1, 3)], 500, MODE_SINGLE_SIDED, random.Random(0))
-    assert dram.bank((0, 0, 1)).activation_counts == {3: 1}
+    assert dram.total_activations == 1001
 
 
 @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 15)),

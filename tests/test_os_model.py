@@ -93,9 +93,9 @@ def test_write_hook_reports_ranges():
     seen = []
     mem.write_hook = lambda pfn, start, end: seen.append((pfn, start, end))
     mem.write(2 * PAGE_SIZE + 8, b"x" * 16)
-    mem.write(0, b"y", notify=False)
+    mem.write(0, b"y")
     mem.write_u64(2 * PAGE_SIZE, 7)
-    assert seen == [(2, 8, 24), (2, 0, 8)]
+    assert seen == [(2, 8, 24), (0, 0, 1), (2, 0, 8)]
 
 
 # --- copy-on-write pages ---
@@ -305,15 +305,18 @@ def test_demand_fault_heals_cleared_entry():
 
 def linear_sweep(os_model: OsModel, slot: int | None = None) -> list[int]:
     """Every mapped page (or every page at entry slot of its table),
-    ascending, through the same read path, never consulting the index."""
+    ascending, through the same read path, never consulting the index,
+    that reads neither the marker nor its own file page's header."""
     out = []
     for vma in os_model.vmas:
         start, step = vma.base, PAGE_SIZE
         if slot is not None:
             start, step = vma.base + slot * PAGE_SIZE, PT_SPAN
+        pfns = vma.file.pfns
         for vaddr in range(start, vma.end, step):
             value = os_model.read_u64_virtual(vaddr)
-            if value is not None and value != MARKER:
+            own = pfns[(vaddr - vma.base) // PAGE_SIZE % len(pfns)]
+            if value not in (MARKER, os_model.memory.read_u64(own * PAGE_SIZE)):
                 out.append(vaddr)
     return out
 
@@ -336,11 +339,17 @@ def test_scan_reports_redirected_and_corrupted_pages():
     victim_vma = os_model.vmas[1]
     os_model.memory.write_u64(pts[1] * PAGE_SIZE + 7 * 8,
                               PteEntry.make(0x7FF00).raw)
-    # Corrupt one shared file page header: every mapping sees it.
+    # Corrupt one shared file page header: every mapping of page 9 reads
+    # what the file holds, so none is a candidate.
     os_model.memory.write(file.pfns[9] * PAGE_SIZE, b"\x00")
-    expect = sorted([victim_vma.base + 7 * PAGE_SIZE]
-                    + [vma.base + 9 * PAGE_SIZE for vma in os_model.vmas])
+    # An entry for another file page, redirected onto page 9, reads a
+    # header that differs from its own.
+    os_model.memory.write_u64(pts[2] * PAGE_SIZE + 4 * 8,
+                              PteEntry.make(file.pfns[9]).raw)
+    expect = [victim_vma.base + 7 * PAGE_SIZE,
+              os_model.vmas[2].base + 4 * PAGE_SIZE]
     assert list(os_model.iter_nonmarker_pages()) == expect
+    assert linear_sweep(copy.deepcopy(os_model)) == expect
 
 
 def test_scan_matches_brute_force_sweep():
@@ -398,8 +407,9 @@ def test_scan_keeps_restored_entry_while_tlb_is_stale():
     assert list(os_model.iter_nonmarker_pages()) == []
     os_model.memory.write_u64(entry, pristine)
     assert list(os_model.iter_nonmarker_pages()) == []
+    # Page 3 reads its own file page; only the stale one is a candidate.
     os_model.memory.write(file.pfns[3] * PAGE_SIZE, b"\x00")
-    expect = [vaddr, vaddr + PAGE_SIZE]
+    expect = [vaddr]
     assert linear_sweep(copy.deepcopy(os_model)) == expect
     assert list(os_model.iter_nonmarker_pages()) == expect
 
@@ -464,9 +474,8 @@ class ScanMachine(RuleBasedStateMachine):
     @invariant()
     def scan_matches_linear_sweep(self):
         for slot in (None, 1):
-            # Reads never touch the allocator, DRAM, files or frame index.
-            shared = (self.os.buddy, self.os.dram, self.os._file_frames,
-                      *self.files)
+            # Reads never touch the allocator, DRAM or files.
+            shared = (self.os.buddy, self.os.dram, *self.files)
             twin = copy.deepcopy(self.os, {id(obj): obj for obj in shared})
             assert list(self.os.iter_nonmarker_pages(slot)) == linear_sweep(twin, slot)
             assert self.os.memory.pages == twin.memory.pages
@@ -536,8 +545,7 @@ def test_cred_plant_and_getuid():
     with pytest.raises(Exception):
         os_model.plant_cred(100, 0, rng)
     # Overwriting the record changes the observed uid.
-    os_model.memory.write(cred.pfn * PAGE_SIZE + cred.offset,
-                          cred_pattern(0), notify=False)
+    os_model.memory.write(cred.pfn * PAGE_SIZE + cred.offset, cred_pattern(0))
     assert os_model.getuid(100) == 0
 
 
