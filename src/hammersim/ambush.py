@@ -290,20 +290,17 @@ class AdjacencyReport:
 def verify_adjacency(os_model: OsModel, placement: Placement) -> AdjacencyReport:
     """Check whether any buffer row neighbours a page-table row in-bank.
 
-    Rows are compared as packed row keys; only reported pairs are decoded.
+    Rows are compared as packed row keys, read per page run (the table
+    runs as the allocator handed them out, one range per buffer chunk);
+    only reported pairs are decoded.
     """
     buffer = placement.buffer
     if buffer is None:
         return AdjacencyReport(False, ())
     geometry = os_model.dram.geometry
     rows = geometry.rows_per_bank
-    pt_rows = geometry.packed_row_keys(os_model.pt_pfns())
-    buffer_rows: set[int] = set()
-    for chunk in buffer.chunks:
-        first = chunk.block.base // PAGE_SIZE
-        buffer_rows |= geometry.packed_row_keys(
-            range(first, first + chunk.page_count())
-        )
+    pt_rows = geometry.packed_row_keys(os_model.pt_runs)
+    buffer_rows = geometry.packed_row_keys(chunk.frames() for chunk in buffer.chunks)
     found = []
     for key in buffer_rows:
         row = key % rows

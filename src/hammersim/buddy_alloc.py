@@ -11,7 +11,8 @@ Guard spans reserved by allocate_isolated_buffer belong to neither the free
 pool nor any owner; conservation is allocated + free + guard == capacity.
 
 take_pages hands out many order-0 pages in one pass, like Linux's
-rmqueue_bulk, and registers them as one run instead of one block per page.
+rmqueue_bulk, returns them as page runs, and registers them as one run
+instead of one block per page.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .dram_model import PAGE_SIZE
+from .dram_model import PAGE_SIZE, aligned_blocks
 
 
 class BuddyError(Exception):
@@ -81,12 +82,12 @@ class Block(NamedTuple):
 
 
 class Run(NamedTuple):
-    """Pages taken by one take_pages call, as (base, pages) spans; never
+    """Pages taken by one take_pages call, as page-number ranges; never
     freed."""
 
     partition: str
     owner: str
-    spans: tuple[tuple[int, int], ...]
+    spans: tuple[range, ...]
 
 
 @dataclass(frozen=True)
@@ -95,22 +96,6 @@ class IsolatedAllocation:
 
     block: Block
     guard_spans: tuple[tuple[int, int], ...]
-
-
-def _aligned_chunks(base: int, pages: int, max_order: int):
-    """Split an arbitrary page run into maximal buddy-aligned blocks."""
-    addr = base
-    remaining = pages
-    while remaining > 0:
-        page_index = addr // PAGE_SIZE
-        if page_index == 0:
-            align = max_order
-        else:
-            align = (page_index & -page_index).bit_length() - 1
-        order = min(align, max_order, remaining.bit_length() - 1)
-        yield addr, order
-        addr += PAGE_SIZE << order
-        remaining -= 1 << order
 
 
 class BuddyState:
@@ -159,8 +144,9 @@ class BuddyState:
         for p in parts:
             lists: list[list[int]] = [[] for _ in range(max_order + 1)]
             self._free[p.name] = lists
-            for addr, order in _aligned_chunks(p.base, p.size // PAGE_SIZE, max_order):
-                lists[order].append(addr)
+            for first, order in aligned_blocks(
+                    p.base // PAGE_SIZE, p.size // PAGE_SIZE, max_order):
+                lists[order].append(first * PAGE_SIZE)
             self._free_bytes[p.name] = p.size
 
     # -- queries ---------------------------------------------------------
@@ -258,9 +244,10 @@ class BuddyState:
                 return block
         raise OutOfMemoryError(f"no free block containing {base:#x}")
 
-    def take_pages(self, partition: str, n: int, owner: str) -> list[int]:
+    def take_pages(self, partition: str, n: int, owner: str) -> list[range]:
         """The frames that n allocate(partition, 0, owner) calls would
-        return, in that order, taken in one pass over the free lists.
+        return, in that order, taken in one pass over the free lists, as
+        ranges of page numbers: one per free block taken, or part taken.
 
         Order-0 allocations consume the free blocks in (order, address)
         order, each from its low end, so only the last block is split: its
@@ -277,32 +264,29 @@ class BuddyState:
                 f" free in partition {partition!r}"
             )
         lists = self._free[partition]
-        spans: list[tuple[int, int]] = []
+        spans: list[range] = []
         left = n
         for order, lst in enumerate(lists):
             if not left:
                 break
             whole = min(len(lst), left >> order)
-            spans.extend((base, 1 << order) for base in lst[:whole])
+            size = 1 << order
+            spans.extend(range(base // PAGE_SIZE, base // PAGE_SIZE + size)
+                         for base in lst[:whole])
             del lst[:whole]
             left -= whole << order
             if left and lst:
                 # Every lower list is empty now, so the pieces land alone.
-                base = lst.pop(0)
-                spans.append((base, left))
-                rest = base + left * PAGE_SIZE
-                for addr, o in _aligned_chunks(rest, (1 << order) - left, self.max_order):
-                    insort(lists[o], addr)
+                first = lst.pop(0) // PAGE_SIZE
+                spans.append(range(first, first + left))
+                for rest, o in aligned_blocks(first + left, size - left, self.max_order):
+                    insort(lists[o], rest * PAGE_SIZE)
                 left = 0
-        pfns: list[int] = []
-        for base, pages in spans:
-            first = base // PAGE_SIZE
-            pfns.extend(range(first, first + pages))
         if n:
             self._runs.append(Run(partition, owner, tuple(spans)))
             self._alloc_bytes[partition] += n * PAGE_SIZE
             self._free_bytes[partition] -= n * PAGE_SIZE
-        return pfns
+        return spans
 
     def _register(self, block: Block) -> None:
         self._allocated[block.base] = block
@@ -326,8 +310,8 @@ class BuddyState:
         self._alloc_bytes[partition] -= pages * PAGE_SIZE
         self._free_bytes[partition] += pages * PAGE_SIZE
         lists = self._free[partition]
-        for addr, order in _aligned_chunks(base, pages, self.max_order):
-            self._coalesce_in(lists, partition, addr, order)
+        for first, order in aligned_blocks(base // PAGE_SIZE, pages, self.max_order):
+            self._coalesce_in(lists, partition, first * PAGE_SIZE, order)
 
     def _coalesce_in(self, lists, partition: str, base: int, order: int) -> None:
         part = self.partitions[partition]
@@ -361,9 +345,9 @@ class BuddyState:
             lists = self._free[name]
             free = [(b, PAGE_SIZE << o) for o, lst in enumerate(lists) for b in lst]
             taken = [(b.base, b.size) for b in self.blocks(name)] + [
-                (b, pages * PAGE_SIZE)
+                (span.start * PAGE_SIZE, len(span) * PAGE_SIZE)
                 for run in self._runs if run.partition == name
-                for b, pages in run.spans]
+                for span in run.spans]
             if (sum(s for _, s in free), sum(s for _, s in taken)) != (
                     self._free_bytes[name], self._alloc_bytes[name]):
                 raise BuddyError(f"{name}: byte counters disagree with the blocks")

@@ -16,7 +16,9 @@ map_phys_to_dram, unmap_dram_to_phys and packed_row_keys read only these
 two matrices, through 8-bit slice lookup tables; packed_row_keys reads the
 forward matrix's page-number bits with the column already shifted out.  A
 packed row key is one int per (dimm, rank, bank, row), so row neighbours
-are key +/- 1.
+are key +/- 1.  Because the map is linear, the pages of an aligned block
+of 2**k pages touch the rows of its first page XOR one fixed set of keys,
+so packed_row_keys takes page runs and works per block, not per page.
 
 Hammering is cell-granular and seeded.  A row only disturbs its neighbours
 when it is re-activated repeatedly, which requires a row-buffer conflict:
@@ -30,10 +32,13 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from collections.abc import Collection
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 PAGE_SIZE = 4096
+
+# Largest block order, in pages, whose row keys a geometry precomputes.
+_KEY_BLOCK_MAX_ORDER = 10
 
 FLIP_ONE_TO_ZERO = "1to0"
 FLIP_ZERO_TO_ONE = "0to1"
@@ -108,6 +113,18 @@ def _slice_tables(images: list[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(tables)
 
 
+def aligned_blocks(first: int, pages: int, max_order: int):
+    """Split the pages first .. first + pages - 1 into maximal blocks that
+    are aligned to their own size, of order at most max_order, ascending:
+    yields (first page, order)."""
+    while pages > 0:
+        align = (first & -first).bit_length() - 1 if first else max_order
+        order = min(align, max_order, pages.bit_length() - 1)
+        yield first, order
+        first += 1 << order
+        pages -= 1 << order
+
+
 def _apply(tables: tuple[tuple[int, ...], ...], x: int) -> int:
     out = 0
     for table in tables:
@@ -178,12 +195,14 @@ class DramGeometry:
     row_size: int
     mapping: MappingSpec
     # Slice tables of the address matrix and of its inverse; slice tables
-    # from a page number to its base row key, the row keys XORed onto that
-    # key by the in-page address bits, and the page count.
+    # from a page number to its base row key; for each order k, the row
+    # keys of pages 0 .. 2**k - 1 (XORed onto a block's first base key they
+    # give the block's keys; order 0 holds the in-page deltas); and the
+    # page count.
     _forward: tuple = field(init=False, repr=False, compare=False)
     _inverse: tuple = field(init=False, repr=False, compare=False)
     _page_rows: tuple = field(init=False, repr=False, compare=False)
-    _page_deltas: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _block_keys: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _pages: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -241,10 +260,14 @@ class DramGeometry:
         for image in images[:page_shift]:
             deltas |= {d ^ (image >> column_width) for d in deltas}
         page_rows = [image >> column_width for image in images[page_shift:]]
+        # Pages 2**k .. 2**(k+1) - 1 are those below 2**k XOR page 2**k.
+        blocks = [deltas]
+        for image in page_rows[:_KEY_BLOCK_MAX_ORDER]:
+            blocks.append(blocks[-1] | {key ^ image for key in blocks[-1]})
         object.__setattr__(self, "_forward", _slice_tables(images))
         object.__setattr__(self, "_inverse", _slice_tables(_invert(images)))
         object.__setattr__(self, "_page_rows", _slice_tables(page_rows))
-        object.__setattr__(self, "_page_deltas", tuple(sorted(deltas)))
+        object.__setattr__(self, "_block_keys", tuple(tuple(sorted(b)) for b in blocks))
         object.__setattr__(self, "_pages", 1 << (addr_bits - page_shift))
 
     @property
@@ -274,20 +297,31 @@ class DramGeometry:
         dimm, rank = divmod(key, self.ranks_per_dimm)
         return (dimm, rank, bank, row)
 
-    def packed_row_keys(self, pfns: Collection[int]) -> set[int]:
-        """Packed row keys of every row the given 4 KiB pages touch.
+    def packed_row_keys(self, runs: Iterable[range]) -> set[int]:
+        """Packed row keys of every row the 4 KiB pages of the given page
+        runs (ranges of page numbers, step 1) touch.
+
+        Each run is split into aligned blocks.  An order-k block's pages
+        are its first page XOR 0 .. 2**k - 1 and the map is linear, so its
+        keys are its first page's base key XOR the precomputed keys of
+        pages 0 .. 2**k - 1.
 
         In-bank neighbours of key k are k - 1 and k + 1, unless k's row is
         the first or the last of its bank.
         """
-        if pfns:
-            low, high = min(pfns), max(pfns)
-            if low < 0 or high >= self._pages:
-                bad = low if low < 0 else high
+        tables, blocks = self._page_rows, self._block_keys
+        cap = len(blocks) - 1
+        bases: list[set[int]] = [set() for _ in blocks]  # per block order
+        for run in runs:
+            if not run:
+                continue
+            if run.start < 0 or run.stop > self._pages:
+                bad = run.start if run.start < 0 else run.stop - 1
                 raise AddressRangeError(f"page {bad:#x} outside capacity")
-        tables = self._page_rows
-        bases = {_apply(tables, pfn) for pfn in pfns}
-        return {key ^ d for key in bases for d in self._page_deltas}
+            for first, order in aligned_blocks(run.start, len(run), cap):
+                bases[order].add(_apply(tables, first))
+        return {base ^ key for order, keys in enumerate(blocks)
+                for base in bases[order] for key in keys}
 
 
 def rows_size_per_row_index(geometry: DramGeometry) -> int:
@@ -320,7 +354,8 @@ def unmap_dram_to_phys(coord: DramCoord, geometry: DramGeometry) -> int:
 
 def page_row_keys(pfn: int, geometry: DramGeometry) -> set[tuple[int, int, int, int]]:
     """All (dimm, rank, bank, row) keys a 4 KiB page touches."""
-    return {geometry.unpack_row_key(key) for key in geometry.packed_row_keys((pfn,))}
+    return {geometry.unpack_row_key(key)
+            for key in geometry.packed_row_keys((range(pfn, pfn + 1),))}
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import random
 import struct
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import cycle
+from itertools import chain, cycle
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -276,6 +276,11 @@ class BufferChunk:
     def page_count(self) -> int:
         return -(-self.size // PAGE_SIZE)
 
+    def frames(self) -> range:
+        """The frames of the chunk's pages."""
+        first = self.block.base // PAGE_SIZE
+        return range(first, first + self.page_count())
+
 
 @dataclass
 class DoubleOwnedBuffer:
@@ -358,6 +363,7 @@ class OsModel:
         self.files: list[TmpFile] = []
         self.creds: dict[int, CredPage] = {}
         self._pt_pfns: list[int] = []  # window number from MAP_BASE -> table
+        self.pt_runs: list[range] = []  # the table frames, as taken
         self.windows = _Windows(self._pt_pfns)
         self._pt_windows: dict[int, int] = {}  # pt pfn -> window base
         self._buffer_pages: dict[int, int] = {}  # vpage -> pfn
@@ -372,8 +378,8 @@ class OsModel:
     def create_tmp_file(self, size: int) -> TmpFile:
         if size <= 0 or size % PT_SPAN:
             raise ValueError("file size must be a positive multiple of 2 MiB")
-        pfns = self.buddy.take_pages(self.user_partition, size // PAGE_SIZE, "tmp_file")
-        file = TmpFile(len(self.files), size, tuple(pfns))
+        runs = self.buddy.take_pages(self.user_partition, size // PAGE_SIZE, "tmp_file")
+        file = TmpFile(len(self.files), size, tuple(chain.from_iterable(runs)))
         self.files.append(file)
         return file
 
@@ -421,10 +427,12 @@ class OsModel:
         if sum(run.count for run in self.vmas) + count >= self.vma_limit:
             raise VmaLimitError(f"mapping limit of {self.vma_limit} reached")
         windows = file.size // PT_SPAN
-        pfns = self.buddy.take_pages(self.kernel_partition, count * windows, "page_table")
+        runs = self.buddy.take_pages(self.kernel_partition, count * windows, "page_table")
+        pfns = list(chain.from_iterable(runs))
         # Windows are contiguous from MAP_BASE, so the next one is free.
         run = MapRun(MAP_BASE + len(self._pt_pfns) * PT_SPAN, file, count)
         self.vmas.append(run)
+        self.pt_runs.extend(runs)
         self._pt_pfns.extend(pfns)
         self._pt_windows.update(zip(pfns, range(run.base, run.end, PT_SPAN)))
         templates = [self._pt_template(file, w * PTES_PER_PAGE) for w in range(windows)]
@@ -572,12 +580,10 @@ class OsModel:
         for chunk in buffer.chunks:
             base = self._next_buffer_base
             chunk.vbase = base
-            pages = chunk.page_count()
-            self._next_buffer_base += (pages + 1) * PAGE_SIZE
-            for i in range(pages):
-                self._buffer_pages[base + i * PAGE_SIZE] = (
-                    chunk.block.base // PAGE_SIZE + i
-                )
+            frames = chunk.frames()
+            self._next_buffer_base += (len(frames) + 1) * PAGE_SIZE
+            self._buffer_pages.update(zip(range(base, base + len(frames) * PAGE_SIZE,
+                                                PAGE_SIZE), frames))
         buffer.user_mapped = True
 
     # -- creds ------------------------------------------------------------------
@@ -623,3 +629,6 @@ class OsModel:
 
     def pt_pfns(self) -> set[int]:
         return set(self._pt_pfns)
+
+    def is_pt_frame(self, pfn: int) -> bool:
+        return pfn in self._pt_windows

@@ -271,8 +271,10 @@ def test_adjacency_stops_at_bank_edges(table_row, adjacent):
     def page(bank, row):
         return ((row << 14) | (bank << 13)) // PAGE_SIZE
 
+    table = page(*table_row)
     os_model = SimpleNamespace(dram=SimpleNamespace(geometry=geo),
-                               pt_pfns=lambda: {page(*table_row)})
+                               pt_pfns=lambda: {table},
+                               pt_runs=[range(table, table + 1)])
     chunk = BufferChunk(Block("kernel", page(1, 0) * PAGE_SIZE, 1, "t"), PAGE_SIZE)
     placement = SimpleNamespace(buffer=SimpleNamespace(chunks=[chunk]))
     report = verify_adjacency(os_model, placement)

@@ -321,6 +321,13 @@ def test_buddyinfo_text_lists_partitions():
 # --- bulk page takes ---
 
 
+def frames(runs: list[range]) -> list[int]:
+    """The pages of take_pages' runs in order; every run is a non-empty
+    step-1 range."""
+    assert all(type(run) is range and run.step == 1 and run for run in runs)
+    return [pfn for run in runs for pfn in run]
+
+
 def allocator_state(buddy: BuddyState):
     return (copy.deepcopy(buddy._free), buddy.buddy_info(),
             buddy.free_bytes("pool"), buddy.allocated_bytes("pool"))
@@ -367,7 +374,7 @@ def test_take_pages_equals_sequential_order0_allocations(seed, case, data):
         assert allocator_state(buddy) == before
         return
     want = [twin.allocate("pool", 0, "page_table").base // PAGE_SIZE for _ in range(n)]
-    assert buddy.take_pages("pool", n, "page_table") == want
+    assert frames(buddy.take_pages("pool", n, "page_table")) == want
     assert allocator_state(buddy) == allocator_state(twin)
     buddy.check_invariants()
 
@@ -378,7 +385,7 @@ def test_take_pages_on_the_dell_preload():
     n = 15872  # the table pages of one dell/video placement
     want = [twin.allocate(KERNEL_PARTITION, 0, "page_table").base // PAGE_SIZE
             for _ in range(n)]
-    assert buddy.take_pages(KERNEL_PARTITION, n, "page_table") == want
+    assert frames(buddy.take_pages(KERNEL_PARTITION, n, "page_table")) == want
     assert buddy._free == twin._free
     assert buddy.buddy_info() == twin.buddy_info()
     buddy.check_invariants()
@@ -386,7 +393,7 @@ def test_take_pages_on_the_dell_preload():
 
 def test_free_rejects_pages_of_a_run():
     buddy = make_pool(1 * MIB)
-    pfns = buddy.take_pages("pool", 3, "page_table")
+    pfns = frames(buddy.take_pages("pool", 3, "page_table"))
     for pfn in pfns:
         with pytest.raises(FreeError):
             buddy.free(Block("pool", pfn * PAGE_SIZE, 1, "page_table"))
@@ -514,7 +521,7 @@ class AllocatorMachine(RuleBasedStateMachine):
                 self.buddy.take_pages("pool", n, "page_table")
             return
         want = [self.oracle.allocate("pool", 0) // PAGE_SIZE for _ in range(n)]
-        assert self.buddy.take_pages("pool", n, "page_table") == want
+        assert frames(self.buddy.take_pages("pool", n, "page_table")) == want
 
     @invariant()
     def matches_oracle(self):

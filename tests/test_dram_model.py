@@ -254,14 +254,16 @@ def test_page_row_keys_span():
     assert len(page_row_keys(3, geo)) == 1
 
 
+# In-page auxiliary bits (7 and 9) under bank selectors whose primaries sit
+# above the page offset split every page across all four banks, on top of
+# the in-page DIMM primary (bit 6): 8 row keys per page.
+AUX_GEOMETRY = DramGeometry(2, 1, 4, 8, 8192, MappingSpec.make(
+    dimm=[[6, 15]], rank=[], bank=[[13, 7], [14, 9, 16]], row_range=(15, 17)))
+AUX_ROW_KEYS = numpy_coord_keys(AUX_GEOMETRY) // np.uint64(AUX_GEOMETRY.row_size)
+
+
 def test_page_row_keys_match_oracle():
-    # In-page auxiliary bits (7 and 9) under bank selectors whose primaries
-    # sit above the page offset split every page across all four banks, on
-    # top of the in-page DIMM primary (bit 6): 8 row keys per page.
-    geo = DramGeometry(2, 1, 4, 8, 8192, MappingSpec.make(
-        dimm=[[6, 15]], rank=[], bank=[[13, 7], [14, 9, 16]],
-        row_range=(15, 17)))
-    row_keys = numpy_coord_keys(geo) // np.uint64(geo.row_size)
+    geo, row_keys = AUX_GEOMETRY, AUX_ROW_KEYS
     for pfn in range(geo.capacity // PAGE_SIZE):
         truth = set(row_keys[pfn * PAGE_SIZE:(pfn + 1) * PAGE_SIZE].tolist())
         packed = {
@@ -275,13 +277,51 @@ def test_page_row_keys_match_oracle():
 
 def test_packed_row_keys_of_many_pages():
     geo = dell_geometry()
-    pfns = {0, 1, 7, 4096, 12345, geo.capacity // PAGE_SIZE - 1}
-    union = set().union(*(geo.packed_row_keys((pfn,)) for pfn in pfns))
-    assert geo.packed_row_keys(pfns) == union
-    assert geo.packed_row_keys(range(8, 8)) == set()
-    for bad in ({-1, 0}, {3, geo.capacity // PAGE_SIZE}):
+    last = geo.capacity // PAGE_SIZE - 1
+    runs = [range(pfn, pfn + 1) for pfn in (0, 1, 7, 4096, 12345, last)]
+    union = set().union(*(geo.packed_row_keys([run]) for run in runs))
+    assert geo.packed_row_keys(runs) == union
+    assert geo.packed_row_keys([range(8, 8)]) == set()
+    for bad in ([range(-1, 1)], [range(3, 4), range(last + 1, last + 2)]):
         with pytest.raises(AddressRangeError):
             geo.packed_row_keys(bad)
+
+
+@st.composite
+def page_runs(draw, pages: int, max_length: int) -> range:
+    """A run of up to max_length pages inside capacity, often a long one,
+    from an unaligned start, a start aligned to 2**11 pages, or ending on
+    the last page."""
+    top = min(max_length, pages)
+    length = draw(st.integers(0, top) | st.integers(top // 2, top))
+    start = draw(st.integers(0, pages - length)
+                 | st.integers(0, (pages - length) >> 11).map(lambda i: i << 11)
+                 | st.just(pages - length))
+    return range(start, start + length)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_packed_row_keys_of_runs_are_exact(data):
+    # Runs cross the precomputed block order (2**10 pages) on dell; the
+    # in-page auxiliary geometry has only 128 pages.
+    geo, pages = AUX_GEOMETRY, AUX_GEOMETRY.capacity // PAGE_SIZE
+    run = data.draw(page_runs(pages, pages), label="aux run")
+    truth = set(AUX_ROW_KEYS[run.start * PAGE_SIZE:run.stop * PAGE_SIZE].tolist())
+    assert geo.packed_row_keys([run]) == truth
+
+    dell = dell_geometry()
+    pages = dell.capacity // PAGE_SIZE
+    runs = data.draw(st.lists(page_runs(pages, 3000), max_size=2), label="dell runs")
+    union = set().union(*(dell.packed_row_keys([range(pfn, pfn + 1)])
+                          for run in runs for pfn in run))
+    assert dell.packed_row_keys(runs) == union
+
+    length = data.draw(st.integers(1, 3000), label="outside length")
+    start = data.draw(st.integers(-length, -1) | st.integers(pages - length + 1, pages),
+                      label="outside start")
+    with pytest.raises(AddressRangeError):
+        dell.packed_row_keys([range(start, start + length)])
 
 
 # --- vulnerability map ---
