@@ -22,6 +22,7 @@ from .buddy_alloc import PreloadState
 from .dram_model import PAGE_SIZE, target_block_size
 from .dram_model import page_row_keys  # noqa: F401  (bench/tracer.py patches it here)
 from .os_model import (
+    KERNEL_PARTITION,
     PT_SPAN,
     OsModel,
     SG_MAX_BYTES,
@@ -202,7 +203,7 @@ def _drain_phase(
     """
     target_order = _order_of(target_block_size(os_model.dram.geometry))
     small_pages = (
-        os_model.buddy.free_bytes_below(os_model.kernel_partition, target_order)
+        os_model.buddy.free_bytes_below(KERNEL_PARTITION, target_order)
         // PAGE_SIZE
     )
     per_map = mapper.pages_per_map

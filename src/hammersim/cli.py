@@ -6,7 +6,7 @@ import argparse
 import os
 import sys
 
-from .ambush import AmbushError, DRIVER_VIDEO, DRIVERS, plan, run_ambush
+from .ambush import AmbushError, DRIVER_VIDEO, DRIVERS
 from .buddy_alloc import BuddyError
 from .dram_model import DramError, derive_seed
 from .harness import (
@@ -14,6 +14,7 @@ from .harness import (
     STRATEGY_AMBUSH,
     build_sim,
     emit_report,
+    place,
     run_trials,
 )
 from .os_model import OsModelError
@@ -94,13 +95,7 @@ def _cmd_buddyinfo(args: argparse.Namespace) -> int:
     sys.stdout.write("after preload:\n")
     sys.stdout.write(bundle.buddy.buddyinfo_text() + "\n")
     if args.placement:
-        threshold = (
-            profile.threshold_for(args.driver)
-            if args.threshold_bytes is None
-            else args.threshold_bytes
-        )
-        plan_ = plan(threshold, args.driver, sg_opens=profile.sg_opens)
-        run_ambush(bundle.os, plan_, preload=bundle.preload)
+        place(bundle, args.driver, args.threshold_bytes)
         sys.stdout.write("after placement:\n")
         sys.stdout.write(bundle.buddy.buddyinfo_text() + "\n")
     return 0

@@ -22,9 +22,8 @@ so packed_row_keys takes page runs and works per block, not per page.
 
 Hammering is cell-granular and seeded.  A row only disturbs its neighbours
 when it is re-activated repeatedly, which requires a row-buffer conflict:
-two aggressor rows in the same bank, or the one-location mode where the
-controller closes rows on its own.  Flips are drawn per vulnerable cell with
-probability scaled by hammer mode and activation dose.
+two aggressor rows in the same bank.  Flips are drawn per vulnerable cell
+with probability scaled by the single-sided multiplier and activation dose.
 """
 
 from __future__ import annotations
@@ -44,11 +43,6 @@ FLIP_ONE_TO_ZERO = "1to0"
 FLIP_ZERO_TO_ONE = "0to1"
 FLIP_DIRECTIONS = (FLIP_ONE_TO_ZERO, FLIP_ZERO_TO_ONE)
 
-MODE_DOUBLE_SIDED = "double_sided"
-MODE_SINGLE_SIDED = "single_sided"
-MODE_ONE_LOCATION = "one_location"
-HAMMER_MODES = (MODE_DOUBLE_SIDED, MODE_SINGLE_SIDED, MODE_ONE_LOCATION)
-
 
 class DramError(Exception):
     """Base class for DRAM model errors."""
@@ -59,10 +53,6 @@ class AddressRangeError(DramError):
 
 
 class MappingError(DramError):
-    pass
-
-
-class HammerModeError(DramError):
     pass
 
 
@@ -463,31 +453,18 @@ class HammerParams:
     """Knobs shared by all hammer calls.
 
     dose is the activation count at which a cell's configured probability
-    applies unscaled; mode multipliers keep double-sided the most effective
-    and one-location the least.
+    applies unscaled; single_sided_multiplier scales it for hammering a
+    timed same-bank pair whose rows need not sandwich the victim.
     """
 
     dose: int = 1_000_000
-    double_sided_multiplier: float = 1.0
     single_sided_multiplier: float = 0.5
-    one_location_multiplier: float = 0.2
 
     def __post_init__(self) -> None:
         if self.dose <= 0:
             raise ValueError("dose must be positive")
-        for mode in HAMMER_MODES:
-            m = self.multiplier(mode)
-            if not (m >= 0.0 and math.isfinite(m)):
-                raise ValueError(f"{mode}_multiplier must be finite and >= 0")
-
-    def multiplier(self, mode: str) -> float:
-        if mode == MODE_DOUBLE_SIDED:
-            return self.double_sided_multiplier
-        if mode == MODE_SINGLE_SIDED:
-            return self.single_sided_multiplier
-        if mode == MODE_ONE_LOCATION:
-            return self.one_location_multiplier
-        raise HammerModeError(f"unknown hammer mode {mode!r}")
+        if not 0.0 <= self.single_sided_multiplier < math.inf:
+            raise ValueError("single_sided_multiplier must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -519,34 +496,18 @@ class Dram:
         self,
         aggressors: list[int],
         reps: int,
-        mode: str,
         rng: random.Random,
     ) -> list[InjectedFlip]:
         """Activate aggressor rows and draw flips in their neighbours.
 
-        Only rows that suffer repeated re-activation disturb anything:
-        in double/single-sided modes that means at least two distinct
-        aggressor rows in the same bank; one-location relies on the
-        controller's own closing policy instead.
+        Only rows that suffer repeated re-activation disturb anything,
+        which takes at least two distinct aggressor rows in the same bank.
         """
-        if mode not in HAMMER_MODES:
-            raise HammerModeError(f"unknown hammer mode {mode!r}")
         if not aggressors:
-            raise HammerModeError("at least one aggressor address required")
+            raise ValueError("at least one aggressor address required")
         if reps <= 0:
             raise ValueError("reps must be positive")
         coords = [map_phys_to_dram(a, self.geometry) for a in aggressors]
-
-        if mode == MODE_ONE_LOCATION and len(coords) != 1:
-            raise HammerModeError("one_location takes exactly one aggressor")
-        if mode == MODE_DOUBLE_SIDED:
-            if len(coords) != 2:
-                raise HammerModeError("double_sided takes exactly two aggressors")
-            a, b = coords
-            if a.bank_key() != b.bank_key() or abs(a.row - b.row) != 2:
-                raise HammerModeError(
-                    "double_sided aggressors must sandwich one victim row in one bank"
-                )
 
         per_bank: dict[tuple[int, int, int], list[int]] = {}
         for c in coords:
@@ -556,7 +517,7 @@ class Dram:
 
         hammered: list[tuple[tuple[int, int, int], int]] = []
         for key, rows in per_bank.items():
-            if mode == MODE_ONE_LOCATION or len(rows) >= 2:
+            if len(rows) >= 2:
                 self.total_activations += reps * len(rows)
                 hammered.extend((key, row) for row in rows)
             else:
@@ -564,7 +525,7 @@ class Dram:
                 # never re-activated, so it cannot disturb its neighbours.
                 self.total_activations += 1
 
-        mult = self.params.multiplier(mode)
+        mult = self.params.single_sided_multiplier
         dose_factor = reps / self.params.dose
         flips: list[InjectedFlip] = []
         fired: set[tuple[tuple[int, int, int, int], int, int]] = set()

@@ -22,6 +22,7 @@ from dataclasses import dataclass, fields
 from .ambush import (
     DRIVER_VIDEO,
     DRIVERS,
+    Placement,
     plan,
     run_ambush,
     verify_adjacency,
@@ -106,9 +107,24 @@ class SimBundle:
     preload: PreloadState
 
 
-def _small_max_order(profile: MachineProfile) -> int:
+def _preload(buddy: BuddyState, partition: str, profile: MachineProfile,
+             trial_seed: int, *, fresh_bytes: int) -> PreloadState:
+    """The profile's background workload in partition, seeded per trial.
+
+    preload_workload is looked up in this module at call time, where
+    bench/tracer.py patches it.
+    """
     target_pages = target_block_size(profile.geometry) // PAGE_SIZE
-    return target_pages.bit_length() - 2
+    return preload_workload(
+        buddy,
+        partition,
+        residue_bytes=profile.residue_bytes,
+        bulk_bytes=profile.bulk_bytes,
+        reserve_low_bytes=profile.reserve_low_bytes,
+        small_max_order=target_pages.bit_length() - 2,
+        rng=random.Random(derive_seed(trial_seed, "preload")),
+        fresh_bytes=fresh_bytes,
+    )
 
 
 def build_sim(profile: MachineProfile, trial_seed: int) -> SimBundle:
@@ -129,19 +145,28 @@ def build_sim(profile: MachineProfile, trial_seed: int) -> SimBundle:
         row_span=row_span,
     )
     os_model = OsModel(dram, buddy)
-    preload = preload_workload(
-        buddy,
-        KERNEL_PARTITION,
-        residue_bytes=profile.residue_bytes,
-        bulk_bytes=profile.bulk_bytes,
-        reserve_low_bytes=profile.reserve_low_bytes,
-        small_max_order=_small_max_order(profile),
-        rng=random.Random(derive_seed(trial_seed, "preload")),
-        fresh_bytes=profile.fresh_bytes,
-    )
+    preload = _preload(buddy, KERNEL_PARTITION, profile, trial_seed,
+                       fresh_bytes=profile.fresh_bytes)
     return SimBundle(
         profile=profile, dram=dram, buddy=buddy, os=os_model, preload=preload
     )
+
+
+def place(
+    bundle: SimBundle,
+    driver: str,
+    threshold_bytes: int | None = None,
+    *,
+    mitigation: bool = False,
+) -> Placement:
+    """Run the ambush placement on a built simulator, at the profile's
+    threshold for driver unless threshold_bytes is given."""
+    profile = bundle.profile
+    threshold = (
+        profile.threshold_for(driver) if threshold_bytes is None else threshold_bytes
+    )
+    plan_ = plan(threshold, driver, sg_opens=profile.sg_opens)
+    return run_ambush(bundle.os, plan_, mitigation=mitigation, preload=bundle.preload)
 
 
 def _run_ambush_trial(
@@ -157,13 +182,7 @@ def _run_ambush_trial(
     available = bundle.buddy.free_bytes(KERNEL_PARTITION) + bundle.buddy.free_bytes(
         USER_PARTITION
     )
-    threshold = (
-        profile.threshold_for(driver) if threshold_bytes is None else threshold_bytes
-    )
-    plan_ = plan(threshold, driver, sg_opens=profile.sg_opens)
-    placement = run_ambush(
-        bundle.os, plan_, mitigation=mitigation, preload=bundle.preload
-    )
+    placement = place(bundle, driver, threshold_bytes, mitigation=mitigation)
     adjacency = verify_adjacency(bundle.os, placement)
     bundle.os.plant_cred(
         DEFAULT_PID, DEFAULT_UID, random.Random(derive_seed(trial_seed, "cred"))
@@ -190,7 +209,7 @@ def _run_ambush_trial(
         strategy=STRATEGY_AMBUSH,
         driver=driver,
         mitigation=mitigation,
-        threshold_bytes=threshold,
+        threshold_bytes=placement.plan.threshold_mem_size,
         available_bytes=available,
         footprint_bytes=placement.footprint_bytes,
         adjacency=adjacency.adjacent,
@@ -272,15 +291,7 @@ def _run_baseline_trial(
         max_order=profile.max_order,
         row_span=rows_size_per_row_index(geometry),
     )
-    preload_workload(
-        buddy,
-        POOL_PARTITION,
-        residue_bytes=profile.residue_bytes,
-        bulk_bytes=profile.bulk_bytes,
-        reserve_low_bytes=profile.reserve_low_bytes,
-        small_max_order=_small_max_order(profile),
-        rng=random.Random(derive_seed(trial_seed, "preload")),
-    )
+    _preload(buddy, POOL_PARTITION, profile, trial_seed, fresh_bytes=0)
     available = buddy.free_bytes(POOL_PARTITION)
     if strategy == STRATEGY_FENG_SHUI:
         footprint, pt_pages = _feng_shui_footprint(buddy, profile)

@@ -353,8 +353,6 @@ class OsModel:
     ) -> None:
         self.dram = dram
         self.buddy = buddy
-        self.kernel_partition = KERNEL_PARTITION
-        self.user_partition = USER_PARTITION
         self.vma_limit = vma_limit
         self.map_base = MAP_BASE
         self.memory = PhysicalMemory()
@@ -378,7 +376,7 @@ class OsModel:
     def create_tmp_file(self, size: int) -> TmpFile:
         if size <= 0 or size % PT_SPAN:
             raise ValueError("file size must be a positive multiple of 2 MiB")
-        runs = self.buddy.take_pages(self.user_partition, size // PAGE_SIZE, "tmp_file")
+        runs = self.buddy.take_pages(USER_PARTITION, size // PAGE_SIZE, "tmp_file")
         file = TmpFile(len(self.files), size, tuple(chain.from_iterable(runs)))
         self.files.append(file)
         return file
@@ -427,7 +425,7 @@ class OsModel:
         if sum(run.count for run in self.vmas) + count >= self.vma_limit:
             raise VmaLimitError(f"mapping limit of {self.vma_limit} reached")
         windows = file.size // PT_SPAN
-        runs = self.buddy.take_pages(self.kernel_partition, count * windows, "page_table")
+        runs = self.buddy.take_pages(KERNEL_PARTITION, count * windows, "page_table")
         pfns = list(chain.from_iterable(runs))
         # Windows are contiguous from MAP_BASE, so the next one is free.
         run = MapRun(MAP_BASE + len(self._pt_pfns) * PT_SPAN, file, count)
@@ -565,13 +563,13 @@ class OsModel:
         for _ in range(count):
             if isolated:
                 isolation = self.buddy.allocate_isolated_buffer(
-                    self.kernel_partition, chunk_bytes, owner
+                    KERNEL_PARTITION, chunk_bytes, owner
                 )
                 chunks.append(BufferChunk(isolation.block, chunk_bytes))
                 guards.extend(isolation.guard_spans)
             else:
                 pages = -(-chunk_bytes // PAGE_SIZE)
-                block = self.buddy.allocate_pages(self.kernel_partition, pages, owner)
+                block = self.buddy.allocate_pages(KERNEL_PARTITION, pages, owner)
                 chunks.append(BufferChunk(block, chunk_bytes))
         return DoubleOwnedBuffer(driver, chunks, tuple(guards))
 
@@ -592,13 +590,13 @@ class OsModel:
         """Place a process's identity record at a random free user page."""
         if pid in self.creds:
             raise OsModelError(f"pid {pid} already has a cred page")
-        part = self.buddy.partitions[self.user_partition]
+        part = self.buddy.partitions[USER_PARTITION]
         pages = part.size // PAGE_SIZE
         block = None
         for _ in range(10000):
             base = part.base + rng.randrange(pages) * PAGE_SIZE
             try:
-                block = self.buddy.allocate_at(self.user_partition, base, 0, "cred")
+                block = self.buddy.allocate_at(USER_PARTITION, base, 0, "cred")
                 break
             except OutOfMemoryError:
                 continue

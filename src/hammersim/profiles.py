@@ -239,9 +239,7 @@ _SCHEMA = {
     }),
     "hammer": ("hammer", {
         "dose": ("dose", int),
-        "double_sided_multiplier": ("double_sided_multiplier", float),
         "single_sided_multiplier": ("single_sided_multiplier", float),
-        "one_location_multiplier": ("one_location_multiplier", float),
     }),
     "attack": (None, {
         "threshold_video": (("thresholds", DRIVER_VIDEO), _parse_size),

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .dram_model import DramGeometry, map_phys_to_dram
+from .dram_model import PAGE_SIZE, DramGeometry, map_phys_to_dram
 
 CONFLICT_THRESHOLD_CYCLES = 360
 # Widths of the latency lobes above and below the threshold, in cycles.
@@ -102,8 +102,8 @@ def sample_latency(os_model, vaddr_a: int, vaddr_b: int, model: ChannelModel, rn
     if pa is None or pb is None:
         raise ChannelError("cannot time an unmapped address")
     geometry = os_model.dram.geometry
-    byte_a = pa * 4096 + (vaddr_a & 4095)
-    byte_b = pb * 4096 + (vaddr_b & 4095)
+    byte_a = pa * PAGE_SIZE + vaddr_a % PAGE_SIZE
+    byte_b = pb * PAGE_SIZE + vaddr_b % PAGE_SIZE
     return sample_latency_phys(byte_a, byte_b, geometry, model, rng)
 
 
@@ -114,21 +114,18 @@ def select_hammer_pair(
     rng: random.Random,
     *,
     max_attempts: int = 5000,
-) -> tuple[tuple[int, int], int, list[LatencySample]]:
+) -> tuple[tuple[int, int], int]:
     """Probe random page pairs until one classifies as a row conflict.
 
-    Returns the virtual pair, the attempt count, and the samples drawn.
-    Raises PairSelectionError when the attempt budget runs out.
+    Returns the virtual pair and the attempt count.  Raises
+    PairSelectionError when the attempt budget runs out.
     """
     if len(page_vaddrs) < 2:
         raise PairSelectionError("need at least two pages to time")
-    samples: list[LatencySample] = []
     for attempt in range(1, max_attempts + 1):
         a, b = rng.sample(page_vaddrs, 2)
-        sample = sample_latency(os_model, a, b, model, rng)
-        samples.append(sample)
-        if sample.classified_conflict:
-            return (a, b), attempt, samples
+        if sample_latency(os_model, a, b, model, rng).classified_conflict:
+            return (a, b), attempt
     raise PairSelectionError(
         f"no conflicting pair classified within {max_attempts} attempts"
     )

@@ -181,7 +181,7 @@ def test_drain_count_matches_one_at_a_time_loop(per_map):
         for budget in range(5):
             for cap_bytes in (None, 0, 1, PAGE_SIZE, 2 * PAGE_SIZE, 3 * PAGE_SIZE + 1):
                 os_model = SimpleNamespace(
-                    dram=SimpleNamespace(geometry=geometry), kernel_partition="kernel",
+                    dram=SimpleNamespace(geometry=geometry),
                     buddy=SimpleNamespace(
                         free_bytes_below=lambda *_: small_pages * PAGE_SIZE))
                 made = []

@@ -14,15 +14,11 @@ from hammersim.dram_model import (
     FLIP_DIRECTIONS,
     FLIP_ONE_TO_ZERO,
     FLIP_ZERO_TO_ONE,
-    MODE_DOUBLE_SIDED,
-    MODE_ONE_LOCATION,
-    MODE_SINGLE_SIDED,
     PAGE_SIZE,
     AddressRangeError,
     Dram,
     DramCoord,
     DramGeometry,
-    HammerModeError,
     HammerParams,
     MappingError,
     MappingSpec,
@@ -387,100 +383,60 @@ def test_hammer_different_banks_never_flips():
     flips = dram.hammer(
         [_addr(geo, 0, 4), _addr(geo, 1, 4)],
         reps=10_000_000,
-        mode=MODE_SINGLE_SIDED,
         rng=random.Random(0),
     )
     assert flips == []
 
 
-def test_double_sided_fires_exactly_the_planted_cell():
+def test_single_sided_needs_bank_conflict_to_flip():
     geo = _geo16()
-    coord = DramCoord(0, 0, 1, 5, 123)
-    cell = VulnCell(coord, 6, 1.0, FLIP_ONE_TO_ZERO)
+    coord = DramCoord(0, 0, 0, 5, 123)
+    cell = VulnCell(coord, 6, 1.0, FLIP_ZERO_TO_ONE)
     dram = Dram(geo, cells_map(geo, [cell]))
-    flips = dram.hammer(
-        [_addr(geo, 1, 4), _addr(geo, 1, 6)],
-        reps=dram.params.dose,
-        mode=MODE_DOUBLE_SIDED,
-        rng=random.Random(0),
-    )
+    reps = dram.params.dose * 2  # overcome the 0.5 multiplier
+    # Lone aggressor next to the victim: row buffer stays open, no flips.
+    assert dram.hammer([_addr(geo, 0, 4)], reps, random.Random(0)) == []
+    # Same aggressor plus a far row in the same bank: conflict, and the
+    # planted cell fires exactly.
+    flips = dram.hammer([_addr(geo, 0, 4), _addr(geo, 0, 12)], reps,
+                        random.Random(0))
     assert len(flips) == 1
     flip = flips[0]
     assert flip.coord == coord
     assert flip.bit == 6
-    assert flip.direction == FLIP_ONE_TO_ZERO
+    assert flip.direction == FLIP_ZERO_TO_ONE
     assert flip.addr == unmap_dram_to_phys(coord, geo)
 
 
-def test_single_sided_needs_bank_conflict_to_flip():
+def test_single_sided_flips_at_bank_edge():
+    # Victim row 0 via aggressor row 1: the lower neighbour is the edge.
     geo = _geo16()
-    cell = VulnCell(DramCoord(0, 0, 0, 5, 0), 0, 1.0, FLIP_ZERO_TO_ONE)
-    dram = Dram(geo, cells_map(geo, [cell]))
+    edge_cell = VulnCell(DramCoord(0, 0, 0, 0, 9), 1, 1.0, FLIP_ONE_TO_ZERO)
+    dram = Dram(geo, cells_map(geo, [edge_cell]))
     reps = dram.params.dose * 2  # overcome the 0.5 multiplier
-    # Lone aggressor next to the victim: row buffer stays open, no flips.
-    assert dram.hammer([_addr(geo, 0, 4)], reps, MODE_SINGLE_SIDED,
-                       random.Random(0)) == []
-    # Same aggressor plus a far row in the same bank: conflict, flips.
-    flips = dram.hammer([_addr(geo, 0, 4), _addr(geo, 0, 12)], reps,
-                        MODE_SINGLE_SIDED, random.Random(0))
-    assert [f.coord.row for f in flips] == [5]
-
-
-def test_one_location_hammers_without_conflict():
-    geo = _geo16()
-    cell = VulnCell(DramCoord(0, 0, 0, 1, 0), 2, 1.0, FLIP_ONE_TO_ZERO)
-    dram = Dram(geo, cells_map(geo, [cell]))
-    reps = dram.params.dose * 5  # overcome the 0.2 multiplier
-    flips = dram.hammer([_addr(geo, 0, 2)], reps, MODE_ONE_LOCATION,
+    flips = dram.hammer([_addr(geo, 0, 1), _addr(geo, 0, 9)], reps,
                         random.Random(3))
-    assert [f.coord.row_key() for f in flips] == [(0, 0, 0, 1)]
-    # Victim row 0 via aggressor row 1: the lower neighbor is the edge.
-    edge_cell = VulnCell(DramCoord(0, 0, 0, 0, 9), 1, 1.0, FLIP_ZERO_TO_ONE)
-    dram2 = Dram(geo, cells_map(geo, [edge_cell]))
-    flips2 = dram2.hammer([_addr(geo, 0, 1)], reps, MODE_ONE_LOCATION,
-                          random.Random(3))
-    assert [f.coord.row for f in flips2] == [0]
+    assert [f.coord.row_key() for f in flips] == [(0, 0, 0, 0)]
 
 
 def test_hammer_mode_validation():
     geo = _geo16()
     dram = Dram(geo)
     rng = random.Random(0)
-    with pytest.raises(HammerModeError):
-        dram.hammer([_addr(geo, 0, 4)], 1000, "triple_sided", rng)
-    with pytest.raises(HammerModeError):
-        dram.hammer([], 1000, MODE_SINGLE_SIDED, rng)
     with pytest.raises(ValueError):
-        dram.hammer([_addr(geo, 0, 4)], 0, MODE_SINGLE_SIDED, rng)
-    # double_sided must sandwich exactly one row in one bank.
-    with pytest.raises(HammerModeError):
-        dram.hammer([_addr(geo, 0, 4)], 1000, MODE_DOUBLE_SIDED, rng)
-    with pytest.raises(HammerModeError):
-        dram.hammer([_addr(geo, 0, 4), _addr(geo, 0, 5)], 1000,
-                    MODE_DOUBLE_SIDED, rng)
-    with pytest.raises(HammerModeError):
-        dram.hammer([_addr(geo, 0, 4), _addr(geo, 1, 6)], 1000,
-                    MODE_DOUBLE_SIDED, rng)
-    with pytest.raises(HammerModeError):
-        dram.hammer([_addr(geo, 0, 4), _addr(geo, 0, 6)], 1000,
-                    MODE_ONE_LOCATION, rng)
-
-
-def test_mode_multipliers_ordered():
-    params = HammerParams()
-    assert (params.multiplier(MODE_DOUBLE_SIDED)
-            > params.multiplier(MODE_SINGLE_SIDED)
-            > params.multiplier(MODE_ONE_LOCATION) > 0)
+        dram.hammer([], 1000, rng)
+    with pytest.raises(ValueError):
+        dram.hammer([_addr(geo, 0, 4)], 0, rng)
 
 
 def test_activation_accounting():
     geo = _geo16()
     dram = Dram(geo)
     dram.hammer([_addr(geo, 0, 4), _addr(geo, 0, 8)], 500,
-                MODE_SINGLE_SIDED, random.Random(0))
+                random.Random(0))
     assert dram.total_activations == 1000
     # A lone row is opened once, not hammered.
-    dram.hammer([_addr(geo, 1, 3)], 500, MODE_SINGLE_SIDED, random.Random(0))
+    dram.hammer([_addr(geo, 1, 3)], 500, random.Random(0))
     assert dram.total_activations == 1001
 
 
@@ -494,8 +450,7 @@ def test_flips_confined_to_adjacent_rows(rows, seed):
     vm = VulnerabilityMap(geo, cal, seed=5)
     dram = Dram(geo, vm)
     addrs = [_addr(geo, bank, row) for bank, row in rows]
-    flips = dram.hammer(addrs, 10_000_000, MODE_SINGLE_SIDED,
-                        random.Random(seed))
+    flips = dram.hammer(addrs, 10_000_000, random.Random(seed))
     per_bank: dict[int, set[int]] = {}
     for bank, row in rows:
         per_bank.setdefault(bank, set()).add(row)
@@ -526,6 +481,6 @@ def test_hammer_reproducible_bit_for_bit():
         for row in (4, 8, 20, 33):
             run.extend(dram.hammer(
                 [_addr(geo, 1, row), _addr(geo, 1, row + 2)],
-                500_000, MODE_SINGLE_SIDED, rng))
+                500_000, rng))
         results.append(run)
     assert results[0] == results[1]

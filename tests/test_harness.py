@@ -316,15 +316,18 @@ def test_load_profile_hammer_section(tmp_path):
 
 
 @pytest.mark.parametrize("line", ["dose = 0", "dose = many",
-                                  "one_location_multiplier = -0.5",
-                                  "double_sided_multiplier = nan"])
+                                  "single_sided_multiplier = -0.5",
+                                  "single_sided_multiplier = nan"])
 def test_cli_rejects_bad_hammer_value(tmp_path, capsys, line):
     path = tmp_path / "hammer.ini"
     path.write_text(f"[hammer]\n{line}\n")
     with pytest.raises(SystemExit) as exc:
         main(["run", "--profile", str(path)])
     assert exc.value.code == 2
-    assert "error: [hammer]" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # A known key with a bad value: the error names the key's value check.
+    assert err.startswith("error: [hammer] ") and "unknown key" not in err
+    assert line.split(" = ")[0] in err
 
 
 def test_load_profile_fallbacks(tmp_path):
@@ -349,6 +352,10 @@ BAD_PROFILES = {
     "percent": ("[profile]\nname = 100%\n", "error: [profile] '%'"),
     "section_typo": ("[hamer]\ndose = 5\n", "error: unknown section [hamer]"),
     "hammer_key_typo": ("[hammer]\ndoze = 5\n", "error: [hammer] unknown key 'doze'"),
+    "double_sided_multiplier": ("[hammer]\ndouble_sided_multiplier = 7.5\n",
+                                "error: [hammer] unknown key 'double_sided_multiplier'"),
+    "one_location_multiplier": ("[hammer]\none_location_multiplier = 3.0\n",
+                                "error: [hammer] unknown key 'one_location_multiplier'"),
     "attack_key_typo": ("[attack]\nthreshold_vidoe = 10m\n",
                         "error: [attack] unknown key 'threshold_vidoe'"),
     "negative_residue": ("[workload]\nresidue_bytes = -2m\n",

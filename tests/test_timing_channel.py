@@ -142,10 +142,9 @@ def test_select_hammer_pair_finds_true_conflict():
     os_model, buffer = _buffer_os()
     model = ChannelModel()  # perfect rates
     pages = buffer.page_vaddrs()
-    (va, vb), attempts, samples = select_hammer_pair(
+    (va, vb), attempts = select_hammer_pair(
         os_model, pages, model, random.Random(2))
-    assert 1 <= attempts == len(samples)
-    assert samples[-1].classified_conflict
+    assert attempts >= 1
     pa = os_model.translate(va) * PAGE_SIZE
     pb = os_model.translate(vb) * PAGE_SIZE
     assert is_row_conflict_pair(pa, pb, os_model.dram.geometry)
