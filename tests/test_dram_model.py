@@ -388,6 +388,26 @@ def test_hammer_different_banks_never_flips():
     assert flips == []
 
 
+def test_double_sided_fires_exactly_the_planted_cell():
+    # Aggressor rows 4 and 6 of one bank sandwich victim row 5: the pair
+    # conflicts, both neighbours draw the cell, and it is reported once.
+    geo = _geo16()
+    coord = DramCoord(0, 0, 1, 5, 123)
+    cell = VulnCell(coord, 6, 1.0, FLIP_ONE_TO_ZERO)
+    dram = Dram(geo, cells_map(geo, [cell]))
+    flips = dram.hammer(
+        [_addr(geo, 1, 4), _addr(geo, 1, 6)],
+        reps=dram.params.dose * 2,  # overcome the 0.5 multiplier
+        rng=random.Random(0),
+    )
+    assert len(flips) == 1
+    flip = flips[0]
+    assert flip.coord == coord
+    assert flip.bit == 6
+    assert flip.direction == FLIP_ONE_TO_ZERO
+    assert flip.addr == unmap_dram_to_phys(coord, geo)
+
+
 def test_single_sided_needs_bank_conflict_to_flip():
     geo = _geo16()
     coord = DramCoord(0, 0, 0, 5, 123)
