@@ -11,8 +11,9 @@ Guard spans reserved by allocate_isolated_buffer belong to neither the free
 pool nor any owner; conservation is allocated + free + guard == capacity.
 
 take_pages hands out many order-0 pages in one pass, like Linux's
-rmqueue_bulk, returns them as page runs, and registers them as one run
-instead of one block per page.
+rmqueue_bulk, as page ranges registered as one run, not one block per page.
+preload_workload places the background workload against bitmasks of free
+pages, then writes the free lists once.
 """
 
 from __future__ import annotations
@@ -62,10 +63,7 @@ class Partition:
 
 class Block(NamedTuple):
     """A live allocation; pages need not be a power of two for carve-outs.
-
-    A named tuple rather than a frozen dataclass: a tuple is built in about
-    half the time.
-    """
+    (A named tuple: built in half the time of a frozen dataclass.)"""
 
     partition: str
     base: int
@@ -82,8 +80,8 @@ class Block(NamedTuple):
 
 
 class Run(NamedTuple):
-    """Pages taken by one take_pages call, as page-number ranges; never
-    freed."""
+    """Pages taken by one take_pages call or by the workload preload, as
+    page-number ranges; never freed."""
 
     partition: str
     owner: str
@@ -121,17 +119,13 @@ class BuddyState:
                 raise ValueError("row_span must be a positive multiple of the page size")
             for p in parts:
                 if p.base % row_span or p.size % row_span:
-                    raise ValueError(
-                        f"partition {p.name} must be aligned to the row span"
-                    )
+                    raise ValueError(f"partition {p.name} must be aligned to the row span")
         for a, b in zip(parts, parts[1:]):
             gap = b.base - a.end
             if gap < 0:
                 raise ValueError("partitions overlap")
-            if len(parts) > 1 and row_span is not None and gap < row_span:
-                raise ValueError(
-                    "partitions must be separated by at least one row-index span"
-                )
+            if row_span is not None and gap < row_span:
+                raise ValueError("partitions must be separated by at least one row-index span")
         self.partitions: dict[str, Partition] = {p.name: p for p in parts}
         self.max_order = max_order
         self.row_span = row_span
@@ -168,9 +162,6 @@ class BuddyState:
     def allocated_bytes(self, partition: str) -> int:
         return self._alloc_bytes[partition]
 
-    def guard_spans(self, partition: str) -> tuple[tuple[int, int], ...]:
-        return tuple(self._guards[partition])
-
     def free_bytes_below(self, partition: str, order: int) -> int:
         lists = self._free[partition]
         return sum(len(lists[o]) * (PAGE_SIZE << o) for o in range(min(order, len(lists))))
@@ -198,9 +189,7 @@ class BuddyState:
                 block = Block(partition, base, 1 << order, owner)
                 self._register(block)
                 return block
-        raise OutOfMemoryError(
-            f"no free block of order >= {order} in partition {partition!r}"
-        )
+        raise OutOfMemoryError(f"no free block of order >= {order} in partition {partition!r}")
 
     def allocate_pages(self, partition: str, pages: int, owner: str) -> Block:
         """Contiguous run of exactly `pages` pages; the covering block's tail
@@ -259,10 +248,8 @@ class BuddyState:
         if n < 0:
             raise ValueError("page count must not be negative")
         if n * PAGE_SIZE > self._free_bytes[partition]:
-            raise OutOfMemoryError(
-                f"{n} pages requested, {self._free_bytes[partition] // PAGE_SIZE}"
-                f" free in partition {partition!r}"
-            )
+            raise OutOfMemoryError(f"{n} pages requested, {self._free_bytes[partition] // PAGE_SIZE}"
+                                   f" free in partition {partition!r}")
         lists = self._free[partition]
         spans: list[range] = []
         left = n
@@ -283,9 +270,7 @@ class BuddyState:
                     insort(lists[o], rest * PAGE_SIZE)
                 left = 0
         if n:
-            self._runs.append(Run(partition, owner, tuple(spans)))
-            self._alloc_bytes[partition] += n * PAGE_SIZE
-            self._free_bytes[partition] -= n * PAGE_SIZE
+            self._register_run(Run(partition, owner, tuple(spans)), n)
         return spans
 
     def _register(self, block: Block) -> None:
@@ -293,6 +278,11 @@ class BuddyState:
         size = block.pages * PAGE_SIZE
         self._alloc_bytes[block.partition] += size
         self._free_bytes[block.partition] -= size
+
+    def _register_run(self, run: Run, pages: int) -> None:
+        self._runs.append(run)
+        self._alloc_bytes[run.partition] += pages * PAGE_SIZE
+        self._free_bytes[run.partition] -= pages * PAGE_SIZE
 
     # -- freeing ---------------------------------------------------------
 
@@ -411,14 +401,10 @@ _PLACE_ATTEMPTS = 2000
 
 @dataclass
 class PreloadState:
-    """What the workload preload left behind.
+    """What the workload preload left behind: fresh_halves are allocated
+    blocks whose buddies are allocated too, so freeing one later injects
+    exactly its bytes as a small free block, without any coalescing."""
 
-    fresh_halves are allocated blocks whose buddies are also allocated;
-    freeing one later injects exactly that many bytes of small free blocks
-    into the pool without any coalescing.
-    """
-
-    bulk_blocks: list[Block]
     fresh_halves: list[Block]
 
     def inject_fresh(self, buddy: "BuddyState") -> int:
@@ -443,11 +429,16 @@ def preload_workload(
 ) -> PreloadState:
     """Seed a background-workload memory state.
 
-    Allocates bulk blocks at random positions above the reserved low region
-    (those stay allocated), then constructs exactly residue_bytes of free
-    small blocks whose buddies stay allocated, so they cannot coalesce away.
-    fresh_bytes builds additional small blocks that stay allocated until
-    PreloadState.inject_fresh releases them.
+    Bulk blocks and (anchor, half) buddy pairs go to random aligned places
+    above the reserved low region.  residue_bytes of halves stay free and
+    cannot coalesce past their allocated anchors; fresh_bytes of halves stay
+    allocated until PreloadState.inject_fresh frees them.  Every other free
+    page outside a whole free max-order block is taken, with the bulk and
+    the anchors, as one run.  Each place is tested against its max-order
+    block's bitmask of free pages: as no free buddies are left apart, an
+    aligned range can be carved exactly when all of it is free.  The free
+    lists are written once, at the end, so an OutOfMemoryError changes
+    nothing.
     """
     if residue_bytes % PAGE_SIZE or fresh_bytes % PAGE_SIZE:
         raise ValueError("residue and fresh bytes must be page granular")
@@ -455,76 +446,85 @@ def preload_workload(
     lo = part.base + reserve_low_bytes
     if lo >= part.end:
         raise ValueError("low reserve leaves no room for the workload")
+    top, end = buddy.max_order, part.end // PAGE_SIZE
+    span = 1 << top
+    full = (1 << span) - 1
+    lists = buddy._free[partition]
+    free = dict.fromkeys(range(part.base // PAGE_SIZE >> top, (end - 1 >> top) + 1), 0)
+    for order, lst in enumerate(lists):
+        for base in lst:
+            pfn = base // PAGE_SIZE
+            free[pfn >> top] |= ((1 << (1 << order)) - 1) << (pfn & (span - 1))
+    initial = dict(free)
 
-    def place(order: int, owner: str) -> Block:
-        size = PAGE_SIZE << order
-        start = -(-lo // size) * size
-        slots = (part.end - start) // size
+    def place(order: int, failure: str) -> int:
+        """First page of a random free aligned range of 2**order pages
+        above the reserve, now taken; at top + 1, two max-order blocks."""
+        pages = 1 << order
+        start = -(-lo // (pages * PAGE_SIZE)) * pages
+        slots = (end - start) // pages
         if slots <= 0:
             raise OutOfMemoryError("region too small for requested order")
-        # Only the message is kept: holding the exception would tie its
-        # traceback's frames, and the caller's whole model, into a cycle.
-        last_error: str | None = None
+        bits = (1 << min(pages, span)) - 1
         for _ in range(_PLACE_ATTEMPTS):
-            base = start + rng.randrange(slots) * size
-            try:
-                return buddy.allocate_at(partition, base, order, owner)
-            except OutOfMemoryError as exc:
-                last_error = str(exc)
-        raise OutOfMemoryError(f"workload placement failed: {last_error}")
+            pfn = start + rng.randrange(slots) * pages
+            key, mask = pfn >> top, bits << (pfn & (span - 1))
+            if free[key] & mask == mask and (pages <= span or free[key + 1] == full):
+                free[key] ^= mask
+                if pages > span:
+                    free[key + 1] = 0
+                return pfn
+        raise OutOfMemoryError(failure)
 
-    bulk_blocks: list[Block] = []
-    placed = 0
-    while placed < bulk_bytes:
-        order = buddy.max_order
-        while order > 0 and (PAGE_SIZE << order) > bulk_bytes - placed:
+    left = bulk_bytes
+    while left > 0:
+        order = top
+        while order > 0 and (PAGE_SIZE << order) > left:
             order -= 1
-        block = place(order, "workload")
-        bulk_blocks.append(block)
-        placed += block.size
+        place(order, "workload placement failed")
+        left -= PAGE_SIZE << order
 
-    def build_pairs(total_bytes: int) -> list[Block]:
-        """Allocated (anchor, half) buddy pairs; returns the halves."""
-        halves: list[Block] = []
+    def build_pairs(total_bytes: int) -> list[tuple[int, int]]:
+        """Place buddy pairs; returns each half's first page and order."""
+        halves: list[tuple[int, int]] = []
         remaining = total_bytes // PAGE_SIZE
         while remaining > 0:
-            top = min(small_max_order, remaining.bit_length() - 1)
-            order = rng.randint(0, top)
-            size = PAGE_SIZE << order
-            pair_size = size * 2
-            start = -(-lo // pair_size) * pair_size
-            slots = (part.end - start) // pair_size
-            for _ in range(_PLACE_ATTEMPTS):
-                pair_base = start + rng.randrange(slots) * pair_size
-                try:
-                    anchor = buddy.allocate_at(partition, pair_base, order, "workload")
-                except OutOfMemoryError:
-                    continue
-                try:
-                    half = buddy.allocate_at(
-                        partition, pair_base + size, order, "workload"
-                    )
-                except OutOfMemoryError:
-                    buddy.free(anchor)
-                    continue
-                halves.append(half)
-                remaining -= 1 << order
-                break
-            else:
-                raise OutOfMemoryError("could not place residue pair")
+            order = rng.randint(0, min(small_max_order, remaining.bit_length() - 1))
+            if order > top:
+                raise ValueError(f"order {order} out of range")
+            anchor = place(order + 1, "could not place residue pair")
+            halves.append((anchor + (1 << order), order))
+            remaining -= 1 << order
         return halves
 
-    residue_halves = build_pairs(residue_bytes)
-    fresh_halves = build_pairs(fresh_bytes)
+    residue = build_pairs(residue_bytes)
+    fresh = build_pairs(fresh_bytes)
 
-    # Carving anchors splits large blocks and strands free siblings below
-    # the maximum order; take those whole as workload memory, so what
-    # remains free is max-order blocks plus exactly the halves freed below.
-    stranded = buddy.free_bytes_below(partition, buddy.max_order) // PAGE_SIZE
-    buddy.take_pages(partition, stranded, "workload")
-
-    # Freeing the residue halves last keeps them out of the placements
-    # above; each buddy is an allocated anchor, so nothing coalesces.
-    for half in residue_halves:
-        buddy.free(half)
-    return PreloadState(bulk_blocks, fresh_halves)
+    # Whole free max-order blocks and residue halves stay free, fresh
+    # halves are registered, every other page that was free joins the run.
+    kept: list[list[int]] = [[] for _ in lists]
+    for pfn, order in residue + fresh:
+        initial[pfn >> top] ^= ((1 << (1 << order)) - 1) << (pfn & (span - 1))
+    for pfn, order in residue:
+        kept[order].append(pfn * PAGE_SIZE)
+    spans: list[range] = []
+    for key, mask in free.items():
+        if mask == full:
+            kept[top].append(key * span * PAGE_SIZE)
+            continue
+        taken = initial[key]
+        while taken:  # one range per run of set bits, lowest first
+            low = taken & -taken
+            above = taken + low
+            taken &= above
+            first = key * span + low.bit_length() - 1
+            stop = key * span + (above ^ taken).bit_length() - 1
+            spans.append(range(first, stop))
+    lists[:] = [sorted(lst) for lst in kept]
+    if spans:
+        buddy._register_run(Run(partition, "workload", tuple(spans)), sum(map(len, spans)))
+    fresh_halves = [Block(partition, pfn * PAGE_SIZE, 1 << order, "workload")
+                    for pfn, order in fresh]
+    for half in fresh_halves:
+        buddy._register(half)
+    return PreloadState(fresh_halves)

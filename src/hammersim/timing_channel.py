@@ -114,18 +114,20 @@ def select_hammer_pair(
     rng: random.Random,
     *,
     max_attempts: int = 5000,
-) -> tuple[tuple[int, int], int]:
+) -> tuple[tuple[int, int], int, tuple[int, int]]:
     """Probe random page pairs until one classifies as a row conflict.
 
-    Returns the virtual pair and the attempt count.  Raises
-    PairSelectionError when the attempt budget runs out.
+    Returns the virtual pair, the attempt count, and the physical byte
+    addresses the pair was timed at.  Raises PairSelectionError when the
+    attempt budget runs out.
     """
     if len(page_vaddrs) < 2:
         raise PairSelectionError("need at least two pages to time")
     for attempt in range(1, max_attempts + 1):
         a, b = rng.sample(page_vaddrs, 2)
-        if sample_latency(os_model, a, b, model, rng).classified_conflict:
-            return (a, b), attempt
+        sample = sample_latency(os_model, a, b, model, rng)
+        if sample.classified_conflict:
+            return (a, b), attempt, (sample.addr_a, sample.addr_b)
     raise PairSelectionError(
         f"no conflicting pair classified within {max_attempts} attempts"
     )

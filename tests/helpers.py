@@ -3,8 +3,10 @@
 These deliberately recompute behavior through different mechanisms than
 the package: the mapping oracle folds selector bits with numpy over every
 address, the bitmap allocator tracks a free bitmap as one big integer
-instead of per-order free lists, and the verification oracle sweeps every
-mapped page linearly instead of consulting the dirty index.
+instead of per-order free lists, the reference preload carves by trial and
+error where the package tests bitmasks of free pages, and the verification
+oracle sweeps every mapped page linearly instead of consulting the dirty
+index.
 """
 
 from __future__ import annotations
@@ -17,10 +19,12 @@ import numpy as np
 
 from hammersim.ambush import DRIVER_VIDEO, AdjacencyReport, plan, run_ambush
 from hammersim.buddy_alloc import (
+    _PLACE_ATTEMPTS,
     Block,
     BuddyState,
     OutOfMemoryError,
     Partition,
+    PreloadState,
     preload_workload,
 )
 from hammersim.dram_model import (
@@ -300,6 +304,81 @@ def run_op_sequence(seed: int, steps: int, base: int = 4 * MIB,
             oracle.free("pool", block.base, (block.pages - 1).bit_length())
         assert free_block_set(buddy, "pool") == oracle.free_blocks("pool")
     assert buddy.free_bytes("pool") == oracle.free_pages("pool") * PAGE_SIZE
+
+
+def reference_preload(
+    buddy: BuddyState,
+    partition: str,
+    *,
+    residue_bytes: int,
+    bulk_bytes: int,
+    reserve_low_bytes: int,
+    small_max_order: int,
+    rng: random.Random,
+    fresh_bytes: int = 0,
+) -> PreloadState:
+    """preload_workload by trial and error through the allocator's own
+    calls: every placement is an allocate_at that may fail, an anchor whose
+    half fails is freed again, the stranded pages are one take_pages call
+    and the residue halves are freed one by one.  Draws from rng exactly
+    as preload_workload does."""
+    part = buddy.partitions[partition]
+    lo = part.base + reserve_low_bytes
+
+    def place(order: int) -> Block:
+        size = PAGE_SIZE << order
+        start = -(-lo // size) * size
+        slots = (part.end - start) // size
+        if slots <= 0:
+            raise OutOfMemoryError("region too small for requested order")
+        for _ in range(_PLACE_ATTEMPTS):
+            base = start + rng.randrange(slots) * size
+            try:
+                return buddy.allocate_at(partition, base, order, "workload")
+            except OutOfMemoryError:
+                pass
+        raise OutOfMemoryError("workload placement failed")
+
+    placed = 0
+    while placed < bulk_bytes:
+        order = buddy.max_order
+        while order > 0 and (PAGE_SIZE << order) > bulk_bytes - placed:
+            order -= 1
+        placed += place(order).size
+
+    def build_pairs(total_bytes: int) -> list[Block]:
+        halves: list[Block] = []
+        remaining = total_bytes // PAGE_SIZE
+        while remaining > 0:
+            order = rng.randint(0, min(small_max_order, remaining.bit_length() - 1))
+            size = PAGE_SIZE << order
+            start = -(-lo // (2 * size)) * 2 * size
+            slots = (part.end - start) // (2 * size)
+            for _ in range(_PLACE_ATTEMPTS):
+                pair_base = start + rng.randrange(slots) * 2 * size
+                try:
+                    anchor = buddy.allocate_at(partition, pair_base, order, "workload")
+                except OutOfMemoryError:
+                    continue
+                try:
+                    half = buddy.allocate_at(partition, pair_base + size, order, "workload")
+                except OutOfMemoryError:
+                    buddy.free(anchor)
+                    continue
+                halves.append(half)
+                remaining -= 1 << order
+                break
+            else:
+                raise OutOfMemoryError("could not place residue pair")
+        return halves
+
+    residue_halves = build_pairs(residue_bytes)
+    fresh_halves = build_pairs(fresh_bytes)
+    stranded = buddy.free_bytes_below(partition, buddy.max_order) // PAGE_SIZE
+    buddy.take_pages(partition, stranded, "workload")
+    for half in residue_halves:
+        buddy.free(half)
+    return PreloadState(fresh_halves)
 
 
 def small_attack_sim(*, vuln: VulnerabilityMap | None = None, seed: int = 1,

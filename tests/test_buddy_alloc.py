@@ -17,6 +17,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from hammersim import harness
 from hammersim.buddy_alloc import (
     Block,
     BuddyError,
@@ -31,7 +32,7 @@ from hammersim.dram_model import PAGE_SIZE
 from hammersim.harness import KERNEL_PARTITION, build_sim
 from hammersim.profiles import get_profile
 
-from helpers import BitmapBuddy, free_block_set, run_op_sequence
+from helpers import BitmapBuddy, free_block_set, reference_preload, run_op_sequence
 
 MIB = 1024 * 1024
 
@@ -44,7 +45,7 @@ def conservation_ok(buddy: BuddyState, partition: str) -> bool:
     part = buddy.partitions[partition]
     total = (buddy.allocated_bytes(partition)
              + buddy.free_bytes(partition)
-             + sum(size for _, size in buddy.guard_spans(partition)))
+             + sum(size for _, size in buddy._guards[partition]))
     return total == part.size
 
 
@@ -252,9 +253,29 @@ def test_conservation_under_mixed_ops(ops, seed):
 # --- workload preload ---
 
 
+def allocator_state(buddy: BuddyState):
+    return (copy.deepcopy(buddy._free), buddy.buddy_info(),
+            buddy.free_bytes("pool"), buddy.allocated_bytes("pool"))
+
+
+def taken_spans(buddy: BuddyState, partition: str) -> list[tuple[int, int]]:
+    """The partition's allocated pages, blocks and runs alike, as sorted
+    [start, stop) page ranges with touching ranges merged."""
+    spans = sorted([(b.base // PAGE_SIZE, b.base // PAGE_SIZE + b.pages)
+                    for b in buddy.blocks(partition)]
+                   + [(r.start, r.stop) for run in buddy._runs
+                      if run.partition == partition for r in run.spans])
+    merged: list[tuple[int, int]] = []
+    for start, stop in spans:
+        if merged and merged[-1][1] == start:
+            start = merged.pop()[0]
+        merged.append((start, stop))
+    return merged
+
+
 def test_preload_leaves_exact_residue():
     buddy = make_pool(64 * MIB)
-    state = preload_workload(
+    preload_workload(
         buddy, "pool",
         residue_bytes=3 * MIB,
         bulk_bytes=16 * MIB,
@@ -267,10 +288,15 @@ def test_preload_leaves_exact_residue():
     assert residue == 3 * MIB
     top = buddy.buddy_info()["pool"][buddy.max_order]
     assert buddy.free_bytes("pool") == residue + top * (PAGE_SIZE << 10)
-    # Bulk blocks respect the low reserve and stay allocated.
-    assert sum(b.size for b in state.bulk_blocks) == 16 * MIB
-    assert all(b.base >= 4 * MIB for b in state.bulk_blocks)
+    # The bulk is the max-order blocks taken whole: every other touched
+    # block keeps a free residue half.  Nothing below the reserve is taken.
+    span = 1 << buddy.max_order
+    spans = taken_spans(buddy, "pool")
+    whole = sum(max(0, stop // span - -(-start // span)) for start, stop in spans)
+    assert whole * span * PAGE_SIZE == 16 * MIB
+    assert spans[0][0] * PAGE_SIZE >= 4 * MIB
     assert conservation_ok(buddy, "pool")
+    buddy.check_invariants()
 
 
 def test_preload_fresh_blocks_inject_on_demand():
@@ -302,10 +328,82 @@ def test_preload_deterministic():
             small_max_order=7,
             rng=random.Random(seed),
         )
-        return buddy.buddy_info(), sorted((b.base, b.pages) for b in buddy.blocks())
+        return (buddy.buddy_info(), sorted((b.base, b.pages) for b in buddy.blocks()),
+                [(r.start, r.stop) for run in buddy._runs for r in run.spans])
 
     assert snapshot(7) == snapshot(7)
     assert snapshot(7) != snapshot(8)
+
+
+def preload_result(buddy: BuddyState, partition: str, state) -> tuple:
+    buddy.check_invariants()
+    return (buddy._free[partition], buddy.buddy_info(), buddy.free_bytes(partition),
+            buddy.allocated_bytes(partition), taken_spans(buddy, partition),
+            state.fresh_halves)
+
+
+@pytest.mark.parametrize("name", ["dell", "lenovo"])
+def test_preload_matches_trial_and_error_on_profiles(name, monkeypatch):
+    # build_sim's preload, then the same trial with the reference carver
+    # patched in where bench/tracer.py patches the preload.
+    for seed in (0, 2026):
+        fast = build_sim(get_profile(name), seed)
+        with monkeypatch.context() as patched:
+            patched.setattr(harness, "preload_workload", reference_preload)
+            slow = build_sim(get_profile(name), seed)
+        assert (preload_result(fast.buddy, KERNEL_PARTITION, fast.preload)
+                == preload_result(slow.buddy, KERNEL_PARTITION, slow.preload))
+
+
+PRELOAD_POOLS = {
+    # pool (base, size), max_order, preload arguments
+    "fresh": ((0, 64 * MIB), 10, dict(residue_bytes=1 * MIB, bulk_bytes=8 * MIB,
+                                      reserve_low_bytes=4 * MIB, small_max_order=7,
+                                      fresh_bytes=2 * MIB)),
+    "ragged": ((MIB + 12 * PAGE_SIZE, 37 * MIB + 5 * PAGE_SIZE), 10,
+               dict(residue_bytes=2 * MIB, bulk_bytes=12 * MIB + 3 * PAGE_SIZE,
+                    reserve_low_bytes=3 * MIB + 100, small_max_order=6,
+                    fresh_bytes=256 * 1024)),
+    "pair of top blocks": ((0, 4 * MIB), 5, dict(residue_bytes=512 * 1024,
+                                                 bulk_bytes=MIB, reserve_low_bytes=0,
+                                                 small_max_order=5, fresh_bytes=128 * 1024)),
+    "used before": ((0, 16 * MIB), 8, dict(residue_bytes=1 * MIB, bulk_bytes=2 * MIB,
+                                           reserve_low_bytes=MIB, small_max_order=4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRELOAD_POOLS))
+def test_preload_matches_trial_and_error_on_small_pools(case):
+    (base, size), max_order, kwargs = PRELOAD_POOLS[case]
+    for seed in range(12):
+        buddy = make_pool(size, base, max_order=max_order)
+        if case == "used before":  # a fragmented pool, not a fresh one
+            rng = random.Random(seed)
+            live = [buddy.allocate("pool", rng.randrange(6), "t") for _ in range(40)]
+            for block in rng.sample(live, 20):
+                buddy.free(block)
+            buddy.take_pages("pool", 70, "t")
+        twin = copy.deepcopy(buddy)
+        state = preload_workload(buddy, "pool", rng=random.Random(seed), **kwargs)
+        want = reference_preload(twin, "pool", rng=random.Random(seed), **kwargs)
+        assert preload_result(buddy, "pool", state) == preload_result(twin, "pool", want)
+        if kwargs.get("fresh_bytes"):
+            assert state.inject_fresh(buddy) == want.inject_fresh(twin)
+            assert preload_result(buddy, "pool", state) == preload_result(twin, "pool", want)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(residue_bytes=1 * MIB, bulk_bytes=16 * MIB),  # bulk over the room left
+    dict(residue_bytes=7 * MIB, bulk_bytes=4 * MIB),   # residue pairs over it
+], ids=["bulk", "residue"])
+def test_failed_preload_changes_nothing(kwargs):
+    buddy = make_pool(16 * MIB)
+    buddy.allocate("pool", 3, "t")
+    before = (allocator_state(buddy), list(buddy._runs), dict(buddy._allocated))
+    with pytest.raises(OutOfMemoryError):
+        preload_workload(buddy, "pool", reserve_low_bytes=4 * MIB,
+                         small_max_order=7, rng=random.Random(3), **kwargs)
+    assert (allocator_state(buddy), list(buddy._runs), dict(buddy._allocated)) == before
 
 
 def test_buddyinfo_text_lists_partitions():
@@ -326,11 +424,6 @@ def frames(runs: list[range]) -> list[int]:
     step-1 range."""
     assert all(type(run) is range and run.step == 1 and run for run in runs)
     return [pfn for run in runs for pfn in run]
-
-
-def allocator_state(buddy: BuddyState):
-    return (copy.deepcopy(buddy._free), buddy.buddy_info(),
-            buddy.free_bytes("pool"), buddy.allocated_bytes("pool"))
 
 
 def fragmented_pool(seed: int) -> BuddyState:

@@ -142,11 +142,12 @@ def test_select_hammer_pair_finds_true_conflict():
     os_model, buffer = _buffer_os()
     model = ChannelModel()  # perfect rates
     pages = buffer.page_vaddrs()
-    (va, vb), attempts = select_hammer_pair(
+    (va, vb), attempts, (pa, pb) = select_hammer_pair(
         os_model, pages, model, random.Random(2))
     assert attempts >= 1
-    pa = os_model.translate(va) * PAGE_SIZE
-    pb = os_model.translate(vb) * PAGE_SIZE
+    # The physical pair is the one timed: the pages' frames, at offset 0.
+    assert (pa, pb) == (os_model.translate(va) * PAGE_SIZE,
+                        os_model.translate(vb) * PAGE_SIZE)
     assert is_row_conflict_pair(pa, pb, os_model.dram.geometry)
 
 
