@@ -282,18 +282,19 @@ def run_ambush(
 
 @dataclass(frozen=True)
 class AdjacencyReport:
-    """Row adjacency between buffer rows and page-table rows."""
+    """Row adjacency between buffer rows and page-table rows: sorted
+    (buffer row, table row) pairs of packed row keys, which
+    DramGeometry.unpack_row_key decodes."""
 
     adjacent: bool
-    pairs: tuple[tuple[tuple[int, int, int, int], tuple[int, int, int, int]], ...]
+    pairs: tuple[tuple[int, int], ...]
 
 
 def verify_adjacency(os_model: OsModel, placement: Placement) -> AdjacencyReport:
     """Check whether any buffer row neighbours a page-table row in-bank.
 
     Rows are compared as packed row keys, read per page run (the table
-    runs as the allocator handed them out, one range per buffer chunk);
-    only reported pairs are decoded.
+    runs as the allocator handed them out, one range per buffer chunk).
     """
     buffer = placement.buffer
     if buffer is None:
@@ -309,8 +310,4 @@ def verify_adjacency(os_model: OsModel, placement: Placement) -> AdjacencyReport
             found.append((key, key - 1))
         if row < rows - 1 and key + 1 in pt_rows:
             found.append((key, key + 1))
-    pairs = tuple(
-        (geometry.unpack_row_key(a), geometry.unpack_row_key(b))
-        for a, b in sorted(found)
-    )
-    return AdjacencyReport(bool(pairs), pairs)
+    return AdjacencyReport(bool(found), tuple(sorted(found)))

@@ -12,11 +12,12 @@ DramGeometry builds the map once as one square GF(2) matrix: the packed
 coordinate (column, row, bank, rank, dimm from the low end) of every
 physical-address bit.  Its inverse comes from Gauss-Jordan elimination, so
 a selector set that is not a bijection raises MappingError.
-map_phys_to_dram, unmap_dram_to_phys and packed_row_keys read only these
-two matrices, through 8-bit slice lookup tables; packed_row_keys reads the
-forward matrix's page-number bits with the column already shifted out.  A
-packed row key is one int per (dimm, rank, bank, row), so row neighbours
-are key +/- 1.  Because the map is linear, the pages of an aligned block
+map_phys_to_dram, unmap_dram_to_phys, row_key_of and packed_row_keys read
+only these two matrices, through 8-bit slice lookup tables; packed_row_keys
+reads the forward matrix's page-number bits with the column already
+shifted out.  A packed row key is one int per (dimm, rank, bank, row) and
+the package's one name for a row: its bank is key // rows_per_bank, and
+its in-bank neighbours are key +/- 1.  Because the map is linear, the pages of an aligned block
 of 2**k pages touch the rows of its first page XOR one fixed set of keys,
 so packed_row_keys takes page runs and works per block, not per page.
 
@@ -161,12 +162,6 @@ class DramCoord:
     row: int
     column: int
 
-    def bank_key(self) -> tuple[int, int, int]:
-        return (self.dimm, self.rank, self.bank)
-
-    def row_key(self) -> tuple[int, int, int, int]:
-        return (self.dimm, self.rank, self.bank, self.row)
-
 
 @dataclass(frozen=True)
 class DramGeometry:
@@ -279,6 +274,12 @@ class DramGeometry:
             and 0 <= coord.column < self.row_size
         ):
             raise AddressRangeError(f"coordinate out of bounds: {coord}")
+
+    def row_key_of(self, addr: int) -> int:
+        """Packed row key of the row holding physical byte addr."""
+        if addr < 0 or addr >= self.capacity:
+            raise AddressRangeError(f"address {addr:#x} outside capacity")
+        return _apply(self._forward, addr) // self.row_size
 
     def unpack_row_key(self, key: int) -> tuple[int, int, int, int]:
         """(dimm, rank, bank, row) of a packed row key."""
@@ -406,9 +407,10 @@ class VulnerabilityMap:
     """Sparse per-cell susceptibility, generated lazily per bank row.
 
     Rows are independently "weak" with probability weak_row_rate; a weak row
-    carries a Poisson number of cells at uniform positions.  Generation is
-    keyed by a seed derived from the row key, so the same map emerges no
-    matter which rows are queried first.
+    carries a Poisson number of cells at uniform positions.  Rows are named
+    by packed row key.  Generation is keyed by a seed derived from the
+    row's (dimm, rank, bank, row), so the same map emerges no matter which
+    rows are queried first.
     """
 
     def __init__(
@@ -417,34 +419,28 @@ class VulnerabilityMap:
         self.geometry = geometry
         self.calibration = calibration
         self.seed = seed
-        self._cache: dict[tuple[int, int, int, int], tuple[VulnCell, ...]] = {}
+        self._cache: dict[int, tuple[VulnCell, ...]] = {}
 
-    def cells_in_row(self, row_key: tuple[int, int, int, int]) -> tuple[VulnCell, ...]:
-        cached = self._cache.get(row_key)
+    def cells_in_row(self, key: int) -> tuple[VulnCell, ...]:
+        cached = self._cache.get(key)
         if cached is not None:
             return cached
         cal = self.calibration
         cells: tuple[VulnCell, ...] = ()
         if cal.weak_row_rate > 0.0:
+            row_key = self.geometry.unpack_row_key(key)
             rng = random.Random(derive_seed(self.seed, "row", *row_key))
             if rng.random() < cal.weak_row_rate:
                 n = _poisson(rng, cal.cells_per_weak_row)
-                d, r, b, row = row_key
                 made = []
                 for _ in range(n):
                     col = rng.randrange(self.geometry.row_size)
                     bit = rng.randrange(8)
                     direction = rng.choice(FLIP_DIRECTIONS)
-                    made.append(
-                        VulnCell(
-                            DramCoord(d, r, b, row, col),
-                            bit,
-                            cal.cell_probability,
-                            direction,
-                        )
-                    )
+                    made.append(VulnCell(DramCoord(*row_key, col), bit,
+                                         cal.cell_probability, direction))
                 cells = tuple(made)
-        self._cache[row_key] = cells
+        self._cache[key] = cells
         return cells
 
 
@@ -507,19 +503,21 @@ class Dram:
             raise ValueError("at least one aggressor address required")
         if reps <= 0:
             raise ValueError("reps must be positive")
-        coords = [map_phys_to_dram(a, self.geometry) for a in aggressors]
+        geometry = self.geometry
+        rows = geometry.rows_per_bank
+        # Bank key -> the distinct aggressor row keys in it, in call order.
+        per_bank: dict[int, list[int]] = {}
+        for addr in aggressors:
+            key = geometry.row_key_of(addr)
+            bank_rows = per_bank.setdefault(key // rows, [])
+            if key not in bank_rows:
+                bank_rows.append(key)
 
-        per_bank: dict[tuple[int, int, int], list[int]] = {}
-        for c in coords:
-            rows = per_bank.setdefault(c.bank_key(), [])
-            if c.row not in rows:
-                rows.append(c.row)
-
-        hammered: list[tuple[tuple[int, int, int], int]] = []
-        for key, rows in per_bank.items():
-            if len(rows) >= 2:
-                self.total_activations += reps * len(rows)
-                hammered.extend((key, row) for row in rows)
+        hammered: list[int] = []
+        for bank_rows in per_bank.values():
+            if len(bank_rows) >= 2:
+                self.total_activations += reps * len(bank_rows)
+                hammered.extend(bank_rows)
             else:
                 # A lone row per bank stays in the row buffer: opened once,
                 # never re-activated, so it cannot disturb its neighbours.
@@ -528,20 +526,19 @@ class Dram:
         mult = self.params.single_sided_multiplier
         dose_factor = reps / self.params.dose
         flips: list[InjectedFlip] = []
-        fired: set[tuple[tuple[int, int, int, int], int, int]] = set()
-        for key, row in hammered:
-            for victim_row in (row - 1, row + 1):
-                if victim_row < 0 or victim_row >= self.geometry.rows_per_bank:
-                    continue
-                victim_key = (key[0], key[1], key[2], victim_row)
-                for cell in self.vuln_map.cells_in_row(victim_key):
+        fired: set[tuple[int, int, int]] = set()
+        for key in hammered:
+            for victim in (key - 1, key + 1):
+                if victim // rows != key // rows:
+                    continue  # past the first or last row of the bank
+                for cell in self.vuln_map.cells_in_row(victim):
                     p = min(1.0, cell.probability * mult * dose_factor)
                     if rng.random() >= p:
                         continue
-                    ident = (victim_key, cell.coord.column, cell.bit)
+                    ident = (victim, cell.coord.column, cell.bit)
                     if ident in fired:
                         continue
                     fired.add(ident)
-                    addr = unmap_dram_to_phys(cell.coord, self.geometry)
+                    addr = unmap_dram_to_phys(cell.coord, geometry)
                     flips.append(InjectedFlip(addr, cell.bit, cell.direction, cell.coord))
         return flips

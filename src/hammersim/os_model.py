@@ -24,7 +24,6 @@ from __future__ import annotations
 import bisect
 import random
 import struct
-from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain, cycle
 from operator import attrgetter
@@ -91,25 +90,13 @@ class DriverLimitError(OsModelError):
 
 @dataclass(frozen=True)
 class PteEntry:
-    """A raw 64-bit entry; flag and frame accessors read the live bits.
+    """A raw 64-bit entry; pfn reads the live frame bits.
 
     Keeping the raw value means encode(decode(v)) == v even for bits the
     model does not interpret.
     """
 
     raw: int
-
-    @property
-    def present(self) -> bool:
-        return bool(self.raw & PTE_PRESENT)
-
-    @property
-    def writable(self) -> bool:
-        return bool(self.raw & PTE_WRITABLE)
-
-    @property
-    def user(self) -> bool:
-        return bool(self.raw & PTE_USER)
 
     @property
     def pfn(self) -> int:
@@ -241,30 +228,6 @@ class MapRun(NamedTuple):
 _RUN_BASE = attrgetter("base")
 
 
-class WindowTable(NamedTuple):
-    window_base: int
-    pfn: int
-
-
-class _Windows(Mapping):
-    """Read-only view of the table list: window base -> WindowTable."""
-
-    def __init__(self, pt_pfns: list[int]) -> None:
-        self._pfns = pt_pfns
-
-    def __getitem__(self, base: int) -> WindowTable:
-        number, rest = divmod(base - MAP_BASE, PT_SPAN)
-        if rest or not 0 <= number < len(self._pfns):
-            raise KeyError(base)
-        return WindowTable(base, self._pfns[number])
-
-    def __iter__(self):
-        return iter(range(MAP_BASE, MAP_BASE + len(self._pfns) * PT_SPAN, PT_SPAN))
-
-    def __len__(self) -> int:
-        return len(self._pfns)
-
-
 @dataclass
 class BufferChunk:
     """One driver reservation; block may be row-padded under mitigation."""
@@ -362,7 +325,6 @@ class OsModel:
         self.creds: dict[int, CredPage] = {}
         self._pt_pfns: list[int] = []  # window number from MAP_BASE -> table
         self.pt_runs: list[range] = []  # the table frames, as taken
-        self.windows = _Windows(self._pt_pfns)
         self._pt_windows: dict[int, int] = {}  # pt pfn -> window base
         self._buffer_pages: dict[int, int] = {}  # vpage -> pfn
         self._pt_templates: dict[tuple[int, int], bytes] = {}

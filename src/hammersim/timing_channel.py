@@ -17,7 +17,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .dram_model import PAGE_SIZE, DramGeometry, map_phys_to_dram
+from .dram_model import PAGE_SIZE, DramGeometry
+from .dram_model import map_phys_to_dram  # noqa: F401  (bench/tracer.py patches it here)
 
 CONFLICT_THRESHOLD_CYCLES = 360
 # Widths of the latency lobes above and below the threshold, in cycles.
@@ -63,9 +64,10 @@ class LatencySample:
 
 def is_row_conflict_pair(addr_a: int, addr_b: int, geometry: DramGeometry) -> bool:
     """Ground truth: same dimm/rank/bank, different rows."""
-    ca = map_phys_to_dram(addr_a, geometry)
-    cb = map_phys_to_dram(addr_b, geometry)
-    return ca.bank_key() == cb.bank_key() and ca.row != cb.row
+    key_a = geometry.row_key_of(addr_a)
+    key_b = geometry.row_key_of(addr_b)
+    rows = geometry.rows_per_bank
+    return key_a != key_b and key_a // rows == key_b // rows
 
 
 def sample_latency_phys(

@@ -4,7 +4,9 @@ These deliberately recompute behavior through different mechanisms than
 the package: the mapping oracle folds selector bits with numpy over every
 address, the bitmap allocator tracks a free bitmap as one big integer
 instead of per-order free lists, the reference preload carves by trial and
-error where the package tests bitmasks of free pages, and the verification
+error where the package tests bitmasks of free pages, the reference hammer
+groups decoded (dimm, rank, bank, row) coordinates where the package
+compares packed row keys, and the verification
 oracle sweeps every mapped page linearly instead of consulting the dirty
 index.
 """
@@ -17,7 +19,7 @@ import random
 
 import numpy as np
 
-from hammersim.ambush import DRIVER_VIDEO, AdjacencyReport, plan, run_ambush
+from hammersim.ambush import DRIVER_VIDEO, plan, run_ambush
 from hammersim.buddy_alloc import (
     _PLACE_ATTEMPTS,
     Block,
@@ -31,13 +33,16 @@ from hammersim.dram_model import (
     PAGE_SIZE,
     Dram,
     DramGeometry,
+    InjectedFlip,
     MappingSpec,
     VulnCalibration,
     VulnerabilityMap,
+    map_phys_to_dram,
     page_row_keys,
+    unmap_dram_to_phys,
 )
 from hammersim.harness import CSV_COLUMNS, HarnessError, TrialReport, build_sim
-from hammersim.os_model import MARKER, PROBE_PTE, OsModel
+from hammersim.os_model import MARKER, PROBE_PTE, PT_SPAN, OsModel
 from hammersim.profiles import ProfileError, get_profile
 
 MIB = 1024 * 1024
@@ -100,15 +105,85 @@ def parse_report(text: str) -> list[TrialReport]:
     return out
 
 
+def pack_row_key(geometry: DramGeometry, dimm: int, rank: int, bank: int,
+                 row: int) -> int:
+    """The packed row key of (dimm, rank, bank, row), by mixed radix."""
+    key = dimm * geometry.ranks_per_dimm + rank
+    key = key * geometry.banks_per_rank + bank
+    return key * geometry.rows_per_bank + row
+
+
+def unpacked_pairs(geometry: DramGeometry, pairs) -> tuple:
+    """Packed adjacency pairs as (dimm, rank, bank, row) tuple pairs."""
+    return tuple((geometry.unpack_row_key(a), geometry.unpack_row_key(b))
+                 for a, b in pairs)
+
+
 def cells_map(geometry: DramGeometry, cells) -> VulnerabilityMap:
     """A map holding exactly the given cells: zero density, with their rows
     already in the row cache."""
     vm = VulnerabilityMap(geometry, VulnCalibration())
     for cell in cells:
         geometry.validate_coord(cell.coord)
-        key = cell.coord.row_key()
+        c = cell.coord
+        key = pack_row_key(geometry, c.dimm, c.rank, c.bank, c.row)
         vm._cache[key] = vm._cache.get(key, ()) + (cell,)
     return vm
+
+
+def windows(os_model: OsModel) -> dict[int, int]:
+    """Window base -> the frame of the page table that maps it."""
+    return {os_model.map_base + i * PT_SPAN: pfn
+            for i, pfn in enumerate(os_model._pt_pfns)}
+
+
+def reference_hammer(dram: Dram, aggressors: list[int], reps: int,
+                     rng: random.Random) -> list[InjectedFlip]:
+    """Dram.hammer on decoded coordinates: aggressors grouped by
+    (dimm, rank, bank) tuples, victims at row - 1 and row + 1 inside the
+    bank.  Draws from rng and counts activations exactly as Dram.hammer
+    does."""
+    if not aggressors:
+        raise ValueError("at least one aggressor address required")
+    if reps <= 0:
+        raise ValueError("reps must be positive")
+    geometry = dram.geometry
+    coords = [map_phys_to_dram(a, geometry) for a in aggressors]
+
+    per_bank: dict[tuple[int, int, int], list[int]] = {}
+    for c in coords:
+        rows = per_bank.setdefault((c.dimm, c.rank, c.bank), [])
+        if c.row not in rows:
+            rows.append(c.row)
+
+    hammered: list[tuple[tuple[int, int, int], int]] = []
+    for bank, rows in per_bank.items():
+        if len(rows) >= 2:
+            dram.total_activations += reps * len(rows)
+            hammered.extend((bank, row) for row in rows)
+        else:
+            dram.total_activations += 1
+
+    mult = dram.params.single_sided_multiplier
+    dose_factor = reps / dram.params.dose
+    flips: list[InjectedFlip] = []
+    fired: set[tuple[tuple[int, int, int, int], int, int]] = set()
+    for bank, row in hammered:
+        for victim_row in (row - 1, row + 1):
+            if victim_row < 0 or victim_row >= geometry.rows_per_bank:
+                continue
+            victim = (*bank, victim_row)
+            for cell in dram.vuln_map.cells_in_row(pack_row_key(geometry, *victim)):
+                p = min(1.0, cell.probability * mult * dose_factor)
+                if rng.random() >= p:
+                    continue
+                ident = (victim, cell.coord.column, cell.bit)
+                if ident in fired:
+                    continue
+                fired.add(ident)
+                addr = unmap_dram_to_phys(cell.coord, geometry)
+                flips.append(InjectedFlip(addr, cell.bit, cell.direction, cell.coord))
+    return flips
 
 
 def numpy_coord_keys(geometry: DramGeometry) -> np.ndarray:
@@ -178,13 +253,8 @@ class BitmapBuddy:
             ]
             for p in partitions
         }
-        # name -> (bitmap, maximal masks of that bitmap), and per order the
-        # last mask seen with its blocks; one op changes only a few orders.
+        # name -> (bitmap, maximal masks of that bitmap)
         self._masks_of: dict[str, tuple[int, list[int]]] = {}
-        self._seen: dict[str, tuple[list[int], list[frozenset]]] = {
-            p.name: ([0] * (max_order + 1), [frozenset()] * (max_order + 1))
-            for p in partitions
-        }
 
     @staticmethod
     def _aligned_mask(pages: int, order: int) -> int:
@@ -195,12 +265,12 @@ class BitmapBuddy:
             mask |= 1 << pos
         return mask
 
-    def _maximal_masks(self, name: str) -> list[int]:
+    def maximal_masks(self, name: str) -> list[int]:
         """Entry j has bit i set when a maximal aligned free block of order
-        j starts at page i.
+        j starts at page i (relative to the partition base).
 
         Kept per bitmap value: allocate asks again for the state that the
-        previous free_blocks call just derived.
+        previous comparison just derived.
         """
         bits = self.bits[name]
         cached = self._masks_of.get(name)
@@ -224,25 +294,9 @@ class BitmapBuddy:
         self._masks_of[name] = (bits, masks)
         return masks
 
-    def free_blocks(self, name: str) -> set[tuple[int, int]]:
-        """Maximal aligned free blocks as (absolute_base, order) pairs."""
-        base_page = self.partitions[name].base // PAGE_SIZE
-        seen_masks, seen_blocks = self._seen[name]
-        for j, mask in enumerate(self._maximal_masks(name)):
-            if mask != seen_masks[j]:
-                blocks = []
-                pos = mask
-                while pos:
-                    low = pos & -pos
-                    blocks.append(((base_page + low.bit_length() - 1) * PAGE_SIZE, j))
-                    pos ^= low
-                seen_masks[j] = mask
-                seen_blocks[j] = frozenset(blocks)
-        return set().union(*seen_blocks)
-
     def allocate(self, name: str, order: int) -> int | None:
         """Lowest address of the smallest sufficient maximal block."""
-        masks = self._maximal_masks(name)
+        masks = self.maximal_masks(name)
         for j in range(order, self.max_order + 1):
             candidates = masks[j]
             if candidates:
@@ -279,6 +333,20 @@ def free_block_set(buddy: BuddyState, partition: str) -> set[tuple[int, int]]:
     return {(addr, order) for order, lst in enumerate(lists) for addr in lst}
 
 
+def free_masks(buddy: BuddyState, partition: str) -> list[int]:
+    """The allocator's free lists in BitmapBuddy.maximal_masks form: entry j
+    has bit i set when a free block of order j starts at page i of the
+    partition."""
+    base = buddy.partitions[partition].base // PAGE_SIZE
+    masks = []
+    for lst in buddy._free[partition]:
+        mask = 0
+        for addr in lst:
+            mask |= 1 << (addr // PAGE_SIZE - base)
+        masks.append(mask)
+    return masks
+
+
 def run_op_sequence(seed: int, steps: int, base: int = 4 * MIB,
                     size: int = 4 * MIB) -> None:
     """Random alloc/free walk comparing allocator and oracle after every op."""
@@ -302,7 +370,7 @@ def run_op_sequence(seed: int, steps: int, base: int = 4 * MIB,
             block = live.pop(rng.randrange(len(live)))
             buddy.free(block)
             oracle.free("pool", block.base, (block.pages - 1).bit_length())
-        assert free_block_set(buddy, "pool") == oracle.free_blocks("pool")
+        assert free_masks(buddy, "pool") == oracle.maximal_masks("pool")
     assert buddy.free_bytes("pool") == oracle.free_pages("pool") * PAGE_SIZE
 
 
@@ -418,9 +486,10 @@ def full_placement(profile_name: str, driver: str, seed: int, *,
     return os_model, placement
 
 
-def reference_adjacency(os_model: OsModel, placement) -> AdjacencyReport:
-    """Row adjacency on (dimm, rank, bank, row) tuple sets, one
-    page_row_keys call per page, neighbours built as tuples."""
+def reference_adjacency(os_model: OsModel, placement) -> tuple:
+    """Sorted (buffer row, table row) pairs of row adjacency, on
+    (dimm, rank, bank, row) tuple sets: one page_row_keys call per page,
+    neighbours built as tuples."""
     geometry = os_model.dram.geometry
     pt_rows: set[tuple[int, int, int, int]] = set()
     for pfn in os_model.pt_pfns():
@@ -433,7 +502,7 @@ def reference_adjacency(os_model: OsModel, placement) -> AdjacencyReport:
                 for neighbor_row in (row - 1, row + 1):
                     if (d, r, b, neighbor_row) in pt_rows:
                         pairs.add(((d, r, b, row), (d, r, b, neighbor_row)))
-    return AdjacencyReport(bool(pairs), tuple(sorted(pairs)))
+    return tuple(sorted(pairs))
 
 
 def fuzz_injections(os_model: OsModel, rng: random.Random, count: int) -> int:

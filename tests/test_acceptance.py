@@ -41,6 +41,7 @@ from helpers import (
     numpy_coord_keys,
     run_op_sequence,
     small_attack_sim,
+    windows,
 )
 
 MIB = 1024 * 1024
@@ -226,12 +227,12 @@ def _inject_table_redirect(os_model, rng: random.Random) -> int:
     fuzzed too and not just the restore path.
     """
     pts = sorted(os_model.pt_pfns())
-    windows = sorted(os_model.windows)
-    rng.shuffle(windows)
-    for base in windows:
-        pt = os_model.windows[base]
+    tables = windows(os_model)
+    bases = sorted(tables)
+    rng.shuffle(bases)
+    for base in bases:
         for entry in rng.sample(range(2, 512), 24):
-            addr = pt.pfn * PAGE_SIZE + entry * 8
+            addr = tables[base] * PAGE_SIZE + entry * 8
             raw = os_model.memory.read_u64(addr)
             for target in pts:
                 delta = raw ^ PteEntry.make(target).raw

@@ -32,7 +32,8 @@ from hammersim.dram_model import PAGE_SIZE
 from hammersim.harness import KERNEL_PARTITION, build_sim
 from hammersim.profiles import get_profile
 
-from helpers import BitmapBuddy, free_block_set, reference_preload, run_op_sequence
+from helpers import (BitmapBuddy, free_block_set, free_masks, reference_preload,
+                     run_op_sequence)
 
 MIB = 1024 * 1024
 
@@ -619,7 +620,7 @@ class AllocatorMachine(RuleBasedStateMachine):
     @invariant()
     def matches_oracle(self):
         self.buddy.check_invariants()
-        assert free_block_set(self.buddy, "pool") == self.oracle.free_blocks("pool")
+        assert free_masks(self.buddy, "pool") == self.oracle.maximal_masks("pool")
         assert self.buddy.free_bytes("pool") == self.oracle.free_pages("pool") * PAGE_SIZE
 
 

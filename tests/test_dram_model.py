@@ -34,7 +34,8 @@ from hammersim.dram_model import (
 )
 from hammersim.profiles import dell_geometry
 
-from helpers import cells_map, numpy_coord_keys, simple_mapping
+from helpers import (cells_map, numpy_coord_keys, pack_row_key, reference_hammer,
+                     simple_mapping)
 
 
 # --- derive_seed ---
@@ -229,7 +230,8 @@ def test_row_aligned_block_covers_rows_completely():
         for addr in range(base, base + span):
             coord = map_phys_to_dram(addr, geo)
             rows_seen.add(coord.row)
-            per_row[coord.row_key()] = per_row.get(coord.row_key(), 0) + 1
+            key = (coord.dimm, coord.rank, coord.bank, coord.row)
+            per_row[key] = per_row.get(key, 0) + 1
         # One row index, every bank, each row complete.
         assert len(rows_seen) == 1
         assert len(per_row) == geo.banks_per_rank
@@ -262,13 +264,19 @@ def test_page_row_keys_match_oracle():
     geo, row_keys = AUX_GEOMETRY, AUX_ROW_KEYS
     for pfn in range(geo.capacity // PAGE_SIZE):
         truth = set(row_keys[pfn * PAGE_SIZE:(pfn + 1) * PAGE_SIZE].tolist())
-        packed = {
-            ((d * geo.ranks_per_dimm + r) * geo.banks_per_rank + b)
-            * geo.rows_per_bank + row
-            for d, r, b, row in page_row_keys(pfn, geo)
-        }
+        packed = {pack_row_key(geo, *key) for key in page_row_keys(pfn, geo)}
         assert packed == truth
         assert len(packed) == 8
+
+
+def test_row_key_of_matches_oracle():
+    geo, row_keys = AUX_GEOMETRY, AUX_ROW_KEYS
+    for addr in range(0, geo.capacity, 61):
+        assert geo.row_key_of(addr) == row_keys[addr]
+    assert geo.row_key_of(geo.capacity - 1) == row_keys[-1]
+    for bad in (-1, geo.capacity):
+        with pytest.raises(AddressRangeError):
+            geo.row_key_of(bad)
 
 
 def test_packed_row_keys_of_many_pages():
@@ -328,7 +336,7 @@ def test_vuln_map_query_order_independent():
     cal = VulnCalibration(weak_row_rate=0.5, cells_per_weak_row=3.0)
     a = VulnerabilityMap(geo, cal, seed=99)
     b = VulnerabilityMap(geo, cal, seed=99)
-    keys = [(0, 0, bank, row) for bank in range(2) for row in range(64)]
+    keys = [pack_row_key(geo, 0, 0, bank, row) for bank in range(2) for row in range(64)]
     for key in keys:
         a.cells_in_row(key)
     for key in reversed(keys):
@@ -342,7 +350,7 @@ def test_vuln_map_cell_count_past_exp_underflow():
     geo = simple_mapping(banks=2, rows=128, row_size=8192)
     cal = VulnCalibration(weak_row_rate=1.0, cells_per_weak_row=1000.0)
     vm = VulnerabilityMap(geo, cal, seed=3)
-    counts = [len(vm.cells_in_row((0, 0, bank, row)))
+    counts = [len(vm.cells_in_row(pack_row_key(geo, 0, 0, bank, row)))
               for bank in range(2) for row in range(100)]
     assert abs(sum(counts) / len(counts) - 1000) < 50
 
@@ -351,8 +359,8 @@ def test_vuln_map_from_cells_and_validation():
     geo = simple_mapping(banks=2, rows=16, row_size=8192)
     cell = VulnCell(DramCoord(0, 0, 1, 5, 100), 3, 1.0, FLIP_ONE_TO_ZERO)
     vm = cells_map(geo, [cell])
-    assert vm.cells_in_row((0, 0, 1, 5)) == (cell,)
-    assert vm.cells_in_row((0, 0, 0, 5)) == ()
+    assert vm.cells_in_row(pack_row_key(geo, 0, 0, 1, 5)) == (cell,)
+    assert vm.cells_in_row(pack_row_key(geo, 0, 0, 0, 5)) == ()
     with pytest.raises(ValueError):
         VulnCell(DramCoord(0, 0, 1, 5, 0), 9, 1.0, FLIP_ONE_TO_ZERO)
     with pytest.raises(ValueError):
@@ -436,7 +444,8 @@ def test_single_sided_flips_at_bank_edge():
     reps = dram.params.dose * 2  # overcome the 0.5 multiplier
     flips = dram.hammer([_addr(geo, 0, 1), _addr(geo, 0, 9)], reps,
                         random.Random(3))
-    assert [f.coord.row_key() for f in flips] == [(0, 0, 0, 0)]
+    assert [(f.coord.dimm, f.coord.rank, f.coord.bank, f.coord.row)
+            for f in flips] == [(0, 0, 0, 0)]
 
 
 def test_hammer_mode_validation():
@@ -504,3 +513,40 @@ def test_hammer_reproducible_bit_for_bit():
                 500_000, rng))
         results.append(run)
     assert results[0] == results[1]
+
+
+@st.composite
+def aggressor_lists(draw, geo: DramGeometry) -> list[int]:
+    """Up to 6 aggressor addresses in one or two banks, on rows near one
+    base row, often the first or the last row of the bank."""
+    rows = geo.rows_per_bank
+    banks = draw(st.lists(st.tuples(st.integers(0, geo.dimms - 1),
+                                    st.integers(0, geo.ranks_per_dimm - 1),
+                                    st.integers(0, geo.banks_per_rank - 1)),
+                          min_size=1, max_size=2))
+    base = draw(st.sampled_from([0, rows - 1]) | st.integers(0, rows - 1))
+    row = (st.integers(-2, 2).map(lambda d: min(max(base + d, 0), rows - 1))
+           | st.sampled_from([0, rows - 1]))
+    coords = draw(st.lists(st.tuples(st.sampled_from(banks), row,
+                                     st.integers(0, geo.row_size - 1)),
+                           min_size=1, max_size=6))
+    return [unmap_dram_to_phys(DramCoord(*bank, r, column), geo)
+            for bank, r, column in coords]
+
+
+@pytest.mark.parametrize("geo", [_geo16(), AUX_GEOMETRY, dell_geometry()],
+                         ids=["geo16", "aux", "dell"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_packed_hammer_matches_tuple_reference(geo, data):
+    aggressors = data.draw(aggressor_lists(geo), label="aggressors")
+    reps = data.draw(st.sampled_from([1, 400_000, 2_000_000]), label="reps")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    cal = VulnCalibration(weak_row_rate=0.7, cells_per_weak_row=3.0, cell_probability=0.6)
+    packed = Dram(geo, VulnerabilityMap(geo, cal, seed=seed))
+    tupled = Dram(geo, VulnerabilityMap(geo, cal, seed=seed))
+    rng_packed, rng_tupled = random.Random(seed), random.Random(seed)
+    flips = packed.hammer(aggressors, reps, rng_packed)
+    assert flips == reference_hammer(tupled, aggressors, reps, rng_tupled)
+    assert packed.total_activations == tupled.total_activations
+    assert rng_packed.getstate() == rng_tupled.getstate()

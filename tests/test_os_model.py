@@ -28,6 +28,9 @@ from hammersim.os_model import (
     MARKER,
     PROBE_PTE,
     PT_SPAN,
+    PTE_PRESENT,
+    PTE_USER,
+    PTE_WRITABLE,
     SG_MAX_BYTES,
     DriverLimitError,
     OsModel,
@@ -37,7 +40,7 @@ from hammersim.os_model import (
     cred_pattern,
 )
 
-from helpers import full_placement, simple_mapping
+from helpers import full_placement, simple_mapping, windows
 
 MIB = 1024 * 1024
 
@@ -55,15 +58,16 @@ def make_os(*, kernel=32 * MIB, user=32 * MIB, vma_limit=65536) -> OsModel:
 
 
 def test_pte_roundtrip_and_flags():
+    flags = PTE_PRESENT | PTE_WRITABLE | PTE_USER
     entry = PteEntry.make(0x40040)
-    assert entry.present and entry.writable and entry.user
+    assert entry.raw & flags == flags
     assert entry.pfn == 0x40040
     assert PteEntry(entry.raw) == entry
     probe = PteEntry(PROBE_PTE)
-    assert probe.present and probe.writable and probe.user
+    assert probe.raw & flags == flags
     assert probe.pfn == 0
     cleared = PteEntry(entry.raw & ~1)
-    assert not cleared.present and cleared.pfn == entry.pfn
+    assert not cleared.raw & PTE_PRESENT and cleared.pfn == entry.pfn
 
 
 # --- physical memory ---
@@ -172,7 +176,7 @@ def test_mmap_builds_one_table_per_window():
     file = os_model.create_tmp_file(2 * PT_SPAN)
     pts = os_model.mmap_primitive(file)
     assert len(pts) == 2
-    assert len(os_model.windows) == 2
+    assert len(windows(os_model)) == 2
     # Tables live in the kernel partition.
     kernel = os_model.buddy.partitions["kernel"]
     for pfn in pts:
@@ -199,7 +203,7 @@ def test_mmap_count_equals_repeated_single_maps():
     assert pfns == want and len(pfns) == 10
     assert [(run.base, run.end, run.count) for run in bulk.vmas] == [
         (bulk.map_base, bulk.map_base + 5 * file.size, 5)]
-    assert dict(bulk.windows) == dict(single.windows)
+    assert windows(bulk) == windows(single)
     assert bulk.memory.pages == single.memory.pages
     assert bulk.pt_pfns() == single.pt_pfns() == set(pfns)
     # The second table of each mapping holds the file's second half.
@@ -215,7 +219,7 @@ def test_mmap_failure_changes_nothing():
 
     def state():
         return (os_model.buddy.buddy_info(), os_model.buddy.free_bytes("kernel"),
-                list(os_model.vmas), dict(os_model.windows),
+                list(os_model.vmas), windows(os_model),
                 dict(os_model.memory.pages), os_model.pt_pfns())
 
     os_model.mmap_primitive(file, 3)
@@ -235,19 +239,21 @@ def test_mmap_failure_changes_nothing():
     assert big.buddy.free_bytes("kernel") == 6 * PAGE_SIZE
 
 
-def test_windows_view_is_read_only_arithmetic():
+def test_window_tables_follow_map_order():
+    # Window i from map_base is translated through the i-th table taken.
     os_model = make_os()
     file = os_model.create_tmp_file(PT_SPAN)
     pfns = os_model.mmap_primitive(file, 3)
-    windows = os_model.windows
-    assert len(windows) == 3
-    assert list(windows) == [os_model.map_base + i * PT_SPAN for i in range(3)]
-    assert [windows[base].pfn for base in windows] == pfns
-    for bad in (os_model.map_base - PT_SPAN, os_model.map_base + PAGE_SIZE,
-                os_model.map_base + 3 * PT_SPAN):
-        assert bad not in windows
-    with pytest.raises(TypeError):
-        windows[os_model.map_base] = None
+    tables = windows(os_model)
+    assert list(tables) == [os_model.map_base + i * PT_SPAN for i in range(3)]
+    assert list(tables.values()) == pfns
+    for i, pfn in enumerate(pfns):
+        os_model.memory.write_u64(pfn * PAGE_SIZE + 7 * 8, PteEntry.make(0x7000 + i).raw)
+    os_model.flush_tlb()
+    for i, base in enumerate(tables):
+        assert os_model.translate(base + 7 * PAGE_SIZE) == 0x7000 + i
+    for bad in (os_model.map_base - PT_SPAN, os_model.map_base + 3 * PT_SPAN):
+        assert os_model.translate(bad) is None
 
 
 def test_vma_limit_enforced():
@@ -361,11 +367,11 @@ def test_scan_matches_brute_force_sweep():
         os_model.mmap_primitive(files[0])
         os_model.mmap_primitive(files[1])
     rng = random.Random(31)
-    pt_list = list(os_model.windows.values())
+    pt_list = list(windows(os_model).values())
     for _ in range(25):
-        pt = rng.choice(pt_list)
+        pt_pfn = rng.choice(pt_list)
         off = rng.randrange(512) * 8 + rng.randrange(8)
-        os_model.memory.flip_bit(pt.pfn * PAGE_SIZE + off, rng.randrange(8),
+        os_model.memory.flip_bit(pt_pfn * PAGE_SIZE + off, rng.randrange(8),
                                  rng.choice([FLIP_ONE_TO_ZERO, FLIP_ZERO_TO_ONE]))
     for _ in range(5):
         f = rng.choice(files)

@@ -7,9 +7,10 @@ import random
 import pytest
 
 from hammersim.buddy_alloc import BuddyState, Partition
-from hammersim.dram_model import PAGE_SIZE, Dram, unmap_dram_to_phys, DramCoord
+from hammersim.dram_model import (PAGE_SIZE, Dram, DramCoord, map_phys_to_dram,
+                                  unmap_dram_to_phys)
 from hammersim.os_model import OsModel
-from hammersim.profiles import dell_profile, lenovo_profile
+from hammersim.profiles import dell_geometry, dell_profile, lenovo_profile
 from hammersim.timing_channel import (
     HIGH_SPREAD,
     LOW_SPREAD,
@@ -58,6 +59,33 @@ def test_ground_truth_classifier():
         assert is_row_conflict_pair(a, b, geo)
         a, b = other_pair(geo, rng)
         assert not is_row_conflict_pair(a, b, geo)
+
+
+@pytest.mark.parametrize("geo", [geo64(), dell_geometry()], ids=["geo64", "dell"])
+def test_conflict_pair_matches_coordinate_truth(geo):
+    def truth(a, b):
+        ca, cb = map_phys_to_dram(a, geo), map_phys_to_dram(b, geo)
+        return ((ca.dimm, ca.rank, ca.bank) == (cb.dimm, cb.rank, cb.bank)
+                and ca.row != cb.row)
+
+    def addr(key):
+        coord = DramCoord(*geo.unpack_row_key(key), rng.randrange(geo.row_size))
+        return unmap_dram_to_phys(coord, geo)
+
+    rng = random.Random(5)
+    rows = geo.rows_per_bank
+    banks = geo.dimms * geo.ranks_per_dimm * geo.banks_per_rank
+    pairs = [(rng.randrange(geo.capacity), rng.randrange(geo.capacity))
+             for _ in range(300)]
+    for bank in range(banks):
+        first, last = bank * rows, bank * rows + rows - 1
+        pairs += [(addr(first), addr(last)), (addr(last), addr(last))]
+        if bank + 1 < banks:
+            # Consecutive packed keys across the bank edge: not one bank.
+            pairs.append((addr(last), addr(last + 1)))
+    verdicts = [is_row_conflict_pair(a, b, geo) for a, b in pairs]
+    assert verdicts == [truth(a, b) for a, b in pairs]
+    assert True in verdicts and False in verdicts
 
 
 def test_channel_model_validation():
