@@ -135,12 +135,19 @@ class BuddyState:
         self._guards: dict[str, list[tuple[int, int]]] = {p.name: [] for p in parts}
         self._free_bytes: dict[str, int] = {p.name: 0 for p in parts}
         self._alloc_bytes: dict[str, int] = {p.name: 0 for p in parts}
+        top = 1 << max_order
         for p in parts:
             lists: list[list[int]] = [[] for _ in range(max_order + 1)]
             self._free[p.name] = lists
-            for first, order in aligned_blocks(
-                    p.base // PAGE_SIZE, p.size // PAGE_SIZE, max_order):
-                lists[order].append(first * PAGE_SIZE)
+            # Whole max-order blocks fill [lo, hi); only the unaligned head
+            # and tail are split, into blocks below the max order.
+            first, stop = p.base // PAGE_SIZE, p.end // PAGE_SIZE
+            lo = min(-(-first // top) * top, stop)
+            hi = max(stop // top * top, lo)
+            for start, end in ((first, lo), (hi, stop)):
+                for pfn, order in aligned_blocks(start, end - start, max_order):
+                    lists[order].append(pfn * PAGE_SIZE)
+            lists[max_order] += range(lo * PAGE_SIZE, hi * PAGE_SIZE, top * PAGE_SIZE)
             self._free_bytes[p.name] = p.size
 
     # -- queries ---------------------------------------------------------

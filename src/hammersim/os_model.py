@@ -9,7 +9,9 @@ depends on.
 Mappings are runs: one file mapped count times back to back, from MAP_BASE
 up, with one table per 2 MiB window.  The tables are one list indexed by
 window number, so finding a page's entry, its run and its pristine value is
-arithmetic.
+arithmetic.  The reverse lookups are by run too: a table frame's window,
+and a buffer page's frame, are one bisection over sorted runs of frames or
+pages, never a per-frame table.
 
 The model keeps a dirty index over page-table entries (maintained from a
 single write hook on physical memory) so marker scans visit only pages behind
@@ -286,23 +288,46 @@ def cred_pattern(uid: int) -> bytes:
     return struct.pack("<6I", uid, uid, uid, uid, uid, uid)
 
 
-class _DirtyIndexer:
-    """Physical memory's write hook: marks written table entries in the
-    model's dirty index.
+class _RunIndex:
+    """Disjoint key runs sorted by first key, each with its first key's
+    value; values step by step along a run, so a lookup is a bisection."""
 
-    It holds the index maps rather than the model, so a model and its
-    memory form no reference cycle and a finished model is freed at once
-    instead of waiting for a full run of the cycle collector.  It is a
-    class, not a closure, because deepcopy shares a closure: a copied
-    model would then mark the original's index.
+    def __init__(self, step: int) -> None:
+        self.step = step
+        self.starts: list[int] = []
+        self.stops: list[int] = []
+        self.firsts: list[int] = []
+
+    def add(self, keys: range, first: int) -> None:
+        i = bisect.bisect(self.starts, keys.start)
+        self.starts.insert(i, keys.start)
+        self.stops.insert(i, keys.stop)
+        self.firsts.insert(i, first)
+
+    def get(self, key: int) -> int | None:
+        i = bisect.bisect(self.starts, key) - 1
+        if i >= 0 and key < self.stops[i]:
+            return self.firsts[i] + (key - self.starts[i]) * self.step
+        return None
+
+
+class _DirtyIndexer:
+    """Physical memory's write hook: bisects the table runs for a written
+    table's window and marks the written entries in the dirty index.
+
+    It holds the table-run index and the dirty index rather than the
+    model, so a model and its memory form no reference cycle and a
+    finished model is freed at once instead of waiting for a full run of
+    the cycle collector.  It is a class, not a closure, because deepcopy
+    shares a closure: a copied model would then mark the original's index.
     """
 
-    def __init__(self, pt_windows, pte_dirty):
-        self.pt_windows = pt_windows
+    def __init__(self, tables: _RunIndex, pte_dirty: dict[int, set[int]]):
+        self.tables = tables
         self.pte_dirty = pte_dirty
 
     def __call__(self, pfn: int, start: int, end: int) -> None:
-        window = self.pt_windows.get(pfn)
+        window = self.tables.get(pfn)
         if window is not None:
             for idx in range(start // PTE_SIZE, (end + PTE_SIZE - 1) // PTE_SIZE):
                 self.pte_dirty.setdefault(idx, set()).add(window + idx * PAGE_SIZE)
@@ -325,12 +350,12 @@ class OsModel:
         self.creds: dict[int, CredPage] = {}
         self._pt_pfns: list[int] = []  # window number from MAP_BASE -> table
         self.pt_runs: list[range] = []  # the table frames, as taken
-        self._pt_windows: dict[int, int] = {}  # pt pfn -> window base
-        self._buffer_pages: dict[int, int] = {}  # vpage -> pfn
+        self._tables = _RunIndex(PT_SPAN)  # table pfn -> window base
+        self._buffer = _RunIndex(1)  # buffer virtual page number -> pfn
         self._pt_templates: dict[tuple[int, int], bytes] = {}
         # entry index -> page vaddrs mapped through a dirty entry
         self._pte_dirty: dict[int, set[int]] = {}
-        self.memory.write_hook = _DirtyIndexer(self._pt_windows, self._pte_dirty)
+        self.memory.write_hook = _DirtyIndexer(self._tables, self._pte_dirty)
         self._next_buffer_base = BUFFER_BASE
 
     # -- files and mappings -------------------------------------------------
@@ -348,7 +373,7 @@ class OsModel:
         cached = self._pt_templates.get(key)
         if cached is None:
             vals = [
-                PteEntry.make(file.pfns[(page_offset + i) % len(file.pfns)]).raw
+                _user_pte(file.pfns[(page_offset + i) % len(file.pfns)])
                 for i in range(PTES_PER_PAGE)
             ]
             cached = struct.pack(f"<{PTES_PER_PAGE}Q", *vals)
@@ -394,7 +419,10 @@ class OsModel:
         self.vmas.append(run)
         self.pt_runs.extend(runs)
         self._pt_pfns.extend(pfns)
-        self._pt_windows.update(zip(pfns, range(run.base, run.end, PT_SPAN)))
+        base = run.base
+        for frames in runs:
+            self._tables.add(frames, base)
+            base += len(frames) * PT_SPAN
         templates = [self._pt_template(file, w * PTES_PER_PAGE) for w in range(windows)]
         self.memory.pages.update(zip(pfns, cycle(templates)))
         return pfns
@@ -413,8 +441,11 @@ class OsModel:
         pfn = tlb.get(vpage)
         if pfn is not None:
             return pfn
-        pfn = self._buffer_pages.get(vpage)
-        if pfn is None:
+        if vpage >= BUFFER_BASE:
+            pfn = self._buffer.get(vpage // PAGE_SIZE)
+            if pfn is None:
+                return None
+        else:
             entry = self._entry_addr(vpage)
             if entry is None:
                 return None
@@ -542,8 +573,8 @@ class OsModel:
             chunk.vbase = base
             frames = chunk.frames()
             self._next_buffer_base += (len(frames) + 1) * PAGE_SIZE
-            self._buffer_pages.update(zip(range(base, base + len(frames) * PAGE_SIZE,
-                                                PAGE_SIZE), frames))
+            vpn = base // PAGE_SIZE
+            self._buffer.add(range(vpn, vpn + len(frames)), frames.start)
         buffer.user_mapped = True
 
     # -- creds ------------------------------------------------------------------
@@ -591,4 +622,4 @@ class OsModel:
         return set(self._pt_pfns)
 
     def is_pt_frame(self, pfn: int) -> bool:
-        return pfn in self._pt_windows
+        return self._tables.get(pfn) is not None

@@ -6,9 +6,10 @@ address, the bitmap allocator tracks a free bitmap as one big integer
 instead of per-order free lists, the reference preload carves by trial and
 error where the package tests bitmasks of free pages, the reference hammer
 groups decoded (dimm, rank, bank, row) coordinates where the package
-compares packed row keys, and the verification
+compares packed row keys, the verification
 oracle sweeps every mapped page linearly instead of consulting the dirty
-index.
+index, and the per-frame maps expand table runs and buffer chunks frame by
+frame where the OS model bisects runs.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import random
+from itertools import chain
 
 import numpy as np
 
@@ -37,6 +39,7 @@ from hammersim.dram_model import (
     MappingSpec,
     VulnCalibration,
     VulnerabilityMap,
+    aligned_blocks,
     map_phys_to_dram,
     page_row_keys,
     unmap_dram_to_phys,
@@ -137,6 +140,32 @@ def windows(os_model: OsModel) -> dict[int, int]:
             for i, pfn in enumerate(os_model._pt_pfns)}
 
 
+def table_windows(os_model: OsModel) -> dict[int, int]:
+    """Table frame -> the base of the window it maps, frame by frame from
+    the table runs in window order."""
+    frames = chain.from_iterable(os_model.pt_runs)
+    return {pfn: os_model.map_base + i * PT_SPAN for i, pfn in enumerate(frames)}
+
+
+def buffer_pages(buffer) -> dict[int, int]:
+    """Mapped buffer page -> frame, page by page from each chunk's frames."""
+    return {chunk.vbase + i * PAGE_SIZE: pfn
+            for chunk in buffer.chunks for i, pfn in enumerate(chunk.frames())}
+
+
+def reference_free_lists(buddy: BuddyState) -> dict[str, list[list[int]]]:
+    """A fresh allocator's free lists, block by block: every partition
+    split whole into maximal aligned blocks by aligned_blocks."""
+    free = {}
+    for name, part in buddy.partitions.items():
+        lists: list[list[int]] = [[] for _ in range(buddy.max_order + 1)]
+        for first, order in aligned_blocks(
+                part.base // PAGE_SIZE, part.size // PAGE_SIZE, buddy.max_order):
+            lists[order].append(first * PAGE_SIZE)
+        free[name] = lists
+    return free
+
+
 def reference_hammer(dram: Dram, aggressors: list[int], reps: int,
                      rng: random.Random) -> list[InjectedFlip]:
     """Dram.hammer on decoded coordinates: aggressors grouped by
@@ -235,8 +264,11 @@ class BitmapBuddy:
 
     The free state is one integer per partition, bit i set when page i
     (relative to the partition base) is free.  Maximal free blocks are
-    derived from the bitmap on demand, so split and coalesce behavior is
-    implicit rather than tracked.
+    derived from the bitmap, so split and coalesce behavior is implicit
+    rather than tracked: per order j, a mask of the aligned blocks whose
+    pages are all free.  A change to the bitmap updates those masks only
+    at the orders it touches: inside the changed block, and then up its
+    chain of containing blocks until one keeps its state.
     """
 
     def __init__(self, partitions: list[Partition], max_order: int = 10) -> None:
@@ -253,8 +285,11 @@ class BitmapBuddy:
             ]
             for p in partitions
         }
-        # name -> (bitmap, maximal masks of that bitmap)
-        self._masks_of: dict[str, tuple[int, list[int]]] = {}
+        # name -> per order, the aligned blocks that are wholly free
+        self._full = {p.name: self._full_blocks(p.name) for p in partitions}
+        self._masks = {p.name: [0] * (max_order + 1) for p in partitions}
+        for name in self.partitions:
+            self._refresh_masks(name, 0, max_order)
 
     @staticmethod
     def _aligned_mask(pages: int, order: int) -> int:
@@ -265,50 +300,79 @@ class BitmapBuddy:
             mask |= 1 << pos
         return mask
 
-    def maximal_masks(self, name: str) -> list[int]:
-        """Entry j has bit i set when a maximal aligned free block of order
-        j starts at page i (relative to the partition base).
-
-        Kept per bitmap value: allocate asks again for the state that the
-        previous comparison just derived.
-        """
-        bits = self.bits[name]
-        cached = self._masks_of.get(name)
-        if cached is not None and cached[0] == bits:
-            return cached[1]
+    def _full_blocks(self, name: str) -> list[int]:
+        """Entry j has bit i set when pages [i, i + 2^j) are all free and i
+        is aligned to 2^j, derived from the whole bitmap."""
         pages = self.partitions[name].size // PAGE_SIZE
         align = self._align[name]
-        # full has bit i set when pages [i, i + 2^j) are all free; shifts
-        # bring in zeros, so no block runs past the end of the pool.
-        full = bits & ((1 << pages) - 1)
+        # Shifts bring in zeros, so no block runs past the end of the pool.
+        full = self.bits[name] & ((1 << pages) - 1)
         aligned = [full & align[0]]
         for j in range(1, self.max_order + 1):
             full &= full >> (1 << (j - 1))
             aligned.append(full & align[j])
-        masks = []
-        for j in range(self.max_order):
+        return aligned
+
+    def _refresh_masks(self, name: str, low: int, top: int) -> None:
+        """Rederive the maximal masks of orders low .. top."""
+        full, masks = self._full[name], self._masks[name]
+        for j in range(low, min(top + 1, self.max_order)):
             # Drop halves of fully-free aligned parent blocks.
-            parents = aligned[j + 1]
-            masks.append(aligned[j] & ~(parents | (parents << (1 << j))))
-        masks.append(aligned[self.max_order])
-        self._masks_of[name] = (bits, masks)
-        return masks
+            parents = full[j + 1]
+            masks[j] = full[j] & ~(parents | (parents << (1 << j)))
+        if top == self.max_order:
+            masks[top] = full[top]
+
+    def _set_block(self, name: str, page: int, order: int, free: bool) -> None:
+        """Free or take the aligned block of 2^order pages at page."""
+        mask = ((1 << (1 << order)) - 1) << page
+        outside = ~mask
+        self.bits[name] = self.bits[name] | mask if free else self.bits[name] & outside
+        full, masks, align = self._full[name], self._masks[name], self._align[name]
+        # Every aligned block inside this one is now wholly free or wholly
+        # taken, so none below its order is maximal.
+        for j in range(order + 1):
+            full[j] = full[j] | align[j] & mask if free else full[j] & outside
+            masks[j] &= outside
+        top = order
+        for j in range(order + 1, self.max_order + 1):
+            first = page >> j << j
+            whole = (full[j - 1] >> first) & (full[j - 1] >> (first + (1 << (j - 1)))) & 1
+            if whole == (full[j] >> first) & 1:
+                break  # neither this block nor any containing block changed
+            full[j] ^= 1 << first
+            top = j
+        self._refresh_masks(name, order, top)
+
+    def _set_range(self, name: str, base: int, pages: int, free: bool) -> None:
+        """Free or take pages from base, one aligned block at a time."""
+        page = (base - self.partitions[name].base) // PAGE_SIZE
+        while pages:
+            align = (page & -page).bit_length() - 1 if page else self.max_order
+            order = min(align, self.max_order, pages.bit_length() - 1)
+            self._set_block(name, page, order, free)
+            page += 1 << order
+            pages -= 1 << order
+
+    def maximal_masks(self, name: str) -> list[int]:
+        """Entry j has bit i set when a maximal aligned free block of order
+        j starts at page i (relative to the partition base)."""
+        return list(self._masks[name])
 
     def allocate(self, name: str, order: int) -> int | None:
         """Lowest address of the smallest sufficient maximal block."""
-        masks = self.maximal_masks(name)
+        masks = self._masks[name]
         for j in range(order, self.max_order + 1):
             candidates = masks[j]
             if candidates:
                 page = (candidates & -candidates).bit_length() - 1
-                self.bits[name] &= ~(((1 << (1 << order)) - 1) << page)
+                self._set_block(name, page, order, False)
                 return self.partitions[name].base + page * PAGE_SIZE
         return None
 
     def free(self, name: str, base: int, order: int) -> None:
         page = (base - self.partitions[name].base) // PAGE_SIZE
-        span = 1 << order
-        self.bits[name] |= ((1 << span) - 1) << page
+        self._set_block(name, page, order, True)
 
     def _range_mask(self, name: str, base: int, pages: int) -> int:
         page = (base - self.partitions[name].base) // PAGE_SIZE
@@ -319,10 +383,10 @@ class BitmapBuddy:
         return self.bits[name] & mask == mask
 
     def take_range(self, name: str, base: int, pages: int) -> None:
-        self.bits[name] &= ~self._range_mask(name, base, pages)
+        self._set_range(name, base, pages, False)
 
     def free_range(self, name: str, base: int, pages: int) -> None:
-        self.bits[name] |= self._range_mask(name, base, pages)
+        self._set_range(name, base, pages, True)
 
     def free_pages(self, name: str) -> int:
         return self.bits[name].bit_count()

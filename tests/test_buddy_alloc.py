@@ -6,7 +6,7 @@ import copy
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     Bundle,
@@ -32,8 +32,8 @@ from hammersim.dram_model import PAGE_SIZE
 from hammersim.harness import KERNEL_PARTITION, build_sim
 from hammersim.profiles import get_profile
 
-from helpers import (BitmapBuddy, free_block_set, free_masks, reference_preload,
-                     run_op_sequence)
+from helpers import (BitmapBuddy, free_block_set, free_masks, reference_free_lists,
+                     reference_preload, run_op_sequence)
 
 MIB = 1024 * 1024
 
@@ -160,6 +160,33 @@ def test_unaligned_partition_base_seeds_correct_free_lists():
     assert covered == set(range(3, 16))
 
 
+@given(st.integers(0, 3000), st.integers(1, 3000), st.integers(0, 2000),
+       st.integers(0, 10), st.sampled_from([None, 1, 4, 64]))
+@example(0, 4096, 0, 10, None)  # base 0
+@example(3, 2061, 0, 10, None)  # base not aligned to a max-order block
+@example(5, 7, 0, 3, None)  # smaller than one max-order block
+@example(1000, 30, 9, 5, None)  # straddles a max-order boundary, no whole block
+@example(64, 960, 1024, 10, 64)  # the row_span case, two partitions
+@settings(max_examples=150, deadline=None)
+def test_fresh_free_lists_match_block_by_block_split(base, pages, second, max_order,
+                                                     row_pages):
+    if row_pages is not None:
+        base, pages = base // row_pages * row_pages, -(-pages // row_pages) * row_pages
+        second = -(-second // row_pages) * row_pages
+    parts = [Partition("a", base * PAGE_SIZE, pages * PAGE_SIZE)]
+    if second:
+        gap = row_pages or 1
+        parts.append(Partition("b", (base + pages + gap) * PAGE_SIZE, second * PAGE_SIZE))
+    buddy = BuddyState(parts, max_order=max_order,
+                       row_span=row_pages and row_pages * PAGE_SIZE)
+    reference = copy.deepcopy(buddy)
+    reference._free = reference_free_lists(buddy)
+    assert buddy._free == reference._free
+    assert buddy.buddy_info() == reference.buddy_info()
+    buddy.check_invariants()
+    reference.check_invariants()
+
+
 # --- bitmap oracle equivalence ---
 
 
@@ -176,6 +203,28 @@ def test_matches_bitmap_oracle_zero_base():
 @settings(max_examples=15, deadline=None)
 def test_matches_bitmap_oracle_property(seed):
     run_op_sequence(seed, steps=120, size=1 * MIB, base=1 * MIB)
+
+
+@given(st.integers(1, 3000), st.integers(0, 10), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_bitmap_oracle_updates_match_a_fresh_derivation(pages, max_order, seed):
+    # The oracle updates its masks only at the orders a change touches;
+    # after any mix of range changes they must equal the masks derived
+    # from the whole bitmap at once.
+    part = Partition("pool", 0, pages * PAGE_SIZE)
+    oracle = BitmapBuddy([part], max_order=max_order)
+    rng = random.Random(seed)
+    for _ in range(30):
+        first = rng.randrange(pages)
+        count = rng.randrange(1, pages - first + 1)
+        change = oracle.free_range if rng.random() < 0.5 else oracle.take_range
+        change("pool", first * PAGE_SIZE, count)
+        fresh = BitmapBuddy([part], max_order=max_order)
+        fresh.bits["pool"] = oracle.bits["pool"]
+        fresh._full["pool"] = fresh._full_blocks("pool")
+        fresh._refresh_masks("pool", 0, max_order)
+        assert oracle._full["pool"] == fresh._full["pool"]
+        assert oracle.maximal_masks("pool") == fresh.maximal_masks("pool")
 
 
 # --- guarded buffers ---

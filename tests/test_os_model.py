@@ -29,6 +29,8 @@ from hammersim.os_model import (
     PROBE_PTE,
     PT_SPAN,
     PTE_PRESENT,
+    PTE_SIZE,
+    PTES_PER_PAGE,
     PTE_USER,
     PTE_WRITABLE,
     SG_MAX_BYTES,
@@ -40,7 +42,8 @@ from hammersim.os_model import (
     cred_pattern,
 )
 
-from helpers import full_placement, simple_mapping, windows
+from helpers import (buffer_pages, full_placement, simple_mapping, table_windows,
+                     windows)
 
 MIB = 1024 * 1024
 
@@ -155,6 +158,50 @@ def test_placement_leaves_table_pages_shared():
     # One 2 MiB file needs one template; its marker pages share one too.
     assert len({id(pages[pfn]) for pfn in tables}) == 1
     assert len({id(pages[pfn]) for pfn in os_model.files[0].pfns}) == 1
+
+
+@pytest.mark.parametrize("seed", [7, 19])
+@pytest.mark.parametrize("mitigation", [False, True])
+def test_run_indexes_match_per_frame_oracle(seed, mitigation):
+    os_model, placement = full_placement("dell", "video", seed, mitigation=mitigation)
+    oracle = table_windows(os_model)
+    assert len(oracle) == len(os_model._pt_pfns) > 10_000
+    edges = {r.start - 1 for r in os_model.pt_runs} | {r.stop for r in os_model.pt_runs}
+    rng = random.Random(seed)
+    frames = os_model.dram.geometry.capacity // PAGE_SIZE
+    others = {pfn for pfn in (rng.randrange(frames) for _ in range(3000))
+              if pfn not in oracle}
+    assert len(others) > 2000
+    dirty = os_model._pte_dirty
+    for pfn in [*oracle, *edges, *others]:
+        assert os_model.is_pt_frame(pfn) == (pfn in oracle)
+        # The write hook marks entry idx of the frame's window, if a table.
+        dirty.clear()
+        idx = pfn % PTES_PER_PAGE
+        os_model.memory.write_hook(pfn, idx * PTE_SIZE, idx * PTE_SIZE + 1)
+        want = {idx: {oracle[pfn] + idx * PAGE_SIZE}} if pfn in oracle else {}
+        assert dirty == want
+    pages = buffer_pages(placement.buffer)
+    assert len(pages) == sum(c.page_count() for c in placement.buffer.chunks)
+    os_model.flush_tlb()
+    for vpage, pfn in pages.items():
+        assert os_model.translate(vpage + 8) == pfn
+    gaps = [c.vbase + c.page_count() * PAGE_SIZE for c in placement.buffer.chunks]
+    assert all(gap not in pages and os_model.translate(gap) is None for gap in gaps)
+
+
+def test_deepcopy_marks_only_its_own_dirty_index():
+    os_model, _ = full_placement("dell", "video", 7)
+    twin = copy.deepcopy(os_model)
+    assert twin.memory.write_hook.tables is twin._tables is not os_model._tables
+    a, b = os_model.pt_runs[0].start, os_model.pt_runs[-1].stop - 1
+    twin.memory.write_u64(a * PAGE_SIZE + 8, PROBE_PTE)
+    assert twin._pte_dirty and not os_model._pte_dirty
+    os_model.memory.write_u64(b * PAGE_SIZE + 16, PROBE_PTE)
+    assert set(twin._pte_dirty) == {1} and set(os_model._pte_dirty) == {2}
+    outside = [r.stop for r in os_model.pt_runs] + [r.start - 1 for r in os_model.pt_runs]
+    for pfn in [a, b, *outside]:
+        assert twin.is_pt_frame(pfn) == os_model.is_pt_frame(pfn)
 
 
 # --- files, mappings, translation ---
