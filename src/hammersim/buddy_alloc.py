@@ -7,11 +7,13 @@ Partitions are hard walls: no block ever crosses one, and neighbouring
 partitions must be separated by at least one full row-index span so rows are
 never shared across the divide.
 
-Guard spans reserved by allocate_isolated_buffer belong to neither the free
-pool nor any owner; conservation is allocated + free + guard == capacity.
+The state is the free lists, the freeable blocks and the never-freed runs;
+byte counts are derived from them.  Together they tile each partition, so
+allocated + free == capacity.  Guard spans reserved by
+allocate_isolated_buffer are held as a "guard" run.
 
 take_pages hands out many order-0 pages in one pass, like Linux's
-rmqueue_bulk, as page ranges registered as one run, not one block per page.
+rmqueue_bulk, as page ranges held as one run, not one block per page.
 preload_workload places the background workload against bitmasks of free
 pages, then writes the free lists once.
 """
@@ -80,20 +82,12 @@ class Block(NamedTuple):
 
 
 class Run(NamedTuple):
-    """Pages taken by one take_pages call or by the workload preload, as
-    page-number ranges; never freed."""
+    """Pages taken by one take_pages call, by the workload preload or as
+    one buffer's guard rows, as page-number ranges; never freed."""
 
     partition: str
     owner: str
     spans: tuple[range, ...]
-
-
-@dataclass(frozen=True)
-class IsolatedAllocation:
-    """Buffer block plus the guard spans reserved around it."""
-
-    block: Block
-    guard_spans: tuple[tuple[int, int], ...]
 
 
 class BuddyState:
@@ -132,9 +126,6 @@ class BuddyState:
         self._free: dict[str, list[list[int]]] = {}
         self._allocated: dict[int, Block] = {}
         self._runs: list[Run] = []
-        self._guards: dict[str, list[tuple[int, int]]] = {p.name: [] for p in parts}
-        self._free_bytes: dict[str, int] = {p.name: 0 for p in parts}
-        self._alloc_bytes: dict[str, int] = {p.name: 0 for p in parts}
         top = 1 << max_order
         for p in parts:
             lists: list[list[int]] = [[] for _ in range(max_order + 1)]
@@ -148,7 +139,6 @@ class BuddyState:
                 for pfn, order in aligned_blocks(start, end - start, max_order):
                     lists[order].append(pfn * PAGE_SIZE)
             lists[max_order] += range(lo * PAGE_SIZE, hi * PAGE_SIZE, top * PAGE_SIZE)
-            self._free_bytes[p.name] = p.size
 
     # -- queries ---------------------------------------------------------
 
@@ -164,10 +154,7 @@ class BuddyState:
         )
 
     def free_bytes(self, partition: str) -> int:
-        return self._free_bytes[partition]
-
-    def allocated_bytes(self, partition: str) -> int:
-        return self._alloc_bytes[partition]
+        return self.free_bytes_below(partition, self.max_order + 1)
 
     def free_bytes_below(self, partition: str, order: int) -> int:
         lists = self._free[partition]
@@ -193,8 +180,7 @@ class BuddyState:
                 while j > order:
                     j -= 1
                     insort(lists[j], base + (PAGE_SIZE << j))
-                block = Block(partition, base, 1 << order, owner)
-                self._register(block)
+                block = self._allocated[base] = Block(partition, base, 1 << order, owner)
                 return block
         raise OutOfMemoryError(f"no free block of order >= {order} in partition {partition!r}")
 
@@ -235,8 +221,7 @@ class BuddyState:
                         candidate += half
                     else:
                         insort(lists[j], candidate + half)
-                block = Block(partition, base, 1 << order, owner)
-                self._register(block)
+                block = self._allocated[base] = Block(partition, base, 1 << order, owner)
                 return block
         raise OutOfMemoryError(f"no free block containing {base:#x}")
 
@@ -254,8 +239,9 @@ class BuddyState:
         """
         if n < 0:
             raise ValueError("page count must not be negative")
-        if n * PAGE_SIZE > self._free_bytes[partition]:
-            raise OutOfMemoryError(f"{n} pages requested, {self._free_bytes[partition] // PAGE_SIZE}"
+        free = self.free_bytes(partition)
+        if n * PAGE_SIZE > free:
+            raise OutOfMemoryError(f"{n} pages requested, {free // PAGE_SIZE}"
                                    f" free in partition {partition!r}")
         lists = self._free[partition]
         spans: list[range] = []
@@ -277,19 +263,8 @@ class BuddyState:
                     insort(lists[o], rest * PAGE_SIZE)
                 left = 0
         if n:
-            self._register_run(Run(partition, owner, tuple(spans)), n)
+            self._runs.append(Run(partition, owner, tuple(spans)))
         return spans
-
-    def _register(self, block: Block) -> None:
-        self._allocated[block.base] = block
-        size = block.pages * PAGE_SIZE
-        self._alloc_bytes[block.partition] += size
-        self._free_bytes[block.partition] -= size
-
-    def _register_run(self, run: Run, pages: int) -> None:
-        self._runs.append(run)
-        self._alloc_bytes[run.partition] += pages * PAGE_SIZE
-        self._free_bytes[run.partition] -= pages * PAGE_SIZE
 
     # -- freeing ---------------------------------------------------------
 
@@ -304,8 +279,6 @@ class BuddyState:
 
     def _release(self, partition: str, base: int, pages: int) -> None:
         """Return allocated pages to the free lists, coalescing each piece."""
-        self._alloc_bytes[partition] -= pages * PAGE_SIZE
-        self._free_bytes[partition] += pages * PAGE_SIZE
         lists = self._free[partition]
         for first, order in aligned_blocks(base // PAGE_SIZE, pages, self.max_order):
             self._coalesce_in(lists, partition, first * PAGE_SIZE, order)
@@ -332,30 +305,27 @@ class BuddyState:
     def check_invariants(self) -> None:
         """Raise BuddyError naming the first broken invariant.
 
-        Per partition: free blocks, allocated blocks, run spans (so page
-        tables too) and guards tile it exactly, and the byte counters
-        match them, so allocated + free + guard == capacity; every free
-        list is ascending and aligned to its order; and no free block's
-        buddy is free at the same order below max_order.
+        Per partition: free blocks, allocated blocks and run spans (so
+        page tables and guard rows too) tile it exactly, so allocated +
+        free == capacity; every free list is ascending and aligned to its
+        order; and no free block's buddy is free at the same order below
+        max_order.
         """
         for name, part in self.partitions.items():
             lists = self._free[name]
-            free = [(b, PAGE_SIZE << o) for o, lst in enumerate(lists) for b in lst]
-            taken = [(b.base, b.size) for b in self.blocks(name)] + [
-                (span.start * PAGE_SIZE, len(span) * PAGE_SIZE)
-                for run in self._runs if run.partition == name
-                for span in run.spans]
-            if (sum(s for _, s in free), sum(s for _, s in taken)) != (
-                    self._free_bytes[name], self._alloc_bytes[name]):
-                raise BuddyError(f"{name}: byte counters disagree with the blocks")
+            spans = sorted(
+                [(b, PAGE_SIZE << o) for o, lst in enumerate(lists) for b in lst]
+                + [(b.base, b.size) for b in self.blocks(name)]
+                + [(span.start * PAGE_SIZE, len(span) * PAGE_SIZE)
+                   for run in self._runs if run.partition == name
+                   for span in run.spans])
             end = part.base
-            for base, size in sorted(free + taken + self._guards[name]):
+            for base, size in spans:
                 if base < end:
                     raise BuddyError(f"{name}: spans overlap at {base:#x}")
                 end = base + size
-            covered = sum(s for _, s in free + taken + self._guards[name])
-            if end > part.end or covered != part.size:
-                raise BuddyError(f"{name}: allocated + free + guard != capacity")
+            if end > part.end or sum(s for _, s in spans) != part.size:
+                raise BuddyError(f"{name}: allocated + free != capacity")
             for order, lst in enumerate(lists):
                 size = PAGE_SIZE << order
                 listed = set(lst)
@@ -366,14 +336,12 @@ class BuddyState:
 
     # -- guarded buffers --------------------------------------------------
 
-    def allocate_isolated_buffer(
-        self, partition: str, size: int, owner: str
-    ) -> IsolatedAllocation:
+    def allocate_isolated_buffer(self, partition: str, size: int, owner: str) -> Block:
         """Place a buffer with one reserved guard row span on each side.
 
         The guard spans cover whole row-index spans, so no other allocation
-        can ever share or neighbour the buffer's rows.  Guards stay reserved
-        for the lifetime of the allocator.
+        can ever share or neighbour the buffer's rows.  They are held as one
+        "guard" run, reserved for the lifetime of the allocator.
         """
         if self.row_span is None:
             raise GuardPlacementError("allocator built without a row span")
@@ -394,12 +362,12 @@ class BuddyState:
         del self._allocated[covering.base]
         block = Block(partition, covering.base + span, body // PAGE_SIZE, owner)
         self._allocated[block.base] = block
-        guards = ((covering.base, span), (block.end, span))
-        self._guards[partition].extend(guards)
-        self._alloc_bytes[partition] -= 2 * span
-        leftover = block.end + span
-        self._release(partition, leftover, (covering.end - leftover) // PAGE_SIZE)
-        return IsolatedAllocation(block, guards)
+        first, pages = covering.base // PAGE_SIZE, span // PAGE_SIZE
+        stop = block.end // PAGE_SIZE + pages
+        self._runs.append(Run(partition, "guard", (range(first, first + pages),
+                                                   range(stop - pages, stop))))
+        self._release(partition, stop * PAGE_SIZE, covering.pages - (stop - first))
+        return block
 
 
 # Random placements a workload block gets before the preload gives up.
@@ -529,9 +497,8 @@ def preload_workload(
             spans.append(range(first, stop))
     lists[:] = [sorted(lst) for lst in kept]
     if spans:
-        buddy._register_run(Run(partition, "workload", tuple(spans)), sum(map(len, spans)))
+        buddy._runs.append(Run(partition, "workload", tuple(spans)))
     fresh_halves = [Block(partition, pfn * PAGE_SIZE, 1 << order, "workload")
                     for pfn, order in fresh]
-    for half in fresh_halves:
-        buddy._register(half)
+    buddy._allocated.update((half.base, half) for half in fresh_halves)
     return PreloadState(fresh_halves)

@@ -201,7 +201,7 @@ def _run_ambush_trial(
         )
     else:
         outcome = ExploitOutcome(status=STATUS_NONE, rounds=0)
-    guard_pairs = len(placement.buffer.guard_spans) // 2
+    guard_pairs = len(placement.buffer.chunks) if mitigation else 0
     guard_cost = guard_pairs * 2 * profile.geometry.row_size
     return TrialReport(
         seed=trial_seed,
@@ -452,25 +452,6 @@ def run_trials(
         strategy=strategy,
         master_seed=seed,
         trials=tuple(trials),
-    )
-
-
-def evaluate_mitigation(
-    profile: MachineProfile,
-    n: int,
-    seed: int,
-    *,
-    driver: str = DRIVER_VIDEO,
-) -> AggregateReport:
-    """Rerun the ambush with guarded buffers; placement metrics only."""
-    return run_trials(
-        profile,
-        STRATEGY_AMBUSH,
-        n,
-        seed,
-        driver=driver,
-        mitigation=True,
-        rounds_cap=0,
     )
 
 

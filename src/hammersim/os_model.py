@@ -253,7 +253,6 @@ class DoubleOwnedBuffer:
 
     driver: str
     chunks: list[BufferChunk]
-    guard_spans: tuple[tuple[int, int], ...] = ()
     user_mapped: bool = False
 
     @property
@@ -552,19 +551,16 @@ class OsModel:
     ) -> DoubleOwnedBuffer:
         owner = f"{driver}_buffer"
         chunks: list[BufferChunk] = []
-        guards: list[tuple[int, int]] = []
         for _ in range(count):
             if isolated:
-                isolation = self.buddy.allocate_isolated_buffer(
+                block = self.buddy.allocate_isolated_buffer(
                     KERNEL_PARTITION, chunk_bytes, owner
                 )
-                chunks.append(BufferChunk(isolation.block, chunk_bytes))
-                guards.extend(isolation.guard_spans)
             else:
                 pages = -(-chunk_bytes // PAGE_SIZE)
                 block = self.buddy.allocate_pages(KERNEL_PARTITION, pages, owner)
-                chunks.append(BufferChunk(block, chunk_bytes))
-        return DoubleOwnedBuffer(driver, chunks, tuple(guards))
+            chunks.append(BufferChunk(block, chunk_bytes))
+        return DoubleOwnedBuffer(driver, chunks)
 
     def map_buffer(self, buffer: DoubleOwnedBuffer) -> None:
         """Give the attacker a user mapping of every chunk."""

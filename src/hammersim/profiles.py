@@ -100,6 +100,9 @@ class MachineProfile:
             raise ProfileError("rounds_cap >= 0 and reps_per_round > 0 required")
         if self.pair_attempt_cap < 1:
             raise ProfileError("pair_attempt_cap must be >= 1")
+        bits = self.geometry.row_size * 8
+        if self.vulnerability.cells_per_weak_row > bits:
+            raise ProfileError(f"cells_per_weak_row must be <= {bits}, the bits of one row")
 
     def threshold_for(self, driver: str) -> int:
         if driver not in DRIVERS:

@@ -31,7 +31,11 @@ class ChannelError(Exception):
 
 
 class PairSelectionError(ChannelError):
-    """No pair classified as conflicting within the attempt budget."""
+    """No pair classified as conflicting; attempts is how many were timed."""
+
+    def __init__(self, message: str, attempts: int = 0) -> None:
+        super().__init__(message)
+        self.attempts = attempts
 
 
 @dataclass(frozen=True)
@@ -131,6 +135,6 @@ def select_hammer_pair(
         if sample.classified_conflict:
             return (a, b), attempt, (sample.addr_a, sample.addr_b)
     raise PairSelectionError(
-        f"no conflicting pair classified within {max_attempts} attempts"
+        f"no conflicting pair classified within {max_attempts} attempts", max_attempts
     )
 

@@ -397,6 +397,21 @@ def free_block_set(buddy: BuddyState, partition: str) -> set[tuple[int, int]]:
     return {(addr, order) for order, lst in enumerate(lists) for addr in lst}
 
 
+def assert_guarded(buddy: BuddyState, block, span: int) -> None:
+    """block has its "guard" run: [block.base - span, block.base) and
+    [block.end, block.end + span), neither free nor inside any block."""
+    first, stop = block.base // PAGE_SIZE, block.end // PAGE_SIZE
+    pages = span // PAGE_SIZE
+    guards = (range(first - pages, first), range(stop, stop + pages))
+    runs = [run for run in buddy._runs if run.owner == "guard" and run.spans == guards]
+    assert [run.partition for run in runs] == [block.partition]
+    held = [(base // PAGE_SIZE, base // PAGE_SIZE + (1 << order))
+            for base, order in free_block_set(buddy, block.partition)]
+    held += [(b.base // PAGE_SIZE, b.end // PAGE_SIZE) for b in buddy.blocks(block.partition)]
+    for guard in guards:
+        assert not any(start < guard.stop and guard.start < end for start, end in held)
+
+
 def free_masks(buddy: BuddyState, partition: str) -> list[int]:
     """The allocator's free lists in BitmapBuddy.maximal_masks form: entry j
     has bit i set when a free block of order j starts at page i of the

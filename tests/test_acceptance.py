@@ -29,7 +29,6 @@ from hammersim.os_model import PteEntry
 from hammersim.harness import (
     STRATEGY_AMBUSH,
     STRATEGY_FENG_SHUI,
-    evaluate_mitigation,
     run_trials,
 )
 from hammersim.profiles import get_profile
@@ -308,7 +307,7 @@ def test_criterion_7_end_to_end_statistics():
 def test_criterion_8_guard_row_mitigation():
     t0 = time.perf_counter()
     profile = get_profile("dell")
-    agg = evaluate_mitigation(profile, 200, 2026)
+    agg = run_trials(profile, STRATEGY_AMBUSH, 200, 2026, mitigation=True, rounds_cap=0)
     elapsed = time.perf_counter() - t0
     ok = (agg.adjacency_count == 0
           and agg.guard_cost_per_buffer == 16 * 1024

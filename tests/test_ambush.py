@@ -25,7 +25,8 @@ from hammersim.buddy_alloc import Block, BuddyState, Partition, preload_workload
 from hammersim.dram_model import PAGE_SIZE, Dram, target_block_size
 from hammersim.os_model import MARKER, BufferChunk, OsModel, VmaLimitError
 
-from helpers import full_placement, reference_adjacency, simple_mapping, unpacked_pairs
+from helpers import (assert_guarded, full_placement, reference_adjacency, simple_mapping,
+                     unpacked_pairs)
 
 MIB = 1024 * 1024
 
@@ -250,13 +251,15 @@ def test_run_ambush_mitigated_has_no_adjacency():
     placement = run_ambush(os_model, plan(26 * MIB, DRIVER_VIDEO),
                            mitigation=True)
     assert placement.mitigated
-    assert placement.buffer.guard_spans
     report = verify_adjacency(os_model, placement)
     assert not report.adjacent
     assert report.pairs == ()
-    # Guard rows cost two spans per chunk.
+    # Guard rows cost two spans per chunk: one "guard" run each.
     span = 2 * 8192
-    assert sum(s for _, s in placement.buffer.guard_spans) == 64 * span
+    for chunk in placement.buffer.chunks:
+        assert_guarded(os_model.buddy, chunk.block, span)
+    guards = [run for run in os_model.buddy._runs if run.owner == "guard"]
+    assert len(guards) == len(placement.buffer.chunks) == 32
 
 
 @pytest.mark.parametrize("table_row, adjacent", [

@@ -32,8 +32,8 @@ from hammersim.dram_model import PAGE_SIZE
 from hammersim.harness import KERNEL_PARTITION, build_sim
 from hammersim.profiles import get_profile
 
-from helpers import (BitmapBuddy, free_block_set, free_masks, reference_free_lists,
-                     reference_preload, run_op_sequence)
+from helpers import (BitmapBuddy, assert_guarded, free_block_set, free_masks,
+                     reference_free_lists, reference_preload, run_op_sequence)
 
 MIB = 1024 * 1024
 
@@ -43,11 +43,9 @@ def make_pool(size: int = 4 * MIB, base: int = 0, **kwargs) -> BuddyState:
 
 
 def conservation_ok(buddy: BuddyState, partition: str) -> bool:
-    part = buddy.partitions[partition]
-    total = (buddy.allocated_bytes(partition)
-             + buddy.free_bytes(partition)
-             + sum(size for _, size in buddy._guards[partition]))
-    return total == part.size
+    """Blocks and runs (guard rows too) plus free bytes make the capacity."""
+    taken = sum(stop - start for start, stop in taken_spans(buddy, partition))
+    return taken * PAGE_SIZE + buddy.free_bytes(partition) == buddy.partitions[partition].size
 
 
 # --- basic policy ---
@@ -233,12 +231,9 @@ def test_bitmap_oracle_updates_match_a_fresh_derivation(pages, max_order, seed):
 def test_isolated_buffer_reserves_guards_both_sides():
     span = 256 * 1024
     buddy = make_pool(8 * MIB, row_span=span)
-    iso = buddy.allocate_isolated_buffer("pool", span, "buffer")
-    assert iso.block.size == span
-    assert sum(size for _, size in iso.guard_spans) == 2 * span
-    (lo_base, lo_size), (hi_base, hi_size) = iso.guard_spans
-    assert lo_base + lo_size == iso.block.base
-    assert hi_base == iso.block.end and hi_size == span
+    block = buddy.allocate_isolated_buffer("pool", span, "buffer")
+    assert block.size == span
+    assert_guarded(buddy, block, span)
     assert conservation_ok(buddy, "pool")
     # Guards persist: drain everything and scan every allocation's rows.
     drained = []
@@ -248,20 +243,21 @@ def test_isolated_buffer_reserves_guards_both_sides():
         except OutOfMemoryError:
             break
     assert buddy.free_bytes("pool") == 0
-    buffer_rows = {iso.block.base // span}
+    buffer_rows = {block.base // span}
     forbidden = {r - 1 for r in buffer_rows} | buffer_rows | {r + 1 for r in buffer_rows}
-    for block in drained:
-        rows = set(range(block.base // span, (block.end - 1) // span + 1))
+    for other in drained:
+        rows = set(range(other.base // span, (other.end - 1) // span + 1))
         assert not rows & forbidden
+    assert_guarded(buddy, block, span)
     assert conservation_ok(buddy, "pool")
 
 
 def test_isolated_buffer_rounds_to_row_span():
     span = 256 * 1024
     buddy = make_pool(8 * MIB, row_span=span)
-    iso = buddy.allocate_isolated_buffer("pool", span + 1, "buffer")
-    assert iso.block.size == 2 * span
-    assert sum(size for _, size in iso.guard_spans) == 2 * span
+    block = buddy.allocate_isolated_buffer("pool", span + 1, "buffer")
+    assert block.size == 2 * span
+    assert_guarded(buddy, block, span)
 
 
 def test_isolated_buffer_requires_row_span():
@@ -305,7 +301,7 @@ def test_conservation_under_mixed_ops(ops, seed):
 
 def allocator_state(buddy: BuddyState):
     return (copy.deepcopy(buddy._free), buddy.buddy_info(),
-            buddy.free_bytes("pool"), buddy.allocated_bytes("pool"))
+            buddy.free_bytes("pool"), taken_spans(buddy, "pool"))
 
 
 def taken_spans(buddy: BuddyState, partition: str) -> list[tuple[int, int]]:
@@ -388,8 +384,7 @@ def test_preload_deterministic():
 def preload_result(buddy: BuddyState, partition: str, state) -> tuple:
     buddy.check_invariants()
     return (buddy._free[partition], buddy.buddy_info(), buddy.free_bytes(partition),
-            buddy.allocated_bytes(partition), taken_spans(buddy, partition),
-            state.fresh_halves)
+            taken_spans(buddy, partition), state.fresh_halves)
 
 
 @pytest.mark.parametrize("name", ["dell", "lenovo"])
@@ -542,7 +537,7 @@ def test_free_rejects_pages_of_a_run():
             buddy.free(Block("pool", pfn * PAGE_SIZE, 1, "page_table"))
     with pytest.raises(FreeError):
         buddy.free(Block("pool", pfns[0] * PAGE_SIZE, 2, "page_table"))
-    assert buddy.allocated_bytes("pool") == 3 * PAGE_SIZE
+    assert buddy.partitions["pool"].size - buddy.free_bytes("pool") == 3 * PAGE_SIZE
     buddy.check_invariants()
     with pytest.raises(ValueError):
         buddy.take_pages("pool", -1, "page_table")
@@ -554,11 +549,11 @@ def test_check_invariants_names_broken_state():
     buddy.check_invariants()
     broken = copy.deepcopy(buddy)
     broken._free["pool"][0].append(0)  # a taken page listed free again
-    with pytest.raises(BuddyError, match="counters"):
+    with pytest.raises(BuddyError, match="overlap"):
         broken.check_invariants()
     broken = copy.deepcopy(buddy)
     broken._runs.clear()  # the taken pages belong to nobody
-    with pytest.raises(BuddyError, match="counters"):
+    with pytest.raises(BuddyError, match="capacity"):
         broken.check_invariants()
     # Two free buddies of order 2 in place of their order-3 parent.
     broken = copy.deepcopy(buddy)
@@ -580,6 +575,19 @@ def test_check_invariants_names_broken_state():
     two._free["pool"][10].reverse()
     with pytest.raises(BuddyError, match="unsorted or misaligned"):
         two.check_invariants()
+    # Guard rows are a run: dropped, their pages belong to nobody; listed
+    # free, they are held twice.
+    guarded = make_pool(1 * MIB, row_span=SPAN)
+    guarded.allocate_isolated_buffer("pool", SPAN, "buffer")
+    guarded.check_invariants()
+    broken = copy.deepcopy(guarded)
+    broken._runs.remove(next(run for run in broken._runs if run.owner == "guard"))
+    with pytest.raises(BuddyError, match="capacity"):
+        broken.check_invariants()
+    broken = copy.deepcopy(guarded)
+    broken._free["pool"][0].insert(0, 0)  # page 0 opens the lower guard
+    with pytest.raises(BuddyError, match="overlap"):
+        broken.check_invariants()
 
 
 # --- state machine over every allocation path ---
@@ -646,12 +654,12 @@ class AllocatorMachine(RuleBasedStateMachine):
         order = ((spans + 2) * SPAN // PAGE_SIZE - 1).bit_length()
         want = self.oracle.allocate("pool", order)
         try:
-            iso = self.buddy.allocate_isolated_buffer("pool", spans * SPAN, "b")
+            block = self.buddy.allocate_isolated_buffer("pool", spans * SPAN, "b")
         except GuardPlacementError:
             assert want is None
             return multiple()
-        assert iso.guard_spans == ((want, SPAN), (want + (spans + 1) * SPAN, SPAN))
-        assert (iso.block.base, iso.block.size) == (want + SPAN, spans * SPAN)
+        assert (block.base, block.size) == (want + SPAN, spans * SPAN)
+        assert_guarded(self.buddy, block, SPAN)
         # Only the guard-to-guard span stays taken; the rest is free again.
         used = (spans + 2) * SPAN
         self.oracle.free_range("pool", want + used, (1 << order) - used // PAGE_SIZE)

@@ -26,7 +26,6 @@ from hammersim.harness import (
     TrialReport,
     build_sim,
     emit_report,
-    evaluate_mitigation,
     run_single_trial,
     run_trials,
 )
@@ -226,7 +225,7 @@ def test_same_seed_gives_same_csv_across_hash_seeds():
 
 def test_mitigation_removes_adjacency():
     profile = small_profile(thresholds={"video": 26 * MIB, "sg": 36 * MIB})
-    aggregate = evaluate_mitigation(profile, 3, 9)
+    aggregate = run_trials(profile, STRATEGY_AMBUSH, 3, 9, mitigation=True, rounds_cap=0)
     assert aggregate.n == 3
     assert aggregate.adjacency_count == 0
     assert aggregate.guard_cost_per_buffer == 2 * 8192
@@ -366,6 +365,9 @@ BAD_PROFILES = {
                          "error: pair_attempt_cap must be >= 1"),
     "conflict_rate": ("[channel]\nconflict_rate = 1.5\n",
                       "error: [channel] p_high_given_conflict"),
+    # One above dell's 8 KiB row of 65,536 bits.
+    "cells_per_weak_row": ("[vulnerability]\ncells_per_weak_row = 65537\n",
+                           "error: cells_per_weak_row must be <= 65536"),
 }
 
 
@@ -456,6 +458,16 @@ def test_cli_rejects_negative_rounds_cap(ini_path, capsys):
         main(["run", "--profile", ini_path, "--rounds-cap", "-3"])
     assert exc.value.code == 2
     assert "error: rounds_cap must be >= 0" in capsys.readouterr().err
+
+
+def test_cli_run_counts_the_attempts_of_a_failed_pair_selection(ini_path, capsys):
+    # A channel that never reads a conflict times the whole attempt cap in
+    # the first round; the report counts every one of those attempts.
+    with open(ini_path, "a", encoding="utf-8") as handle:
+        handle.write("\n[channel]\nconflict_rate = 0\nother_rate = 1\n")
+    assert main(["run", "--profile", ini_path, "--rounds-cap", "3"]) == 0
+    (row,) = parse_report(capsys.readouterr().out)
+    assert (row.rounds, row.pair_attempts) == (1, 5000)
 
 
 def test_cli_reports_infeasible_guarded_placement(ini_path, capsys):

@@ -27,3 +27,38 @@ def test_no_unused_imports():
                 if name not in used:
                     unused.append(f"{path.name}: {name}")
     assert unused == []
+
+
+def test_private_names_are_used():
+    # Every private module-level def, class or assignment and every private
+    # method must be read somewhere in the package; a helper whose last
+    # caller went is dead code.
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+
+    def private(name: str) -> bool:
+        return name.startswith("_") and not name.endswith("__")
+
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            if isinstance(node, ast.ClassDef):
+                names += [item.name for item in node.body
+                          if isinstance(item, ast.FunctionDef)]
+            defined += [f"{module}: {name}" for name in names if private(name)]
+    assert [d for d in defined if d.split(": ")[1] not in read] == []
