@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .buddy_alloc import PreloadState
-from .dram_model import PAGE_SIZE, target_block_size
+from .dram_model import PAGE_SIZE, DramGeometry, target_block_size
 from .dram_model import page_row_keys  # noqa: F401  (bench/tracer.py patches it here)
 from .os_model import (
     KERNEL_PARTITION,
@@ -295,14 +295,20 @@ def verify_adjacency(os_model: OsModel, placement: Placement) -> AdjacencyReport
 
     Rows are compared as packed row keys, read per page run (the table
     runs as the allocator handed them out, one range per buffer chunk).
+    Only the table pages whose row index borders a buffer row's index are
+    read (see _bordering_runs); when there are none, nothing is.
     """
     buffer = placement.buffer
     if buffer is None:
         return AdjacencyReport(False, ())
     geometry = os_model.dram.geometry
     rows = geometry.rows_per_bank
-    pt_rows = geometry.packed_row_keys(os_model.pt_runs)
-    buffer_rows = geometry.packed_row_keys(chunk.frames() for chunk in buffer.chunks)
+    buffer_runs = [chunk.frames() for chunk in buffer.chunks]
+    table_runs = _bordering_runs(geometry, os_model.pt_runs, buffer_runs)
+    if not table_runs:
+        return AdjacencyReport(False, ())
+    pt_rows = geometry.packed_row_keys(table_runs)
+    buffer_rows = geometry.packed_row_keys(buffer_runs)
     found = []
     for key in buffer_rows:
         row = key % rows
@@ -311,3 +317,42 @@ def verify_adjacency(os_model: OsModel, placement: Placement) -> AdjacencyReport
         if row < rows - 1 and key + 1 in pt_rows:
             found.append((key, key + 1))
     return AdjacencyReport(bool(found), tuple(sorted(found)))
+
+
+_PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
+
+
+def _bordering_runs(geometry: DramGeometry, table_runs, buffer_runs) -> list[range]:
+    """The pages of table_runs whose row index is one more or one less
+    than the row index of a page of buffer_runs.
+
+    A row index is plain address bits (MappingSpec.row_index_bit_range).
+    When they start at or above the page bits, every row a page touches
+    has the page's row index, and the pages of one row index are slices of
+    2**shift pages that repeat every rows_per_bank slices.  A table row
+    next to a buffer row in-bank has a bordering index, so no other table
+    page can hold one.  When the row bits start below the page bits, a
+    page spans many row indexes and the runs are kept whole.
+    """
+    shift = geometry.mapping.row_index_bit_range[0] - _PAGE_SHIFT
+    if shift < 0:
+        return list(table_runs)
+    rows = geometry.rows_per_bank
+    indexes = set()
+    for run in buffer_runs:
+        if run:
+            first, last = run.start >> shift, (run.stop - 1) >> shift
+            indexes.update(t % rows for t in range(first, min(last, first + rows - 1) + 1))
+    wanted = {i + d for i in indexes for d in (-1, 1)}
+    clipped = []
+    for run in table_runs:
+        start, stop = run.start, run.stop
+        first, last = start >> shift, stop - 1 >> shift
+        if first == last:  # most runs lie inside one slice
+            if first % rows in wanted:
+                clipped.append(run)
+            continue
+        for t in range(first, last + 1):
+            if t % rows in wanted:
+                clipped.append(range(max(start, t << shift), min(stop, t + 1 << shift)))
+    return clipped

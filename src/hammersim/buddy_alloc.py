@@ -15,7 +15,9 @@ allocate_isolated_buffer are held as a "guard" run.
 take_pages hands out many order-0 pages in one pass, like Linux's
 rmqueue_bulk, as page ranges held as one run, not one block per page.
 preload_workload places the background workload against bitmasks of free
-pages, then writes the free lists once.
+pages, then writes the free lists once; it draws its random places and
+orders straight from the generator's getrandbits, as randrange and randint
+would.
 """
 
 from __future__ import annotations
@@ -414,9 +416,16 @@ def preload_workload(
     aligned range can be carved exactly when all of it is free.  The free
     lists are written once, at the end, so an OutOfMemoryError changes
     nothing.
+
+    A place among n slots and a pair order among n orders are drawn as
+    rng.getrandbits(k), k = n.bit_length(), redrawn while >= n: the draws
+    CPython's randrange(n) and randint(0, n - 1) make, so values and the
+    generator's state match theirs draw for draw, without their calls.
     """
     if residue_bytes % PAGE_SIZE or fresh_bytes % PAGE_SIZE:
         raise ValueError("residue and fresh bytes must be page granular")
+    if small_max_order < 0:
+        raise ValueError("small_max_order must not be negative")
     part = buddy.partitions[partition]
     lo = part.base + reserve_low_bytes
     if lo >= part.end:
@@ -431,6 +440,7 @@ def preload_workload(
             pfn = base // PAGE_SIZE
             free[pfn >> top] |= ((1 << (1 << order)) - 1) << (pfn & (span - 1))
     initial = dict(free)
+    getrandbits = rng.getrandbits
 
     def place(order: int, failure: str) -> int:
         """First page of a random free aligned range of 2**order pages
@@ -441,8 +451,12 @@ def preload_workload(
         if slots <= 0:
             raise OutOfMemoryError("region too small for requested order")
         bits = (1 << min(pages, span)) - 1
+        k = slots.bit_length()
         for _ in range(_PLACE_ATTEMPTS):
-            pfn = start + rng.randrange(slots) * pages
+            slot = getrandbits(k)  # rng.randrange(slots), draw for draw
+            while slot >= slots:
+                slot = getrandbits(k)
+            pfn = start + slot * pages
             key, mask = pfn >> top, bits << (pfn & (span - 1))
             if free[key] & mask == mask and (pages <= span or free[key + 1] == full):
                 free[key] ^= mask
@@ -464,7 +478,11 @@ def preload_workload(
         halves: list[tuple[int, int]] = []
         remaining = total_bytes // PAGE_SIZE
         while remaining > 0:
-            order = rng.randint(0, min(small_max_order, remaining.bit_length() - 1))
+            orders = min(small_max_order, remaining.bit_length() - 1) + 1
+            k = orders.bit_length()
+            order = getrandbits(k)  # rng.randint(0, orders - 1), draw for draw
+            while order >= orders:
+                order = getrandbits(k)
             if order > top:
                 raise ValueError(f"order {order} out of range")
             anchor = place(order + 1, "could not place residue pair")

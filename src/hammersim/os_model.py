@@ -104,14 +104,9 @@ class PteEntry:
     def pfn(self) -> int:
         return (self.raw >> PTE_PFN_SHIFT) & PTE_PFN_MASK
 
-    @classmethod
-    def make(cls, pfn: int) -> "PteEntry":
-        """A present, writable, user entry for frame pfn."""
-        return cls(_user_pte(pfn))
-
 
 def _user_pte(pfn: int) -> int:
-    """The raw PteEntry.make(pfn), without building the record."""
+    """The raw value of a present, writable, user entry for frame pfn."""
     return pfn << PTE_PFN_SHIFT | PTE_PRESENT | PTE_WRITABLE | PTE_USER
 
 

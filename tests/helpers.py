@@ -42,10 +42,11 @@ from hammersim.dram_model import (
     aligned_blocks,
     map_phys_to_dram,
     page_row_keys,
+    rows_size_per_row_index,
     unmap_dram_to_phys,
 )
 from hammersim.harness import CSV_COLUMNS, HarnessError, TrialReport, build_sim
-from hammersim.os_model import MARKER, PROBE_PTE, PT_SPAN, OsModel
+from hammersim.os_model import MARKER, PROBE_PTE, PT_SPAN, OsModel, PteEntry, _user_pte
 from hammersim.profiles import ProfileError, get_profile
 
 MIB = 1024 * 1024
@@ -114,6 +115,11 @@ def pack_row_key(geometry: DramGeometry, dimm: int, rank: int, bank: int,
     key = dimm * geometry.ranks_per_dimm + rank
     key = key * geometry.banks_per_rank + bank
     return key * geometry.rows_per_bank + row
+
+
+def user_pte(pfn: int) -> PteEntry:
+    """A present, writable, user entry for frame pfn."""
+    return PteEntry(_user_pte(pfn))
 
 
 def unpacked_pairs(geometry: DramGeometry, pairs) -> tuple:
@@ -529,10 +535,12 @@ def reference_preload(
 
 
 def small_attack_sim(*, vuln: VulnerabilityMap | None = None, seed: int = 1,
-                     threshold: int = 24 * MIB, residue: int = 2 * MIB):
-    """128 MiB two-bank machine with the full placement already run."""
-    geo = simple_mapping(banks=2, rows=8192, row_size=8192)
-    span = 2 * 8192
+                     threshold: int = 24 * MIB, residue: int = 2 * MIB,
+                     geometry: DramGeometry | None = None, mitigation: bool = False):
+    """128 MiB machine (two banks unless geometry is given) with the full
+    placement already run."""
+    geo = simple_mapping(banks=2, rows=8192, row_size=8192) if geometry is None else geometry
+    span = rows_size_per_row_index(geo)
     buddy = BuddyState(
         [Partition("kernel", 0, 64 * MIB),
          Partition("user", 64 * MIB + span, 63 * MIB)],
@@ -548,7 +556,8 @@ def small_attack_sim(*, vuln: VulnerabilityMap | None = None, seed: int = 1,
         small_max_order=2,
         rng=random.Random(seed),
     )
-    placement = run_ambush(os_model, plan(threshold, DRIVER_VIDEO))
+    placement = run_ambush(os_model, plan(threshold, DRIVER_VIDEO),
+                           mitigation=mitigation)
     return os_model, placement
 
 

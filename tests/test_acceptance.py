@@ -25,7 +25,6 @@ from hammersim.dram_model import (
     unmap_dram_to_phys,
 )
 from hammersim.exploit import verify_and_take_pt
-from hammersim.os_model import PteEntry
 from hammersim.harness import (
     STRATEGY_AMBUSH,
     STRATEGY_FENG_SHUI,
@@ -40,6 +39,7 @@ from helpers import (
     numpy_coord_keys,
     run_op_sequence,
     small_attack_sim,
+    user_pte,
     windows,
 )
 
@@ -234,7 +234,7 @@ def _inject_table_redirect(os_model, rng: random.Random) -> int:
             addr = tables[base] * PAGE_SIZE + entry * 8
             raw = os_model.memory.read_u64(addr)
             for target in pts:
-                delta = raw ^ PteEntry.make(target).raw
+                delta = raw ^ user_pte(target).raw
                 if delta and delta & (delta - 1) == 0:
                     bit = delta.bit_length() - 1
                     direction = "1to0" if raw >> bit & 1 else "0to1"

@@ -22,11 +22,12 @@ from hammersim.ambush import (
     verify_adjacency,
 )
 from hammersim.buddy_alloc import Block, BuddyState, Partition, preload_workload
-from hammersim.dram_model import PAGE_SIZE, Dram, target_block_size
+from hammersim.dram_model import (PAGE_SIZE, Dram, DramGeometry, MappingSpec,
+                                  target_block_size)
 from hammersim.os_model import MARKER, BufferChunk, OsModel, VmaLimitError
 
-from helpers import (assert_guarded, full_placement, reference_adjacency, simple_mapping,
-                     unpacked_pairs)
+from helpers import (assert_guarded, full_placement, page_row_keys, reference_adjacency,
+                     simple_mapping, small_attack_sim, unpacked_pairs)
 
 MIB = 1024 * 1024
 
@@ -302,6 +303,100 @@ def test_packed_key_adjacency_matches_tuple_reference(profile, driver, mitigatio
         pairs = unpacked_pairs(os_model.dram.geometry, report.pairs)
         assert pairs == reference_adjacency(os_model, placement)
         assert report.adjacent == bool(pairs) != mitigation
+
+
+# 128 MiB geometries the builtin profiles do not cover, with 8 KiB rows
+# and column bits wherever the others leave room.
+ODD_GEOMETRIES = {
+    # Row bits 8-20: a page spans 16 row indexes.
+    "row bits below the page": DramGeometry(
+        1, 1, 2, 8192, 8192, MappingSpec.make([], [], [[21]], (8, 20))),
+    # The bank bit is address bit 13 XOR row bit 16.
+    "bank folds a row bit": DramGeometry(
+        1, 1, 2, 8192, 8192, MappingSpec.make([], [], [[13, 16]], (14, 26))),
+    # Bank, rank and dimm bits sit above the row bits 13-22, so the row
+    # index repeats every 8 MiB, and a slice of one row index is 2 pages.
+    "row bits not on top": DramGeometry(
+        2, 2, 4, 1024, 8192, MappingSpec.make([[25]], [[24]], [[12], [23]], (13, 22))),
+}
+
+
+@pytest.mark.parametrize("mitigation", [False, True], ids=["unguarded", "guarded"])
+@pytest.mark.parametrize("name", sorted(ODD_GEOMETRIES))
+def test_adjacency_matches_tuple_reference_on_odd_geometries(name, mitigation):
+    for seed in (1, 2):
+        os_model, placement = small_attack_sim(geometry=ODD_GEOMETRIES[name], seed=seed,
+                                               mitigation=mitigation)
+        report = verify_adjacency(os_model, placement)
+        pairs = unpacked_pairs(os_model.dram.geometry, report.pairs)
+        assert pairs == reference_adjacency(os_model, placement)
+        assert report.adjacent == bool(pairs)
+
+
+def table_pages_read(monkeypatch, os_model, placement) -> list[int]:
+    """Table pages verify_adjacency passes to DramGeometry.packed_row_keys,
+    once per time passed."""
+    tables = set(os_model.pt_pfns())
+    read = []
+    expand = DramGeometry.packed_row_keys
+
+    def counting(self, runs):
+        runs = list(runs)
+        read.extend(pfn for run in runs for pfn in run if pfn in tables)
+        return expand(self, runs)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(DramGeometry, "packed_row_keys", counting)
+        verify_adjacency(os_model, placement)
+    return read
+
+
+def bordering_table_pages(os_model, placement) -> set[int]:
+    """Table pages with a row whose index is one off a buffer row's."""
+    geometry = os_model.dram.geometry
+    buffer_rows = {row for chunk in placement.buffer.chunks for pfn in chunk.frames()
+                   for *_, row in page_row_keys(pfn, geometry)}
+    return {pfn for pfn in os_model.pt_pfns()
+            if any(row + d in buffer_rows
+                   for *_, row in page_row_keys(pfn, geometry) for d in (-1, 1))}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_guarded_dell_adjacency_reads_no_table_page(seed, monkeypatch):
+    guarded = full_placement("dell", DRIVER_VIDEO, seed, mitigation=True)
+    assert table_pages_read(monkeypatch, *guarded) == []
+
+
+def test_adjacency_reads_only_the_bordering_slice_of_a_table_run(monkeypatch):
+    # simple_mapping puts row index r in pages 4r .. 4r + 3.  The buffer
+    # page holds row 0 of bank 1; the table run holds rows 1 and 2.
+    geo = simple_mapping(banks=2, rows=64, row_size=8192)
+    os_model = SimpleNamespace(dram=SimpleNamespace(geometry=geo),
+                               pt_pfns=lambda: set(range(4, 12)),
+                               pt_runs=[range(4, 12)])
+    chunk = BufferChunk(Block("kernel", 2 * PAGE_SIZE, 1, "t"), PAGE_SIZE)
+    placement = SimpleNamespace(buffer=SimpleNamespace(chunks=[chunk]))
+    assert table_pages_read(monkeypatch, os_model, placement) == [4, 5, 6, 7]
+    report = verify_adjacency(os_model, placement)
+    assert unpacked_pairs(geo, report.pairs) == reference_adjacency(os_model, placement)
+    assert unpacked_pairs(geo, report.pairs) == (((0, 0, 1, 0), (0, 0, 1, 1)),)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda seed: full_placement("dell", DRIVER_VIDEO, seed), id="dell"),
+    pytest.param(lambda seed: small_attack_sim(
+        geometry=ODD_GEOMETRIES["row bits not on top"], seed=seed), id="row bits not on top"),
+    pytest.param(lambda seed: small_attack_sim(
+        geometry=ODD_GEOMETRIES["row bits not on top"], seed=seed, mitigation=True),
+        id="row bits not on top, guarded"),
+])
+def test_adjacency_reads_at_most_the_bordering_table_pages(build, monkeypatch):
+    for seed in (1, 2):
+        os_model, placement = build(seed)
+        read = table_pages_read(monkeypatch, os_model, placement)
+        bordering = bordering_table_pages(os_model, placement)
+        assert len(read) <= len(bordering) < len(os_model.pt_pfns())
+        assert set(read) <= bordering
 
 
 def test_run_ambush_sg_driver():

@@ -437,6 +437,49 @@ def test_preload_matches_trial_and_error_on_small_pools(case):
             assert preload_result(buddy, "pool", state) == preload_result(twin, "pool", want)
 
 
+def dell_slot_counts() -> list[int]:
+    """The slot counts dell's preload draws among: aligned ranges of every
+    order up to a pair of max-order blocks, above the low reserve."""
+    profile = get_profile("dell")
+    end = profile.kernel_bytes // PAGE_SIZE
+    counts = []
+    for order in range(profile.max_order + 2):
+        pages = 1 << order
+        start = -(-profile.reserve_low_bytes // (pages * PAGE_SIZE)) * pages
+        counts.append((end - start) // pages)
+    return counts
+
+
+def getrandbits_below(rng: random.Random, n: int) -> int:
+    """preload_workload's draw among n choices."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
+@pytest.mark.parametrize("n", sorted(
+    {1, 2, 3} | {(1 << e) + d for e in (2, 5, 10, 17) for d in (-1, 0, 1)}
+    | set(dell_slot_counts())))
+def test_preload_draw_matches_randrange_and_randint(n):
+    for seed in (0, 2026):
+        for reference in (lambda rng: rng.randrange(n), lambda rng: rng.randint(0, n - 1)):
+            drawn, twin = random.Random(seed), random.Random(seed)
+            assert ([getrandbits_below(drawn, n) for _ in range(64)]
+                    == [reference(twin) for _ in range(64)])
+            assert drawn.getstate() == twin.getstate()
+
+
+@pytest.mark.parametrize("case", sorted(PRELOAD_POOLS))
+def test_preload_leaves_the_reference_generator_state(case):
+    (base, size), max_order, kwargs = PRELOAD_POOLS[case]
+    drawn, twin = random.Random(5), random.Random(5)
+    preload_workload(make_pool(size, base, max_order=max_order), "pool", rng=drawn, **kwargs)
+    reference_preload(make_pool(size, base, max_order=max_order), "pool", rng=twin, **kwargs)
+    assert drawn.getstate() == twin.getstate()
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(residue_bytes=1 * MIB, bulk_bytes=16 * MIB),  # bulk over the room left
     dict(residue_bytes=7 * MIB, bulk_bytes=4 * MIB),   # residue pairs over it
@@ -449,6 +492,13 @@ def test_failed_preload_changes_nothing(kwargs):
         preload_workload(buddy, "pool", reserve_low_bytes=4 * MIB,
                          small_max_order=7, rng=random.Random(3), **kwargs)
     assert (allocator_state(buddy), list(buddy._runs), dict(buddy._allocated)) == before
+
+
+def test_preload_rejects_a_negative_small_max_order():
+    # No order can be drawn, so the draw must not spin for one.
+    with pytest.raises(ValueError, match="small_max_order"):
+        preload_workload(make_pool(16 * MIB), "pool", residue_bytes=MIB, bulk_bytes=0,
+                         reserve_low_bytes=0, small_max_order=-1, rng=random.Random(1))
 
 
 def test_buddyinfo_text_lists_partitions():

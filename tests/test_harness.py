@@ -5,6 +5,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import gc
+import hashlib
 import os
 import subprocess
 import sys
@@ -429,6 +430,43 @@ def test_cli_run_emits_csv(ini_path, capsys):
     assert rows[0].profile == "tiny"
     assert rows[0].footprint_bytes <= 24 * MIB
     assert rows[0].adjacency
+
+
+# dell's [dram] with the row index in bits 3-17 (below the page bits and
+# below the bank, rank and dimm bits) and bank selectors that XOR-fold
+# row bits 3-5.
+INI_FOLDED_LOW_ROWS = """
+[profile]
+base = dell
+
+[dram]
+dimms = 2
+ranks_per_dimm = 2
+banks_per_rank = 8
+rows_per_bank = 32768
+row_size = 8192
+dimm_bits = 21
+rank_bits = 22
+bank_bits = 18,3;19,4;20,5
+row_bits = 3-17
+"""
+
+# sha256 of the CSV each run printed before the adjacency check read only
+# the table pages bordering a buffer row.
+FOLDED_LOW_ROWS_DIGESTS = {
+    (): "5ce1bf69379a2ee20cf6d6f3bdb24c74684aea755873b75193b6825cdefc3097",
+    ("--mitigation",): "05c4bc8b512c15cadc398258663cf135c2be5670ba207f47ea817124018c7890",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(FOLDED_LOW_ROWS_DIGESTS))
+def test_cli_run_on_folded_low_row_bits(tmp_path, capsys, flags):
+    path = tmp_path / "folded.ini"
+    path.write_text(INI_FOLDED_LOW_ROWS)
+    assert main(["run", "--profile", str(path), "--trials", "2",
+                 "--rounds-cap", "0", *flags]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FOLDED_LOW_ROWS_DIGESTS[flags]
 
 
 def test_cli_run_text_to_file(ini_path, tmp_path, capsys):

@@ -43,7 +43,7 @@ from hammersim.os_model import (
 )
 
 from helpers import (buffer_pages, full_placement, simple_mapping, table_windows,
-                     windows)
+                     user_pte, windows)
 
 MIB = 1024 * 1024
 
@@ -62,7 +62,7 @@ def make_os(*, kernel=32 * MIB, user=32 * MIB, vma_limit=65536) -> OsModel:
 
 def test_pte_roundtrip_and_flags():
     flags = PTE_PRESENT | PTE_WRITABLE | PTE_USER
-    entry = PteEntry.make(0x40040)
+    entry = user_pte(0x40040)
     assert entry.raw & flags == flags
     assert entry.pfn == 0x40040
     assert PteEntry(entry.raw) == entry
@@ -295,7 +295,7 @@ def test_window_tables_follow_map_order():
     assert list(tables) == [os_model.map_base + i * PT_SPAN for i in range(3)]
     assert list(tables.values()) == pfns
     for i, pfn in enumerate(pfns):
-        os_model.memory.write_u64(pfn * PAGE_SIZE + 7 * 8, PteEntry.make(0x7000 + i).raw)
+        os_model.memory.write_u64(pfn * PAGE_SIZE + 7 * 8, user_pte(0x7000 + i).raw)
     os_model.flush_tlb()
     for i, base in enumerate(tables):
         assert os_model.translate(base + 7 * PAGE_SIZE) == 0x7000 + i
@@ -335,7 +335,7 @@ def test_tlb_staleness_until_flush():
     vaddr = os_model.vmas[0].base
     assert os_model.translate(vaddr) == file.pfns[0]
     # Rewrite the entry to point at frame 3; the TLB still serves the old one.
-    os_model.memory.write_u64(pt * PAGE_SIZE, PteEntry.make(3).raw)
+    os_model.memory.write_u64(pt * PAGE_SIZE, user_pte(3).raw)
     assert os_model.translate(vaddr) == file.pfns[0]
     os_model.flush_tlb()
     assert os_model.translate(vaddr) == 3
@@ -391,14 +391,14 @@ def test_scan_reports_redirected_and_corrupted_pages():
     # Redirect one entry of the second table to an unbacked frame.
     victim_vma = os_model.vmas[1]
     os_model.memory.write_u64(pts[1] * PAGE_SIZE + 7 * 8,
-                              PteEntry.make(0x7FF00).raw)
+                              user_pte(0x7FF00).raw)
     # Corrupt one shared file page header: every mapping of page 9 reads
     # what the file holds, so none is a candidate.
     os_model.memory.write(file.pfns[9] * PAGE_SIZE, b"\x00")
     # An entry for another file page, redirected onto page 9, reads a
     # header that differs from its own.
     os_model.memory.write_u64(pts[2] * PAGE_SIZE + 4 * 8,
-                              PteEntry.make(file.pfns[9]).raw)
+                              user_pte(file.pfns[9]).raw)
     expect = [victim_vma.base + 7 * PAGE_SIZE,
               os_model.vmas[2].base + 4 * PAGE_SIZE]
     assert list(os_model.iter_nonmarker_pages()) == expect
@@ -456,7 +456,7 @@ def test_scan_keeps_restored_entry_while_tlb_is_stale():
     pristine = os_model.memory.read_u64(entry)
     # Point the entry at the next file page, scan (caching that frame), and
     # restore the entry without a flush: the TLB still serves the other page.
-    os_model.memory.write_u64(entry, PteEntry.make(file.pfns[3]).raw)
+    os_model.memory.write_u64(entry, user_pte(file.pfns[3]).raw)
     assert list(os_model.iter_nonmarker_pages()) == []
     os_model.memory.write_u64(entry, pristine)
     assert list(os_model.iter_nonmarker_pages()) == []
