@@ -202,10 +202,7 @@ def _drain_phase(
     small blocks last exactly as many table pages as they hold pages.
     """
     target_order = _order_of(target_block_size(os_model.dram.geometry))
-    small_pages = (
-        os_model.buddy.free_bytes_below(KERNEL_PARTITION, target_order)
-        // PAGE_SIZE
-    )
+    small_pages = os_model.buddy.free_pages_below(KERNEL_PARTITION, target_order)
     per_map = mapper.pages_per_map
     maps = -(-small_pages // per_map)
     capped = False

@@ -1,23 +1,24 @@
 """Partitioned buddy page allocator with owner tags and guard-row reservations.
 
-Policy mirrors the usual kernel allocator: allocation takes the smallest
-sufficient order and the lowest address within that order, splits return the
-lower half, and freeing coalesces eagerly with the buddy (base XOR size).
-Partitions are hard walls: no block ever crosses one, and neighbouring
-partitions must be separated by at least one full row-index span so rows are
-never shared across the divide.
+Frames are page numbers: free lists hold first pages, a Block is a first
+page and a page count, and a buddy is first ^ (1 << order), as in Linux.
+Bytes appear only at the edges: Partition bounds and row_span, converted
+once, and Block.size, which footprints read.
 
-The state is the free lists, the freeable blocks and the never-freed runs;
-byte counts are derived from them.  Together they tile each partition, so
-allocated + free == capacity.  Guard spans reserved by
-allocate_isolated_buffer are held as a "guard" run.
+Policy mirrors the usual kernel allocator: the smallest sufficient order,
+the lowest page within it, splits return the lower half, and freeing
+coalesces eagerly with the buddy.  Partitions are hard walls, at least one
+row-index span apart, so no block or row is shared across the divide.
+
+The state is the free lists, the freeable blocks and the never-freed runs
+(allocate_isolated_buffer's guard spans are a "guard" run); together they
+tile each partition, so allocated + free == capacity.
 
 take_pages hands out many order-0 pages in one pass, like Linux's
-rmqueue_bulk, as page ranges held as one run, not one block per page.
-preload_workload places the background workload against bitmasks of free
-pages, then writes the free lists once; it draws its random places and
-orders straight from the generator's getrandbits, as randrange and randint
-would.
+rmqueue_bulk, as page ranges held as one run.  preload_workload places the
+background workload against bitmasks of free pages, then writes the free
+lists once; it draws straight from the generator's getrandbits, as
+randrange and randint would.
 """
 
 from __future__ import annotations
@@ -46,9 +47,14 @@ class GuardPlacementError(BuddyError):
     pass
 
 
+def _pages(nbytes: int) -> int:
+    """The pages that hold nbytes, a partial last page counted whole."""
+    return -(-nbytes // PAGE_SIZE)
+
+
 @dataclass(frozen=True)
 class Partition:
-    """A contiguous physical range managed independently."""
+    """A contiguous physical range managed independently, in bytes."""
 
     name: str
     base: int
@@ -57,7 +63,7 @@ class Partition:
     def __post_init__(self) -> None:
         if self.size <= 0 or self.base < 0:
             raise ValueError("partition must have positive size and base >= 0")
-        if self.base % PAGE_SIZE or self.size % PAGE_SIZE:
+        if (self.base | self.size) % PAGE_SIZE:
             raise ValueError("partition bounds must be page aligned")
 
     @property
@@ -66,21 +72,22 @@ class Partition:
 
 
 class Block(NamedTuple):
-    """A live allocation; pages need not be a power of two for carve-outs.
+    """A live allocation of pages first, first + 1, ...; pages need not be
+    a power of two for carve-outs.  size is in bytes, for footprints.
     (A named tuple: built in half the time of a frozen dataclass.)"""
 
     partition: str
-    base: int
+    first: int
     pages: int
     owner: str
 
     @property
-    def size(self) -> int:
-        return self.pages * PAGE_SIZE
+    def frames(self) -> range:
+        return range(self.first, self.first + self.pages)
 
     @property
-    def end(self) -> int:
-        return self.base + self.size
+    def size(self) -> int:
+        return self.pages * PAGE_SIZE
 
 
 class Run(NamedTuple):
@@ -93,7 +100,7 @@ class Run(NamedTuple):
 
 
 class BuddyState:
-    """The allocator: per-partition free lists ordered by address."""
+    """The allocator: per-partition free lists ordered by first page."""
 
     def __init__(
         self,
@@ -124,23 +131,24 @@ class BuddyState:
                 raise ValueError("partitions must be separated by at least one row-index span")
         self.partitions: dict[str, Partition] = {p.name: p for p in parts}
         self.max_order = max_order
-        self.row_span = row_span
+        self._row_pages = None if row_span is None else _pages(row_span)
+        self.frames = {p.name: range(_pages(p.base), _pages(p.end)) for p in parts}
         self._free: dict[str, list[list[int]]] = {}
         self._allocated: dict[int, Block] = {}
         self._runs: list[Run] = []
         top = 1 << max_order
-        for p in parts:
+        for name, pages in self.frames.items():
             lists: list[list[int]] = [[] for _ in range(max_order + 1)]
-            self._free[p.name] = lists
+            self._free[name] = lists
             # Whole max-order blocks fill [lo, hi); only the unaligned head
             # and tail are split, into blocks below the max order.
-            first, stop = p.base // PAGE_SIZE, p.end // PAGE_SIZE
+            first, stop = pages.start, pages.stop
             lo = min(-(-first // top) * top, stop)
             hi = max(stop // top * top, lo)
             for start, end in ((first, lo), (hi, stop)):
                 for pfn, order in aligned_blocks(start, end - start, max_order):
-                    lists[order].append(pfn * PAGE_SIZE)
-            lists[max_order] += range(lo * PAGE_SIZE, hi * PAGE_SIZE, top * PAGE_SIZE)
+                    lists[order].append(pfn)
+            lists[max_order] += range(lo, hi, top)
 
     # -- queries ---------------------------------------------------------
 
@@ -155,12 +163,12 @@ class BuddyState:
             for name, row in self.buddy_info().items()
         )
 
-    def free_bytes(self, partition: str) -> int:
-        return self.free_bytes_below(partition, self.max_order + 1)
+    def free_pages(self, partition: str) -> int:
+        return self.free_pages_below(partition, self.max_order + 1)
 
-    def free_bytes_below(self, partition: str, order: int) -> int:
+    def free_pages_below(self, partition: str, order: int) -> int:
         lists = self._free[partition]
-        return sum(len(lists[o]) * (PAGE_SIZE << o) for o in range(min(order, len(lists))))
+        return sum(len(lists[o]) << o for o in range(min(order, len(lists))))
 
     def blocks(self, partition: str | None = None):
         for block in self._allocated.values():
@@ -170,7 +178,7 @@ class BuddyState:
     # -- allocation ------------------------------------------------------
 
     def allocate(self, partition: str, order: int, owner: str) -> Block:
-        """Smallest sufficient order, lowest address first; splits keep the
+        """Smallest sufficient order, lowest page first; splits keep the
         lower half."""
         if order < 0 or order > self.max_order:
             raise ValueError(f"order {order} out of range")
@@ -178,11 +186,11 @@ class BuddyState:
         for j in range(order, self.max_order + 1):
             lst = lists[j]
             if lst:
-                base = lst.pop(0)
+                first = lst.pop(0)
                 while j > order:
                     j -= 1
-                    insort(lists[j], base + (PAGE_SIZE << j))
-                block = self._allocated[base] = Block(partition, base, 1 << order, owner)
+                    insort(lists[j], first + (1 << j))
+                block = self._allocated[first] = Block(partition, first, 1 << order, owner)
                 return block
         raise OutOfMemoryError(f"no free block of order >= {order} in partition {partition!r}")
 
@@ -197,42 +205,41 @@ class BuddyState:
         covering = self.allocate(partition, order, owner)
         if covering.pages == pages:
             return covering
-        block = self._allocated[covering.base] = Block(partition, covering.base, pages, owner)
-        self._release(partition, block.end, covering.pages - pages)
+        block = self._allocated[covering.first] = Block(partition, covering.first, pages, owner)
+        self._release(partition, covering.first + pages, covering.pages - pages)
         return block
 
-    def allocate_at(self, partition: str, base: int, order: int, owner: str) -> Block:
-        """Carve a specific block out of the free pool (setup helper)."""
+    def allocate_at(self, partition: str, first: int, order: int, owner: str) -> Block:
+        """Carve the 2**order pages from page first out of the free pool."""
         if order < 0 or order > self.max_order:
             raise ValueError(f"order {order} out of range")
-        size = PAGE_SIZE << order
-        if base % size:
-            raise ValueError("base not aligned to the requested order")
+        if first % (1 << order):
+            raise ValueError("first page not aligned to the requested order")
         lists = self._free[partition]
         for j in range(order, self.max_order + 1):
-            candidate = base & ~((PAGE_SIZE << j) - 1)
+            candidate = first >> j << j
             lst = lists[j]
             i = bisect_left(lst, candidate)
             if i < len(lst) and lst[i] == candidate:
                 lst.pop(i)
                 while j > order:
                     j -= 1
-                    half = PAGE_SIZE << j
-                    if base & half:
+                    half = 1 << j
+                    if first & half:
                         insort(lists[j], candidate)
                         candidate += half
                     else:
                         insort(lists[j], candidate + half)
-                block = self._allocated[base] = Block(partition, base, 1 << order, owner)
+                block = self._allocated[first] = Block(partition, first, 1 << order, owner)
                 return block
-        raise OutOfMemoryError(f"no free block containing {base:#x}")
+        raise OutOfMemoryError(f"no free block containing page {first:#x}")
 
     def take_pages(self, partition: str, n: int, owner: str) -> list[range]:
         """The frames that n allocate(partition, 0, owner) calls would
         return, in that order, taken in one pass over the free lists, as
         ranges of page numbers: one per free block taken, or part taken.
 
-        Order-0 allocations consume the free blocks in (order, address)
+        Order-0 allocations consume the free blocks in (order, page)
         order, each from its low end, so only the last block is split: its
         remainder goes back as the aligned pieces the splits would leave.
         The pages form one run, which free() never accepts.  Raises
@@ -241,9 +248,9 @@ class BuddyState:
         """
         if n < 0:
             raise ValueError("page count must not be negative")
-        free = self.free_bytes(partition)
-        if n * PAGE_SIZE > free:
-            raise OutOfMemoryError(f"{n} pages requested, {free // PAGE_SIZE}"
+        free = self.free_pages(partition)
+        if n > free:
+            raise OutOfMemoryError(f"{n} pages requested, {free}"
                                    f" free in partition {partition!r}")
         lists = self._free[partition]
         spans: list[range] = []
@@ -253,16 +260,15 @@ class BuddyState:
                 break
             whole = min(len(lst), left >> order)
             size = 1 << order
-            spans.extend(range(base // PAGE_SIZE, base // PAGE_SIZE + size)
-                         for base in lst[:whole])
+            spans.extend(range(first, first + size) for first in lst[:whole])
             del lst[:whole]
             left -= whole << order
             if left and lst:
                 # Every lower list is empty now, so the pieces land alone.
-                first = lst.pop(0) // PAGE_SIZE
+                first = lst.pop(0)
                 spans.append(range(first, first + left))
                 for rest, o in aligned_blocks(first + left, size - left, self.max_order):
-                    insort(lists[o], rest * PAGE_SIZE)
+                    insort(lists[o], rest)
                 left = 0
         if n:
             self._runs.append(Run(partition, owner, tuple(spans)))
@@ -273,34 +279,34 @@ class BuddyState:
     def free(self, block: Block) -> None:
         """Return a registered block; any other block, including pages of a
         take_pages run, raises FreeError."""
-        registered = self._allocated.get(block.base)
+        registered = self._allocated.get(block.first)
         if registered is None or registered != block:
-            raise FreeError(f"block at {block.base:#x} is not allocated")
-        del self._allocated[block.base]
-        self._release(block.partition, block.base, block.pages)
+            raise FreeError(f"block at page {block.first:#x} is not allocated")
+        del self._allocated[block.first]
+        self._release(block.partition, block.first, block.pages)
 
-    def _release(self, partition: str, base: int, pages: int) -> None:
+    def _release(self, partition: str, first: int, pages: int) -> None:
         """Return allocated pages to the free lists, coalescing each piece."""
         lists = self._free[partition]
-        for first, order in aligned_blocks(base // PAGE_SIZE, pages, self.max_order):
-            self._coalesce_in(lists, partition, first * PAGE_SIZE, order)
+        for start, order in aligned_blocks(first, pages, self.max_order):
+            self._coalesce_in(lists, partition, start, order)
 
-    def _coalesce_in(self, lists, partition: str, base: int, order: int) -> None:
-        part = self.partitions[partition]
+    def _coalesce_in(self, lists, partition: str, first: int, order: int) -> None:
+        bounds = self.frames[partition]
         while order < self.max_order:
-            size = PAGE_SIZE << order
-            buddy = base ^ size
-            if buddy < part.base or buddy + size > part.end:
+            size = 1 << order
+            buddy = first ^ size
+            if buddy < bounds.start or buddy + size > bounds.stop:
                 break
             lst = lists[order]
             i = bisect_left(lst, buddy)
             if i < len(lst) and lst[i] == buddy:
                 lst.pop(i)
-                base = min(base, buddy)
+                first = min(first, buddy)
                 order += 1
             else:
                 break
-        insort(lists[order], base)
+        insort(lists[order], first)
 
     # -- invariants --------------------------------------------------------
 
@@ -313,46 +319,44 @@ class BuddyState:
         order; and no free block's buddy is free at the same order below
         max_order.
         """
-        for name, part in self.partitions.items():
+        for name, bounds in self.frames.items():
             lists = self._free[name]
             spans = sorted(
-                [(b, PAGE_SIZE << o) for o, lst in enumerate(lists) for b in lst]
-                + [(b.base, b.size) for b in self.blocks(name)]
-                + [(span.start * PAGE_SIZE, len(span) * PAGE_SIZE)
-                   for run in self._runs if run.partition == name
-                   for span in run.spans])
-            end = part.base
-            for base, size in spans:
-                if base < end:
-                    raise BuddyError(f"{name}: spans overlap at {base:#x}")
-                end = base + size
-            if end > part.end or sum(s for _, s in spans) != part.size:
+                [(first, 1 << o) for o, lst in enumerate(lists) for first in lst]
+                + [(b.first, b.pages) for b in self.blocks(name)]
+                + [(span.start, len(span)) for run in self._runs
+                   if run.partition == name for span in run.spans])
+            end = bounds.start
+            for first, pages in spans:
+                if first < end:
+                    raise BuddyError(f"{name}: spans overlap at page {first:#x}")
+                end = first + pages
+            if end > bounds.stop or sum(p for _, p in spans) != len(bounds):
                 raise BuddyError(f"{name}: allocated + free != capacity")
             for order, lst in enumerate(lists):
-                size = PAGE_SIZE << order
+                size = 1 << order
                 listed = set(lst)
-                if lst != sorted(listed) or any(b % size for b in lst):
+                if lst != sorted(listed) or any(f % size for f in lst):
                     raise BuddyError(f"{name}: order-{order} list unsorted or misaligned")
-                if order < self.max_order and any(b ^ size in listed for b in lst):
+                if order < self.max_order and any(f ^ size in listed for f in lst):
                     raise BuddyError(f"{name}: order-{order} free buddies left apart")
 
     # -- guarded buffers --------------------------------------------------
 
     def allocate_isolated_buffer(self, partition: str, size: int, owner: str) -> Block:
-        """Place a buffer with one reserved guard row span on each side.
+        """Place a buffer of size bytes with a guard row span on each side.
 
         The guard spans cover whole row-index spans, so no other allocation
         can ever share or neighbour the buffer's rows.  They are held as one
         "guard" run, reserved for the lifetime of the allocator.
         """
-        if self.row_span is None:
+        span = self._row_pages
+        if span is None:
             raise GuardPlacementError("allocator built without a row span")
         if size <= 0:
             raise GuardPlacementError("buffer size must be positive")
-        span = self.row_span
-        body = -(-size // span) * span
-        total_pages = (body + 2 * span) // PAGE_SIZE
-        order = (total_pages - 1).bit_length()
+        body = -(-_pages(size) // span) * span
+        order = (body + 2 * span - 1).bit_length()
         if order > self.max_order:
             raise GuardPlacementError("guarded buffer exceeds the maximum order")
         try:
@@ -361,14 +365,13 @@ class BuddyState:
             raise GuardPlacementError(str(exc)) from exc
         # The covering block is aligned to its own size >= 4 row spans,
         # so carving at span boundaries keeps whole row indexes together.
-        del self._allocated[covering.base]
-        block = Block(partition, covering.base + span, body // PAGE_SIZE, owner)
-        self._allocated[block.base] = block
-        first, pages = covering.base // PAGE_SIZE, span // PAGE_SIZE
-        stop = block.end // PAGE_SIZE + pages
-        self._runs.append(Run(partition, "guard", (range(first, first + pages),
-                                                   range(stop - pages, stop))))
-        self._release(partition, stop * PAGE_SIZE, covering.pages - (stop - first))
+        lower = covering.first
+        del self._allocated[lower]
+        block = self._allocated[lower + span] = Block(partition, lower + span, body, owner)
+        upper = block.first + body
+        self._runs.append(Run(partition, "guard", (range(lower, block.first),
+                                                   range(upper, upper + span))))
+        self._release(partition, upper + span, covering.pages - body - 2 * span)
         return block
 
 
@@ -422,23 +425,21 @@ def preload_workload(
     CPython's randrange(n) and randint(0, n - 1) make, so values and the
     generator's state match theirs draw for draw, without their calls.
     """
-    if residue_bytes % PAGE_SIZE or fresh_bytes % PAGE_SIZE:
+    if (residue_bytes | fresh_bytes) % PAGE_SIZE:
         raise ValueError("residue and fresh bytes must be page granular")
     if small_max_order < 0:
         raise ValueError("small_max_order must not be negative")
-    part = buddy.partitions[partition]
-    lo = part.base + reserve_low_bytes
-    if lo >= part.end:
+    if reserve_low_bytes >= buddy.partitions[partition].size:
         raise ValueError("low reserve leaves no room for the workload")
-    top, end = buddy.max_order, part.end // PAGE_SIZE
+    bounds, top = buddy.frames[partition], buddy.max_order
+    lo, end = bounds.start + _pages(reserve_low_bytes), bounds.stop
     span = 1 << top
     full = (1 << span) - 1
     lists = buddy._free[partition]
-    free = dict.fromkeys(range(part.base // PAGE_SIZE >> top, (end - 1 >> top) + 1), 0)
+    free = dict.fromkeys(range(bounds.start >> top, (end - 1 >> top) + 1), 0)
     for order, lst in enumerate(lists):
-        for base in lst:
-            pfn = base // PAGE_SIZE
-            free[pfn >> top] |= ((1 << (1 << order)) - 1) << (pfn & (span - 1))
+        for first in lst:
+            free[first >> top] |= ((1 << (1 << order)) - 1) << (first & (span - 1))
     initial = dict(free)
     getrandbits = rng.getrandbits
 
@@ -446,7 +447,7 @@ def preload_workload(
         """First page of a random free aligned range of 2**order pages
         above the reserve, now taken; at top + 1, two max-order blocks."""
         pages = 1 << order
-        start = -(-lo // (pages * PAGE_SIZE)) * pages
+        start = -(-lo // pages) * pages
         slots = (end - start) // pages
         if slots <= 0:
             raise OutOfMemoryError("region too small for requested order")
@@ -465,18 +466,17 @@ def preload_workload(
                 return pfn
         raise OutOfMemoryError(failure)
 
+    # Greedy blocks of whole pages; a partial last page is one more page.
     left = bulk_bytes
     while left > 0:
-        order = top
-        while order > 0 and (PAGE_SIZE << order) > left:
-            order -= 1
+        order = max(0, min(top, (left // PAGE_SIZE).bit_length() - 1))
         place(order, "workload placement failed")
         left -= PAGE_SIZE << order
 
     def build_pairs(total_bytes: int) -> list[tuple[int, int]]:
         """Place buddy pairs; returns each half's first page and order."""
         halves: list[tuple[int, int]] = []
-        remaining = total_bytes // PAGE_SIZE
+        remaining = _pages(total_bytes)
         while remaining > 0:
             orders = min(small_max_order, remaining.bit_length() - 1) + 1
             k = orders.bit_length()
@@ -499,11 +499,11 @@ def preload_workload(
     for pfn, order in residue + fresh:
         initial[pfn >> top] ^= ((1 << (1 << order)) - 1) << (pfn & (span - 1))
     for pfn, order in residue:
-        kept[order].append(pfn * PAGE_SIZE)
+        kept[order].append(pfn)
     spans: list[range] = []
     for key, mask in free.items():
         if mask == full:
-            kept[top].append(key * span * PAGE_SIZE)
+            kept[top].append(key * span)
             continue
         taken = initial[key]
         while taken:  # one range per run of set bits, lowest first
@@ -516,7 +516,6 @@ def preload_workload(
     lists[:] = [sorted(lst) for lst in kept]
     if spans:
         buddy._runs.append(Run(partition, "workload", tuple(spans)))
-    fresh_halves = [Block(partition, pfn * PAGE_SIZE, 1 << order, "workload")
-                    for pfn, order in fresh]
-    buddy._allocated.update((half.base, half) for half in fresh_halves)
+    fresh_halves = [Block(partition, pfn, 1 << order, "workload") for pfn, order in fresh]
+    buddy._allocated.update((half.first, half) for half in fresh_halves)
     return PreloadState(fresh_halves)

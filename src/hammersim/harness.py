@@ -179,9 +179,8 @@ def _run_ambush_trial(
     rounds_cap: int | None,
 ) -> TrialReport:
     bundle = build_sim(profile, trial_seed)
-    available = bundle.buddy.free_bytes(KERNEL_PARTITION) + bundle.buddy.free_bytes(
-        USER_PARTITION
-    )
+    available = (bundle.buddy.free_pages(KERNEL_PARTITION)
+                 + bundle.buddy.free_pages(USER_PARTITION)) * PAGE_SIZE
     placement = place(bundle, driver, threshold_bytes, mitigation=mitigation)
     adjacency = verify_adjacency(bundle.os, placement)
     bundle.os.plant_cred(
@@ -252,7 +251,7 @@ def _feng_shui_footprint(buddy: BuddyState, profile: MachineProfile) -> tuple[in
     if hole is not None:
         held.remove(hole)
         buddy.free(hole)
-        pt_pages = buddy.free_bytes(POOL_PARTITION) // PAGE_SIZE
+        pt_pages = buddy.free_pages(POOL_PARTITION)
         buddy.take_pages(POOL_PARTITION, pt_pages, "page_table")
     footprint = sum(b.size for b in held) + pt_pages * PAGE_SIZE
     return footprint, pt_pages
@@ -292,7 +291,7 @@ def _run_baseline_trial(
         row_span=rows_size_per_row_index(geometry),
     )
     _preload(buddy, POOL_PARTITION, profile, trial_seed, fresh_bytes=0)
-    available = buddy.free_bytes(POOL_PARTITION)
+    available = buddy.free_pages(POOL_PARTITION) * PAGE_SIZE
     if strategy == STRATEGY_FENG_SHUI:
         footprint, pt_pages = _feng_shui_footprint(buddy, profile)
     else:

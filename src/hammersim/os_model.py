@@ -27,7 +27,7 @@ import bisect
 import random
 import struct
 from dataclasses import dataclass
-from itertools import chain, cycle
+from itertools import accumulate, chain, cycle
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -238,8 +238,7 @@ class BufferChunk:
 
     def frames(self) -> range:
         """The frames of the chunk's pages."""
-        first = self.block.base // PAGE_SIZE
-        return range(first, first + self.page_count())
+        return self.block.frames[:self.page_count()]
 
 
 @dataclass
@@ -292,11 +291,13 @@ class _RunIndex:
         self.stops: list[int] = []
         self.firsts: list[int] = []
 
-    def add(self, keys: range, first: int) -> None:
-        i = bisect.bisect(self.starts, keys.start)
-        self.starts.insert(i, keys.start)
-        self.stops.insert(i, keys.stop)
-        self.firsts.insert(i, first)
+    def merge(self, runs) -> None:
+        """Add (keys, first value) runs, all of them in one sort."""
+        rows = sorted([*zip(self.starts, self.stops, self.firsts),
+                       *((keys.start, keys.stop, first) for keys, first in runs)])
+        self.starts = [row[0] for row in rows]
+        self.stops = [row[1] for row in rows]
+        self.firsts = [row[2] for row in rows]
 
     def get(self, key: int) -> int | None:
         i = bisect.bisect(self.starts, key) - 1
@@ -413,10 +414,8 @@ class OsModel:
         self.vmas.append(run)
         self.pt_runs.extend(runs)
         self._pt_pfns.extend(pfns)
-        base = run.base
-        for frames in runs:
-            self._tables.add(frames, base)
-            base += len(frames) * PT_SPAN
+        bases = accumulate((len(frames) * PT_SPAN for frames in runs), initial=run.base)
+        self._tables.merge(zip(runs, bases))
         templates = [self._pt_template(file, w * PTES_PER_PAGE) for w in range(windows)]
         self.memory.pages.update(zip(pfns, cycle(templates)))
         return pfns
@@ -559,13 +558,14 @@ class OsModel:
 
     def map_buffer(self, buffer: DoubleOwnedBuffer) -> None:
         """Give the attacker a user mapping of every chunk."""
+        runs = []
         for chunk in buffer.chunks:
-            base = self._next_buffer_base
-            chunk.vbase = base
+            chunk.vbase = self._next_buffer_base
             frames = chunk.frames()
             self._next_buffer_base += (len(frames) + 1) * PAGE_SIZE
-            vpn = base // PAGE_SIZE
-            self._buffer.add(range(vpn, vpn + len(frames)), frames.start)
+            vpn = chunk.vbase // PAGE_SIZE
+            runs.append((range(vpn, vpn + len(frames)), frames.start))
+        self._buffer.merge(runs)
         buffer.user_mapped = True
 
     # -- creds ------------------------------------------------------------------
@@ -574,22 +574,19 @@ class OsModel:
         """Place a process's identity record at a random free user page."""
         if pid in self.creds:
             raise OsModelError(f"pid {pid} already has a cred page")
-        part = self.buddy.partitions[USER_PARTITION]
-        pages = part.size // PAGE_SIZE
+        frames = self.buddy.frames[USER_PARTITION]
         block = None
         for _ in range(10000):
-            base = part.base + rng.randrange(pages) * PAGE_SIZE
             try:
-                block = self.buddy.allocate_at(USER_PARTITION, base, 0, "cred")
+                block = self.buddy.allocate_at(USER_PARTITION, rng.choice(frames), 0, "cred")
                 break
             except OutOfMemoryError:
                 continue
         if block is None:
             raise OutOfMemoryError("no free page for a cred record")
         offset = rng.randrange(0, PAGE_SIZE - 24 + 1, 4)
-        pfn = block.base // PAGE_SIZE
-        self.memory.write(pfn * PAGE_SIZE + offset, cred_pattern(uid))
-        cred = CredPage(pid, pfn, offset, uid)
+        self.memory.write(block.first * PAGE_SIZE + offset, cred_pattern(uid))
+        cred = CredPage(pid, block.first, offset, uid)
         self.creds[pid] = cred
         return cred
 

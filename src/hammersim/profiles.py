@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 
 from .ambush import DRIVER_SG, DRIVER_VIDEO, DRIVERS
 from .dram_model import (
+    PAGE_SIZE,
     DramError,
     DramGeometry,
     HammerParams,
@@ -83,6 +84,12 @@ class MachineProfile:
             raise ProfileError("profile needs a name")
         if not 0 < self.kernel_bytes < self.geometry.capacity:
             raise ProfileError("kernel partition must fit inside DRAM")
+        if self.max_order < 0:
+            raise ProfileError("max_order must be >= 0")
+        # A fresh allocator lists every max-order block (dell at order 0: 2**21).
+        blocks = self.geometry.capacity // (PAGE_SIZE << self.max_order)
+        if blocks > 1 << 22:
+            raise ProfileError(f"DRAM holds {blocks} max-order blocks, more than {1 << 22}")
         if self.residue_bytes >= self.kernel_bytes:
             raise ProfileError("residue must fit inside the kernel partition")
         for key in ("residue_bytes", "bulk_bytes", "reserve_low_bytes", "fresh_bytes"):

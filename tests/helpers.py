@@ -167,7 +167,7 @@ def reference_free_lists(buddy: BuddyState) -> dict[str, list[list[int]]]:
         lists: list[list[int]] = [[] for _ in range(buddy.max_order + 1)]
         for first, order in aligned_blocks(
                 part.base // PAGE_SIZE, part.size // PAGE_SIZE, buddy.max_order):
-            lists[order].append(first * PAGE_SIZE)
+            lists[order].append(first)
         free[name] = lists
     return free
 
@@ -268,8 +268,9 @@ def numpy_coord_keys(geometry: DramGeometry) -> np.ndarray:
 class BitmapBuddy:
     """Bitmap-backed reference allocator with the same placement policy.
 
+    Blocks are named by first page number, as the allocator names them.
     The free state is one integer per partition, bit i set when page i
-    (relative to the partition base) is free.  Maximal free blocks are
+    (relative to the partition's first page) is free.  Maximal free blocks are
     derived from the bitmap, so split and coalesce behavior is implicit
     rather than tracked: per order j, a mask of the aligned blocks whose
     pages are all free.  A change to the bitmap updates those masks only
@@ -350,9 +351,13 @@ class BitmapBuddy:
             top = j
         self._refresh_masks(name, order, top)
 
-    def _set_range(self, name: str, base: int, pages: int, free: bool) -> None:
-        """Free or take pages from base, one aligned block at a time."""
-        page = (base - self.partitions[name].base) // PAGE_SIZE
+    def _page(self, name: str, first: int) -> int:
+        """Page first's bit index in the partition's bitmap."""
+        return first - self.partitions[name].base // PAGE_SIZE
+
+    def _set_range(self, name: str, first: int, pages: int, free: bool) -> None:
+        """Free or take pages from first, one aligned block at a time."""
+        page = self._page(name, first)
         while pages:
             align = (page & -page).bit_length() - 1 if page else self.max_order
             order = min(align, self.max_order, pages.bit_length() - 1)
@@ -373,26 +378,21 @@ class BitmapBuddy:
             if candidates:
                 page = (candidates & -candidates).bit_length() - 1
                 self._set_block(name, page, order, False)
-                return self.partitions[name].base + page * PAGE_SIZE
+                return self.partitions[name].base // PAGE_SIZE + page
         return None
 
-    def free(self, name: str, base: int, order: int) -> None:
-        page = (base - self.partitions[name].base) // PAGE_SIZE
-        self._set_block(name, page, order, True)
+    def free(self, name: str, first: int, order: int) -> None:
+        self._set_block(name, self._page(name, first), order, True)
 
-    def _range_mask(self, name: str, base: int, pages: int) -> int:
-        page = (base - self.partitions[name].base) // PAGE_SIZE
-        return ((1 << pages) - 1) << page
-
-    def range_free(self, name: str, base: int, pages: int) -> bool:
-        mask = self._range_mask(name, base, pages)
+    def range_free(self, name: str, first: int, pages: int) -> bool:
+        mask = ((1 << pages) - 1) << self._page(name, first)
         return self.bits[name] & mask == mask
 
-    def take_range(self, name: str, base: int, pages: int) -> None:
-        self._set_range(name, base, pages, False)
+    def take_range(self, name: str, first: int, pages: int) -> None:
+        self._set_range(name, first, pages, False)
 
-    def free_range(self, name: str, base: int, pages: int) -> None:
-        self._set_range(name, base, pages, True)
+    def free_range(self, name: str, first: int, pages: int) -> None:
+        self._set_range(name, first, pages, True)
 
     def free_pages(self, name: str) -> int:
         return self.bits[name].bit_count()
@@ -400,20 +400,20 @@ class BitmapBuddy:
 
 def free_block_set(buddy: BuddyState, partition: str) -> set[tuple[int, int]]:
     lists = buddy._free[partition]
-    return {(addr, order) for order, lst in enumerate(lists) for addr in lst}
+    return {(first, order) for order, lst in enumerate(lists) for first in lst}
 
 
 def assert_guarded(buddy: BuddyState, block, span: int) -> None:
-    """block has its "guard" run: [block.base - span, block.base) and
-    [block.end, block.end + span), neither free nor inside any block."""
-    first, stop = block.base // PAGE_SIZE, block.end // PAGE_SIZE
+    """block has its "guard" run: span bytes of pages on each side of
+    block.frames, neither free nor inside any block."""
+    first, stop = block.frames.start, block.frames.stop
     pages = span // PAGE_SIZE
     guards = (range(first - pages, first), range(stop, stop + pages))
     runs = [run for run in buddy._runs if run.owner == "guard" and run.spans == guards]
     assert [run.partition for run in runs] == [block.partition]
-    held = [(base // PAGE_SIZE, base // PAGE_SIZE + (1 << order))
-            for base, order in free_block_set(buddy, block.partition)]
-    held += [(b.base // PAGE_SIZE, b.end // PAGE_SIZE) for b in buddy.blocks(block.partition)]
+    held = [(first, first + (1 << order))
+            for first, order in free_block_set(buddy, block.partition)]
+    held += [(b.frames.start, b.frames.stop) for b in buddy.blocks(block.partition)]
     for guard in guards:
         assert not any(start < guard.stop and guard.start < end for start, end in held)
 
@@ -426,8 +426,8 @@ def free_masks(buddy: BuddyState, partition: str) -> list[int]:
     masks = []
     for lst in buddy._free[partition]:
         mask = 0
-        for addr in lst:
-            mask |= 1 << (addr // PAGE_SIZE - base)
+        for first in lst:
+            mask |= 1 << (first - base)
         masks.append(mask)
     return masks
 
@@ -449,14 +449,14 @@ def run_op_sequence(seed: int, steps: int, base: int = 4 * MIB,
             except OutOfMemoryError:
                 assert want is None
                 continue
-            assert want == block.base
+            assert want == block.first
             live.append(block)
         else:
             block = live.pop(rng.randrange(len(live)))
             buddy.free(block)
-            oracle.free("pool", block.base, (block.pages - 1).bit_length())
+            oracle.free("pool", block.first, (block.pages - 1).bit_length())
         assert free_masks(buddy, "pool") == oracle.maximal_masks("pool")
-    assert buddy.free_bytes("pool") == oracle.free_pages("pool") * PAGE_SIZE
+    assert buddy.free_pages("pool") == oracle.free_pages("pool")
 
 
 def reference_preload(
@@ -487,7 +487,7 @@ def reference_preload(
         for _ in range(_PLACE_ATTEMPTS):
             base = start + rng.randrange(slots) * size
             try:
-                return buddy.allocate_at(partition, base, order, "workload")
+                return buddy.allocate_at(partition, base // PAGE_SIZE, order, "workload")
             except OutOfMemoryError:
                 pass
         raise OutOfMemoryError("workload placement failed")
@@ -510,11 +510,13 @@ def reference_preload(
             for _ in range(_PLACE_ATTEMPTS):
                 pair_base = start + rng.randrange(slots) * 2 * size
                 try:
-                    anchor = buddy.allocate_at(partition, pair_base, order, "workload")
+                    anchor = buddy.allocate_at(partition, pair_base // PAGE_SIZE, order,
+                                               "workload")
                 except OutOfMemoryError:
                     continue
                 try:
-                    half = buddy.allocate_at(partition, pair_base + size, order, "workload")
+                    half = buddy.allocate_at(partition, (pair_base + size) // PAGE_SIZE,
+                                             order, "workload")
                 except OutOfMemoryError:
                     buddy.free(anchor)
                     continue
@@ -527,7 +529,7 @@ def reference_preload(
 
     residue_halves = build_pairs(residue_bytes)
     fresh_halves = build_pairs(fresh_bytes)
-    stranded = buddy.free_bytes_below(partition, buddy.max_order) // PAGE_SIZE
+    stranded = buddy.free_pages_below(partition, buddy.max_order)
     buddy.take_pages(partition, stranded, "workload")
     for half in residue_halves:
         buddy.free(half)
@@ -584,7 +586,7 @@ def reference_adjacency(os_model: OsModel, placement) -> tuple:
         pt_rows |= page_row_keys(pfn, geometry)
     pairs = set()
     for chunk in placement.buffer.chunks:
-        first = chunk.block.base // PAGE_SIZE
+        first = chunk.block.first
         for pfn in range(first, first + chunk.page_count()):
             for d, r, b, row in page_row_keys(pfn, geometry):
                 for neighbor_row in (row - 1, row + 1):

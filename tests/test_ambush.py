@@ -127,12 +127,12 @@ def test_drain_consumes_exactly_the_residue():
     os_model, _ = build_sim(residue=2 * MIB)
     target_order = (target_block_size(os_model.dram.geometry)
                     // PAGE_SIZE).bit_length() - 1
-    assert os_model.buddy.free_bytes_below("kernel", target_order) == 2 * MIB
+    assert os_model.buddy.free_pages_below("kernel", target_order) == 2 * MIB // PAGE_SIZE
     mapper = MappingDriver(os_model, plan(24 * MIB, DRIVER_VIDEO))
     drained, injected = drain_small_blocks(os_model, mapper)
     assert drained == 2 * MIB // PAGE_SIZE
     assert injected == 0
-    assert os_model.buddy.free_bytes_below("kernel", target_order) == 0
+    assert os_model.buddy.free_pages_below("kernel", target_order) == 0
     # The drain consumed small blocks only: every table sits below the
     # target order, so no pristine large block was broken.
     assert mapper.mapped == drained
@@ -160,7 +160,7 @@ def test_drain_absorbs_fresh_blocks_up_to_cap():
     drained, injected = drain_small_blocks(os_model, mapper, preload=preload)
     assert injected == 1 * MIB
     assert drained == 3 * MIB // PAGE_SIZE
-    assert os_model.buddy.free_bytes_below("kernel", 3) == 0
+    assert os_model.buddy.free_pages_below("kernel", 3) == 0
 
 
 def _drain_one_map_at_a_time(small_pages, per_map, budget, cap_bytes):
@@ -185,7 +185,7 @@ def test_drain_count_matches_one_at_a_time_loop(per_map):
                 os_model = SimpleNamespace(
                     dram=SimpleNamespace(geometry=geometry),
                     buddy=SimpleNamespace(
-                        free_bytes_below=lambda *_: small_pages * PAGE_SIZE))
+                        free_pages_below=lambda *_: small_pages))
                 made = []
                 mapper = SimpleNamespace(
                     pages_per_map=per_map, budget_left=budget,
@@ -232,7 +232,7 @@ def test_run_ambush_caps_footprint_at_threshold():
     assert placement.buffer.allocated_bytes == 32 * 600 * 1024
     assert placement.vmas_created == placement.pt_pages
     # Nothing small is left over after the stuffing phase.
-    assert os_model.buddy.free_bytes_below("kernel", 3) == 0
+    assert os_model.buddy.free_pages_below("kernel", 3) == 0
 
 
 def test_run_ambush_interleaves_buffers_with_tables():
@@ -279,7 +279,7 @@ def test_adjacency_stops_at_bank_edges(table_row, adjacent):
     os_model = SimpleNamespace(dram=SimpleNamespace(geometry=geo),
                                pt_pfns=lambda: {table},
                                pt_runs=[range(table, table + 1)])
-    chunk = BufferChunk(Block("kernel", page(1, 0) * PAGE_SIZE, 1, "t"), PAGE_SIZE)
+    chunk = BufferChunk(Block("kernel", page(1, 0), 1, "t"), PAGE_SIZE)
     placement = SimpleNamespace(buffer=SimpleNamespace(chunks=[chunk]))
     report = verify_adjacency(os_model, placement)
     assert unpacked_pairs(geo, report.pairs) == reference_adjacency(os_model, placement)
@@ -374,7 +374,7 @@ def test_adjacency_reads_only_the_bordering_slice_of_a_table_run(monkeypatch):
     os_model = SimpleNamespace(dram=SimpleNamespace(geometry=geo),
                                pt_pfns=lambda: set(range(4, 12)),
                                pt_runs=[range(4, 12)])
-    chunk = BufferChunk(Block("kernel", 2 * PAGE_SIZE, 1, "t"), PAGE_SIZE)
+    chunk = BufferChunk(Block("kernel", 2, 1, "t"), PAGE_SIZE)
     placement = SimpleNamespace(buffer=SimpleNamespace(chunks=[chunk]))
     assert table_pages_read(monkeypatch, os_model, placement) == [4, 5, 6, 7]
     report = verify_adjacency(os_model, placement)

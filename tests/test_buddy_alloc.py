@@ -43,9 +43,9 @@ def make_pool(size: int = 4 * MIB, base: int = 0, **kwargs) -> BuddyState:
 
 
 def conservation_ok(buddy: BuddyState, partition: str) -> bool:
-    """Blocks and runs (guard rows too) plus free bytes make the capacity."""
+    """Blocks and runs (guard rows too) plus free pages make the capacity."""
     taken = sum(stop - start for start, stop in taken_spans(buddy, partition))
-    return taken * PAGE_SIZE + buddy.free_bytes(partition) == buddy.partitions[partition].size
+    return (taken + buddy.free_pages(partition)) * PAGE_SIZE == buddy.partitions[partition].size
 
 
 # --- basic policy ---
@@ -61,14 +61,14 @@ def test_fresh_pool_is_max_order_blocks():
 def test_allocate_prefers_smallest_order_then_lowest_address():
     buddy = make_pool(4 * MIB)
     a = buddy.allocate("pool", 0, "t")
-    assert a.base == 0 and a.pages == 1
+    assert a.first == 0 and a.pages == 1
     # The split left buddies at orders 0..9; an order-3 request must take
     # the stranded order-3 block, not split another max-order chunk.
     b = buddy.allocate("pool", 3, "t")
-    assert b.base == 8 * PAGE_SIZE
-    # An order-0 request takes the lowest free address overall.
+    assert b.first == 8
+    # An order-0 request takes the lowest free page overall.
     c = buddy.allocate("pool", 0, "t")
-    assert c.base == PAGE_SIZE
+    assert c.first == 1
 
 
 def test_free_coalesces_back_to_pristine():
@@ -78,7 +78,7 @@ def test_free_coalesces_back_to_pristine():
     for block in reversed(blocks):
         buddy.free(block)
     assert buddy.buddy_info() == before
-    assert buddy.free_bytes("pool") == 2 * MIB
+    assert buddy.free_pages("pool") == 2 * MIB // PAGE_SIZE
 
 
 def test_double_free_and_foreign_free_rejected():
@@ -88,7 +88,7 @@ def test_double_free_and_foreign_free_rejected():
     with pytest.raises(FreeError):
         buddy.free(block)
     with pytest.raises(FreeError):
-        buddy.free(Block("pool", 64 * PAGE_SIZE, 1, "t"))
+        buddy.free(Block("pool", 64, 1, "t"))
 
 
 def test_allocate_order_bounds_and_oom():
@@ -98,7 +98,7 @@ def test_allocate_order_bounds_and_oom():
     with pytest.raises(ValueError):
         buddy.allocate("pool", 11, "t")
     grabbed = [buddy.allocate("pool", 8, "t") for _ in range(1 * MIB // (PAGE_SIZE << 8))]
-    assert buddy.free_bytes("pool") == 0
+    assert buddy.free_pages("pool") == 0
     with pytest.raises(OutOfMemoryError):
         buddy.allocate("pool", 0, "t")
     for g in grabbed:
@@ -108,25 +108,25 @@ def test_allocate_order_bounds_and_oom():
 def test_allocate_pages_exact_run_returns_tail():
     buddy = make_pool(1 * MIB)
     block = buddy.allocate_pages("pool", 5, "t")
-    assert block.pages == 5 and block.base == 0
+    assert block.pages == 5 and block.first == 0
     # Covering order-3 block minus 5 pages leaves 3 pages free again.
-    assert buddy.free_bytes("pool") == 1 * MIB - 5 * PAGE_SIZE
+    assert buddy.free_pages("pool") == 1 * MIB // PAGE_SIZE - 5
     assert conservation_ok(buddy, "pool")
     nxt = buddy.allocate("pool", 0, "t")
-    assert nxt.base == 5 * PAGE_SIZE
+    assert nxt.first == 5
     buddy.free(nxt)
     buddy.free(block)
-    assert buddy.free_bytes("pool") == 1 * MIB
+    assert buddy.free_pages("pool") == 1 * MIB // PAGE_SIZE
 
 
 def test_allocate_at_carves_and_validates():
     buddy = make_pool(1 * MIB)
-    block = buddy.allocate_at("pool", 256 * 1024, 4, "t")
-    assert block.base == 256 * 1024 and block.pages == 16
+    block = buddy.allocate_at("pool", 64, 4, "t")  # 256 KiB in
+    assert block.first == 64 and block.pages == 16
     with pytest.raises(ValueError):
-        buddy.allocate_at("pool", 3 * PAGE_SIZE, 1, "t")
+        buddy.allocate_at("pool", 3, 1, "t")
     with pytest.raises(OutOfMemoryError):
-        buddy.allocate_at("pool", 256 * 1024, 4, "t")
+        buddy.allocate_at("pool", 64, 4, "t")
     assert conservation_ok(buddy, "pool")
 
 
@@ -135,7 +135,7 @@ def test_partition_walls_and_row_span_validation():
     parts = [Partition("a", 0, 1 * MIB), Partition("b", 1 * MIB + span, 1 * MIB)]
     buddy = BuddyState(parts, row_span=span)
     a = buddy.allocate("a", 8, "t")
-    assert a.end <= 1 * MIB
+    assert a.frames.stop * PAGE_SIZE <= 1 * MIB
     with pytest.raises(ValueError):
         BuddyState([Partition("a", 0, 1 * MIB), Partition("b", 1 * MIB, 1 * MIB)],
                    row_span=span)
@@ -147,12 +147,12 @@ def test_partition_walls_and_row_span_validation():
 
 def test_unaligned_partition_base_seeds_correct_free_lists():
     buddy = BuddyState([Partition("odd", 3 * PAGE_SIZE, 13 * PAGE_SIZE)])
-    assert buddy.free_bytes("odd") == 13 * PAGE_SIZE
+    assert buddy.free_pages("odd") == 13
     blocks = free_block_set(buddy, "odd")
     covered = set()
-    for base, order in blocks:
-        assert base % (PAGE_SIZE << order) == 0
-        for p in range(base // PAGE_SIZE, base // PAGE_SIZE + (1 << order)):
+    for first, order in blocks:
+        assert first % (1 << order) == 0
+        for p in range(first, first + (1 << order)):
             assert p not in covered
             covered.add(p)
     assert covered == set(range(3, 16))
@@ -216,7 +216,7 @@ def test_bitmap_oracle_updates_match_a_fresh_derivation(pages, max_order, seed):
         first = rng.randrange(pages)
         count = rng.randrange(1, pages - first + 1)
         change = oracle.free_range if rng.random() < 0.5 else oracle.take_range
-        change("pool", first * PAGE_SIZE, count)
+        change("pool", first, count)
         fresh = BitmapBuddy([part], max_order=max_order)
         fresh.bits["pool"] = oracle.bits["pool"]
         fresh._full["pool"] = fresh._full_blocks("pool")
@@ -242,11 +242,12 @@ def test_isolated_buffer_reserves_guards_both_sides():
             drained.append(buddy.allocate("pool", 0, "drain"))
         except OutOfMemoryError:
             break
-    assert buddy.free_bytes("pool") == 0
-    buffer_rows = {block.base // span}
+    assert buddy.free_pages("pool") == 0
+    row_pages = span // PAGE_SIZE
+    buffer_rows = {block.first // row_pages}
     forbidden = {r - 1 for r in buffer_rows} | buffer_rows | {r + 1 for r in buffer_rows}
     for other in drained:
-        rows = set(range(other.base // span, (other.end - 1) // span + 1))
+        rows = set(range(other.first // row_pages, (other.frames.stop - 1) // row_pages + 1))
         assert not rows & forbidden
     assert_guarded(buddy, block, span)
     assert conservation_ok(buddy, "pool")
@@ -291,9 +292,9 @@ def test_conservation_under_mixed_ops(ops, seed):
         except (OutOfMemoryError, GuardPlacementError):
             pass
         assert conservation_ok(buddy, "pool")
-        for base, order in free_block_set(buddy, "pool"):
-            assert base % (PAGE_SIZE << order) == 0
-            assert 0 <= base and base + (PAGE_SIZE << order) <= 2 * MIB
+        for first, order in free_block_set(buddy, "pool"):
+            assert first % (1 << order) == 0
+            assert 0 <= first and (first + (1 << order)) * PAGE_SIZE <= 2 * MIB
 
 
 # --- workload preload ---
@@ -301,14 +302,13 @@ def test_conservation_under_mixed_ops(ops, seed):
 
 def allocator_state(buddy: BuddyState):
     return (copy.deepcopy(buddy._free), buddy.buddy_info(),
-            buddy.free_bytes("pool"), taken_spans(buddy, "pool"))
+            buddy.free_pages("pool"), taken_spans(buddy, "pool"))
 
 
 def taken_spans(buddy: BuddyState, partition: str) -> list[tuple[int, int]]:
     """The partition's allocated pages, blocks and runs alike, as sorted
     [start, stop) page ranges with touching ranges merged."""
-    spans = sorted([(b.base // PAGE_SIZE, b.base // PAGE_SIZE + b.pages)
-                    for b in buddy.blocks(partition)]
+    spans = sorted([(b.first, b.first + b.pages) for b in buddy.blocks(partition)]
                    + [(r.start, r.stop) for run in buddy._runs
                       if run.partition == partition for r in run.spans])
     merged: list[tuple[int, int]] = []
@@ -330,10 +330,10 @@ def test_preload_leaves_exact_residue():
         rng=random.Random(1),
     )
     # Everything free is either a pristine max-order block or residue.
-    residue = buddy.free_bytes_below("pool", buddy.max_order)
-    assert residue == 3 * MIB
+    residue = buddy.free_pages_below("pool", buddy.max_order)
+    assert residue * PAGE_SIZE == 3 * MIB
     top = buddy.buddy_info()["pool"][buddy.max_order]
-    assert buddy.free_bytes("pool") == residue + top * (PAGE_SIZE << 10)
+    assert buddy.free_pages("pool") == residue + (top << 10)
     # The bulk is the max-order blocks taken whole: every other touched
     # block keeps a free residue half.  Nothing below the reserve is taken.
     span = 1 << buddy.max_order
@@ -356,10 +356,10 @@ def test_preload_fresh_blocks_inject_on_demand():
         rng=random.Random(2),
         fresh_bytes=2 * MIB,
     )
-    assert buddy.free_bytes_below("pool", buddy.max_order) == 1 * MIB
+    assert buddy.free_pages_below("pool", buddy.max_order) * PAGE_SIZE == 1 * MIB
     injected = state.inject_fresh(buddy)
     assert injected == 2 * MIB
-    assert buddy.free_bytes_below("pool", buddy.max_order) == 3 * MIB
+    assert buddy.free_pages_below("pool", buddy.max_order) * PAGE_SIZE == 3 * MIB
     assert state.inject_fresh(buddy) == 0
 
 
@@ -374,7 +374,7 @@ def test_preload_deterministic():
             small_max_order=7,
             rng=random.Random(seed),
         )
-        return (buddy.buddy_info(), sorted((b.base, b.pages) for b in buddy.blocks()),
+        return (buddy.buddy_info(), sorted((b.first, b.pages) for b in buddy.blocks()),
                 [(r.start, r.stop) for run in buddy._runs for r in run.spans])
 
     assert snapshot(7) == snapshot(7)
@@ -383,7 +383,7 @@ def test_preload_deterministic():
 
 def preload_result(buddy: BuddyState, partition: str, state) -> tuple:
     buddy.check_invariants()
-    return (buddy._free[partition], buddy.buddy_info(), buddy.free_bytes(partition),
+    return (buddy._free[partition], buddy.buddy_info(), buddy.free_pages(partition),
             taken_spans(buddy, partition), state.fresh_halves)
 
 
@@ -543,7 +543,7 @@ def fragmented_pool(seed: int) -> BuddyState:
 @settings(max_examples=60, deadline=None)
 def test_take_pages_equals_sequential_order0_allocations(seed, case, data):
     buddy = fragmented_pool(seed)
-    free_pages = buddy.free_bytes("pool") // PAGE_SIZE
+    free_pages = buddy.free_pages("pool")
     first_block = next((1 << o for o, lst in enumerate(buddy._free["pool"]) if lst), 0)
     assume(free_pages or case in ("zero", "past free"))
     if case == "zero":
@@ -561,7 +561,7 @@ def test_take_pages_equals_sequential_order0_allocations(seed, case, data):
             buddy.take_pages("pool", n, "page_table")
         assert allocator_state(buddy) == before
         return
-    want = [twin.allocate("pool", 0, "page_table").base // PAGE_SIZE for _ in range(n)]
+    want = [twin.allocate("pool", 0, "page_table").first for _ in range(n)]
     assert frames(buddy.take_pages("pool", n, "page_table")) == want
     assert allocator_state(buddy) == allocator_state(twin)
     buddy.check_invariants()
@@ -571,8 +571,7 @@ def test_take_pages_on_the_dell_preload():
     buddy = build_sim(get_profile("dell"), 2026).buddy
     twin = copy.deepcopy(buddy)
     n = 15872  # the table pages of one dell/video placement
-    want = [twin.allocate(KERNEL_PARTITION, 0, "page_table").base // PAGE_SIZE
-            for _ in range(n)]
+    want = [twin.allocate(KERNEL_PARTITION, 0, "page_table").first for _ in range(n)]
     assert frames(buddy.take_pages(KERNEL_PARTITION, n, "page_table")) == want
     assert buddy._free == twin._free
     assert buddy.buddy_info() == twin.buddy_info()
@@ -584,10 +583,10 @@ def test_free_rejects_pages_of_a_run():
     pfns = frames(buddy.take_pages("pool", 3, "page_table"))
     for pfn in pfns:
         with pytest.raises(FreeError):
-            buddy.free(Block("pool", pfn * PAGE_SIZE, 1, "page_table"))
+            buddy.free(Block("pool", pfn, 1, "page_table"))
     with pytest.raises(FreeError):
-        buddy.free(Block("pool", pfns[0] * PAGE_SIZE, 2, "page_table"))
-    assert buddy.partitions["pool"].size - buddy.free_bytes("pool") == 3 * PAGE_SIZE
+        buddy.free(Block("pool", pfns[0], 2, "page_table"))
+    assert buddy.partitions["pool"].size // PAGE_SIZE - buddy.free_pages("pool") == 3
     buddy.check_invariants()
     with pytest.raises(ValueError):
         buddy.take_pages("pool", -1, "page_table")
@@ -608,8 +607,8 @@ def test_check_invariants_names_broken_state():
     # Two free buddies of order 2 in place of their order-3 parent.
     broken = copy.deepcopy(buddy)
     lists = broken._free["pool"]
-    lists[3].remove(8 * PAGE_SIZE)
-    lists[2] = sorted(lists[2] + [8 * PAGE_SIZE, 12 * PAGE_SIZE])
+    lists[3].remove(8)
+    lists[2] = sorted(lists[2] + [8, 12])
     with pytest.raises(BuddyError, match="buddies"):
         broken.check_invariants()
     broken = copy.deepcopy(buddy)
@@ -618,7 +617,7 @@ def test_check_invariants_names_broken_state():
         broken.check_invariants()
     broken = copy.deepcopy(buddy)
     lists = broken._free["pool"]
-    lists[0], lists[1] = [7 * PAGE_SIZE], [5 * PAGE_SIZE]  # same pages, order-1 at 5
+    lists[0], lists[1] = [7], [5]  # same pages, order-1 at 5
     with pytest.raises(BuddyError, match="unsorted or misaligned"):
         broken.check_invariants()
     two = make_pool(8 * MIB)
@@ -665,7 +664,7 @@ class AllocatorMachine(RuleBasedStateMachine):
         except OutOfMemoryError:
             assert want is None
             return multiple()
-        assert block.base == want
+        assert block.first == want
         return block
 
     @rule(target=blocks, pages=st.integers(1, 40))
@@ -677,27 +676,27 @@ class AllocatorMachine(RuleBasedStateMachine):
         except OutOfMemoryError:
             assert want is None
             return multiple()
-        assert block.base == want and block.pages == pages
-        self.oracle.free_range("pool", block.end, (1 << order) - pages)
+        assert block.first == want and block.pages == pages
+        self.oracle.free_range("pool", block.frames.stop, (1 << order) - pages)
         return block
 
     @rule(target=blocks, order=st.integers(0, 9), slot=st.integers(0, 511))
     def allocate_at(self, order, slot):
-        base = slot % (512 >> order) * (PAGE_SIZE << order)
-        expect = self.oracle.range_free("pool", base, 1 << order)
+        first = slot % (512 >> order) << order
+        expect = self.oracle.range_free("pool", first, 1 << order)
         try:
-            block = self.buddy.allocate_at("pool", base, order, "t")
+            block = self.buddy.allocate_at("pool", first, order, "t")
         except OutOfMemoryError:
             assert not expect
             return multiple()
         assert expect
-        self.oracle.take_range("pool", base, 1 << order)
+        self.oracle.take_range("pool", first, 1 << order)
         return block
 
     @rule(block=consumes(blocks))
     def free(self, block):
         self.buddy.free(block)
-        self.oracle.free_range("pool", block.base, block.pages)
+        self.oracle.free_range("pool", block.first, block.pages)
 
     @rule(target=blocks, spans=st.integers(1, 2))
     def allocate_isolated_buffer(self, spans):
@@ -708,11 +707,12 @@ class AllocatorMachine(RuleBasedStateMachine):
         except GuardPlacementError:
             assert want is None
             return multiple()
-        assert (block.base, block.size) == (want + SPAN, spans * SPAN)
+        span = SPAN // PAGE_SIZE
+        assert (block.first, block.size) == (want + span, spans * SPAN)
         assert_guarded(self.buddy, block, SPAN)
         # Only the guard-to-guard span stays taken; the rest is free again.
-        used = (spans + 2) * SPAN
-        self.oracle.free_range("pool", want + used, (1 << order) - used // PAGE_SIZE)
+        used = (spans + 2) * span
+        self.oracle.free_range("pool", want + used, (1 << order) - used)
         return multiple()  # a guarded buffer is never freed
 
     @rule(n=st.integers(0, 80))
@@ -721,14 +721,14 @@ class AllocatorMachine(RuleBasedStateMachine):
             with pytest.raises(OutOfMemoryError):
                 self.buddy.take_pages("pool", n, "page_table")
             return
-        want = [self.oracle.allocate("pool", 0) // PAGE_SIZE for _ in range(n)]
+        want = [self.oracle.allocate("pool", 0) for _ in range(n)]
         assert frames(self.buddy.take_pages("pool", n, "page_table")) == want
 
     @invariant()
     def matches_oracle(self):
         self.buddy.check_invariants()
         assert free_masks(self.buddy, "pool") == self.oracle.maximal_masks("pool")
-        assert self.buddy.free_bytes("pool") == self.oracle.free_pages("pool") * PAGE_SIZE
+        assert self.buddy.free_pages("pool") == self.oracle.free_pages("pool")
 
 
 TestAllocatorMachine = AllocatorMachine.TestCase

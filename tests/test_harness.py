@@ -369,6 +369,11 @@ BAD_PROFILES = {
     # One above dell's 8 KiB row of 65,536 bits.
     "cells_per_weak_row": ("[vulnerability]\ncells_per_weak_row = 65537\n",
                            "error: cells_per_weak_row must be <= 65536"),
+    # 256 TiB: a fresh allocator would list 2**26 max-order blocks.
+    "oversized_dram": ("[dram]\ndimms = 2\nranks_per_dimm = 2\nbanks_per_rank = 8\n"
+                       "rows_per_bank = 1073741824\nrow_size = 8192\ndimm_bits = 6\n"
+                       "rank_bits = 17\nbank_bits = 13;14;15\nrow_bits = 18-47\n",
+                       "error: DRAM holds 67108864 max-order blocks, more than 4194304"),
 }
 
 

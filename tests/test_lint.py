@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hammersim"
@@ -27,6 +28,24 @@ def test_no_unused_imports():
                 if name not in used:
                     unused.append(f"{path.name}: {name}")
     assert unused == []
+
+
+def test_imports_only_the_standard_library():
+    # The package depends only on the standard library: every import names
+    # a standard module or one of the package's own (relative, or by name).
+    allowed = sys.stdlib_module_names | {PACKAGE.name}
+    foreign = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] not in allowed]
+    assert foreign == []
 
 
 def test_private_names_are_used():

@@ -145,8 +145,10 @@ def test_flip_on_shared_page_makes_it_private():
     assert os_model._pt_templates[(file.file_id, 0)] is template
 
 
-def test_placement_leaves_table_pages_shared():
-    os_model, _ = full_placement("dell", "video", 7)
+@pytest.mark.parametrize("profile,driver,mitigation", [
+    ("dell", "video", False), ("dell", "video", True), ("lenovo", "sg", False)])
+def test_placement_leaves_table_pages_shared(profile, driver, mitigation):
+    os_model, _ = full_placement(profile, driver, 7, mitigation=mitigation)
     pages = os_model.memory.pages
     tables = os_model.pt_pfns()
     private = [pfn for pfn in tables if type(pages[pfn]) is bytearray]
@@ -265,7 +267,7 @@ def test_mmap_failure_changes_nothing():
     file = os_model.create_tmp_file(PT_SPAN)
 
     def state():
-        return (os_model.buddy.buddy_info(), os_model.buddy.free_bytes("kernel"),
+        return (os_model.buddy.buddy_info(), os_model.buddy.free_pages("kernel"),
                 list(os_model.vmas), windows(os_model),
                 dict(os_model.memory.pages), os_model.pt_pfns())
 
@@ -283,7 +285,7 @@ def test_mmap_failure_changes_nothing():
     with pytest.raises(OutOfMemoryError):
         big.mmap_primitive(big_file, 7)  # 16 kernel pages, 10 in use
     assert len(big.pt_pfns()) == 10 and len(big.vmas) == 1
-    assert big.buddy.free_bytes("kernel") == 6 * PAGE_SIZE
+    assert big.buddy.free_pages("kernel") == 6
 
 
 def test_window_tables_follow_map_order():
@@ -578,7 +580,7 @@ def test_map_buffer_exposes_chunk_pages():
     for chunk in buffer.chunks:
         for i in range(chunk.page_count()):
             pfn = os_model.translate(chunk.vbase + i * PAGE_SIZE)
-            assert pfn == chunk.block.base // PAGE_SIZE + i
+            assert pfn == chunk.block.first + i
     # Buffer pages are readable and writable from user space.
     assert os_model.write_u64_virtual(vaddrs[0], 0xDEAD)
     assert os_model.read_u64_virtual(vaddrs[0]) == 0xDEAD
