@@ -6,12 +6,20 @@ reads and writes go through the TLB first; a stale entry keeps pointing at
 the old frame until an explicit flush, exactly the property the probing scan
 depends on.
 
+Physical memory has two layers.  The base layer is a sorted index of frame
+runs, each backed by a cycle of shared pristine pages: the tables of one
+mapping call and the marker pages of a file are a few rows, not a dict
+entry per frame.  Frames written or flipped since live in a private dict
+over it, copied on their first change; memory.pages is a read-only view of
+both.
+
 Mappings are runs: one file mapped count times back to back, from MAP_BASE
 up, with one table per 2 MiB window.  The tables are one list indexed by
 window number, so finding a page's entry, its run and its pristine value is
-arithmetic.  The reverse lookups are by run too: a table frame's window,
-and a buffer page's frame, are one bisection over sorted runs of frames or
-pages, never a per-frame table.
+arithmetic.  The reverse lookups are by run too: a table frame's window is
+a bisection of the base layer, whose table runs carry their first window
+number, and a buffer page's frame is one over the buffer's page runs;
+neither is a per-frame table.
 
 The model keeps a dirty index over page-table entries (maintained from a
 single write hook on physical memory) so marker scans visit only pages behind
@@ -23,18 +31,19 @@ observable behaviour identical to a full linear sweep.
 
 from __future__ import annotations
 
-import bisect
 import random
 import struct
+from bisect import bisect
+from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import accumulate, chain, cycle
+from itertools import accumulate, chain
 from operator import attrgetter
 from typing import NamedTuple
 
 from .buddy_alloc import Block, BuddyState, OutOfMemoryError
 from .dram_model import (
+    FLIP_DIRECTIONS,
     FLIP_ONE_TO_ZERO,
-    FLIP_ZERO_TO_ONE,
     PAGE_SIZE,
     Dram,
     InjectedFlip,
@@ -110,30 +119,89 @@ def _user_pte(pfn: int) -> int:
     return pfn << PTE_PFN_SHIFT | PTE_PRESENT | PTE_WRITABLE | PTE_USER
 
 
-class PhysicalMemory:
-    """Sparse copy-on-write page store; unbacked pages read as zeros.
+class _RunIndex:
+    """Disjoint key runs sorted by first key.  A run is a row (start, stop,
+    first, pages): key start + i has the value first + i, or none when
+    first is None, and physical memory's base layer reads its page from
+    pages.  A lookup is one bisection."""
 
-    A page is either an immutable bytes object, possibly shared by many
-    frames (the model stores its table templates and marker page so), or
-    a private bytearray.
-    The first write or flip to a shared page gives that frame its own copy,
-    so thousands of identical page tables cost one template until they
-    diverge.
+    def __init__(self) -> None:
+        self.rows: list[tuple] = []
+        self.starts: list[int] = []
+
+    def merge(self, rows) -> None:
+        """Add runs, all of them in one sort."""
+        self.rows = sorted([*self.rows, *rows])
+        self.starts = [row[0] for row in self.rows]
+
+    def get(self, key: int) -> int | None:
+        i = bisect(self.starts, key) - 1
+        if i >= 0:
+            start, stop, first, _ = self.rows[i]
+            if key < stop and first is not None:
+                return first + key - start
+        return None
+
+
+class PhysicalMemory:
+    """Copy-on-write page store in two layers; unbacked pages read as zeros.
+
+    The base layer is a run index of pristine frames: each run backs a
+    frame range with a cycle of immutable page objects, so thousands of
+    identical page tables, or a file's marker pages, cost one row.  The
+    private layer is a dict of the frames written or flipped since; the
+    first change to a base frame copies it there, and reads try the dict
+    before they bisect the base.  pages is a read-only view of both.
 
     A single write hook reports every content change so the owner can keep
     derived indexes current.
     """
 
     def __init__(self) -> None:
-        self.pages: dict[int, bytes | bytearray] = {}
+        self.private: dict[int, bytearray] = {}
+        self.base = _RunIndex()
+        self._last = (0, 0, None, ())  # the base run read last
         self.write_hook = None
+
+    @property
+    def pages(self) -> Mapping[int, bytes | bytearray]:
+        """Every backed frame's page, over both layers."""
+        return _PagesView(self)
+
+    def map_runs(self, rows) -> None:
+        """Back frames with pristine pages, over whatever they held.
+
+        A row is (start, stop, first, pages): frame start + i reads
+        pages[i % len(pages)], and base.get gives it first + i.  Rows are
+        disjoint from the runs already in the base.
+        """
+        outside = [pfn for pfn in self.private if self._base_page(pfn) is None]
+        self.base.merge(rows)
+        for pfn in outside:
+            if self._base_page(pfn) is not None:
+                del self.private[pfn]
+
+    def page(self, pfn: int) -> bytes | bytearray | None:
+        """The frame's page, private or base; None when it is unbacked."""
+        return self.private.get(pfn) or self._base_page(pfn)
+
+    def _base_page(self, pfn: int) -> bytes | None:
+        # The run read last is tried before the bisection, as QEMU tries
+        # its most recently used section before it searches the FlatView.
+        start, stop, _, pages = self._last
+        if not start <= pfn < stop:
+            base = self.base
+            i = bisect(base.starts, pfn) - 1
+            if i < 0 or pfn >= base.rows[i][1]:
+                return None
+            start, stop, _, pages = self._last = base.rows[i]
+        return pages[(pfn - start) % len(pages)]
 
     def _page(self, pfn: int) -> bytearray:
         """The frame's private, writable page, copied on first write."""
-        page = self.pages.get(pfn)
-        if type(page) is not bytearray:
-            page = bytearray(PAGE_SIZE) if page is None else bytearray(page)
-            self.pages[pfn] = page
+        page = self.private.get(pfn)
+        if page is None:
+            page = self.private[pfn] = bytearray(self._base_page(pfn) or PAGE_SIZE)
         return page
 
     def read(self, addr: int, length: int) -> bytes:
@@ -142,7 +210,8 @@ class PhysicalMemory:
         while addr < end:
             pfn, off = divmod(addr, PAGE_SIZE)
             n = min(end - addr, PAGE_SIZE - off)
-            chunks.append(self.pages.get(pfn, ZERO_PAGE)[off : off + n])
+            page = self.private.get(pfn) or self._base_page(pfn) or ZERO_PAGE
+            chunks.append(page[off : off + n])
             addr += n
         return b"".join(chunks)
 
@@ -150,7 +219,8 @@ class PhysicalMemory:
         pfn, off = divmod(addr, PAGE_SIZE)
         if off > PAGE_SIZE - 8:
             return int.from_bytes(self.read(addr, 8), "little")
-        return _U64.unpack_from(self.pages.get(pfn, ZERO_PAGE), off)[0]
+        page = self.private.get(pfn) or self._base_page(pfn) or ZERO_PAGE
+        return _U64.unpack_from(page, off)[0]
 
     def write(self, addr: int, data: bytes) -> None:
         pos = 0
@@ -168,25 +238,44 @@ class PhysicalMemory:
     def flip_bit(self, addr: int, bit: int, direction: str) -> bool:
         """Apply a disturbance flip; returns False when the cell's pull
         direction matches the stored value already."""
-        pfn, off = divmod(addr, PAGE_SIZE)
-        page = self.pages.get(pfn)
-        current = 0 if page is None else (page[off] >> bit) & 1
-        if direction == FLIP_ONE_TO_ZERO:
-            if not current:
-                return False
-            self._page(pfn)[off] &= ~(1 << bit)
-        elif direction == FLIP_ZERO_TO_ONE:
-            if current:
-                return False
-            self._page(pfn)[off] |= 1 << bit
-        else:
+        if direction not in FLIP_DIRECTIONS:
             raise ValueError(f"unknown flip direction {direction!r}")
+        pfn, off = divmod(addr, PAGE_SIZE)
+        if (self.page(pfn) or ZERO_PAGE)[off] >> bit & 1 != (direction == FLIP_ONE_TO_ZERO):
+            return False
+        self._page(pfn)[off] ^= 1 << bit
         if self.write_hook is not None:
             self.write_hook(pfn, off, off + 1)
         return True
 
     def backed_pfns(self) -> list[int]:
-        return sorted(self.pages)
+        """Every backed frame, ascending: the base runs merged with the
+        private frames outside them."""
+        runs = (range(start, stop) for start, stop, _, _ in self.base.rows)
+        extra = [pfn for pfn in self.private if self._base_page(pfn) is None]
+        return sorted([*chain.from_iterable(runs), *extra])
+
+
+class _PagesView(Mapping):
+    """Frame -> page over both layers, read-only; made afresh on each read
+    of memory.pages, so the memory holds no reference back to it."""
+
+    def __init__(self, memory: PhysicalMemory) -> None:
+        self._memory = memory
+
+    def __getitem__(self, pfn: int) -> bytes | bytearray:
+        page = self._memory.page(pfn)
+        if page is None:
+            raise KeyError(pfn)
+        return page
+
+    def __iter__(self):
+        return iter(self._memory.backed_pfns())
+
+    def __len__(self) -> int:
+        memory = self._memory
+        return (sum(stop - start for start, stop, _, _ in memory.base.rows)
+                + sum(memory._base_page(pfn) is None for pfn in memory.private))
 
 
 class TlbCache:
@@ -208,6 +297,7 @@ class TmpFile:
     file_id: int
     size: int
     pfns: tuple[int, ...]
+    runs: list[range]  # the same frames, as taken
 
 
 class MapRun(NamedTuple):
@@ -281,39 +371,13 @@ def cred_pattern(uid: int) -> bytes:
     return struct.pack("<6I", uid, uid, uid, uid, uid, uid)
 
 
-class _RunIndex:
-    """Disjoint key runs sorted by first key, each with its first key's
-    value; values step by step along a run, so a lookup is a bisection."""
-
-    def __init__(self, step: int) -> None:
-        self.step = step
-        self.starts: list[int] = []
-        self.stops: list[int] = []
-        self.firsts: list[int] = []
-
-    def merge(self, runs) -> None:
-        """Add (keys, first value) runs, all of them in one sort."""
-        rows = sorted([*zip(self.starts, self.stops, self.firsts),
-                       *((keys.start, keys.stop, first) for keys, first in runs)])
-        self.starts = [row[0] for row in rows]
-        self.stops = [row[1] for row in rows]
-        self.firsts = [row[2] for row in rows]
-
-    def get(self, key: int) -> int | None:
-        i = bisect.bisect(self.starts, key) - 1
-        if i >= 0 and key < self.stops[i]:
-            return self.firsts[i] + (key - self.starts[i]) * self.step
-        return None
-
-
 class _DirtyIndexer:
-    """Physical memory's write hook: bisects the table runs for a written
+    """Physical memory's write hook: bisects the base layer for a written
     table's window and marks the written entries in the dirty index.
 
-    It holds the table-run index and the dirty index rather than the
-    model, so a model and its memory form no reference cycle and a
-    finished model is freed at once instead of waiting for a full run of
-    the cycle collector.  It is a class, not a closure, because deepcopy
+    It holds the base index and the dirty index rather than the model, so
+    a model and its memory form no reference cycle and a finished model is
+    freed at once instead of waiting for a full run of the cycle collector.  It is a class, not a closure, because deepcopy
     shares a closure: a copied model would then mark the original's index.
     """
 
@@ -322,8 +386,9 @@ class _DirtyIndexer:
         self.pte_dirty = pte_dirty
 
     def __call__(self, pfn: int, start: int, end: int) -> None:
-        window = self.tables.get(pfn)
-        if window is not None:
+        number = self.tables.get(pfn)
+        if number is not None:
+            window = MAP_BASE + number * PT_SPAN
             for idx in range(start // PTE_SIZE, (end + PTE_SIZE - 1) // PTE_SIZE):
                 self.pte_dirty.setdefault(idx, set()).add(window + idx * PAGE_SIZE)
 
@@ -345,8 +410,10 @@ class OsModel:
         self.creds: dict[int, CredPage] = {}
         self._pt_pfns: list[int] = []  # window number from MAP_BASE -> table
         self.pt_runs: list[range] = []  # the table frames, as taken
-        self._tables = _RunIndex(PT_SPAN)  # table pfn -> window base
-        self._buffer = _RunIndex(1)  # buffer virtual page number -> pfn
+        # The base layer of memory: table runs give each table frame's
+        # window number, marker runs give none.
+        self._tables = self.memory.base
+        self._buffer = _RunIndex()  # buffer virtual page number -> pfn
         self._pt_templates: dict[tuple[int, int], bytes] = {}
         # entry index -> page vaddrs mapped through a dirty entry
         self._pte_dirty: dict[int, set[int]] = {}
@@ -359,7 +426,7 @@ class OsModel:
         if size <= 0 or size % PT_SPAN:
             raise ValueError("file size must be a positive multiple of 2 MiB")
         runs = self.buddy.take_pages(USER_PARTITION, size // PAGE_SIZE, "tmp_file")
-        file = TmpFile(len(self.files), size, tuple(chain.from_iterable(runs)))
+        file = TmpFile(len(self.files), size, tuple(chain.from_iterable(runs)), runs)
         self.files.append(file)
         return file
 
@@ -367,11 +434,11 @@ class OsModel:
         key = (file.file_id, page_offset)
         cached = self._pt_templates.get(key)
         if cached is None:
-            vals = [
-                _user_pte(file.pfns[(page_offset + i) % len(file.pfns)])
-                for i in range(PTES_PER_PAGE)
-            ]
-            cached = struct.pack(f"<{PTES_PER_PAGE}Q", *vals)
+            # A file is whole 2 MiB windows, so a window's pages are a slice.
+            flags = _user_pte(0)
+            cached = struct.pack(f"<{PTES_PER_PAGE}Q", *[
+                pfn << PTE_PFN_SHIFT | flags
+                for pfn in file.pfns[page_offset : page_offset + PTES_PER_PAGE]])
             self._pt_templates[key] = cached
         return cached
 
@@ -386,7 +453,7 @@ class OsModel:
     def _file_pfn(self, vaddr: int) -> int:
         """The file frame that mapped vaddr reads through a pristine entry."""
         # Runs are appended at ascending bases and cover every window.
-        run = self.vmas[bisect.bisect_right(self.vmas, vaddr, key=_RUN_BASE) - 1]
+        run = self.vmas[bisect(self.vmas, vaddr, key=_RUN_BASE) - 1]
         pfns = run.file.pfns
         return pfns[(vaddr - run.base) // PAGE_SIZE % len(pfns)]
 
@@ -408,23 +475,25 @@ class OsModel:
             raise VmaLimitError(f"mapping limit of {self.vma_limit} reached")
         windows = file.size // PT_SPAN
         runs = self.buddy.take_pages(KERNEL_PARTITION, count * windows, "page_table")
-        pfns = list(chain.from_iterable(runs))
         # Windows are contiguous from MAP_BASE, so the next one is free.
-        run = MapRun(MAP_BASE + len(self._pt_pfns) * PT_SPAN, file, count)
-        self.vmas.append(run)
+        first = len(self._pt_pfns)
+        self.vmas.append(MapRun(MAP_BASE + first * PT_SPAN, file, count))
         self.pt_runs.extend(runs)
-        self._pt_pfns.extend(pfns)
-        bases = accumulate((len(frames) * PT_SPAN for frames in runs), initial=run.base)
-        self._tables.merge(zip(runs, bases))
-        templates = [self._pt_template(file, w * PTES_PER_PAGE) for w in range(windows)]
-        self.memory.pages.update(zip(pfns, cycle(templates)))
-        return pfns
+        self._pt_pfns.extend(chain.from_iterable(runs))
+        # Window first + i maps file window i % windows.
+        templates = tuple(self._pt_template(file, w * PTES_PER_PAGE) for w in range(windows))
+        rows = []
+        for frames, number in zip(runs, accumulate(map(len, runs), initial=first)):
+            k = (number - first) % windows
+            rows.append((frames.start, frames.stop, number, templates[k:] + templates[:k]))
+        self.memory.map_runs(rows)
+        return self._pt_pfns[first:]
 
     def write_markers(self, file: TmpFile) -> None:
         """Give every page of the fresh file the shared marker page, the
         marker followed by zeros; this is the pristine baseline, so the
         write hook is bypassed."""
-        self.memory.pages.update(dict.fromkeys(file.pfns, MARKER_PAGE))
+        self.memory.map_runs((r.start, r.stop, None, (MARKER_PAGE,)) for r in file.runs)
 
     # -- translation --------------------------------------------------------
 
@@ -564,7 +633,7 @@ class OsModel:
             frames = chunk.frames()
             self._next_buffer_base += (len(frames) + 1) * PAGE_SIZE
             vpn = chunk.vbase // PAGE_SIZE
-            runs.append((range(vpn, vpn + len(frames)), frames.start))
+            runs.append((vpn, vpn + len(frames), frames.start, None))
         self._buffer.merge(runs)
         buffer.user_mapped = True
 

@@ -8,8 +8,10 @@ error where the package tests bitmasks of free pages, the reference hammer
 groups decoded (dimm, rank, bank, row) coordinates where the package
 compares packed row keys, the verification
 oracle sweeps every mapped page linearly instead of consulting the dirty
-index, and the per-frame maps expand table runs and buffer chunks frame by
-frame where the OS model bisects runs.
+index, the per-frame maps expand table runs and buffer chunks frame by
+frame where the OS model bisects runs, and the per-frame memory keeps one
+dict entry for every backed frame where physical memory keeps pristine
+frames as runs.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from __future__ import annotations
 import csv
 import io
 import random
-from itertools import chain
+import struct
+from itertools import chain, cycle
 
 import numpy as np
 
@@ -32,6 +35,8 @@ from hammersim.buddy_alloc import (
     preload_workload,
 )
 from hammersim.dram_model import (
+    FLIP_ONE_TO_ZERO,
+    FLIP_ZERO_TO_ONE,
     PAGE_SIZE,
     Dram,
     DramGeometry,
@@ -151,6 +156,54 @@ def table_windows(os_model: OsModel) -> dict[int, int]:
     the table runs in window order."""
     frames = chain.from_iterable(os_model.pt_runs)
     return {pfn: os_model.map_base + i * PT_SPAN for i, pfn in enumerate(frames)}
+
+
+class FrameMemory:
+    """Per-frame reference physical memory: a dict entry for every backed
+    frame, holding a shared immutable page until its first change gives
+    the frame a private bytearray; unbacked frames read as zeros."""
+
+    def __init__(self) -> None:
+        self.pages: dict[int, bytes | bytearray] = {}
+
+    def map_runs(self, rows) -> None:
+        """Rows as PhysicalMemory.map_runs takes them, frame by frame."""
+        for start, stop, _, pages in rows:
+            self.pages.update(zip(range(start, stop), cycle(pages)))
+
+    def _page(self, pfn: int) -> bytearray:
+        page = self.pages.get(pfn)
+        if type(page) is not bytearray:
+            page = bytearray(PAGE_SIZE) if page is None else bytearray(page)
+            self.pages[pfn] = page
+        return page
+
+    def read(self, addr: int, length: int) -> bytes:
+        zero = bytes(PAGE_SIZE)
+        return bytes(self.pages.get(a // PAGE_SIZE, zero)[a % PAGE_SIZE]
+                     for a in range(addr, addr + length))
+
+    def read_u64(self, addr: int) -> int:
+        return int.from_bytes(self.read(addr, 8), "little")
+
+    def write(self, addr: int, data: bytes) -> None:
+        for i, byte in enumerate(data):
+            pfn, off = divmod(addr + i, PAGE_SIZE)
+            self._page(pfn)[off] = byte
+
+    def write_u64(self, addr: int, value: int) -> None:
+        self.write(addr, struct.pack("<Q", value))
+
+    def flip_bit(self, addr: int, bit: int, direction: str) -> bool:
+        current = self.read(addr, 1)[0] >> bit & 1
+        if (direction, current) not in ((FLIP_ONE_TO_ZERO, 1), (FLIP_ZERO_TO_ONE, 0)):
+            return False
+        pfn, off = divmod(addr, PAGE_SIZE)
+        self._page(pfn)[off] ^= 1 << bit
+        return True
+
+    def backed_pfns(self) -> list[int]:
+        return sorted(self.pages)
 
 
 def buffer_pages(buffer) -> dict[int, int]:

@@ -345,6 +345,9 @@ def test_load_profile_fallbacks(tmp_path):
 # a traceback or a run on ignored or out-of-range values.
 BAD_PROFILES = {
     "max_order": ("[allocator]\nmax_order = -1\n", "error: max_order must be >= 0"),
+    # dell holds 2**21 pages, so an order-40 block would need a 2**40-bit mask.
+    "huge_max_order": ("[allocator]\nmax_order = 40\n",
+                       "error: a max_order 40 block is larger than the DRAM"),
     "repeated_key": ("[hammer]\ndose = 5\ndose = 6\n",
                      "option 'dose' in section 'hammer' already exists"),
     "no_section_header": ("dose = 5\n[hammer]\n",

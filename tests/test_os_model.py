@@ -26,6 +26,7 @@ from hammersim.dram_model import (
 )
 from hammersim.os_model import (
     MARKER,
+    MARKER_PAGE,
     PROBE_PTE,
     PT_SPAN,
     PTE_PRESENT,
@@ -42,8 +43,8 @@ from hammersim.os_model import (
     cred_pattern,
 )
 
-from helpers import (buffer_pages, full_placement, simple_mapping, table_windows,
-                     user_pte, windows)
+from helpers import (FrameMemory, buffer_pages, full_placement, simple_mapping,
+                     table_windows, user_pte, windows)
 
 MIB = 1024 * 1024
 
@@ -105,6 +106,86 @@ def test_write_hook_reports_ranges():
     assert seen == [(2, 8, 24), (0, 0, 1), (2, 0, 8)]
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_two_layer_memory_matches_per_frame_reference(seed):
+    rng = random.Random(seed)
+    frames = 64
+    templates = [rng.randbytes(PAGE_SIZE) for _ in range(3)]
+    saved = [bytes(t) for t in templates]
+    # Frames 0..63 cut into segments, each mapped as one call of up to
+    # three runs at a random step, some after they were written, and
+    # some never mapped.
+    cuts = sorted(rng.sample(range(1, frames), 15))
+    segments = [range(a, b) for a, b in zip([0, *cuts], [*cuts, frames])]
+    rng.shuffle(segments)
+    segments = segments[:12]
+    mem, ref = PhysicalMemory(), FrameMemory()
+
+    def addr():
+        pfn = rng.randrange(frames + 2)
+        if rng.random() < 0.3:  # near the page end, so accesses may cross it
+            return pfn * PAGE_SIZE + PAGE_SIZE - rng.randrange(1, 9)
+        return pfn * PAGE_SIZE + rng.randrange(PAGE_SIZE)
+
+    for _ in range(160):
+        roll = rng.random()
+        if roll < 0.1 and segments:
+            seg = segments.pop()
+            if rng.random() < 0.3:
+                first, pages = None, (MARKER_PAGE,)
+            else:
+                first, pages = seg.start, tuple(rng.sample(templates, rng.randint(1, 3)))
+            mid = rng.randint(seg.start, seg.stop)
+            rows = [(start, stop, first, pages)
+                    for start, stop in ((seg.start, mid), (mid, seg.stop)) if start < stop]
+            rng.shuffle(rows)
+            mem.map_runs(rows)
+            ref.map_runs(rows)
+        elif roll < 0.35:
+            a, data = addr(), rng.randbytes(rng.randint(1, 12))
+            mem.write(a, data)
+            ref.write(a, data)
+        elif roll < 0.5:
+            a, value = addr(), rng.getrandbits(64)
+            mem.write_u64(a, value)
+            ref.write_u64(a, value)
+        else:
+            # Either direction, so about half the pulls change nothing.
+            a, bit = addr(), rng.randrange(8)
+            direction = rng.choice([FLIP_ONE_TO_ZERO, FLIP_ZERO_TO_ONE])
+            assert mem.flip_bit(a, bit, direction) == ref.flip_bit(a, bit, direction)
+        for _ in range(4):
+            a = addr()
+            assert mem.read_u64(a) == ref.read_u64(a)
+            assert mem.read(a, 20) == ref.read(a, 20)
+        assert mem.backed_pfns() == ref.backed_pfns()
+        assert len(mem.pages) == len(ref.pages)
+    assert mem.pages == ref.pages and ref.pages == mem.pages
+    assert dict(mem.pages) == ref.pages
+    # Frames never changed still share their run's page object.
+    shared = [pfn for pfn, page in ref.pages.items() if type(page) is bytes]
+    assert shared and all(mem.pages[pfn] is ref.pages[pfn] for pfn in shared)
+    assert templates == saved
+
+
+def test_one_bit_in_a_base_frame_makes_memories_unequal():
+    template = bytes(range(256)) * 16
+    a, b = PhysicalMemory(), PhysicalMemory()
+    for mem in (a, b):
+        mem.map_runs([(10, 20, 0, (template,)), (30, 31, None, (MARKER_PAGE,))])
+    assert a.pages == b.pages
+    # A private copy holding the same bytes still compares equal...
+    b.write(15 * PAGE_SIZE + 7, template[7:8])
+    assert type(b.pages[15]) is bytearray
+    assert a.pages == b.pages
+    # ...while one flipped bit in a pristine base frame does not.
+    assert a.flip_bit(12 * PAGE_SIZE + 100, 2, FLIP_ONE_TO_ZERO)
+    assert a.pages != b.pages
+    assert len(a.pages) == len(b.pages) == 11
+    with pytest.raises(TypeError):
+        a.pages[12] = template
+
+
 # --- copy-on-write pages ---
 
 
@@ -160,6 +241,19 @@ def test_placement_leaves_table_pages_shared(profile, driver, mitigation):
     # One 2 MiB file needs one template; its marker pages share one too.
     assert len({id(pages[pfn]) for pfn in tables}) == 1
     assert len({id(pages[pfn]) for pfn in os_model.files[0].pfns}) == 1
+
+
+@pytest.mark.parametrize("mitigation", [False, True])
+def test_placement_writes_no_table_or_marker_frame(mitigation):
+    # The tables and the file's marker pages are base runs, one row per run
+    # taken; the private layer holds only frames written since.
+    os_model, _ = full_placement("dell", "video", 7, mitigation=mitigation)
+    memory, file = os_model.memory, os_model.files[0]
+    assert memory.private == {}
+    assert len(memory.base.rows) == len(os_model.pt_runs) + len(file.runs)
+    cred = os_model.plant_cred(1, 1000, random.Random(7))
+    assert list(memory.private) == [cred.pfn]
+    assert len(memory.pages) == len(os_model.pt_pfns()) + len(file.pfns) + 1
 
 
 @pytest.mark.parametrize("seed", [7, 19])
@@ -260,6 +354,21 @@ def test_mmap_count_equals_repeated_single_maps():
         assert bulk.translate(vaddr) == single.translate(vaddr)
         page = (vaddr - bulk.map_base) // PAGE_SIZE % len(file.pfns)
         assert bulk.translate(vaddr) == file.pfns[page]
+
+
+def test_table_runs_may_start_mid_file():
+    # One page taken first leaves free blocks of 1, 2, 4, ... pages, so the
+    # ten tables of five 4 MiB mappings come as runs from windows 0, 1, 3
+    # and 7; a run starting at an odd window starts on the file's second
+    # half.
+    os_model = make_os()
+    os_model.buddy.take_pages("kernel", 1, "filler")
+    file = os_model.create_tmp_file(2 * PT_SPAN)
+    os_model.mmap_primitive(file, 5)
+    assert [len(r) for r in os_model.pt_runs] == [1, 2, 4, 3]
+    for i in range(5 * len(file.pfns)):
+        vaddr = os_model.map_base + i * PAGE_SIZE
+        assert os_model.translate(vaddr) == file.pfns[i % len(file.pfns)]
 
 
 def test_mmap_failure_changes_nothing():
