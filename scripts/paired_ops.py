@@ -1,0 +1,128 @@
+"""Time two checkouts' benchmark ops against each other in one process.
+
+    python3 scripts/paired_ops.py CHECKOUT_A CHECKOUT_B --workload scan --ops 240
+
+Each checkout is a directory holding ``src/hammersim`` and
+``bench/workloads.py``.  Both packages and both workload modules are loaded
+side by side under their own names, and op i of the workload runs on A and
+on B in turn, A first on even ops and B first on odd ones, so slow host
+phases land on both sides alike.  Each op's report line must be the same
+on both sides.  The output is the median per-op time of each side and the
+median over ops of the ratio B/A; ``scan`` splits its ops into capture and
+non-capture batches, since a capture escalates and costs far more.
+
+Preparing an op (a ``scan`` episode build) is not timed, as in
+``bench/run.py``.  Nothing under either checkout is written.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import importlib.util
+import pkgutil
+import statistics
+import sys
+from pathlib import Path
+from time import perf_counter
+from types import SimpleNamespace
+
+DEFAULT_SEED = 2026
+
+
+def load_side(checkout: Path, tag: str):
+    """(package namespace, workloads module) of one checkout, loaded under
+    names ending in tag so that two checkouts can share a process."""
+    src = checkout / "src" / "hammersim"
+    bench = checkout / "bench" / "workloads.py"
+    if not (src / "__init__.py").is_file() or not bench.is_file():
+        raise FileNotFoundError(f"{checkout} has no src/hammersim or bench/workloads.py")
+    package = f"hammersim_{tag}"
+    spec = importlib.util.spec_from_file_location(
+        package, src / "__init__.py", submodule_search_locations=[str(src)])
+    _exec(spec)
+    names = [info.name for info in pkgutil.iter_modules([str(src)])]
+    hs = SimpleNamespace(**{
+        name: importlib.import_module(f"{package}.{name}") for name in names})
+    workloads = _exec(importlib.util.spec_from_file_location(f"workloads_{tag}", bench))
+    return hs, workloads
+
+
+def _exec(spec):
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _timed(workload, index: int):
+    workload.prepare(index)
+    t0 = perf_counter()
+    record = workload.run(index)
+    return perf_counter() - t0, record
+
+
+def run_pairs(sides, name: str, seed: int, ops: int):
+    """Per op: (A seconds, B seconds, whether it captured); raises
+    AssertionError on the first op whose report differs."""
+    work = [workloads.make(name, hs, seed) for hs, workloads in sides]
+    rows = []
+    for index in range(ops):
+        order = (0, 1) if index % 2 == 0 else (1, 0)
+        results = [None, None]
+        for side in order:
+            results[side] = _timed(work[side], index)
+        (time_a, record_a), (time_b, record_b) = results
+        text_a, text_b = (w.report([r]) for w, r in zip(work, (record_a, record_b)))
+        if text_a != text_b:
+            raise AssertionError(f"op {index} differs:\nA: {text_a}\nB: {text_b}")
+        rows.append((time_a, time_b, name == "scan" and record_a["found"] is not None))
+    return rows
+
+
+def summary(rows, name: str) -> list[str]:
+    groups = {"all": rows}
+    if name == "scan":
+        groups["non-capture"] = [r for r in rows if not r[2]]
+        groups["capture"] = [r for r in rows if r[2]]
+    lines = [f"{'ops':>15} {'A p50 ms':>9} {'B p50 ms':>9} {'B/A p50':>8}"]
+    for label, group in groups.items():
+        if not group:
+            continue
+        a = statistics.median(r[0] for r in group) * 1e3
+        b = statistics.median(r[1] for r in group) * 1e3
+        ratio = statistics.median(r[1] / r[0] for r in group)
+        lines.append(f"{label:<11}{len(group):>4} {a:9.3f} {b:9.3f} {ratio:8.3f}")
+    return lines
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
+def main(argv=None) -> int:
+    parser = _Parser(description=__doc__.splitlines()[0])
+    parser.add_argument("checkout_a", type=Path)
+    parser.add_argument("checkout_b", type=Path)
+    parser.add_argument("--workload", required=True, choices=("exploit", "guarded", "scan"))
+    parser.add_argument("--ops", type=int, default=20)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    args = parser.parse_args(argv)
+    if args.ops < 1:
+        parser.error("--ops must be positive")
+    try:
+        sides = [load_side(args.checkout_a.resolve(), "a"),
+                 load_side(args.checkout_b.resolve(), "b")]
+    except FileNotFoundError as exc:
+        parser.error(str(exc))
+    rows = run_pairs(sides, args.workload, args.seed, args.ops)
+    print(f"{args.workload}: seed {args.seed}, {args.ops} ops per side, reports equal")
+    print("A:", args.checkout_a)
+    print("B:", args.checkout_b)
+    print("\n".join(summary(rows, args.workload)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,24 +16,25 @@ both.
 Mappings are runs: one file mapped count times back to back, from MAP_BASE
 up, with one table per 2 MiB window.  The tables are one list indexed by
 window number, so finding a page's entry, its run and its pristine value is
-arithmetic.  The reverse lookups are by run too: a table frame's window is
-a bisection of the base layer, whose table runs carry their first window
-number, and a buffer page's frame is one over the buffer's page runs;
-neither is a per-frame table.
+arithmetic; a file carries its windows' pristine tables.  The reverse
+lookups are by run too: a table frame's window is a bisection of the base
+layer, whose table runs carry their first window number, and a buffer
+page's frame is one over the buffer's page runs; neither is a per-frame
+table.
 
-The model keeps a dirty index over page-table entries (maintained from a
-single write hook on physical memory) so marker scans visit only pages behind
-a written entry: a page behind a pristine entry reads its own file page, and
-the scan never reports such a page.  Every candidate is re-read through the
-normal translation path before being reported, which keeps the scan's
-observable behaviour identical to a full linear sweep.
+Physical memory marks every entry a write or flip touches in a table frame,
+so marker scans visit only pages behind a written entry: a page behind a
+pristine entry reads its own file page, and the scan never reports such a
+page.  Every candidate is re-read through the normal translation path
+before being reported, which keeps the scan's observable behaviour
+identical to a full linear sweep.
 """
 
 from __future__ import annotations
 
 import random
 import struct
-from bisect import bisect
+from bisect import bisect, bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import accumulate, chain
@@ -69,6 +70,7 @@ MARKER_PAGE = MARKER.to_bytes(8, "little").ljust(PAGE_SIZE, b"\0")
 
 ZERO_PAGE = bytes(PAGE_SIZE)
 _U64 = struct.Struct("<Q")
+_TABLE = struct.Struct(f"<{PTES_PER_PAGE}Q")
 
 VIDEO_CHUNK_BYTES = 600 * 1024
 VIDEO_MAX_CHUNKS = 32
@@ -130,7 +132,14 @@ class _RunIndex:
         self.starts: list[int] = []
 
     def merge(self, rows) -> None:
-        """Add runs, all of them in one sort."""
+        """Add runs, all of them in one sort.  A run that meets one already
+        indexed raises ValueError and changes nothing."""
+        rows = list(rows)
+        for start, stop, _, _ in rows if self.rows else ():
+            # Runs are disjoint: only the last one before stop can reach start.
+            i = bisect_left(self.starts, stop)
+            if i and self.rows[i - 1][1] > start:
+                raise ValueError(f"keys {start}..{stop - 1} are indexed already")
         self.rows = sorted([*self.rows, *rows])
         self.starts = [row[0] for row in self.rows]
 
@@ -153,15 +162,16 @@ class PhysicalMemory:
     first change to a base frame copies it there, and reads try the dict
     before they bisect the base.  pages is a read-only view of both.
 
-    A single write hook reports every content change so the owner can keep
-    derived indexes current.
+    Table runs carry their first window number, so a write or flip that
+    lands in a table frame marks the entries it touched in dirty: entry
+    index -> the window numbers of the tables written there.
     """
 
     def __init__(self) -> None:
         self.private: dict[int, bytearray] = {}
         self.base = _RunIndex()
         self._last = (0, 0, None, ())  # the base run read last
-        self.write_hook = None
+        self.dirty: dict[int, set[int]] = {}
 
     @property
     def pages(self) -> Mapping[int, bytes | bytearray]:
@@ -173,7 +183,8 @@ class PhysicalMemory:
 
         A row is (start, stop, first, pages): frame start + i reads
         pages[i % len(pages)], and base.get gives it first + i.  Rows are
-        disjoint from the runs already in the base.
+        disjoint; one that meets a run already in the base raises
+        ValueError and changes nothing.
         """
         outside = [pfn for pfn in self.private if self._base_page(pfn) is None]
         self.base.merge(rows)
@@ -222,18 +233,25 @@ class PhysicalMemory:
         page = self.private.get(pfn) or self._base_page(pfn) or ZERO_PAGE
         return _U64.unpack_from(page, off)[0]
 
+    def _mark(self, pfn: int, start: int, end: int) -> None:
+        """Mark the entries bytes start..end-1 of frame pfn touch, if it
+        is a table frame."""
+        number = self.base.get(pfn)
+        if number is not None:
+            for idx in range(start // PTE_SIZE, (end + PTE_SIZE - 1) // PTE_SIZE):
+                self.dirty.setdefault(idx, set()).add(number)
+
     def write(self, addr: int, data: bytes) -> None:
         pos = 0
         while pos < len(data):
             pfn, off = divmod(addr + pos, PAGE_SIZE)
             n = min(len(data) - pos, PAGE_SIZE - off)
             self._page(pfn)[off : off + n] = data[pos : pos + n]
-            if self.write_hook is not None:
-                self.write_hook(pfn, off, off + n)
+            self._mark(pfn, off, off + n)
             pos += n
 
     def write_u64(self, addr: int, value: int) -> None:
-        self.write(addr, struct.pack("<Q", value))
+        self.write(addr, _U64.pack(value))
 
     def flip_bit(self, addr: int, bit: int, direction: str) -> bool:
         """Apply a disturbance flip; returns False when the cell's pull
@@ -244,8 +262,7 @@ class PhysicalMemory:
         if (self.page(pfn) or ZERO_PAGE)[off] >> bit & 1 != (direction == FLIP_ONE_TO_ZERO):
             return False
         self._page(pfn)[off] ^= 1 << bit
-        if self.write_hook is not None:
-            self.write_hook(pfn, off, off + 1)
+        self._mark(pfn, off, off + 1)
         return True
 
     def backed_pfns(self) -> list[int]:
@@ -292,12 +309,13 @@ class TlbCache:
 
 @dataclass
 class TmpFile:
-    """A shared file: every mapping of it reuses the same frames."""
+    """A shared file: every mapping of it reuses the same frames, and
+    window i of a mapping starts as table templates[i]."""
 
-    file_id: int
     size: int
     pfns: tuple[int, ...]
     runs: list[range]  # the same frames, as taken
+    templates: tuple[bytes, ...]
 
 
 class MapRun(NamedTuple):
@@ -371,28 +389,6 @@ def cred_pattern(uid: int) -> bytes:
     return struct.pack("<6I", uid, uid, uid, uid, uid, uid)
 
 
-class _DirtyIndexer:
-    """Physical memory's write hook: bisects the base layer for a written
-    table's window and marks the written entries in the dirty index.
-
-    It holds the base index and the dirty index rather than the model, so
-    a model and its memory form no reference cycle and a finished model is
-    freed at once instead of waiting for a full run of the cycle collector.  It is a class, not a closure, because deepcopy
-    shares a closure: a copied model would then mark the original's index.
-    """
-
-    def __init__(self, tables: _RunIndex, pte_dirty: dict[int, set[int]]):
-        self.tables = tables
-        self.pte_dirty = pte_dirty
-
-    def __call__(self, pfn: int, start: int, end: int) -> None:
-        number = self.tables.get(pfn)
-        if number is not None:
-            window = MAP_BASE + number * PT_SPAN
-            for idx in range(start // PTE_SIZE, (end + PTE_SIZE - 1) // PTE_SIZE):
-                self.pte_dirty.setdefault(idx, set()).add(window + idx * PAGE_SIZE)
-
-
 class OsModel:
     """Wires DRAM, the allocator, and the virtual-memory surface together."""
 
@@ -410,14 +406,7 @@ class OsModel:
         self.creds: dict[int, CredPage] = {}
         self._pt_pfns: list[int] = []  # window number from MAP_BASE -> table
         self.pt_runs: list[range] = []  # the table frames, as taken
-        # The base layer of memory: table runs give each table frame's
-        # window number, marker runs give none.
-        self._tables = self.memory.base
         self._buffer = _RunIndex()  # buffer virtual page number -> pfn
-        self._pt_templates: dict[tuple[int, int], bytes] = {}
-        # entry index -> page vaddrs mapped through a dirty entry
-        self._pte_dirty: dict[int, set[int]] = {}
-        self.memory.write_hook = _DirtyIndexer(self._tables, self._pte_dirty)
         self._next_buffer_base = BUFFER_BASE
 
     # -- files and mappings -------------------------------------------------
@@ -426,29 +415,14 @@ class OsModel:
         if size <= 0 or size % PT_SPAN:
             raise ValueError("file size must be a positive multiple of 2 MiB")
         runs = self.buddy.take_pages(USER_PARTITION, size // PAGE_SIZE, "tmp_file")
-        file = TmpFile(len(self.files), size, tuple(chain.from_iterable(runs)), runs)
+        pfns = tuple(chain.from_iterable(runs))
+        flags = _user_pte(0)
+        entries = [pfn << PTE_PFN_SHIFT | flags for pfn in pfns]
+        templates = tuple(_TABLE.pack(*entries[i : i + PTES_PER_PAGE])
+                          for i in range(0, len(entries), PTES_PER_PAGE))
+        file = TmpFile(size, pfns, runs, templates)
         self.files.append(file)
         return file
-
-    def _pt_template(self, file: TmpFile, page_offset: int) -> bytes:
-        key = (file.file_id, page_offset)
-        cached = self._pt_templates.get(key)
-        if cached is None:
-            # A file is whole 2 MiB windows, so a window's pages are a slice.
-            flags = _user_pte(0)
-            cached = struct.pack(f"<{PTES_PER_PAGE}Q", *[
-                pfn << PTE_PFN_SHIFT | flags
-                for pfn in file.pfns[page_offset : page_offset + PTES_PER_PAGE]])
-            self._pt_templates[key] = cached
-        return cached
-
-    def _entry_addr(self, vaddr: int) -> int | None:
-        """Physical address of the table entry that maps vaddr, if any."""
-        number = (vaddr - MAP_BASE) // PT_SPAN
-        if 0 <= number < len(self._pt_pfns):
-            entry = vaddr // PAGE_SIZE % PTES_PER_PAGE
-            return self._pt_pfns[number] * PAGE_SIZE + entry * PTE_SIZE
-        return None
 
     def _file_pfn(self, vaddr: int) -> int:
         """The file frame that mapped vaddr reads through a pristine entry."""
@@ -456,10 +430,6 @@ class OsModel:
         run = self.vmas[bisect(self.vmas, vaddr, key=_RUN_BASE) - 1]
         pfns = run.file.pfns
         return pfns[(vaddr - run.base) // PAGE_SIZE % len(pfns)]
-
-    def pristine_pte(self, vaddr: int) -> int:
-        """The entry the file mapping puts in place for mapped vaddr."""
-        return _user_pte(self._file_pfn(vaddr))
 
     def mmap_primitive(self, file: TmpFile, count: int = 1) -> list[int]:
         """Map the file count times back to back at the next free address
@@ -473,7 +443,8 @@ class OsModel:
             raise ValueError("mapping count must be positive")
         if sum(run.count for run in self.vmas) + count >= self.vma_limit:
             raise VmaLimitError(f"mapping limit of {self.vma_limit} reached")
-        windows = file.size // PT_SPAN
+        templates = file.templates
+        windows = len(templates)
         runs = self.buddy.take_pages(KERNEL_PARTITION, count * windows, "page_table")
         # Windows are contiguous from MAP_BASE, so the next one is free.
         first = len(self._pt_pfns)
@@ -481,7 +452,6 @@ class OsModel:
         self.pt_runs.extend(runs)
         self._pt_pfns.extend(chain.from_iterable(runs))
         # Window first + i maps file window i % windows.
-        templates = tuple(self._pt_template(file, w * PTES_PER_PAGE) for w in range(windows))
         rows = []
         for frames, number in zip(runs, accumulate(map(len, runs), initial=first)):
             k = (number - first) % windows
@@ -491,8 +461,8 @@ class OsModel:
 
     def write_markers(self, file: TmpFile) -> None:
         """Give every page of the fresh file the shared marker page, the
-        marker followed by zeros; this is the pristine baseline, so the
-        write hook is bypassed."""
+        marker followed by zeros; this is the pristine baseline, so no
+        entry is marked.  Marking a file twice raises ValueError."""
         self.memory.map_runs((r.start, r.stop, None, (MARKER_PAGE,)) for r in file.runs)
 
     # -- translation --------------------------------------------------------
@@ -508,15 +478,17 @@ class OsModel:
             if pfn is None:
                 return None
         else:
-            entry = self._entry_addr(vpage)
-            if entry is None:
+            number = (vpage - MAP_BASE) // PT_SPAN
+            if not 0 <= number < len(self._pt_pfns):
                 return None
+            idx = vpage // PAGE_SIZE % PTES_PER_PAGE
+            entry = self._pt_pfns[number] * PAGE_SIZE + idx * PTE_SIZE
             raw = self.memory.read_u64(entry)
             if not raw & PTE_PRESENT:
                 # A file-backed access through a non-present entry takes a
                 # minor fault; the kernel reinstalls the mapping from the
                 # file, healing whatever cleared the bit.
-                raw = self.pristine_pte(vpage)
+                raw = _user_pte(self._file_pfn(vpage))
                 self.memory.write_u64(entry, raw)
             pfn = (raw >> PTE_PFN_SHIFT) & PTE_PFN_MASK
         tlb[vpage] = pfn
@@ -548,7 +520,7 @@ class OsModel:
         return addr is not None
 
     def write_u64_virtual(self, vaddr: int, value: int) -> bool:
-        return self.write_virtual(vaddr, struct.pack("<Q", value))
+        return self.write_virtual(vaddr, _U64.pack(value))
 
     # -- marker scan ----------------------------------------------------------
 
@@ -565,23 +537,21 @@ class OsModel:
         to its pristine value, with the TLB agreeing, are dropped from the
         index.
         """
-        if slot is None:
-            cands = set().union(*self._pte_dirty.values())
-        else:
-            cands = set(self._pte_dirty.get(slot, ()))
-        tlb = self.tlb.entries
-        for vaddr in sorted(cands):
+        memory, tlb = self.memory, self.tlb.entries
+        dirty = memory.dirty
+        idxs = dirty if slot is None else (slot,)
+        for number, idx in sorted((n, i) for i in idxs for n in dirty.get(i, ())):
+            vaddr = MAP_BASE + number * PT_SPAN + idx * PAGE_SIZE
             value = self.read_u64_virtual(vaddr)
-            if (value != MARKER
-                    and value != self.memory.read_u64(self._file_pfn(vaddr) * PAGE_SIZE)):
+            own = self._file_pfn(vaddr)
+            if value != MARKER and value != memory.read_u64(own * PAGE_SIZE):
                 yield vaddr
                 continue
-            raw = self.memory.read_u64(self._entry_addr(vaddr))
+            raw = memory.read_u64(self._pt_pfns[number] * PAGE_SIZE + idx * PTE_SIZE)
             # A stale TLB entry keeps the page reading elsewhere until the
             # next flush, so it stays a candidate.
-            if (raw == self.pristine_pte(vaddr)
-                    and tlb.get(vaddr) == raw >> PTE_PFN_SHIFT & PTE_PFN_MASK):
-                self._pte_dirty[vaddr // PAGE_SIZE % PTES_PER_PAGE].discard(vaddr)
+            if raw == _user_pte(own) and tlb.get(vaddr) == own:
+                dirty[idx].discard(number)
 
     # -- double-owned device buffers -------------------------------------------
 
@@ -679,4 +649,4 @@ class OsModel:
         return set(self._pt_pfns)
 
     def is_pt_frame(self, pfn: int) -> bool:
-        return self._tables.get(pfn) is not None
+        return self.memory.base.get(pfn) is not None

@@ -96,14 +96,53 @@ def test_physical_memory_sparse_and_flips():
         mem.flip_bit(addr, 3, "sideways")
 
 
-def test_write_hook_reports_ranges():
+def test_writes_and_flips_mark_dirty_table_entries():
     mem = PhysicalMemory()
-    seen = []
-    mem.write_hook = lambda pfn, start, end: seen.append((pfn, start, end))
-    mem.write(2 * PAGE_SIZE + 8, b"x" * 16)
-    mem.write(0, b"y")
-    mem.write_u64(2 * PAGE_SIZE, 7)
-    assert seen == [(2, 8, 24), (0, 0, 1), (2, 0, 8)]
+    template = bytes(PAGE_SIZE)
+    # Frames 10..13 are the tables of windows 5..8; 20 is a marker frame.
+    mem.map_runs([(10, 14, 5, (template,)), (20, 21, None, (MARKER_PAGE,))])
+    # Bytes 12..19 of frame 12 touch entries 1 and 2 of window 7's table.
+    mem.write(12 * PAGE_SIZE + 12, b"x" * 8)
+    assert mem.dirty == {1: {7}, 2: {7}}
+    mem.write(20 * PAGE_SIZE + 8, b"y" * 16)
+    mem.write_u64(30 * PAGE_SIZE + 8, 7)
+    mem.write(14 * PAGE_SIZE, b"z")
+    assert mem.dirty == {1: {7}, 2: {7}}
+    mem.dirty.clear()
+    assert mem.flip_bit(11 * PAGE_SIZE + 3 * 8 + 5, 1, FLIP_ZERO_TO_ONE)
+    assert mem.dirty == {3: {6}}
+    # A pull that changes nothing marks nothing.
+    assert not mem.flip_bit(13 * PAGE_SIZE + 9 * 8, 1, FLIP_ONE_TO_ZERO)
+    assert mem.dirty == {3: {6}}
+
+
+def test_map_runs_rejects_rows_over_the_base():
+    mem = PhysicalMemory()
+    template = bytes(range(256)) * 16
+    mem.map_runs([(10, 20, 0, (template,)), (30, 34, None, (MARKER_PAGE,))])
+    mem.write(31 * PAGE_SIZE, b"x")
+    pages = dict(mem.pages)
+    for start, stop in ((5, 11), (19, 25), (12, 14), (0, 40), (33, 36)):
+        with pytest.raises(ValueError):
+            mem.map_runs([(0, 1, None, (MARKER_PAGE,)), (start, stop, None, (MARKER_PAGE,))])
+    assert dict(mem.pages) == pages and len(mem.base.rows) == 2
+    # Rows that only touch a run's ends are disjoint from it.
+    mem.map_runs([(20, 30, None, (MARKER_PAGE,)), (9, 10, None, (MARKER_PAGE,))])
+    assert len(mem.pages) == 25
+
+
+def test_second_marking_of_a_file_changes_nothing():
+    os_model = make_os()
+    file = os_model.create_tmp_file(PT_SPAN)
+    os_model.write_markers(file)
+    memory = os_model.memory
+    memory.write(file.pfns[0] * PAGE_SIZE, b"x")
+    pages = dict(memory.pages)
+    with pytest.raises(ValueError):
+        os_model.write_markers(file)
+    assert dict(memory.pages) == pages and len(memory.pages) == len(file.pfns)
+    assert memory.backed_pfns() == sorted(file.pfns)
+    assert memory.read(file.pfns[0] * PAGE_SIZE, 8) == b"xilemark"
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -223,7 +262,7 @@ def test_flip_on_shared_page_makes_it_private():
     assert type(pages[a]) is bytearray
     assert pages[b] is template
     assert template == pristine
-    assert os_model._pt_templates[(file.file_id, 0)] is template
+    assert file.templates[0] is template
 
 
 @pytest.mark.parametrize("profile,driver,mitigation", [
@@ -268,14 +307,14 @@ def test_run_indexes_match_per_frame_oracle(seed, mitigation):
     others = {pfn for pfn in (rng.randrange(frames) for _ in range(3000))
               if pfn not in oracle}
     assert len(others) > 2000
-    dirty = os_model._pte_dirty
+    dirty = os_model.memory.dirty
     for pfn in [*oracle, *edges, *others]:
         assert os_model.is_pt_frame(pfn) == (pfn in oracle)
-        # The write hook marks entry idx of the frame's window, if a table.
+        # Marking entry idx of a frame marks the frame's window, if a table.
         dirty.clear()
         idx = pfn % PTES_PER_PAGE
-        os_model.memory.write_hook(pfn, idx * PTE_SIZE, idx * PTE_SIZE + 1)
-        want = {idx: {oracle[pfn] + idx * PAGE_SIZE}} if pfn in oracle else {}
+        os_model.memory._mark(pfn, idx * PTE_SIZE, idx * PTE_SIZE + 1)
+        want = {idx: {(oracle[pfn] - os_model.map_base) // PT_SPAN}} if pfn in oracle else {}
         assert dirty == want
     pages = buffer_pages(placement.buffer)
     assert len(pages) == sum(c.page_count() for c in placement.buffer.chunks)
@@ -289,12 +328,13 @@ def test_run_indexes_match_per_frame_oracle(seed, mitigation):
 def test_deepcopy_marks_only_its_own_dirty_index():
     os_model, _ = full_placement("dell", "video", 7)
     twin = copy.deepcopy(os_model)
-    assert twin.memory.write_hook.tables is twin._tables is not os_model._tables
+    assert twin.memory.dirty is not os_model.memory.dirty
+    assert twin.memory.base is not os_model.memory.base
     a, b = os_model.pt_runs[0].start, os_model.pt_runs[-1].stop - 1
     twin.memory.write_u64(a * PAGE_SIZE + 8, PROBE_PTE)
-    assert twin._pte_dirty and not os_model._pte_dirty
+    assert twin.memory.dirty and not os_model.memory.dirty
     os_model.memory.write_u64(b * PAGE_SIZE + 16, PROBE_PTE)
-    assert set(twin._pte_dirty) == {1} and set(os_model._pte_dirty) == {2}
+    assert set(twin.memory.dirty) == {1} and set(os_model.memory.dirty) == {2}
     outside = [r.stop for r in os_model.pt_runs] + [r.start - 1 for r in os_model.pt_runs]
     for pfn in [a, b, *outside]:
         assert twin.is_pt_frame(pfn) == os_model.is_pt_frame(pfn)
@@ -461,7 +501,7 @@ def test_demand_fault_heals_cleared_entry():
     os_model.memory.write_u64(pt * PAGE_SIZE + 5 * 8, 0)
     assert os_model.translate(vaddr) == file.pfns[5]
     raw = os_model.memory.read_u64(pt * PAGE_SIZE + 5 * 8)
-    assert raw == os_model.pristine_pte(vaddr)
+    assert raw == user_pte(file.pfns[5]).raw
 
 
 # --- marker scan ---
@@ -554,7 +594,8 @@ def test_scan_prunes_restored_entries():
     os_model.memory.write_u64(pt * PAGE_SIZE + 3 * 8, pristine)
     os_model.flush_tlb()
     assert list(os_model.iter_nonmarker_pages()) == []
-    assert vaddr not in os_model._pte_dirty.get(3, ())
+    # Entry 3 of window 0 maps vaddr.
+    assert 0 not in os_model.memory.dirty.get(3, ())
 
 
 def test_scan_keeps_restored_entry_while_tlb_is_stale():
