@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .buddy_alloc import PreloadState
+from .buddy_alloc import FRESH
 from .dram_model import PAGE_SIZE, DramGeometry, target_block_size
 from .dram_model import page_row_keys  # noqa: F401  (bench/tracer.py patches it here)
 from .os_model import (
@@ -130,11 +130,9 @@ class Placement:
 
     plan: AmbushPlan
     file: TmpFile
-    buffer: DoubleOwnedBuffer | None
+    buffer: DoubleOwnedBuffer
     drained_pt_pages: int
     stuffed_pt_pages: int
-    vmas_created: int
-    mitigated: bool
 
     @property
     def pt_pages(self) -> int:
@@ -142,8 +140,7 @@ class Placement:
 
     @property
     def footprint_bytes(self) -> int:
-        buffer_bytes = self.buffer.allocated_bytes if self.buffer else 0
-        return buffer_bytes + self.file.size + self.pt_pages * PAGE_SIZE
+        return self.buffer.allocated_bytes + self.file.size + self.pt_pages * PAGE_SIZE
 
 
 class MappingDriver:
@@ -176,17 +173,19 @@ class MappingDriver:
         return added
 
 
-def drain_small_blocks(
-    os_model: OsModel, mapper: MappingDriver, *, preload: PreloadState | None = None
-) -> tuple[int, int]:
+def drain_small_blocks(os_model: OsModel, mapper: MappingDriver) -> tuple[int, int]:
     """Map the file until no free block below the target order remains.
 
-    With a preload, its fresh blocks are then released, and as many bytes
+    The kernel partition's FRESH blocks are then freed, and as many bytes
     of small blocks as that injected are drained too.  Returns (pt pages
     drained, fresh bytes injected).
     """
     drained = _drain_phase(os_model, mapper)
-    injected = 0 if preload is None else preload.inject_fresh(os_model.buddy)
+    buddy = os_model.buddy
+    fresh = [b for b in buddy.blocks(KERNEL_PARTITION) if b.owner == FRESH]
+    for block in fresh:
+        buddy.free(block)
+    injected = sum(block.size for block in fresh)
     if injected:
         drained += _drain_phase(os_model, mapper, injected)
     return drained, injected
@@ -256,12 +255,11 @@ def run_ambush(
     plan_: AmbushPlan,
     *,
     mitigation: bool = False,
-    preload: PreloadState | None = None,
 ) -> Placement:
-    """Execute the full placement: file, drain (with the preload's fresh
-    blocks, when given), buffers, stuffing."""
+    """Execute the full placement: file, drain (fresh blocks included),
+    buffers, stuffing."""
     mapper = MappingDriver(os_model, plan_)
-    drained, _ = drain_small_blocks(os_model, mapper, preload=preload)
+    drained, _ = drain_small_blocks(os_model, mapper)
     buffer = place_interleaved(os_model, plan_, mapper, mitigation=mitigation)
     placement = Placement(
         plan=plan_,
@@ -269,8 +267,6 @@ def run_ambush(
         buffer=buffer,
         drained_pt_pages=drained,
         stuffed_pt_pages=mapper.pt_pages - drained,
-        vmas_created=mapper.mapped,
-        mitigated=mitigation,
     )
     if placement.footprint_bytes > plan_.threshold_mem_size:
         raise PlacementError("placement exceeded the memory threshold")
@@ -295,12 +291,9 @@ def verify_adjacency(os_model: OsModel, placement: Placement) -> AdjacencyReport
     Only the table pages whose row index borders a buffer row's index are
     read (see _bordering_runs); when there are none, nothing is.
     """
-    buffer = placement.buffer
-    if buffer is None:
-        return AdjacencyReport(False, ())
     geometry = os_model.dram.geometry
     rows = geometry.rows_per_bank
-    buffer_runs = [chunk.frames() for chunk in buffer.chunks]
+    buffer_runs = [chunk.frames() for chunk in placement.buffer.chunks]
     table_runs = _bordering_runs(geometry, os_model.pt_runs, buffer_runs)
     if not table_runs:
         return AdjacencyReport(False, ())

@@ -17,8 +17,8 @@ tile each partition, so allocated + free == capacity.
 take_pages hands out many order-0 pages in one pass, like Linux's
 rmqueue_bulk, as page ranges held as one run.  preload_workload places the
 background workload against bitmasks of free pages, then writes the free
-lists once; it draws straight from the generator's getrandbits, as
-randrange and randint would.
+lists once, leaving its fresh halves as blocks owned FRESH; it draws
+straight from the generator's getrandbits, as randrange and randint would.
 """
 
 from __future__ import annotations
@@ -378,22 +378,10 @@ class BuddyState:
 # Random placements a workload block gets before the preload gives up.
 _PLACE_ATTEMPTS = 2000
 
-
-@dataclass
-class PreloadState:
-    """What the workload preload left behind: fresh_halves are allocated
-    blocks whose buddies are allocated too, so freeing one later injects
-    exactly its bytes as a small free block, without any coalescing."""
-
-    fresh_halves: list[Block]
-
-    def inject_fresh(self, buddy: "BuddyState") -> int:
-        injected = 0
-        for half in self.fresh_halves:
-            buddy.free(half)
-            injected += half.size
-        self.fresh_halves = []
-        return injected
+# Owner of the preload's fresh halves.  Each one's buddy is allocated, so
+# freeing it later injects exactly its pages as a small free block, with no
+# coalescing.
+FRESH = "fresh"
 
 
 def preload_workload(
@@ -406,13 +394,13 @@ def preload_workload(
     small_max_order: int,
     rng: random.Random,
     fresh_bytes: int = 0,
-) -> PreloadState:
+) -> None:
     """Seed a background-workload memory state.
 
     Bulk blocks and (anchor, half) buddy pairs go to random aligned places
     above the reserved low region.  residue_bytes of halves stay free and
     cannot coalesce past their allocated anchors; fresh_bytes of halves stay
-    allocated until PreloadState.inject_fresh frees them.  Every other free
+    allocated, as blocks owned FRESH, until the caller frees them.  Every other free
     page outside a whole free max-order block is taken, with the bulk and
     the anchors, as one run.  Each place is tested against its max-order
     block's bitmask of free pages: as no free buddies are left apart, an
@@ -516,6 +504,5 @@ def preload_workload(
     lists[:] = [sorted(lst) for lst in kept]
     if spans:
         buddy._runs.append(Run(partition, "workload", tuple(spans)))
-    fresh_halves = [Block(partition, pfn, 1 << order, "workload") for pfn, order in fresh]
-    buddy._allocated.update((half.first, half) for half in fresh_halves)
-    return PreloadState(fresh_halves)
+    buddy._allocated.update(
+        (pfn, Block(partition, pfn, 1 << order, FRESH)) for pfn, order in fresh)

@@ -93,11 +93,11 @@ def _cmd_buddyinfo(args: argparse.Namespace) -> int:
     trial_seed = derive_seed(args.seed, "trial", 0)
     bundle = build_sim(profile, trial_seed)
     sys.stdout.write("after preload:\n")
-    sys.stdout.write(bundle.buddy.buddyinfo_text() + "\n")
+    sys.stdout.write(bundle.os.buddy.buddyinfo_text() + "\n")
     if args.placement:
         place(bundle, args.driver, args.threshold_bytes)
         sys.stdout.write("after placement:\n")
-        sys.stdout.write(bundle.buddy.buddyinfo_text() + "\n")
+        sys.stdout.write(bundle.os.buddy.buddyinfo_text() + "\n")
     return 0
 
 

@@ -31,7 +31,6 @@ from .buddy_alloc import (
     BuddyState,
     OutOfMemoryError,
     Partition,
-    PreloadState,
     preload_workload,
 )
 from .dram_model import (
@@ -68,29 +67,30 @@ class HarnessError(ValueError):
     """Raised for invalid experiment configuration."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TrialReport:
-    """One row of the experiment output; field order is the CSV schema."""
+    """One row of the experiment output; field order is the CSV schema.
+    The defaults are a trial that placed no buffer and hammered nothing."""
 
     seed: int
     profile: str
     strategy: str
     driver: str
-    mitigation: bool
-    threshold_bytes: int
+    mitigation: bool = False
+    threshold_bytes: int = 0
     available_bytes: int
     footprint_bytes: int
-    adjacency: bool
-    adjacency_pairs: int
+    adjacency: bool = False
+    adjacency_pairs: int = 0
     pt_pages: int
-    flips: int
-    pt_flips: int
-    outcome: str
-    rounds: int
-    pair_attempts: int
-    activations: int
-    guard_buffers: int
-    guard_cost_bytes: int
+    flips: int = 0
+    pt_flips: int = 0
+    outcome: str = STATUS_NONE
+    rounds: int = 0
+    pair_attempts: int = 0
+    activations: int = 0
+    guard_buffers: int = 0
+    guard_cost_bytes: int = 0
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(TrialReport))
@@ -101,21 +101,18 @@ class SimBundle:
     """A fully built per-trial simulator."""
 
     profile: MachineProfile
-    dram: Dram
-    buddy: BuddyState
     os: OsModel
-    preload: PreloadState
 
 
 def _preload(buddy: BuddyState, partition: str, profile: MachineProfile,
-             trial_seed: int, *, fresh_bytes: int) -> PreloadState:
+             trial_seed: int, *, fresh_bytes: int) -> None:
     """The profile's background workload in partition, seeded per trial.
 
     preload_workload is looked up in this module at call time, where
     bench/tracer.py patches it.
     """
     target_pages = target_block_size(profile.geometry) // PAGE_SIZE
-    return preload_workload(
+    preload_workload(
         buddy,
         partition,
         residue_bytes=profile.residue_bytes,
@@ -144,12 +141,9 @@ def build_sim(profile: MachineProfile, trial_seed: int) -> SimBundle:
         max_order=profile.max_order,
         row_span=row_span,
     )
-    os_model = OsModel(dram, buddy)
-    preload = _preload(buddy, KERNEL_PARTITION, profile, trial_seed,
-                       fresh_bytes=profile.fresh_bytes)
-    return SimBundle(
-        profile=profile, dram=dram, buddy=buddy, os=os_model, preload=preload
-    )
+    _preload(buddy, KERNEL_PARTITION, profile, trial_seed,
+             fresh_bytes=profile.fresh_bytes)
+    return SimBundle(profile=profile, os=OsModel(dram, buddy))
 
 
 def place(
@@ -166,7 +160,7 @@ def place(
         profile.threshold_for(driver) if threshold_bytes is None else threshold_bytes
     )
     plan_ = plan(threshold, driver, sg_opens=profile.sg_opens)
-    return run_ambush(bundle.os, plan_, mitigation=mitigation, preload=bundle.preload)
+    return run_ambush(bundle.os, plan_, mitigation=mitigation)
 
 
 def _run_ambush_trial(
@@ -179,8 +173,9 @@ def _run_ambush_trial(
     rounds_cap: int | None,
 ) -> TrialReport:
     bundle = build_sim(profile, trial_seed)
-    available = (bundle.buddy.free_pages(KERNEL_PARTITION)
-                 + bundle.buddy.free_pages(USER_PARTITION)) * PAGE_SIZE
+    buddy = bundle.os.buddy
+    available = (buddy.free_pages(KERNEL_PARTITION)
+                 + buddy.free_pages(USER_PARTITION)) * PAGE_SIZE
     placement = place(bundle, driver, threshold_bytes, mitigation=mitigation)
     adjacency = verify_adjacency(bundle.os, placement)
     bundle.os.plant_cred(
@@ -219,7 +214,7 @@ def _run_ambush_trial(
         outcome=outcome.status,
         rounds=outcome.rounds,
         pair_attempts=outcome.pair_attempts,
-        activations=bundle.dram.total_activations,
+        activations=bundle.os.dram.total_activations,
         guard_buffers=guard_pairs,
         guard_cost_bytes=guard_cost,
     )
@@ -301,21 +296,9 @@ def _run_baseline_trial(
         profile=profile.name,
         strategy=strategy,
         driver=driver,
-        mitigation=False,
-        threshold_bytes=0,
         available_bytes=available,
         footprint_bytes=footprint,
-        adjacency=False,
-        adjacency_pairs=0,
         pt_pages=pt_pages,
-        flips=0,
-        pt_flips=0,
-        outcome=STATUS_NONE,
-        rounds=0,
-        pair_attempts=0,
-        activations=0,
-        guard_buffers=0,
-        guard_cost_bytes=0,
     )
 
 

@@ -10,8 +10,8 @@ Physical memory has two layers.  The base layer is a sorted index of frame
 runs, each backed by a cycle of shared pristine pages: the tables of one
 mapping call and the marker pages of a file are a few rows, not a dict
 entry per frame.  Frames written or flipped since live in a private dict
-over it, copied on their first change; memory.pages is a read-only view of
-both.
+over it, copied on their first change; the memory is itself the read-only
+frame -> page Mapping over both.
 
 Mappings are runs: one file mapped count times back to back, from MAP_BASE
 up, with one table per 2 MiB window.  The tables are one list indexed by
@@ -152,7 +152,7 @@ class _RunIndex:
         return None
 
 
-class PhysicalMemory:
+class PhysicalMemory(Mapping):
     """Copy-on-write page store in two layers; unbacked pages read as zeros.
 
     The base layer is a run index of pristine frames: each run backs a
@@ -160,7 +160,8 @@ class PhysicalMemory:
     identical page tables, or a file's marker pages, cost one row.  The
     private layer is a dict of the frames written or flipped since; the
     first change to a base frame copies it there, and reads try the dict
-    before they bisect the base.  pages is a read-only view of both.
+    before they bisect the base.  As a Mapping it is frame -> page over
+    both layers, backed frames only; pages is the memory itself.
 
     Table runs carry their first window number, so a write or flip that
     lands in a table frame marks the entries it touched in dirty: entry
@@ -175,8 +176,20 @@ class PhysicalMemory:
 
     @property
     def pages(self) -> Mapping[int, bytes | bytearray]:
-        """Every backed frame's page, over both layers."""
-        return _PagesView(self)
+        return self
+
+    def __getitem__(self, pfn: int) -> bytes | bytearray:
+        page = self.private.get(pfn) or self._base_page(pfn)
+        if page is None:
+            raise KeyError(pfn)
+        return page
+
+    def __iter__(self):
+        return iter(self.backed_pfns())
+
+    def __len__(self) -> int:
+        return (sum(stop - start for start, stop, _, _ in self.base.rows)
+                + sum(self._base_page(pfn) is None for pfn in self.private))
 
     def map_runs(self, rows) -> None:
         """Back frames with pristine pages, over whatever they held.
@@ -191,10 +204,6 @@ class PhysicalMemory:
         for pfn in outside:
             if self._base_page(pfn) is not None:
                 del self.private[pfn]
-
-    def page(self, pfn: int) -> bytes | bytearray | None:
-        """The frame's page, private or base; None when it is unbacked."""
-        return self.private.get(pfn) or self._base_page(pfn)
 
     def _base_page(self, pfn: int) -> bytes | None:
         # The run read last is tried before the bisection, as QEMU tries
@@ -259,7 +268,8 @@ class PhysicalMemory:
         if direction not in FLIP_DIRECTIONS:
             raise ValueError(f"unknown flip direction {direction!r}")
         pfn, off = divmod(addr, PAGE_SIZE)
-        if (self.page(pfn) or ZERO_PAGE)[off] >> bit & 1 != (direction == FLIP_ONE_TO_ZERO):
+        page = self.private.get(pfn) or self._base_page(pfn) or ZERO_PAGE
+        if page[off] >> bit & 1 != (direction == FLIP_ONE_TO_ZERO):
             return False
         self._page(pfn)[off] ^= 1 << bit
         self._mark(pfn, off, off + 1)
@@ -271,28 +281,6 @@ class PhysicalMemory:
         runs = (range(start, stop) for start, stop, _, _ in self.base.rows)
         extra = [pfn for pfn in self.private if self._base_page(pfn) is None]
         return sorted([*chain.from_iterable(runs), *extra])
-
-
-class _PagesView(Mapping):
-    """Frame -> page over both layers, read-only; made afresh on each read
-    of memory.pages, so the memory holds no reference back to it."""
-
-    def __init__(self, memory: PhysicalMemory) -> None:
-        self._memory = memory
-
-    def __getitem__(self, pfn: int) -> bytes | bytearray:
-        page = self._memory.page(pfn)
-        if page is None:
-            raise KeyError(pfn)
-        return page
-
-    def __iter__(self):
-        return iter(self._memory.backed_pfns())
-
-    def __len__(self) -> int:
-        memory = self._memory
-        return (sum(stop - start for start, stop, _, _ in memory.base.rows)
-                + sum(memory._base_page(pfn) is None for pfn in memory.private))
 
 
 class TlbCache:
@@ -358,10 +346,6 @@ class DoubleOwnedBuffer:
     user_mapped: bool = False
 
     @property
-    def total_bytes(self) -> int:
-        return sum(c.size for c in self.chunks)
-
-    @property
     def allocated_bytes(self) -> int:
         return sum(c.block.size for c in self.chunks)
 
@@ -379,7 +363,6 @@ class DoubleOwnedBuffer:
 class CredPage:
     """Three uids followed by three gids, the kernel's process identity."""
 
-    pid: int
     pfn: int
     offset: int
     uid: int
@@ -402,7 +385,6 @@ class OsModel:
         self.memory = PhysicalMemory()
         self.tlb = TlbCache()
         self.vmas: list[MapRun] = []
-        self.files: list[TmpFile] = []
         self.creds: dict[int, CredPage] = {}
         self._pt_pfns: list[int] = []  # window number from MAP_BASE -> table
         self.pt_runs: list[range] = []  # the table frames, as taken
@@ -420,9 +402,7 @@ class OsModel:
         entries = [pfn << PTE_PFN_SHIFT | flags for pfn in pfns]
         templates = tuple(_TABLE.pack(*entries[i : i + PTES_PER_PAGE])
                           for i in range(0, len(entries), PTES_PER_PAGE))
-        file = TmpFile(size, pfns, runs, templates)
-        self.files.append(file)
-        return file
+        return TmpFile(size, pfns, runs, templates)
 
     def _file_pfn(self, vaddr: int) -> int:
         """The file frame that mapped vaddr reads through a pristine entry."""
@@ -625,7 +605,7 @@ class OsModel:
             raise OutOfMemoryError("no free page for a cred record")
         offset = rng.randrange(0, PAGE_SIZE - 24 + 1, 4)
         self.memory.write(block.first * PAGE_SIZE + offset, cred_pattern(uid))
-        cred = CredPage(pid, block.first, offset, uid)
+        cred = CredPage(block.first, offset, uid)
         self.creds[pid] = cred
         return cred
 

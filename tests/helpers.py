@@ -30,8 +30,8 @@ from hammersim.buddy_alloc import (
     Block,
     BuddyState,
     OutOfMemoryError,
+    FRESH,
     Partition,
-    PreloadState,
     preload_workload,
 )
 from hammersim.dram_model import (
@@ -522,12 +522,13 @@ def reference_preload(
     small_max_order: int,
     rng: random.Random,
     fresh_bytes: int = 0,
-) -> PreloadState:
+) -> None:
     """preload_workload by trial and error through the allocator's own
     calls: every placement is an allocate_at that may fail, an anchor whose
     half fails is freed again, the stranded pages are one take_pages call
-    and the residue halves are freed one by one.  Draws from rng exactly
-    as preload_workload does."""
+    and the residue halves are freed one by one; the fresh halves stay
+    allocated, owned FRESH.  Draws from rng exactly as preload_workload
+    does."""
     part = buddy.partitions[partition]
     lo = part.base + reserve_low_bytes
 
@@ -552,7 +553,7 @@ def reference_preload(
             order -= 1
         placed += place(order).size
 
-    def build_pairs(total_bytes: int) -> list[Block]:
+    def build_pairs(total_bytes: int, owner: str) -> list[Block]:
         halves: list[Block] = []
         remaining = total_bytes // PAGE_SIZE
         while remaining > 0:
@@ -569,7 +570,7 @@ def reference_preload(
                     continue
                 try:
                     half = buddy.allocate_at(partition, (pair_base + size) // PAGE_SIZE,
-                                             order, "workload")
+                                             order, owner)
                 except OutOfMemoryError:
                     buddy.free(anchor)
                     continue
@@ -580,13 +581,12 @@ def reference_preload(
                 raise OutOfMemoryError("could not place residue pair")
         return halves
 
-    residue_halves = build_pairs(residue_bytes)
-    fresh_halves = build_pairs(fresh_bytes)
+    residue_halves = build_pairs(residue_bytes, "workload")
+    build_pairs(fresh_bytes, FRESH)
     stranded = buddy.free_pages_below(partition, buddy.max_order)
     buddy.take_pages(partition, stranded, "workload")
     for half in residue_halves:
         buddy.free(half)
-    return PreloadState(fresh_halves)
 
 
 def small_attack_sim(*, vuln: VulnerabilityMap | None = None, seed: int = 1,
@@ -651,7 +651,7 @@ def reference_adjacency(os_model: OsModel, placement) -> tuple:
 def fuzz_injections(os_model: OsModel, rng: random.Random, count: int) -> int:
     """Flip random bits in table frames (and a few file headers)."""
     pt_list = sorted(os_model.pt_pfns())
-    file = os_model.files[0]
+    file = os_model.vmas[0].file
     injected = 0
     for _ in range(count):
         roll = rng.random()

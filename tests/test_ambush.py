@@ -111,7 +111,7 @@ def build_sim(*, residue=2 * MIB, fresh=0, seed=1):
     os_model = OsModel(Dram(geo), buddy)
     # The low reserve keeps enough pristine max-order blocks for the
     # device buffers and tables, as the full-scale profiles do.
-    preload = preload_workload(
+    preload_workload(
         buddy, "kernel",
         residue_bytes=residue,
         bulk_bytes=8 * MIB,
@@ -120,11 +120,11 @@ def build_sim(*, residue=2 * MIB, fresh=0, seed=1):
         rng=random.Random(seed),
         fresh_bytes=fresh,
     )
-    return os_model, preload
+    return os_model
 
 
 def test_drain_consumes_exactly_the_residue():
-    os_model, _ = build_sim(residue=2 * MIB)
+    os_model = build_sim(residue=2 * MIB)
     target_order = (target_block_size(os_model.dram.geometry)
                     // PAGE_SIZE).bit_length() - 1
     assert os_model.buddy.free_pages_below("kernel", target_order) == 2 * MIB // PAGE_SIZE
@@ -139,7 +139,7 @@ def test_drain_consumes_exactly_the_residue():
 
 
 def test_drain_on_pristine_pool_is_a_noop():
-    os_model, _ = build_sim(residue=0)
+    os_model = build_sim(residue=0)
     mapper = MappingDriver(os_model, plan(24 * MIB, DRIVER_VIDEO))
     drained, _ = drain_small_blocks(os_model, mapper)
     assert drained == 0
@@ -147,7 +147,7 @@ def test_drain_on_pristine_pool_is_a_noop():
 
 
 def test_drain_respects_budget():
-    os_model, _ = build_sim(residue=2 * MIB)
+    os_model = build_sim(residue=2 * MIB)
     # A 20 MiB threshold plans zero mappings: draining must fail loudly.
     mapper = MappingDriver(os_model, plan(20 * MIB, DRIVER_VIDEO))
     with pytest.raises(DrainError):
@@ -155,9 +155,9 @@ def test_drain_respects_budget():
 
 
 def test_drain_absorbs_fresh_blocks_up_to_cap():
-    os_model, preload = build_sim(residue=2 * MIB, fresh=1 * MIB)
+    os_model = build_sim(residue=2 * MIB, fresh=1 * MIB)
     mapper = MappingDriver(os_model, plan(24 * MIB, DRIVER_VIDEO))
-    drained, injected = drain_small_blocks(os_model, mapper, preload=preload)
+    drained, injected = drain_small_blocks(os_model, mapper)
     assert injected == 1 * MIB
     assert drained == 3 * MIB // PAGE_SIZE
     assert os_model.buddy.free_pages_below("kernel", 3) == 0
@@ -201,7 +201,7 @@ def test_drain_count_matches_one_at_a_time_loop(per_map):
 
 
 def test_mapping_driver_budget_and_markers():
-    os_model, _ = build_sim(residue=0)
+    os_model = build_sim(residue=0)
     p = plan(22 * MIB, DRIVER_VIDEO)  # pt 2 MiB -> 512 mappings
     mapper = MappingDriver(os_model, p)
     assert mapper.budget_left == 512
@@ -220,7 +220,7 @@ def test_mapping_driver_budget_and_markers():
 
 
 def test_run_ambush_caps_footprint_at_threshold():
-    os_model, _ = build_sim(residue=2 * MIB)
+    os_model = build_sim(residue=2 * MIB)
     threshold = 24 * MIB
     placement = run_ambush(os_model, plan(threshold, DRIVER_VIDEO))
     assert placement.footprint_bytes <= threshold
@@ -230,13 +230,13 @@ def test_run_ambush_caps_footprint_at_threshold():
     assert placement.stuffed_pt_pages > 0
     assert placement.buffer is not None
     assert placement.buffer.allocated_bytes == 32 * 600 * 1024
-    assert placement.vmas_created == placement.pt_pages
+    assert sum(run.count for run in os_model.vmas) == placement.pt_pages
     # Nothing small is left over after the stuffing phase.
     assert os_model.buddy.free_pages_below("kernel", 3) == 0
 
 
 def test_run_ambush_interleaves_buffers_with_tables():
-    os_model, _ = build_sim(residue=2 * MIB)
+    os_model = build_sim(residue=2 * MIB)
     placement = run_ambush(os_model, plan(24 * MIB, DRIVER_VIDEO))
     report = verify_adjacency(os_model, placement)
     assert report.adjacent
@@ -248,10 +248,9 @@ def test_run_ambush_interleaves_buffers_with_tables():
 
 
 def test_run_ambush_mitigated_has_no_adjacency():
-    os_model, _ = build_sim(residue=2 * MIB)
+    os_model = build_sim(residue=2 * MIB)
     placement = run_ambush(os_model, plan(26 * MIB, DRIVER_VIDEO),
                            mitigation=True)
-    assert placement.mitigated
     report = verify_adjacency(os_model, placement)
     assert not report.adjacent
     assert report.pairs == ()
@@ -400,7 +399,7 @@ def test_adjacency_reads_at_most_the_bordering_table_pages(build, monkeypatch):
 
 
 def test_run_ambush_sg_driver():
-    os_model, _ = build_sim(residue=2 * MIB)
+    os_model = build_sim(residue=2 * MIB)
     placement = run_ambush(os_model, plan(36 * MIB, DRIVER_SG))
     assert placement.buffer.driver == "sg"
     assert placement.footprint_bytes <= 36 * MIB

@@ -19,6 +19,7 @@ from hypothesis.stateful import (
 
 from hammersim import harness
 from hammersim.buddy_alloc import (
+    FRESH,
     Block,
     BuddyError,
     BuddyState,
@@ -345,9 +346,22 @@ def test_preload_leaves_exact_residue():
     buddy.check_invariants()
 
 
+def fresh_blocks(buddy: BuddyState, partition: str) -> list[Block]:
+    return [block for block in buddy.blocks(partition) if block.owner == FRESH]
+
+
+def inject_fresh(buddy: BuddyState, partition: str) -> int:
+    """Free the partition's fresh blocks, as the drain does; returns the
+    bytes injected."""
+    fresh = fresh_blocks(buddy, partition)
+    for block in fresh:
+        buddy.free(block)
+    return sum(block.size for block in fresh)
+
+
 def test_preload_fresh_blocks_inject_on_demand():
     buddy = make_pool(64 * MIB)
-    state = preload_workload(
+    preload_workload(
         buddy, "pool",
         residue_bytes=1 * MIB,
         bulk_bytes=8 * MIB,
@@ -357,10 +371,10 @@ def test_preload_fresh_blocks_inject_on_demand():
         fresh_bytes=2 * MIB,
     )
     assert buddy.free_pages_below("pool", buddy.max_order) * PAGE_SIZE == 1 * MIB
-    injected = state.inject_fresh(buddy)
+    injected = inject_fresh(buddy, "pool")
     assert injected == 2 * MIB
     assert buddy.free_pages_below("pool", buddy.max_order) * PAGE_SIZE == 3 * MIB
-    assert state.inject_fresh(buddy) == 0
+    assert fresh_blocks(buddy, "pool") == []
 
 
 def test_preload_deterministic():
@@ -381,10 +395,10 @@ def test_preload_deterministic():
     assert snapshot(7) != snapshot(8)
 
 
-def preload_result(buddy: BuddyState, partition: str, state) -> tuple:
+def preload_result(buddy: BuddyState, partition: str) -> tuple:
     buddy.check_invariants()
     return (buddy._free[partition], buddy.buddy_info(), buddy.free_pages(partition),
-            taken_spans(buddy, partition), state.fresh_halves)
+            taken_spans(buddy, partition), fresh_blocks(buddy, partition))
 
 
 @pytest.mark.parametrize("name", ["dell", "lenovo"])
@@ -396,8 +410,8 @@ def test_preload_matches_trial_and_error_on_profiles(name, monkeypatch):
         with monkeypatch.context() as patched:
             patched.setattr(harness, "preload_workload", reference_preload)
             slow = build_sim(get_profile(name), seed)
-        assert (preload_result(fast.buddy, KERNEL_PARTITION, fast.preload)
-                == preload_result(slow.buddy, KERNEL_PARTITION, slow.preload))
+        assert (preload_result(fast.os.buddy, KERNEL_PARTITION)
+                == preload_result(slow.os.buddy, KERNEL_PARTITION))
 
 
 PRELOAD_POOLS = {
@@ -429,12 +443,13 @@ def test_preload_matches_trial_and_error_on_small_pools(case):
                 buddy.free(block)
             buddy.take_pages("pool", 70, "t")
         twin = copy.deepcopy(buddy)
-        state = preload_workload(buddy, "pool", rng=random.Random(seed), **kwargs)
-        want = reference_preload(twin, "pool", rng=random.Random(seed), **kwargs)
-        assert preload_result(buddy, "pool", state) == preload_result(twin, "pool", want)
+        preload_workload(buddy, "pool", rng=random.Random(seed), **kwargs)
+        reference_preload(twin, "pool", rng=random.Random(seed), **kwargs)
+        assert preload_result(buddy, "pool") == preload_result(twin, "pool")
         if kwargs.get("fresh_bytes"):
-            assert state.inject_fresh(buddy) == want.inject_fresh(twin)
-            assert preload_result(buddy, "pool", state) == preload_result(twin, "pool", want)
+            assert inject_fresh(buddy, "pool") == inject_fresh(twin, "pool")
+            assert fresh_blocks(buddy, "pool") == []
+            assert preload_result(buddy, "pool") == preload_result(twin, "pool")
 
 
 def dell_slot_counts() -> list[int]:
@@ -568,7 +583,7 @@ def test_take_pages_equals_sequential_order0_allocations(seed, case, data):
 
 
 def test_take_pages_on_the_dell_preload():
-    buddy = build_sim(get_profile("dell"), 2026).buddy
+    buddy = build_sim(get_profile("dell"), 2026).os.buddy
     twin = copy.deepcopy(buddy)
     n = 15872  # the table pages of one dell/video placement
     want = [twin.allocate(KERNEL_PARTITION, 0, "page_table").first for _ in range(n)]

@@ -16,6 +16,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from hammersim import cli
 from hammersim.ambush import DRIVER_SG, DRIVER_VIDEO
 from hammersim.harness import STRATEGY_AMBUSH, emit_report, run_trials
 from hammersim.profiles import get_profile
@@ -52,6 +53,26 @@ def test_lenovo_report_digest(driver, mitigation):
     text = emit_report(aggregate, "csv")
     assert (hashlib.sha256(text.encode()).hexdigest()
             == LENOVO_DIGESTS[driver, mitigation])
+
+
+# sha256 of the output of each command on a dell profile with 8 MiB of
+# fresh blocks: the builtin profiles have none, so no other digest frees
+# and drains fresh blocks.
+FRESH_DIGESTS = {
+    ("run", "--trials", "4", "--seed", "2026", "--rounds-cap", "3"):
+        "fb39e48c3c75358a519bb41e1b424c1d727d85bc7c1d361ae038e3d008d4cce7",
+    ("buddyinfo", "--placement"):
+        "cb860091b1f46fdf4d607675a2dca92cc5bdffc97368d6865f8b53e34dbeeab0",
+}
+
+
+@pytest.mark.parametrize("args", sorted(FRESH_DIGESTS))
+def test_fresh_blocks_digest(args, tmp_path, capsys):
+    ini = tmp_path / "fresh.ini"
+    ini.write_text("[workload]\nfresh_bytes = 8m\n")
+    assert cli.main([args[0], "--profile", str(ini), *args[1:]]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FRESH_DIGESTS[args]
 
 
 def test_scan_digest():

@@ -178,7 +178,7 @@ def test_finished_model_is_freed_without_the_cycle_collector():
         bundle = build_sim(profile, 5)
         run_ambush(bundle.os, plan(profile.threshold_for(DRIVER_VIDEO),
                                    DRIVER_VIDEO), mitigation=True)
-        model, buddy = weakref.ref(bundle.os), weakref.ref(bundle.buddy)
+        model, buddy = weakref.ref(bundle.os), weakref.ref(bundle.os.buddy)
         del bundle
         assert model() is None
         assert buddy() is None

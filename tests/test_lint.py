@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import sys
+from itertools import chain
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hammersim"
@@ -81,3 +82,41 @@ def test_private_names_are_used():
                           if isinstance(item, ast.FunctionDef)]
             defined += [f"{module}: {name}" for name in names if private(name)]
     assert [d for d in defined if d.split(": ")[1] not in read] == []
+
+
+def test_record_fields_are_read():
+    # Every field and property of a package dataclass or NamedTuple must be
+    # read as an attribute somewhere in the project; a field nobody reads is
+    # a copy of a fact kept elsewhere, or no fact at all.
+    root = PACKAGE.parents[1]
+    read = set()
+    for path in sorted(chain(*(root.glob(f"{d}/**/*.py")
+                               for d in ("src", "bench", "scripts", "tests")))):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+                read.add(node.target.attr)
+
+    def named(node, name: str) -> bool:
+        node = node.func if isinstance(node, ast.Call) else node
+        return isinstance(node, ast.Name) and node.id == name
+
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef) or not (
+                    any(named(d, "dataclass") for d in cls.decorator_list)
+                    or any(named(b, "NamedTuple") for b in cls.bases)):
+                continue
+            for item in cls.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    name = item.target.id
+                elif isinstance(item, ast.FunctionDef) and any(
+                        named(d, "property") for d in item.decorator_list):
+                    name = item.name
+                else:
+                    continue
+                if name not in read:
+                    unread.append(f"{path.name}: {cls.name}.{name}")
+    assert unread == []

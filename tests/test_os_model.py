@@ -279,7 +279,7 @@ def test_placement_leaves_table_pages_shared(profile, driver, mitigation):
     assert all(kernel.base <= pfn * PAGE_SIZE < kernel.end for pfn in tables)
     # One 2 MiB file needs one template; its marker pages share one too.
     assert len({id(pages[pfn]) for pfn in tables}) == 1
-    assert len({id(pages[pfn]) for pfn in os_model.files[0].pfns}) == 1
+    assert len({id(pages[pfn]) for pfn in os_model.vmas[0].file.pfns}) == 1
 
 
 @pytest.mark.parametrize("mitigation", [False, True])
@@ -287,7 +287,7 @@ def test_placement_writes_no_table_or_marker_frame(mitigation):
     # The tables and the file's marker pages are base runs, one row per run
     # taken; the private layer holds only frames written since.
     os_model, _ = full_placement("dell", "video", 7, mitigation=mitigation)
-    memory, file = os_model.memory, os_model.files[0]
+    memory, file = os_model.memory, os_model.vmas[0].file
     assert memory.private == {}
     assert len(memory.base.rows) == len(os_model.pt_runs) + len(file.runs)
     cred = os_model.plant_cred(1, 1000, random.Random(7))
@@ -377,12 +377,12 @@ def test_mmap_builds_one_table_per_window():
 
 def test_mmap_count_equals_repeated_single_maps():
     bulk, single = make_os(), make_os()
-    for os_model in (bulk, single):
-        os_model.write_markers(os_model.create_tmp_file(2 * PT_SPAN))
-    file = bulk.files[0]
+    file, twin = bulk.create_tmp_file(2 * PT_SPAN), single.create_tmp_file(2 * PT_SPAN)
+    bulk.write_markers(file)
+    single.write_markers(twin)
     # Two table pages per mapping of a 4 MiB file.
     pfns = bulk.mmap_primitive(file, 5)
-    want = [pfn for _ in range(5) for pfn in single.mmap_primitive(single.files[0])]
+    want = [pfn for _ in range(5) for pfn in single.mmap_primitive(twin)]
     assert pfns == want and len(pfns) == 10
     assert [(run.base, run.end, run.count) for run in bulk.vmas] == [
         (bulk.map_base, bulk.map_base + 5 * file.size, 5)]
@@ -702,7 +702,7 @@ def test_video_driver_limits_and_size():
         os_model.open_video(33)
     buffer = os_model.open_video(32)
     assert len(buffer.chunks) == 32
-    assert buffer.total_bytes == 32 * 600 * 1024  # 18.75 MiB ceiling
+    assert sum(chunk.size for chunk in buffer.chunks) == 32 * 600 * 1024  # 18.75 MiB ceiling
     assert all(c.block.owner == "video_buffer" for c in buffer.chunks)
 
 
@@ -716,7 +716,7 @@ def test_sg_driver_limits_and_size():
         os_model.open_sg(1, SG_MAX_BYTES + 1)
     buffer = os_model.open_sg(256, SG_MAX_BYTES)
     assert len(buffer.chunks) == 256
-    assert buffer.total_bytes == 256 * SG_MAX_BYTES  # 31 MiB ceiling
+    assert sum(chunk.size for chunk in buffer.chunks) == 256 * SG_MAX_BYTES  # 31 MiB ceiling
 
 
 def test_map_buffer_exposes_chunk_pages():
