@@ -7,9 +7,12 @@ Each checkout is a directory holding ``src/hammersim`` and
 side by side under their own names, and op i of the workload runs on A and
 on B in turn, A first on even ops and B first on odd ones, so slow host
 phases land on both sides alike.  Each op's report line must be the same
-on both sides.  The output is the median per-op time of each side and the
-median over ops of the ratio B/A; ``scan`` splits its ops into capture and
-non-capture batches, since a capture escalates and costs far more.
+on both sides.  The output is the median per-op time of each side, the
+median over ops of the ratio B/A, and the ratio of the summed op times B/A,
+which is what a throughput such as ``bench/run.py``'s ``ops_per_s`` follows
+(a few slow ops weigh more in it than in the median); ``scan`` splits its
+ops into capture and non-capture batches, since a capture escalates and
+costs far more.
 
 Preparing an op (a ``scan`` episode build) is not timed, as in
 ``bench/run.py``.  Nothing under either checkout is written.
@@ -85,14 +88,15 @@ def summary(rows, name: str) -> list[str]:
     if name == "scan":
         groups["non-capture"] = [r for r in rows if not r[2]]
         groups["capture"] = [r for r in rows if r[2]]
-    lines = [f"{'ops':>15} {'A p50 ms':>9} {'B p50 ms':>9} {'B/A p50':>8}"]
+    lines = [f"{'ops':>15} {'A p50 ms':>9} {'B p50 ms':>9} {'B/A p50':>8} {'B/A sum':>8}"]
     for label, group in groups.items():
         if not group:
             continue
         a = statistics.median(r[0] for r in group) * 1e3
         b = statistics.median(r[1] for r in group) * 1e3
         ratio = statistics.median(r[1] / r[0] for r in group)
-        lines.append(f"{label:<11}{len(group):>4} {a:9.3f} {b:9.3f} {ratio:8.3f}")
+        total = sum(r[1] for r in group) / sum(r[0] for r in group)
+        lines.append(f"{label:<11}{len(group):>4} {a:9.3f} {b:9.3f} {ratio:8.3f} {total:8.3f}")
     return lines
 
 

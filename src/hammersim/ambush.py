@@ -11,7 +11,9 @@ and maps it as one run.
 Execution enforces the threshold as a hard cap on actual bytes charged to
 the attack (buffer blocks + file pages + table pages), which stops the
 stuffing phase slightly before the plan's mapping budget when the charged
-buffer figure was rounded down.
+buffer figure was rounded down.  The drain, which maps before the buffers
+exist, is capped by the same room, the buffers charged at the size they
+will be allocated.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .buddy_alloc import FRESH
-from .dram_model import PAGE_SIZE, DramGeometry, target_block_size
+from .dram_model import PAGE_SIZE, DramGeometry, rows_size_per_row_index, target_block_size
 from .dram_model import page_row_keys  # noqa: F401  (bench/tracer.py patches it here)
 from .os_model import (
     KERNEL_PARTITION,
@@ -144,15 +146,25 @@ class Placement:
 
 
 class MappingDriver:
-    """Owns the mapping file and budget; stamps markers after the first map."""
+    """Owns the mapping file and budget; stamps markers after the first map.
 
-    def __init__(self, os_model: OsModel, plan_: AmbushPlan) -> None:
+    table_room is the table pages the threshold leaves beside the file and
+    the buffers, each charged at the size it will be allocated: under
+    mitigation, a buffer chunk fills whole row-index spans.
+    """
+
+    def __init__(self, os_model: OsModel, plan_: AmbushPlan, *,
+                 mitigation: bool = False) -> None:
         self.os = os_model
         self.plan = plan_
         self.file = os_model.create_tmp_file(plan_.file_size)
         self.pages_per_map = plan_.file_size // PT_SPAN
         self.mapped = 0
         self.pt_pages = 0
+        unit = rows_size_per_row_index(os_model.dram.geometry) if mitigation else PAGE_SIZE
+        buffers = plan_.chunk_count * -(-plan_.chunk_size // unit) * unit
+        spare = plan_.threshold_mem_size - plan_.file_size - buffers
+        self.table_room = max(0, spare) // PAGE_SIZE
 
     @property
     def budget_left(self) -> int:
@@ -177,17 +189,23 @@ def drain_small_blocks(os_model: OsModel, mapper: MappingDriver) -> tuple[int, i
     """Map the file until no free block below the target order remains.
 
     The kernel partition's FRESH blocks are then freed, and as many bytes
-    of small blocks as that injected are drained too.  Returns (pt pages
-    drained, fresh bytes injected).
+    of small blocks as that injected are drained too.  Neither phase maps
+    past the mapper's table room.  Returns (pt pages drained, fresh bytes
+    injected).
     """
-    drained = _drain_phase(os_model, mapper)
+    def room() -> int:
+        """The bytes of whole mappings that still fit in the table room."""
+        per_map = mapper.pages_per_map
+        return (mapper.table_room - mapper.pt_pages) // per_map * per_map * PAGE_SIZE
+
+    drained = _drain_phase(os_model, mapper, room())
     buddy = os_model.buddy
     fresh = [b for b in buddy.blocks(KERNEL_PARTITION) if b.owner == FRESH]
     for block in fresh:
         buddy.free(block)
     injected = sum(block.size for block in fresh)
     if injected:
-        drained += _drain_phase(os_model, mapper, injected)
+        drained += _drain_phase(os_model, mapper, min(injected, room()))
     return drained, injected
 
 
@@ -241,11 +259,9 @@ def place_interleaved(
             plan_.chunk_count, plan_.chunk_size, isolated=mitigation
         )
     os_model.map_buffer(buffer)
-    fixed = buffer.allocated_bytes + plan_.file_size
-    if fixed > plan_.threshold_mem_size:
+    if buffer.allocated_bytes + plan_.file_size > plan_.threshold_mem_size:
         raise PlacementError("buffers and file alone exceed the threshold")
-    cap_pages = (plan_.threshold_mem_size - fixed) // PAGE_SIZE
-    fits = max(0, (cap_pages - mapper.pt_pages) // mapper.pages_per_map)
+    fits = max(0, (mapper.table_room - mapper.pt_pages) // mapper.pages_per_map)
     mapper.map(min(mapper.budget_left, fits))
     return buffer
 
@@ -258,7 +274,7 @@ def run_ambush(
 ) -> Placement:
     """Execute the full placement: file, drain (fresh blocks included),
     buffers, stuffing."""
-    mapper = MappingDriver(os_model, plan_)
+    mapper = MappingDriver(os_model, plan_, mitigation=mitigation)
     drained, _ = drain_small_blocks(os_model, mapper)
     buffer = place_interleaved(os_model, plan_, mapper, mitigation=mitigation)
     placement = Placement(

@@ -16,9 +16,8 @@ tile each partition, so allocated + free == capacity.
 
 take_pages hands out many order-0 pages in one pass, like Linux's
 rmqueue_bulk, as page ranges held as one run.  preload_workload places the
-background workload against bitmasks of free pages, then writes the free
-lists once, leaving its fresh halves as blocks owned FRESH; it draws
-straight from the generator's getrandbits, as randrange and randint would.
+background workload against bitmasks of free pages, drawing straight from
+getrandbits, and tiles what it takes in one walk over the free blocks.
 """
 
 from __future__ import annotations
@@ -400,13 +399,13 @@ def preload_workload(
     Bulk blocks and (anchor, half) buddy pairs go to random aligned places
     above the reserved low region.  residue_bytes of halves stay free and
     cannot coalesce past their allocated anchors; fresh_bytes of halves stay
-    allocated, as blocks owned FRESH, until the caller frees them.  Every other free
-    page outside a whole free max-order block is taken, with the bulk and
-    the anchors, as one run.  Each place is tested against its max-order
-    block's bitmask of free pages: as no free buddies are left apart, an
-    aligned range can be carved exactly when all of it is free.  The free
-    lists are written once, at the end, so an OutOfMemoryError changes
-    nothing.
+    allocated, as blocks owned FRESH, until the caller frees them.  Every
+    other free page outside a whole free max-order block is taken, with the
+    bulk and the anchors, as one run.  Each place is tested against its
+    max-order block's bitmask of free pages: as no free buddies are left
+    apart, an aligned range can be carved exactly when all of it is free.
+    The free lists are written once, at the end, so an OutOfMemoryError
+    changes nothing.
 
     A place among n slots and a pair order among n orders are drawn as
     rng.getrandbits(k), k = n.bit_length(), redrawn while >= n: the draws
@@ -420,38 +419,37 @@ def preload_workload(
     if reserve_low_bytes >= buddy.partitions[partition].size:
         raise ValueError("low reserve leaves no room for the workload")
     bounds, top = buddy.frames[partition], buddy.max_order
-    lo, end = bounds.start + _pages(reserve_low_bytes), bounds.stop
-    span = 1 << top
-    full = (1 << span) - 1
+    span, low, base = 1 << top, (1 << top) - 1, bounds.start >> top << top
+    full, lo, end = (1 << span) - 1, bounds.start + _pages(reserve_low_bytes), bounds.stop
     lists = buddy._free[partition]
-    free = dict.fromkeys(range(bounds.start >> top, (end - 1 >> top) + 1), 0)
-    for order, lst in enumerate(lists):
-        for first in lst:
-            free[first >> top] |= ((1 << (1 << order)) - 1) << (first & (span - 1))
-    initial = dict(free)
+    blocks = sorted((first, order) for order, lst in enumerate(lists) for first in lst)
+    free = [0] * ((end - 1 - base >> top) + 1)  # by max-order block from base
+    for first, order in blocks:
+        free[first - base >> top] |= ((1 << (1 << order)) - 1) << (first & low)
+    table = []  # per order: (first place - base, slots, draw bits, mask, pages)
+    for pages in (1 << order for order in range(top + 2)):
+        start = -(-lo // pages) * pages
+        slots = (end - start) // pages
+        table.append((start - base, slots, slots.bit_length(), (1 << min(pages, span)) - 1, pages))
     getrandbits = rng.getrandbits
 
     def place(order: int, failure: str) -> int:
         """First page of a random free aligned range of 2**order pages
         above the reserve, now taken; at top + 1, two max-order blocks."""
-        pages = 1 << order
-        start = -(-lo // pages) * pages
-        slots = (end - start) // pages
+        start, slots, k, bits, pages = table[order]
         if slots <= 0:
             raise OutOfMemoryError("region too small for requested order")
-        bits = (1 << min(pages, span)) - 1
-        k = slots.bit_length()
         for _ in range(_PLACE_ATTEMPTS):
             slot = getrandbits(k)  # rng.randrange(slots), draw for draw
             while slot >= slots:
                 slot = getrandbits(k)
             pfn = start + slot * pages
-            key, mask = pfn >> top, bits << (pfn & (span - 1))
+            key, mask = pfn >> top, bits << (pfn & low)
             if free[key] & mask == mask and (pages <= span or free[key + 1] == full):
                 free[key] ^= mask
                 if pages > span:
                     free[key + 1] = 0
-                return pfn
+                return base + pfn
         raise OutOfMemoryError(failure)
 
     # Greedy blocks of whole pages; a partial last page is one more page.
@@ -481,25 +479,27 @@ def preload_workload(
     residue = build_pairs(residue_bytes)
     fresh = build_pairs(fresh_bytes)
 
-    # Whole free max-order blocks and residue halves stay free, fresh
-    # halves are registered, every other page that was free joins the run.
+    # One ascending walk over the blocks that were free: an untouched max-order
+    # block stays free; the rest, less the halves, joins the run in maximal spans.
     kept: list[list[int]] = [[] for _ in lists]
-    for pfn, order in residue + fresh:
-        initial[pfn >> top] ^= ((1 << (1 << order)) - 1) << (pfn & (span - 1))
     for pfn, order in residue:
         kept[order].append(pfn)
-    spans: list[range] = []
-    for key, mask in free.items():
-        if mask == full:
-            kept[top].append(key * span)
+    halves = sorted(residue + fresh) + [(end, 0)]  # the last stops the walk
+    spans, i = [], 0
+    for first, order in blocks:
+        stop = first + (1 << order)
+        if order == top and free[first - base >> top] == full:
+            kept[top].append(first)
             continue
-        taken = initial[key]
-        while taken:  # one range per run of set bits, lowest first
-            low = taken & -taken
-            above = taken + low
-            taken &= above
-            first = key * span + low.bit_length() - 1
-            stop = key * span + (above ^ taken).bit_length() - 1
+        if spans and spans[-1].stop == first and first & low:
+            first = spans.pop().start
+        while halves[i][0] < stop:
+            pfn, half = halves[i]
+            i += 1
+            if pfn > first:
+                spans.append(range(first, pfn))
+            first = pfn + (1 << half)
+        if first < stop:
             spans.append(range(first, stop))
     lists[:] = [sorted(lst) for lst in kept]
     if spans:

@@ -39,7 +39,6 @@ from .dram_model import (
     VulnerabilityMap,
     derive_seed,
     rows_size_per_row_index,
-    target_block_size,
 )
 from .exploit import (
     STATUS_KERNEL,
@@ -111,14 +110,13 @@ def _preload(buddy: BuddyState, partition: str, profile: MachineProfile,
     preload_workload is looked up in this module at call time, where
     bench/tracer.py patches it.
     """
-    target_pages = target_block_size(profile.geometry) // PAGE_SIZE
     preload_workload(
         buddy,
         partition,
         residue_bytes=profile.residue_bytes,
         bulk_bytes=profile.bulk_bytes,
         reserve_low_bytes=profile.reserve_low_bytes,
-        small_max_order=target_pages.bit_length() - 2,
+        small_max_order=profile.small_max_order,
         rng=random.Random(derive_seed(trial_seed, "preload")),
         fresh_bytes=fresh_bytes,
     )

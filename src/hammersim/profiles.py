@@ -25,6 +25,7 @@ from .dram_model import (
     HammerParams,
     MappingSpec,
     VulnCalibration,
+    target_block_size,
 )
 from .timing_channel import ChannelModel
 
@@ -98,6 +99,13 @@ class MachineProfile:
         for key in ("residue_bytes", "bulk_bytes", "reserve_low_bytes", "fresh_bytes"):
             if getattr(self, key) < 0:
                 raise ProfileError(f"{key} must be >= 0")
+        # The first pair of the larger pool of halves may draw any order
+        # up to small_max_order, and the preload places it at that order.
+        pages = -(-max(self.residue_bytes, self.fresh_bytes) // PAGE_SIZE)
+        pair_order = min(self.small_max_order, pages.bit_length() - 1)
+        if self.max_order < pair_order:
+            raise ProfileError(f"max_order {self.max_order} is below the preload's"
+                               f" pair order {pair_order}")
         budget = self.residue_bytes + self.bulk_bytes + self.reserve_low_bytes
         if budget > self.kernel_bytes:
             raise ProfileError("workload preload exceeds the kernel partition")
@@ -113,6 +121,12 @@ class MachineProfile:
         bits = self.geometry.row_size * 8
         if self.vulnerability.cells_per_weak_row > bits:
             raise ProfileError(f"cells_per_weak_row must be <= {bits}, the bits of one row")
+
+    @property
+    def small_max_order(self) -> int:
+        """The largest order of a preload pair's halves: a pair spans at
+        most the target block."""
+        return (target_block_size(self.geometry) // PAGE_SIZE).bit_length() - 2
 
     def threshold_for(self, driver: str) -> int:
         if driver not in DRIVERS:

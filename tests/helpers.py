@@ -561,6 +561,8 @@ def reference_preload(
             size = PAGE_SIZE << order
             start = -(-lo // (2 * size)) * 2 * size
             slots = (part.end - start) // (2 * size)
+            if slots <= 0:
+                raise OutOfMemoryError("region too small for requested order")
             for _ in range(_PLACE_ATTEMPTS):
                 pair_base = start + rng.randrange(slots) * 2 * size
                 try:

@@ -452,6 +452,67 @@ def test_preload_matches_trial_and_error_on_small_pools(case):
             assert preload_result(buddy, "pool") == preload_result(twin, "pool")
 
 
+@st.composite
+def preload_pools(draw):
+    """(pool, preload arguments, generator seed): ragged page-aligned bounds,
+    max_order 2-10, and a pool that may have been used before the preload."""
+    max_order = draw(st.integers(2, 10))
+    top = 1 << max_order
+    base, pages = draw(st.integers(0, 3 * top)), draw(st.integers(1, 6 * top))
+    buddy = make_pool(pages * PAGE_SIZE, base * PAGE_SIZE, max_order=max_order)
+    if draw(st.booleans()):  # used before: allocations, frees and a take
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        live = []
+        for _ in range(draw(st.integers(1, 40))):
+            try:
+                live.append(buddy.allocate("pool", rng.randrange(min(6, max_order + 1)), "t"))
+            except OutOfMemoryError:
+                break
+        for block in rng.sample(live, len(live) // 2):
+            buddy.free(block)
+        buddy.take_pages("pool", min(draw(st.integers(0, 80)), buddy.free_pages("pool")), "t")
+    kwargs = dict(
+        residue_bytes=draw(st.integers(0, pages // 3)) * PAGE_SIZE,
+        fresh_bytes=draw(st.integers(0, pages // 6)) * PAGE_SIZE,
+        bulk_bytes=draw(st.integers(0, pages * PAGE_SIZE // 2)),
+        reserve_low_bytes=draw(st.integers(0, pages * PAGE_SIZE - 1)),
+        small_max_order=draw(st.integers(0, max_order)))
+    return buddy, kwargs, draw(st.integers(0, 2**32 - 1))
+
+
+def preload_outcome(preload, buddy: BuddyState, kwargs: dict, seed: int):
+    """(exception type or None, generator state) of one preload."""
+    rng = random.Random(seed)
+    try:
+        preload(buddy, "pool", rng=rng, **kwargs)
+    except (OutOfMemoryError, ValueError) as exc:
+        return type(exc), rng.getstate()
+    return None, rng.getstate()
+
+
+@given(preload_pools())
+@example((make_pool(4 * MIB, max_order=5),  # pairs of top blocks: anchors at order 6
+          dict(residue_bytes=512 * 1024, bulk_bytes=MIB, reserve_low_bytes=0,
+               small_max_order=5, fresh_bytes=128 * 1024), 3))
+@settings(max_examples=150, deadline=None)
+def test_preload_matches_trial_and_error_on_drawn_pools(pool):
+    buddy, kwargs, seed = pool
+    twin = copy.deepcopy(buddy)
+    outcome = preload_outcome(preload_workload, buddy, kwargs, seed)
+    assert outcome == preload_outcome(reference_preload, twin, kwargs, seed)
+    if outcome[0] is not None:
+        return
+    assert preload_result(buddy, "pool") == preload_result(twin, "pool")
+    # The run's form: each span inside one max-order block, ascending, and
+    # no two spans of one block touching.
+    top = buddy.max_order
+    spans = [span for run in buddy._runs if run.owner == "workload" for span in run.spans]
+    assert all(span and span.start >> top == span.stop - 1 >> top for span in spans)
+    for left, right in zip(spans, spans[1:]):
+        assert left.stop < right.start or (left.stop == right.start
+                                           and right.start >> top != left.start >> top)
+
+
 def dell_slot_counts() -> list[int]:
     """The slot counts dell's preload draws among: aligned ranges of every
     order up to a pair of max-order blocks, above the low reserve."""

@@ -348,6 +348,9 @@ BAD_PROFILES = {
     # dell holds 2**21 pages, so an order-40 block would need a 2**40-bit mask.
     "huge_max_order": ("[allocator]\nmax_order = 40\n",
                        "error: a max_order 40 block is larger than the DRAM"),
+    # dell's preload draws pair halves up to order 6 (its 512 KiB target block).
+    "max_order_below_pairs": ("[allocator]\nmax_order = 2\n",
+                              "error: max_order 2 is below the preload's pair order 6"),
     "repeated_key": ("[hammer]\ndose = 5\ndose = 6\n",
                      "option 'dose' in section 'hammer' already exists"),
     "no_section_header": ("dose = 5\n[hammer]\n",
@@ -438,6 +441,20 @@ def test_cli_run_emits_csv(ini_path, capsys):
     assert rows[0].profile == "tiny"
     assert rows[0].footprint_bytes <= 24 * MIB
     assert rows[0].adjacency
+
+
+def test_cli_guarded_run_with_fresh_blocks_stays_within_threshold(tmp_path, capsys):
+    # The drain maps the fresh blocks' tables before the guarded buffers,
+    # which fill whole row-index spans, are allocated; it must leave them
+    # their room.
+    path = tmp_path / "fresh.ini"
+    path.write_text("[workload]\nfresh_bytes = 8m\n")
+    assert main(["run", "--profile", str(path), "--trials", "4", "--seed", "2026",
+                 "--rounds-cap", "0", "--mitigation"]) == 0
+    rows = parse_report(capsys.readouterr().out)
+    assert len(rows) == 4
+    assert all(row.mitigation and row.guard_buffers for row in rows)
+    assert all(0 < row.footprint_bytes <= row.threshold_bytes for row in rows)
 
 
 # dell's [dram] with the row index in bits 3-17 (below the page bits and

@@ -16,6 +16,7 @@ def test_paired_ops_runs_a_checkout_against_itself():
         capture_output=True, text=True, timeout=300, check=True)
     lines = done.stdout.splitlines()
     assert lines[0] == "guarded: seed 2026, 2 ops per side, reports equal"
-    label, ops, a_ms, b_ms, ratio = lines[-1].split()
+    assert lines[-2].split()[-2:] == ["B/A", "sum"]
+    label, ops, a_ms, b_ms, ratio, total = lines[-1].split()
     assert (label, ops) == ("all", "2")
-    assert float(a_ms) > 0 and float(b_ms) > 0 and float(ratio) > 0
+    assert float(a_ms) > 0 and float(b_ms) > 0 and float(ratio) > 0 and float(total) > 0
