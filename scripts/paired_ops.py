@@ -10,9 +10,10 @@ phases land on both sides alike.  Each op's report line must be the same
 on both sides.  The output is the median per-op time of each side, the
 median over ops of the ratio B/A, and the ratio of the summed op times B/A,
 which is what a throughput such as ``bench/run.py``'s ``ops_per_s`` follows
-(a few slow ops weigh more in it than in the median); ``scan`` splits its
-ops into capture and non-capture batches, since a capture escalates and
-costs far more.
+(a few slow ops weigh more in it than in the median).  Ops that escalate
+cost far more than the rest and dominate the sum, so ``scan`` also reports
+its capture and non-capture batches apart, and ``exploit`` its root trials
+and all other trials.
 
 Preparing an op (a ``scan`` episode build) is not timed, as in
 ``bench/run.py``.  Nothing under either checkout is written.
@@ -65,8 +66,21 @@ def _timed(workload, index: int):
     return perf_counter() - t0, record
 
 
+# Groups an op can report in beside "all", in print order.
+GROUP_ORDER = ("non-capture", "capture", "other", "root")
+
+
+def _group(name: str, record, hs) -> str | None:
+    """A scan batch's group by capture, an exploit trial's by root."""
+    if name == "scan":
+        return "non-capture" if record["found"] is None else "capture"
+    if name == "exploit":
+        return "root" if record.outcome == hs.exploit.STATUS_ROOT else "other"
+    return None
+
+
 def run_pairs(sides, name: str, seed: int, ops: int):
-    """Per op: (A seconds, B seconds, whether it captured); raises
+    """Per op: (A seconds, B seconds, its group label or None); raises
     AssertionError on the first op whose report differs."""
     work = [workloads.make(name, hs, seed) for hs, workloads in sides]
     rows = []
@@ -79,15 +93,14 @@ def run_pairs(sides, name: str, seed: int, ops: int):
         text_a, text_b = (w.report([r]) for w, r in zip(work, (record_a, record_b)))
         if text_a != text_b:
             raise AssertionError(f"op {index} differs:\nA: {text_a}\nB: {text_b}")
-        rows.append((time_a, time_b, name == "scan" and record_a["found"] is not None))
+        rows.append((time_a, time_b, _group(name, record_a, sides[0][0])))
     return rows
 
 
-def summary(rows, name: str) -> list[str]:
+def summary(rows) -> list[str]:
     groups = {"all": rows}
-    if name == "scan":
-        groups["non-capture"] = [r for r in rows if not r[2]]
-        groups["capture"] = [r for r in rows if r[2]]
+    for label in GROUP_ORDER:
+        groups[label] = [r for r in rows if r[2] == label]
     lines = [f"{'ops':>15} {'A p50 ms':>9} {'B p50 ms':>9} {'B/A p50':>8} {'B/A sum':>8}"]
     for label, group in groups.items():
         if not group:
@@ -124,7 +137,7 @@ def main(argv=None) -> int:
     print(f"{args.workload}: seed {args.seed}, {args.ops} ops per side, reports equal")
     print("A:", args.checkout_a)
     print("B:", args.checkout_b)
-    print("\n".join(summary(rows, args.workload)))
+    print("\n".join(summary(rows)))
     return 0
 
 

@@ -301,18 +301,36 @@ class DramGeometry:
         the first or the last of its bank.
         """
         tables, blocks = self._page_rows, self._block_keys
-        cap = len(blocks) - 1
         bases: list[set[int]] = [set() for _ in blocks]  # per block order
+        for first, order in self._blocks(runs, len(blocks) - 1):
+            bases[order].add(_apply(tables, first))
+        return {base ^ key for order, keys in enumerate(blocks)
+                for base in bases[order] for key in keys}
+
+    def page_keys(self, runs: Iterable[range]) -> list[int]:
+        """Packed row key of the first byte of each page of the runs, in
+        order.  Page first + i of an aligned block is key(first) XOR key(i),
+        and the keys of pages 0 .. 2**k - 1 grow by doubling."""
+        tables = self._page_rows
+        low = [0]  # keys of pages 0 .. len(low) - 1
+        keys: list[int] = []
+        for first, order in self._blocks(runs, _KEY_BLOCK_MAX_ORDER):
+            while len(low) < 1 << order:
+                image = _apply(tables, len(low))
+                low += [key ^ image for key in low]
+            base = _apply(tables, first)
+            keys += [base ^ key for key in low[:1 << order]]
+        return keys
+
+    def _blocks(self, runs: Iterable[range], cap: int):
+        """Every run's aligned blocks, in order; checks the capacity."""
         for run in runs:
             if not run:
                 continue
             if run.start < 0 or run.stop > self._pages:
                 bad = run.start if run.start < 0 else run.stop - 1
                 raise AddressRangeError(f"page {bad:#x} outside capacity")
-            for first, order in aligned_blocks(run.start, len(run), cap):
-                bases[order].add(_apply(tables, first))
-        return {base ^ key for order, keys in enumerate(blocks)
-                for base in bases[order] for key in keys}
+            yield from aligned_blocks(run.start, len(run), cap)
 
 
 def rows_size_per_row_index(geometry: DramGeometry) -> int:

@@ -183,7 +183,7 @@ def _run_ambush_trial(
     if cap > 0:
         outcome = hammer_loop(
             bundle.os,
-            placement.buffer.page_vaddrs(),
+            placement.buffer,
             profile.channel,
             random.Random(derive_seed(trial_seed, "hammer")),
             rounds_cap=cap,

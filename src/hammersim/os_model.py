@@ -349,15 +349,6 @@ class DoubleOwnedBuffer:
     def allocated_bytes(self) -> int:
         return sum(c.block.size for c in self.chunks)
 
-    def page_vaddrs(self) -> list[int]:
-        if not self.user_mapped:
-            raise OsModelError("buffer is not user mapped")
-        out = []
-        for c in self.chunks:
-            assert c.vbase is not None
-            out.extend(range(c.vbase, c.vbase + c.page_count() * PAGE_SIZE, PAGE_SIZE))
-        return out
-
 
 @dataclass
 class CredPage:

@@ -15,10 +15,14 @@ contractual.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import NamedTuple
 
 from .dram_model import PAGE_SIZE, DramGeometry
 from .dram_model import map_phys_to_dram  # noqa: F401  (bench/tracer.py patches it here)
+from .os_model import DoubleOwnedBuffer, OsModelError
 
 CONFLICT_THRESHOLD_CYCLES = 360
 # Widths of the latency lobes above and below the threshold, in cycles.
@@ -59,82 +63,97 @@ class ChannelModel:
 class LatencySample:
     """One paired-access measurement and its classification."""
 
-    addr_a: int
-    addr_b: int
     cycles: int
     classified_conflict: bool
     true_conflict: bool
 
 
+class KeyedPages(NamedTuple):
+    """A mapped buffer, each chunk's first page index, each page's row key."""
+
+    buffer: DoubleOwnedBuffer
+    starts: list[int]
+    keys: list[int]
+    rows_per_bank: int
+
+    def page(self, i: int) -> tuple[int, int]:
+        """(virtual address, frame) of page i."""
+        c = bisect_right(self.starts, i) - 1
+        chunk, offset = self.buffer.chunks[c], i - self.starts[c]
+        return chunk.vbase + offset * PAGE_SIZE, chunk.frames()[offset]
+
+
+def key_buffer(buffer: DoubleOwnedBuffer, geometry: DramGeometry) -> KeyedPages:
+    """Key a mapped buffer's pages once.  They translate through their
+    chunks' frames, never a page table, so no flip or flush moves them."""
+    if not buffer.user_mapped:
+        raise OsModelError("buffer is not user mapped")
+    frames = [chunk.frames() for chunk in buffer.chunks]
+    starts = list(accumulate(map(len, frames), initial=0))
+    return KeyedPages(buffer, starts, geometry.page_keys(frames), geometry.rows_per_bank)
+
+
+def _row_conflict(key_a: int, key_b: int, rows_per_bank: int) -> bool:
+    return key_a != key_b and key_a // rows_per_bank == key_b // rows_per_bank
+
+
 def is_row_conflict_pair(addr_a: int, addr_b: int, geometry: DramGeometry) -> bool:
     """Ground truth: same dimm/rank/bank, different rows."""
-    key_a = geometry.row_key_of(addr_a)
-    key_b = geometry.row_key_of(addr_b)
-    rows = geometry.rows_per_bank
-    return key_a != key_b and key_a // rows == key_b // rows
+    return _row_conflict(geometry.row_key_of(addr_a), geometry.row_key_of(addr_b),
+                         geometry.rows_per_bank)
 
 
-def sample_latency_phys(
-    addr_a: int,
-    addr_b: int,
-    geometry: DramGeometry,
-    model: ChannelModel,
-    rng: random.Random,
-) -> LatencySample:
+def _draw_cycles(truth: bool, model: ChannelModel, rng: random.Random) -> int:
+    """A paired-access latency from the lobe the rates pick for the pair's
+    true arrangement; at or above the threshold it reads as a conflict."""
+    if (rng.random() < model.p_high_given_conflict if truth
+            else rng.random() >= model.p_low_given_other):
+        return model.threshold_cycles + int(rng.triangular(0, HIGH_SPREAD, HIGH_SPREAD * 0.25))
+    return model.threshold_cycles - 1 - int(rng.triangular(0, LOW_SPREAD, LOW_SPREAD * 0.25))
+
+
+def sample_latency_phys(addr_a: int, addr_b: int, geometry: DramGeometry,
+                        model: ChannelModel, rng: random.Random) -> LatencySample:
     """Draw a paired-access latency for two physical addresses."""
     truth = is_row_conflict_pair(addr_a, addr_b, geometry)
-    if truth:
-        above = rng.random() < model.p_high_given_conflict
-    else:
-        above = rng.random() >= model.p_low_given_other
-    if above:
-        cycles = model.threshold_cycles + int(
-            rng.triangular(0, HIGH_SPREAD, HIGH_SPREAD * 0.25)
-        )
-    else:
-        cycles = (
-            model.threshold_cycles
-            - 1
-            - int(rng.triangular(0, LOW_SPREAD, LOW_SPREAD * 0.25))
-        )
-    classified = cycles >= model.threshold_cycles
-    return LatencySample(addr_a, addr_b, cycles, classified, truth)
+    cycles = _draw_cycles(truth, model, rng)
+    return LatencySample(cycles, cycles >= model.threshold_cycles, truth)
 
 
-def sample_latency(os_model, vaddr_a: int, vaddr_b: int, model: ChannelModel, rng: random.Random) -> LatencySample:
-    """Virtual-address wrapper; translations honour the TLB."""
-    pa = os_model.translate(vaddr_a)
-    pb = os_model.translate(vaddr_b)
-    if pa is None or pb is None:
-        raise ChannelError("cannot time an unmapped address")
-    geometry = os_model.dram.geometry
-    byte_a = pa * PAGE_SIZE + vaddr_a % PAGE_SIZE
-    byte_b = pb * PAGE_SIZE + vaddr_b % PAGE_SIZE
-    return sample_latency_phys(byte_a, byte_b, geometry, model, rng)
+def _index_pair(getrandbits, n: int) -> tuple[int, int]:
+    """random.Random.sample(range(n), 2) from the same getrandbits calls.
+    Each index is rejection-sampled below its bound.  Up to 21 items the
+    second index is drawn below n - 1 from a pool whose slot i now holds
+    n - 1; above that, a repeat of i is redrawn."""
+    bits = n.bit_length()
+    i = getrandbits(bits)
+    while i >= n:
+        i = getrandbits(bits)
+    bound = n - 1 if n <= 21 else n
+    bits = bound.bit_length()
+    j = getrandbits(bits)
+    while j >= bound or (bound == n and j == i):
+        j = getrandbits(bits)
+    return i, n - 1 if j == i else j
 
 
-def select_hammer_pair(
-    os_model,
-    page_vaddrs: list[int],
-    model: ChannelModel,
-    rng: random.Random,
-    *,
-    max_attempts: int = 5000,
-) -> tuple[tuple[int, int], int, tuple[int, int]]:
+def select_hammer_pair(pages: KeyedPages, model: ChannelModel, rng: random.Random, *,
+                       max_attempts: int = 5000) -> tuple[tuple[int, int], int, tuple[int, int]]:
     """Probe random page pairs until one classifies as a row conflict.
 
-    Returns the virtual pair, the attempt count, and the physical byte
-    addresses the pair was timed at.  Raises PairSelectionError when the
-    attempt budget runs out.
+    Each pair is the two page indexes rng.sample of the pages would draw,
+    timed at the pages' first bytes.  Returns the virtual pair, the
+    attempt count, and the physical byte addresses the pair was timed at.
+    Raises PairSelectionError when the attempt budget runs out.
     """
-    if len(page_vaddrs) < 2:
+    keys, rows = pages.keys, pages.rows_per_bank
+    if len(keys) < 2:
         raise PairSelectionError("need at least two pages to time")
     for attempt in range(1, max_attempts + 1):
-        a, b = rng.sample(page_vaddrs, 2)
-        sample = sample_latency(os_model, a, b, model, rng)
-        if sample.classified_conflict:
-            return (a, b), attempt, (sample.addr_a, sample.addr_b)
+        i, j = _index_pair(rng.getrandbits, len(keys))
+        truth = _row_conflict(keys[i], keys[j], rows)
+        if _draw_cycles(truth, model, rng) >= model.threshold_cycles:
+            (va, pfn_a), (vb, pfn_b) = pages.page(i), pages.page(j)
+            return (va, vb), attempt, (pfn_a * PAGE_SIZE, pfn_b * PAGE_SIZE)
     raise PairSelectionError(
-        f"no conflicting pair classified within {max_attempts} attempts", max_attempts
-    )
-
+        f"no conflicting pair classified within {max_attempts} attempts", max_attempts)

@@ -9,9 +9,10 @@ groups decoded (dimm, rank, bank, row) coordinates where the package
 compares packed row keys, the verification
 oracle sweeps every mapped page linearly instead of consulting the dirty
 index, the per-frame maps expand table runs and buffer chunks frame by
-frame where the OS model bisects runs, and the per-frame memory keeps one
+frame where the OS model bisects runs, the per-frame memory keeps one
 dict entry for every backed frame where physical memory keeps pristine
-frames as runs.
+frames as runs, and the reference pair selection translates and keys both
+pages of every draw where the package keys the buffer once per trial.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import io
 import random
 import struct
 from itertools import chain, cycle
+from unittest import mock
 
 import numpy as np
 
@@ -50,8 +52,12 @@ from hammersim.dram_model import (
     rows_size_per_row_index,
     unmap_dram_to_phys,
 )
+from hammersim import exploit, harness
 from hammersim.harness import CSV_COLUMNS, HarnessError, TrialReport, build_sim
-from hammersim.os_model import MARKER, PROBE_PTE, PT_SPAN, OsModel, PteEntry, _user_pte
+from hammersim.os_model import (MARKER, PROBE_PTE, PT_SPAN, BufferChunk, DoubleOwnedBuffer,
+                                OsModel, PteEntry, _user_pte)
+from hammersim.timing_channel import (ChannelError, ChannelModel, LatencySample,
+                                      PairSelectionError, sample_latency_phys)
 from hammersim.profiles import ProfileError, get_profile
 
 MIB = 1024 * 1024
@@ -618,10 +624,10 @@ def small_attack_sim(*, vuln: VulnerabilityMap | None = None, seed: int = 1,
     return os_model, placement
 
 
-def full_placement(profile_name: str, driver: str, seed: int, *,
-                   mitigation: bool = False):
-    """A builtin machine after the full-scale placement for driver."""
-    profile = get_profile(profile_name)
+def full_placement(profile, driver: str, seed: int, *, mitigation: bool = False):
+    """A machine (a builtin profile's name, or a profile) after the
+    full-scale placement for driver."""
+    profile = get_profile(profile) if isinstance(profile, str) else profile
     os_model = build_sim(profile, seed).os
     placement = run_ambush(
         os_model,
@@ -716,3 +722,68 @@ def brute_force_verify(os_model: OsModel) -> tuple[int, int] | None:
             return va, found
         os_model.write_u64_virtual(va + 8, old_pte)
     return None
+
+
+def sample_latency(os_model: OsModel, vaddr_a: int, vaddr_b: int, model: ChannelModel,
+                   rng: random.Random) -> tuple[LatencySample, tuple[int, int]]:
+    """Time two virtual addresses at the physical bytes they translate to,
+    honouring the TLB; returns the sample and those two byte addresses."""
+    pa = os_model.translate(vaddr_a)
+    pb = os_model.translate(vaddr_b)
+    if pa is None or pb is None:
+        raise ChannelError("cannot time an unmapped address")
+    byte_a = pa * PAGE_SIZE + vaddr_a % PAGE_SIZE
+    byte_b = pb * PAGE_SIZE + vaddr_b % PAGE_SIZE
+    geometry = os_model.dram.geometry
+    return sample_latency_phys(byte_a, byte_b, geometry, model, rng), (byte_a, byte_b)
+
+
+def reference_select_pair(os_model: OsModel, page_vaddrs: list[int], model: ChannelModel,
+                          rng: random.Random, *, max_attempts: int = 5000):
+    """Pair selection draw by draw: rng.sample of the virtual pages, then
+    both pages translated and keyed again for every timing sample."""
+    if len(page_vaddrs) < 2:
+        raise PairSelectionError("need at least two pages to time")
+    for attempt in range(1, max_attempts + 1):
+        a, b = rng.sample(page_vaddrs, 2)
+        sample, timed = sample_latency(os_model, a, b, model, rng)
+        if sample.classified_conflict:
+            return (a, b), attempt, timed
+    raise PairSelectionError(
+        f"no conflicting pair classified within {max_attempts} attempts", max_attempts)
+
+
+def first_pages(buffer: DoubleOwnedBuffer, n: int) -> DoubleOwnedBuffer:
+    """The mapped buffer cut to its first n pages, chunk by chunk."""
+    chunks = []
+    for chunk in buffer.chunks:
+        take = min(n, chunk.page_count())
+        chunks.append(BufferChunk(chunk.block, take * PAGE_SIZE, chunk.vbase))
+        n -= take
+        if not n:
+            break
+    return DoubleOwnedBuffer(buffer.driver, chunks, user_mapped=True)
+
+
+def run_trial(profile, seed: int, *, reference: bool = False, **kwargs):
+    """harness.run_single_trial for one trial seed; returns the CSV row, the
+    trial's OS model and its hammered buffer (None without hammer rounds).
+    With reference, each round's pair comes from reference_select_pair."""
+    hammer_loop, seen = harness.hammer_loop, []
+
+    def loop(os_model, buffer, *args, **kw):
+        seen.append((os_model, buffer))
+        if not reference:
+            return hammer_loop(os_model, buffer, *args, **kw)
+
+        def select(pages, model, rng, *, max_attempts):
+            return reference_select_pair(os_model, list(buffer_pages(pages.buffer)), model, rng,
+                                         max_attempts=max_attempts)
+
+        with mock.patch.object(exploit, "select_hammer_pair", select):
+            return hammer_loop(os_model, buffer, *args, **kw)
+
+    with mock.patch.object(harness, "hammer_loop", loop):
+        report = harness.run_single_trial(profile, seed, **kwargs)
+    os_model, buffer = seen[0] if seen else (None, None)
+    return harness._row_values(report), os_model, buffer

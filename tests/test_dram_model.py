@@ -328,6 +328,25 @@ def test_packed_row_keys_of_runs_are_exact(data):
         dell.packed_row_keys([range(start, start + length)])
 
 
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_page_keys_are_each_pages_first_byte_key(data):
+    # Per aligned block against the numpy oracle on the in-page auxiliary
+    # geometry, and against one row_key_of per page on dell, in run order.
+    geo, pages = AUX_GEOMETRY, AUX_GEOMETRY.capacity // PAGE_SIZE
+    runs = data.draw(st.lists(page_runs(pages, pages), max_size=3), label="aux runs")
+    assert geo.page_keys(runs) == [int(AUX_ROW_KEYS[pfn * PAGE_SIZE])
+                                   for run in runs for pfn in run]
+
+    dell = dell_geometry()
+    pages = dell.capacity // PAGE_SIZE
+    runs = data.draw(st.lists(page_runs(pages, 3000), max_size=2), label="dell runs")
+    assert dell.page_keys(runs) == [dell.row_key_of(pfn * PAGE_SIZE)
+                                    for run in runs for pfn in run]
+    with pytest.raises(AddressRangeError):
+        dell.page_keys([range(3, 4), range(pages - 1, pages + 1)])
+
+
 # --- vulnerability map ---
 
 

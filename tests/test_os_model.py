@@ -722,10 +722,11 @@ def test_sg_driver_limits_and_size():
 def test_map_buffer_exposes_chunk_pages():
     os_model = make_os()
     buffer = os_model.open_video(2)
-    with pytest.raises(Exception):
-        buffer.page_vaddrs()
+    assert not buffer.user_mapped
+    assert all(chunk.vbase is None for chunk in buffer.chunks)
     os_model.map_buffer(buffer)
-    vaddrs = buffer.page_vaddrs()
+    assert buffer.user_mapped
+    vaddrs = list(buffer_pages(buffer))
     assert len(vaddrs) == sum(c.page_count() for c in buffer.chunks)
     for chunk in buffer.chunks:
         for i in range(chunk.page_count()):

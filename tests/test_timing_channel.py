@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import random
+from functools import partial
 
 import pytest
 
-from hammersim.buddy_alloc import BuddyState, Partition
+from hammersim.buddy_alloc import Block, BuddyState, Partition
 from hammersim.dram_model import (PAGE_SIZE, Dram, DramCoord, map_phys_to_dram,
                                   unmap_dram_to_phys)
-from hammersim.os_model import OsModel
-from hammersim.profiles import dell_geometry, dell_profile, lenovo_profile
+from hammersim.os_model import BufferChunk, DoubleOwnedBuffer, OsModel
+from hammersim.profiles import dell_geometry, dell_profile, lenovo_profile, load_profile
 from hammersim.timing_channel import (
     HIGH_SPREAD,
     LOW_SPREAD,
@@ -18,12 +19,15 @@ from hammersim.timing_channel import (
     ChannelModel,
     PairSelectionError,
     is_row_conflict_pair,
-    sample_latency,
+    key_buffer,
     sample_latency_phys,
     select_hammer_pair,
 )
 
-from helpers import simple_mapping
+from helpers import (buffer_pages, first_pages, full_placement, reference_select_pair,
+                     sample_latency, simple_mapping, small_attack_sim)
+from test_ambush import ODD_GEOMETRIES
+from test_dram_model import AUX_GEOMETRY
 
 MIB = 1024 * 1024
 
@@ -169,9 +173,8 @@ def _buffer_os():
 def test_select_hammer_pair_finds_true_conflict():
     os_model, buffer = _buffer_os()
     model = ChannelModel()  # perfect rates
-    pages = buffer.page_vaddrs()
     (va, vb), attempts, (pa, pb) = select_hammer_pair(
-        os_model, pages, model, random.Random(2))
+        key_buffer(buffer, os_model.dram.geometry), model, random.Random(2))
     assert attempts >= 1
     # The physical pair is the one timed: the pages' frames, at offset 0.
     assert (pa, pb) == (os_model.translate(va) * PAGE_SIZE,
@@ -183,12 +186,13 @@ def test_select_hammer_pair_exhausts_on_single_row():
     os_model, buffer = _buffer_os()
     # First two pages of a chunk share one row: no true conflict exists,
     # and a perfect channel never misclassifies one into existence.
-    pages = buffer.page_vaddrs()[:2]
+    geo = os_model.dram.geometry
     with pytest.raises(PairSelectionError):
-        select_hammer_pair(os_model, pages, ChannelModel(),
+        select_hammer_pair(key_buffer(first_pages(buffer, 2), geo), ChannelModel(),
                            random.Random(0), max_attempts=64)
     with pytest.raises(PairSelectionError):
-        select_hammer_pair(os_model, pages[:1], ChannelModel(), random.Random(0))
+        select_hammer_pair(key_buffer(first_pages(buffer, 1), geo), ChannelModel(),
+                           random.Random(0))
 
 
 def test_sample_latency_rejects_unmapped():
@@ -196,3 +200,74 @@ def test_sample_latency_rejects_unmapped():
     with pytest.raises(ChannelError):
         sample_latency(os_model, 0xDEAD000, 0xBEEF000, ChannelModel(),
                        random.Random(0))
+
+
+# --- the per-sample reference ---
+
+# A perfect channel, and one that misreads both kinds of pair.
+RATES = (ChannelModel(), ChannelModel(p_high_given_conflict=0.7, p_low_given_other=0.9))
+
+
+def _selection(select, pages, model, seed: int, max_attempts: int):
+    rng = random.Random(seed)
+    try:
+        result = select(pages, model, rng, max_attempts=max_attempts)
+    except PairSelectionError as exc:
+        result = ("exhausted", exc.attempts)
+    return result, rng.getstate()
+
+
+def assert_selection_matches_reference(os_model, buffer, seeds=range(3)):
+    """select_hammer_pair on the buffer keyed once against the per-sample
+    reference: the same result or exhaustion, and the same generator state,
+    for every page count 2..40 and the whole buffer."""
+    geo = os_model.dram.geometry
+    reference = partial(reference_select_pair, os_model)
+    counts = sum(chunk.page_count() for chunk in buffer.chunks)
+    for n in [*range(2, min(40, counts) + 1), counts]:
+        cut = first_pages(buffer, n)
+        pages = key_buffer(cut, geo)
+        for model in RATES:
+            for seed in seeds:
+                for max_attempts in (3, 200):
+                    got = _selection(select_hammer_pair, pages, model, seed, max_attempts)
+                    want = _selection(reference, list(buffer_pages(cut)), model, seed, max_attempts)
+                    assert got == want, (n, model, seed, max_attempts)
+
+
+@pytest.mark.parametrize("profile,driver", [("dell", "video"), ("lenovo", "sg")])
+def test_selection_matches_reference_on_profiles(profile, driver):
+    os_model, placement = full_placement(profile, driver, 7)
+    assert_selection_matches_reference(os_model, placement.buffer)
+
+
+def test_selection_matches_reference_on_one_sg_open(tmp_path):
+    ini = tmp_path / "one_open.ini"
+    ini.write_text("[attack]\nsg_opens = 1\n")
+    os_model, placement = full_placement(load_profile(str(ini)), "sg", 7)
+    assert len(placement.buffer.chunks) == 1
+    assert_selection_matches_reference(os_model, placement.buffer, seeds=range(10))
+
+
+@pytest.mark.parametrize("name", sorted(ODD_GEOMETRIES))
+def test_selection_matches_reference_on_odd_geometries(name):
+    os_model, placement = small_attack_sim(geometry=ODD_GEOMETRIES[name], seed=1)
+    assert_selection_matches_reference(os_model, placement.buffer)
+
+
+@pytest.mark.parametrize("geo", [AUX_GEOMETRY, dell_geometry()], ids=["aux", "dell"])
+def test_selection_matches_reference_on_unaligned_chunks(geo):
+    # Chunks at unaligned frames of any length, as no driver places them:
+    # the keyed blocks split them at every alignment.
+    pages = geo.capacity // PAGE_SIZE
+    rng = random.Random(5)
+    for _ in range(3):
+        os_model = OsModel(Dram(geo), BuddyState([Partition("kernel", 0, PAGE_SIZE)]))
+        chunks = []
+        for _ in range(rng.randrange(1, 4)):
+            count = rng.randrange(1, min(pages, 300))
+            block = Block("kernel", rng.randrange(pages - count + 1), count, "video_buffer")
+            chunks.append(BufferChunk(block, count * PAGE_SIZE))
+        buffer = DoubleOwnedBuffer("video", chunks)
+        os_model.map_buffer(buffer)
+        assert_selection_matches_reference(os_model, buffer, seeds=range(2))
