@@ -120,21 +120,18 @@ def sample_latency_phys(addr_a: int, addr_b: int, geometry: DramGeometry,
     return LatencySample(cycles, cycles >= model.threshold_cycles, truth)
 
 
-def _index_pair(getrandbits, n: int) -> tuple[int, int]:
-    """random.Random.sample(range(n), 2) from the same getrandbits calls.
-    Each index is rejection-sampled below its bound.  Up to 21 items the
-    second index is drawn below n - 1 from a pool whose slot i now holds
-    n - 1; above that, a repeat of i is redrawn."""
-    bits = n.bit_length()
-    i = getrandbits(bits)
-    while i >= n:
-        i = getrandbits(bits)
-    bound = n - 1 if n <= 21 else n
-    bits = bound.bit_length()
-    j = getrandbits(bits)
-    while j >= bound or (bound == n and j == i):
-        j = getrandbits(bits)
-    return i, n - 1 if j == i else j
+def _index_pair(rng: random.Random, n: int) -> tuple[int, int]:
+    """The indexes rng.sample(range(n), 2) draws, from the same randrange
+    calls: up to 21 items the second is drawn from the n - 1 left once the
+    last item fills the first's slot; above that, a repeat is redrawn."""
+    i = rng.randrange(n)
+    if n <= 21:
+        j = rng.randrange(n - 1)
+        return i, n - 1 if j == i else j
+    j = rng.randrange(n)
+    while j == i:
+        j = rng.randrange(n)
+    return i, j
 
 
 def select_hammer_pair(pages: KeyedPages, model: ChannelModel, rng: random.Random, *,
@@ -150,7 +147,7 @@ def select_hammer_pair(pages: KeyedPages, model: ChannelModel, rng: random.Rando
     if len(keys) < 2:
         raise PairSelectionError("need at least two pages to time")
     for attempt in range(1, max_attempts + 1):
-        i, j = _index_pair(rng.getrandbits, len(keys))
+        i, j = _index_pair(rng, len(keys))
         truth = _row_conflict(keys[i], keys[j], rows)
         if _draw_cycles(truth, model, rng) >= model.threshold_cycles:
             (va, pfn_a), (vb, pfn_b) = pages.page(i), pages.page(j)

@@ -37,11 +37,13 @@ from hammersim.os_model import (
     SG_MAX_BYTES,
     DriverLimitError,
     OsModel,
+    OsModelError,
     PhysicalMemory,
     PteEntry,
     VmaLimitError,
     cred_pattern,
 )
+from hammersim.timing_channel import key_buffer
 
 from helpers import (FrameMemory, buffer_pages, full_placement, simple_mapping,
                      table_windows, user_pte, windows)
@@ -724,6 +726,8 @@ def test_map_buffer_exposes_chunk_pages():
     buffer = os_model.open_video(2)
     assert not buffer.user_mapped
     assert all(chunk.vbase is None for chunk in buffer.chunks)
+    with pytest.raises(OsModelError, match="not user mapped"):
+        key_buffer(buffer, os_model.dram.geometry)
     os_model.map_buffer(buffer)
     assert buffer.user_mapped
     vaddrs = list(buffer_pages(buffer))
