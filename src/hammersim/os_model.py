@@ -225,6 +225,12 @@ class PhysicalMemory(Mapping):
         return page
 
     def read(self, addr: int, length: int) -> bytes:
+        """The bytes at addr.  A whole base page is its shared object; only
+        a read that crosses a page boundary joins chunks."""
+        pfn, off = divmod(addr, PAGE_SIZE)
+        if off + length <= PAGE_SIZE:
+            page = self.private.get(pfn) or self._base_page(pfn) or ZERO_PAGE
+            return bytes(page[off : off + length])
         chunks = []
         end = addr + length
         while addr < end:
@@ -260,7 +266,11 @@ class PhysicalMemory(Mapping):
             pos += n
 
     def write_u64(self, addr: int, value: int) -> None:
-        self.write(addr, _U64.pack(value))
+        pfn, off = divmod(addr, PAGE_SIZE)
+        if off > PAGE_SIZE - 8:
+            return self.write(addr, _U64.pack(value))
+        _U64.pack_into(self._page(pfn), off, value)
+        self._mark(pfn, off, off + 8)
 
     def flip_bit(self, addr: int, bit: int, direction: str) -> bool:
         """Apply a disturbance flip; returns False when the cell's pull
@@ -452,15 +462,15 @@ class OsModel:
             number = (vpage - MAP_BASE) // PT_SPAN
             if not 0 <= number < len(self._pt_pfns):
                 return None
-            idx = vpage // PAGE_SIZE % PTES_PER_PAGE
-            entry = self._pt_pfns[number] * PAGE_SIZE + idx * PTE_SIZE
-            raw = self.memory.read_u64(entry)
+            table, memory = self._pt_pfns[number], self.memory
+            entry = vpage // PAGE_SIZE % PTES_PER_PAGE * PTE_SIZE
+            raw = _U64.unpack_from(memory[table], entry)[0]
             if not raw & PTE_PRESENT:
                 # A file-backed access through a non-present entry takes a
                 # minor fault; the kernel reinstalls the mapping from the
                 # file, healing whatever cleared the bit.
                 raw = _user_pte(self._file_pfn(vpage))
-                self.memory.write_u64(entry, raw)
+                memory.write_u64(table * PAGE_SIZE + entry, raw)
             pfn = (raw >> PTE_PFN_SHIFT) & PTE_PFN_MASK
         tlb[vpage] = pfn
         return pfn
@@ -491,7 +501,10 @@ class OsModel:
         return addr is not None
 
     def write_u64_virtual(self, vaddr: int, value: int) -> bool:
-        return self.write_virtual(vaddr, _U64.pack(value))
+        addr = self._phys_addr(vaddr, 8)
+        if addr is not None:
+            self.memory.write_u64(addr, value)
+        return addr is not None
 
     # -- marker scan ----------------------------------------------------------
 

@@ -11,8 +11,10 @@ oracle sweeps every mapped page linearly instead of consulting the dirty
 index, the per-frame maps expand table runs and buffer chunks frame by
 frame where the OS model bisects runs, the per-frame memory keeps one
 dict entry for every backed frame where physical memory keeps pristine
-frames as runs, and the reference pair selection translates and keys both
-pages of every draw where the package keys the buffer once per trial.
+frames as runs, the reference pair selection translates and keys both
+pages of every draw where the package keys the buffer once per trial, and
+the reference escalation searches every frame's page for the record where
+the package searches each distinct page content once.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from hammersim.dram_model import (
 from hammersim import exploit, harness
 from hammersim.harness import CSV_COLUMNS, HarnessError, TrialReport, build_sim
 from hammersim.os_model import (MARKER, PROBE_PTE, PT_SPAN, BufferChunk, DoubleOwnedBuffer,
-                                OsModel, PteEntry, _user_pte)
+                                OsModel, PteEntry, _user_pte, cred_pattern)
 from hammersim.timing_channel import (ChannelError, ChannelModel, LatencySample,
                                       PairSelectionError, sample_latency_phys)
 from hammersim.profiles import ProfileError, get_profile
@@ -753,6 +755,28 @@ def reference_select_pair(os_model: OsModel, page_vaddrs: list[int], model: Chan
         f"no conflicting pair classified within {max_attempts} attempts", max_attempts)
 
 
+def reference_escalate(os_model: OsModel, va: int, vb: int, pid: int) -> bool:
+    """escalate_root frame by frame: every frame's page is searched for the
+    record anew, look-alikes zeroed, checked and restored in turn."""
+    cred = os_model.creds[pid]
+    pattern = cred_pattern(cred.uid)
+    probe_addr = va + exploit.PROBE_ENTRY_INDEX * 8
+    for pfn in os_model.memory.backed_pfns():
+        os_model.write_u64_virtual(probe_addr, _user_pte(pfn))
+        os_model.flush_tlb()
+        page = os_model.read_virtual(vb, PAGE_SIZE)
+        if page is None:
+            continue
+        offset = page.find(pattern)
+        while offset >= 0:
+            os_model.write_virtual(vb + offset, struct.pack("<I", 0))
+            if os_model.getuid(pid) == 0:
+                return True
+            os_model.write_virtual(vb + offset, struct.pack("<I", cred.uid))
+            offset = page.find(pattern, offset + 4)
+    return False
+
+
 def first_pages(buffer: DoubleOwnedBuffer, n: int) -> DoubleOwnedBuffer:
     """The mapped buffer cut to its first n pages, chunk by chunk."""
     chunks = []
@@ -768,7 +792,8 @@ def first_pages(buffer: DoubleOwnedBuffer, n: int) -> DoubleOwnedBuffer:
 def run_trial(profile, seed: int, *, reference: bool = False, **kwargs):
     """harness.run_single_trial for one trial seed; returns the CSV row, the
     trial's OS model and its hammered buffer (None without hammer rounds).
-    With reference, each round's pair comes from reference_select_pair."""
+    With reference, each round's pair comes from reference_select_pair and
+    a capture escalates through reference_escalate."""
     hammer_loop, seen = harness.hammer_loop, []
 
     def loop(os_model, buffer, *args, **kw):
@@ -780,7 +805,8 @@ def run_trial(profile, seed: int, *, reference: bool = False, **kwargs):
             return reference_select_pair(os_model, list(buffer_pages(pages.buffer)), model, rng,
                                          max_attempts=max_attempts)
 
-        with mock.patch.object(exploit, "select_hammer_pair", select):
+        with (mock.patch.object(exploit, "select_hammer_pair", select),
+              mock.patch.object(exploit, "escalate_root", reference_escalate)):
             return hammer_loop(os_model, buffer, *args, **kw)
 
     with mock.patch.object(harness, "hammer_loop", loop):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import random
+import struct
 
 import pytest
 from hypothesis import settings
@@ -118,6 +119,24 @@ def test_writes_and_flips_mark_dirty_table_entries():
     assert mem.dirty == {3: {6}}
 
 
+@pytest.mark.parametrize("offset,marked", [
+    (16, {2: {6}}),  # aligned: one entry
+    (13, {1: {6}, 2: {6}}),  # unaligned within the page: two entries
+    (PAGE_SIZE - 3, {511: {6}, 0: {7}}),  # across into the next table
+], ids=["aligned", "unaligned", "crossing"])
+def test_write_u64_writes_and_marks_like_write(offset, marked):
+    template = bytes(range(256)) * 16
+    mem, ref = PhysicalMemory(), PhysicalMemory()
+    for memory in (mem, ref):
+        # Frames 10..13 are the tables of windows 5..8.
+        memory.map_runs([(10, 14, 5, (template,))])
+    addr, value = 11 * PAGE_SIZE + offset, 0x0123_4567_89AB_CDEF
+    mem.write_u64(addr, value)
+    ref.write(addr, struct.pack("<Q", value))
+    assert mem.private == ref.private and mem.read_u64(addr) == value
+    assert mem.dirty == ref.dirty == marked
+
+
 def test_map_runs_rejects_rows_over_the_base():
     mem = PhysicalMemory()
     template = bytes(range(256)) * 16
@@ -199,6 +218,11 @@ def test_two_layer_memory_matches_per_frame_reference(seed):
             a = addr()
             assert mem.read_u64(a) == ref.read_u64(a)
             assert mem.read(a, 20) == ref.read(a, 20)
+        # A whole page and a range inside one, unbacked frames included.
+        pfn = rng.randrange(frames + 2)
+        assert mem.read(pfn * PAGE_SIZE, PAGE_SIZE) == ref.read(pfn * PAGE_SIZE, PAGE_SIZE)
+        a = pfn * PAGE_SIZE + rng.randrange(PAGE_SIZE - 256)
+        assert mem.read(a, 256) == ref.read(a, 256)
         assert mem.backed_pfns() == ref.backed_pfns()
         assert len(mem.pages) == len(ref.pages)
     assert mem.pages == ref.pages and ref.pages == mem.pages
@@ -206,6 +230,15 @@ def test_two_layer_memory_matches_per_frame_reference(seed):
     # Frames never changed still share their run's page object.
     shared = [pfn for pfn, page in ref.pages.items() if type(page) is bytes]
     assert shared and all(mem.pages[pfn] is ref.pages[pfn] for pfn in shared)
+    # A whole shared page reads as its object; an unbacked one as zeros.
+    assert all(mem.read(pfn * PAGE_SIZE, PAGE_SIZE) is ref.pages[pfn] for pfn in shared)
+    assert mem.read((frames + 9) * PAGE_SIZE, PAGE_SIZE) == bytes(PAGE_SIZE)
+    # Bytes read from a private frame keep their value when it is written.
+    pfn = next(pfn for pfn, page in ref.pages.items() if type(page) is bytearray)
+    whole, part = mem.read(pfn * PAGE_SIZE, PAGE_SIZE), mem.read(pfn * PAGE_SIZE + 96, 64)
+    expected = ref.read(pfn * PAGE_SIZE, PAGE_SIZE), ref.read(pfn * PAGE_SIZE + 96, 64)
+    mem.write(pfn * PAGE_SIZE + 64, bytes(x ^ 0xFF for x in expected[0][64:192]))
+    assert (whole, part) == expected and mem.read(pfn * PAGE_SIZE + 96, 64) != part
     assert templates == saved
 
 
