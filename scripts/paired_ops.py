@@ -8,15 +8,17 @@ side by side under their own names, and op i of the workload runs on A and
 on B in turn, A first on even ops and B first on odd ones, so slow host
 phases land on both sides alike.  Each op's report line must be the same
 on both sides.  The output is the median per-op time of each side, the
-median over ops of the ratio B/A, and the ratio of the summed op times B/A,
-which is what a throughput such as ``bench/run.py``'s ``ops_per_s`` follows
+median over ops of the ratio B/A, and the ratio of the summed times B/A
 (a few slow ops weigh more in it than in the median).  Ops that escalate
 cost far more than the rest and dominate the sum, so ``scan`` also reports
 its capture and non-capture batches apart, and ``exploit`` its root trials
 and all other trials.
 
-Preparing an op (a ``scan`` episode build) is not timed, as in
-``bench/run.py``.  Nothing under either checkout is written.
+Preparing an op is timed apart from running it.  ``bench/run.py`` leaves a
+``scan`` episode build out of the per-op times but counts it in
+``ops_per_s``, so ``scan`` reports its builds as a ``prepare`` row, and the
+``all`` row's summed ratio counts them with the ops: that ratio is what
+``ops_per_s`` follows.  Nothing under either checkout is written.
 """
 
 from __future__ import annotations
@@ -60,14 +62,17 @@ def _exec(spec):
 
 
 def _timed(workload, index: int):
-    workload.prepare(index)
+    """(prepare seconds, run seconds, record) of op index."""
     t0 = perf_counter()
+    workload.prepare(index)
+    t1 = perf_counter()
     record = workload.run(index)
-    return perf_counter() - t0, record
+    return t1 - t0, perf_counter() - t1, record
 
 
-# Groups an op can report in beside "all", in print order.
-GROUP_ORDER = ("non-capture", "capture", "other", "root")
+# Groups a row can report in beside "all", in print order; "prepare" rows
+# are episode builds, not ops.
+GROUP_ORDER = ("non-capture", "capture", "other", "root", "prepare")
 
 
 def _group(name: str, record, hs) -> str | None:
@@ -80,25 +85,32 @@ def _group(name: str, record, hs) -> str | None:
 
 
 def run_pairs(sides, name: str, seed: int, ops: int):
-    """Per op: (A seconds, B seconds, its group label or None); raises
-    AssertionError on the first op whose report differs."""
+    """Rows of (A seconds, B seconds, label): one per op, labelled with its
+    group or None, after a "prepare" row when the op's preparation builds
+    a scan episode.  Raises AssertionError on the first op whose report
+    differs."""
     work = [workloads.make(name, hs, seed) for hs, workloads in sides]
     rows = []
     for index in range(ops):
+        builds = name == "scan" and work[0].episode is None
         order = (0, 1) if index % 2 == 0 else (1, 0)
         results = [None, None]
         for side in order:
             results[side] = _timed(work[side], index)
-        (time_a, record_a), (time_b, record_b) = results
+        (prep_a, time_a, record_a), (prep_b, time_b, record_b) = results
         text_a, text_b = (w.report([r]) for w, r in zip(work, (record_a, record_b)))
         if text_a != text_b:
             raise AssertionError(f"op {index} differs:\nA: {text_a}\nB: {text_b}")
+        if builds:
+            rows.append((prep_a, prep_b, "prepare"))
         rows.append((time_a, time_b, _group(name, record_a, sides[0][0])))
     return rows
 
 
 def summary(rows) -> list[str]:
-    groups = {"all": rows}
+    """The table: "all" gives the medians of the ops and the summed ratio
+    of every row, episode builds included; each group its own rows."""
+    groups = {"all": [r for r in rows if r[2] != "prepare"]}
     for label in GROUP_ORDER:
         groups[label] = [r for r in rows if r[2] == label]
     lines = [f"{'ops':>15} {'A p50 ms':>9} {'B p50 ms':>9} {'B/A p50':>8} {'B/A sum':>8}"]
@@ -108,7 +120,8 @@ def summary(rows) -> list[str]:
         a = statistics.median(r[0] for r in group) * 1e3
         b = statistics.median(r[1] for r in group) * 1e3
         ratio = statistics.median(r[1] / r[0] for r in group)
-        total = sum(r[1] for r in group) / sum(r[0] for r in group)
+        summed = rows if label == "all" else group
+        total = sum(r[1] for r in summed) / sum(r[0] for r in summed)
         lines.append(f"{label:<11}{len(group):>4} {a:9.3f} {b:9.3f} {ratio:8.3f} {total:8.3f}")
     return lines
 

@@ -316,6 +316,8 @@ def run_single_trial(
         raise HarnessError(f"unknown driver {driver!r}")
     if rounds_cap is not None and rounds_cap < 0:
         raise HarnessError("rounds_cap must be >= 0")
+    if mitigation and strategy != STRATEGY_AMBUSH:
+        raise HarnessError(f"strategy {strategy!r} has no guarded placement")
     if strategy == STRATEGY_AMBUSH:
         return _run_ambush_trial(
             profile,

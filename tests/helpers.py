@@ -56,8 +56,8 @@ from hammersim.dram_model import (
 )
 from hammersim import exploit, harness
 from hammersim.harness import CSV_COLUMNS, HarnessError, TrialReport, build_sim
-from hammersim.os_model import (MARKER, PROBE_PTE, PT_SPAN, BufferChunk, DoubleOwnedBuffer,
-                                OsModel, PteEntry, _user_pte, cred_pattern)
+from hammersim.os_model import (MARKER, PROBE_PTE, PT_SPAN, PTE_SIZE, BufferChunk,
+                                DoubleOwnedBuffer, OsModel, PteEntry, _user_pte, cred_pattern)
 from hammersim.timing_channel import (ChannelError, ChannelModel, LatencySample,
                                       PairSelectionError, sample_latency_phys)
 from hammersim.profiles import ProfileError, get_profile
@@ -169,15 +169,25 @@ def table_windows(os_model: OsModel) -> dict[int, int]:
 class FrameMemory:
     """Per-frame reference physical memory: a dict entry for every backed
     frame, holding a shared immutable page until its first change gives
-    the frame a private bytearray; unbacked frames read as zeros."""
+    the frame a private bytearray; unbacked frames read as zeros.  Every
+    table frame has its own window-number entry, and each byte written or
+    flipped in one marks its entry in dirty."""
 
     def __init__(self) -> None:
         self.pages: dict[int, bytes | bytearray] = {}
+        self.windows: dict[int, int] = {}  # table frame -> window number
+        self.dirty: dict[int, set[int]] = {}
 
     def map_runs(self, rows) -> None:
         """Rows as PhysicalMemory.map_runs takes them, frame by frame."""
-        for start, stop, _, pages in rows:
+        for start, stop, first, pages in rows:
             self.pages.update(zip(range(start, stop), cycle(pages)))
+            if first is not None:
+                self.windows.update(zip(range(start, stop), range(first, first + stop - start)))
+
+    def _mark(self, pfn: int, off: int) -> None:
+        if pfn in self.windows:
+            self.dirty.setdefault(off // PTE_SIZE, set()).add(self.windows[pfn])
 
     def _page(self, pfn: int) -> bytearray:
         page = self.pages.get(pfn)
@@ -198,6 +208,7 @@ class FrameMemory:
         for i, byte in enumerate(data):
             pfn, off = divmod(addr + i, PAGE_SIZE)
             self._page(pfn)[off] = byte
+            self._mark(pfn, off)
 
     def write_u64(self, addr: int, value: int) -> None:
         self.write(addr, struct.pack("<Q", value))
@@ -208,6 +219,7 @@ class FrameMemory:
             return False
         pfn, off = divmod(addr, PAGE_SIZE)
         self._page(pfn)[off] ^= 1 << bit
+        self._mark(pfn, off)
         return True
 
     def backed_pfns(self) -> list[int]:

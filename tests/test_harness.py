@@ -523,6 +523,18 @@ def test_cli_rejects_negative_rounds_cap(ini_path, capsys):
     assert "error: rounds_cap must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("strategy", ["spray", "feng_shui"])
+def test_cli_rejects_mitigation_on_a_baseline_strategy(ini_path, capsys, strategy):
+    # A baseline placement has no guard rows; running it unguarded and
+    # reporting mitigation 0 would pass off a different experiment.
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--profile", ini_path, "--strategy", strategy, "--mitigation"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: strategy {strategy!r} has no guarded placement\n"
+
+
 def test_cli_run_counts_the_attempts_of_a_failed_pair_selection(ini_path, capsys):
     # A channel that never reads a conflict times the whole attempt cap in
     # the first round; the report counts every one of those attempts.

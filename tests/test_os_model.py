@@ -225,6 +225,7 @@ def test_two_layer_memory_matches_per_frame_reference(seed):
         assert mem.read(a, 256) == ref.read(a, 256)
         assert mem.backed_pfns() == ref.backed_pfns()
         assert len(mem.pages) == len(ref.pages)
+        assert mem.dirty == ref.dirty
     assert mem.pages == ref.pages and ref.pages == mem.pages
     assert dict(mem.pages) == ref.pages
     # Frames never changed still share their run's page object.

@@ -26,6 +26,30 @@ def test_paired_ops_runs_a_checkout_against_itself():
     assert float(a_ms) > 0 and float(b_ms) > 0 and float(ratio) > 0 and float(total) > 0
 
 
+def load_script():
+    spec = importlib.util.spec_from_file_location("paired_ops", ROOT / "scripts" / "paired_ops.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def test_paired_ops_times_scan_episode_builds_as_their_own_row():
+    # Op 0 opens the first episode: one build, timed on both sides.
+    lines = paired_ops("--workload", "scan", "--ops", "2")
+    assert lines[0] == "scan: seed 2026, 2 ops per side, reports equal"
+    table = [line.split() for line in lines[-3:]]
+    assert [row[:2] for row in table] == [["all", "2"], ["non-capture", "2"], ["prepare", "1"]]
+    assert all(float(value) > 0 for row in table for value in row[2:])
+
+    # The all row's medians are over ops, its summed ratio over builds too.
+    rows = [(2.0, 1.0, "prepare"), (1.0, 1.0, "non-capture"), (1.0, 1.0, "non-capture")]
+    table = [line.split() for line in load_script().summary(rows)[1:]]
+    assert [(row[0], row[1], row[2], row[4], row[5]) for row in table] == [
+        ("all", "2", "1000.000", "1.000", "0.750"),
+        ("non-capture", "2", "1000.000", "1.000", "1.000"),
+        ("prepare", "1", "2000.000", "0.500", "0.500")]
+
+
 def test_paired_ops_splits_exploit_trials_by_outcome():
     # Two exploit trials of seed 2026, neither reaching root: an "other"
     # row beside "all", and no empty "root" row.
@@ -33,11 +57,8 @@ def test_paired_ops_splits_exploit_trials_by_outcome():
     assert lines[0] == "exploit: seed 2026, 2 ops per side, reports equal"
     assert [line.split()[:2] for line in lines[-2:]] == [["all", "2"], ["other", "2"]]
 
-    spec = importlib.util.spec_from_file_location("paired_ops", ROOT / "scripts" / "paired_ops.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
     rows = [(1.0, 0.5, "other"), (1.0, 0.5, "other"), (4.0, 4.0, "root")]
-    table = [line.split() for line in script.summary(rows)[1:]]
+    table = [line.split() for line in load_script().summary(rows)[1:]]
     assert [(row[0], row[1], row[4], row[5]) for row in table] == [
         ("all", "3", "0.500", "0.833"), ("other", "2", "0.500", "0.500"),
         ("root", "1", "1.000", "1.000")]
