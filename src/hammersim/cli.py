@@ -36,7 +36,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--driver", choices=DRIVERS, default=DRIVER_VIDEO,
                         help="double-owned buffer driver")
     parser.add_argument("--threshold-bytes", type=int, default=None,
-                        help="memory threshold override in bytes")
+                        help="memory threshold override in bytes (ambush only)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--mitigation", action="store_true",
                        help="reserve guard rows around device buffers")
     run_p.add_argument("--rounds-cap", type=int, default=None,
-                       help="hammer rounds per trial (0 = placement only)")
+                       help="hammer rounds per trial, 0 = placement only (ambush only)")
     run_p.add_argument("--output", default=None,
                        help="write the report here instead of stdout")
     run_p.add_argument("--format", choices=("csv", "text"), default="csv")

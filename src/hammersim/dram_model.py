@@ -12,19 +12,22 @@ DramGeometry builds the map once as one square GF(2) matrix: the packed
 coordinate (column, row, bank, rank, dimm from the low end) of every
 physical-address bit.  Its inverse comes from Gauss-Jordan elimination, so
 a selector set that is not a bijection raises MappingError.
-map_phys_to_dram, unmap_dram_to_phys, row_key_of and packed_row_keys read
-only these two matrices, through 8-bit slice lookup tables; packed_row_keys
-reads the forward matrix's page-number bits with the column already
-shifted out.  A packed row key is one int per (dimm, rank, bank, row) and
-the package's one name for a row: its bank is key // rows_per_bank, and
-its in-bank neighbours are key +/- 1.  Because the map is linear, the pages of an aligned block
-of 2**k pages touch the rows of its first page XOR one fixed set of keys,
-so packed_row_keys takes page runs and works per block, not per page.
+map_phys_to_dram, row_key_of and packed_row_keys read the forward matrix
+and Dram.hammer the inverse, through 8-bit slice lookup tables;
+packed_row_keys reads the forward matrix's page-number bits with the
+column already shifted out.  A packed row key is one int per (dimm, rank,
+bank, row) and the package's one name for a row: its bank is
+key // rows_per_bank, and its in-bank neighbours are key +/- 1.  Because
+the map is linear, the pages of an aligned block of 2**k pages touch the
+rows of its first page XOR one fixed set of keys, so packed_row_keys takes
+page runs and works per block, not per page.
 
 Hammering is cell-granular and seeded.  A row only disturbs its neighbours
 when it is re-activated repeatedly, which requires a row-buffer conflict:
 two aggressor rows in the same bank.  Flips are drawn per vulnerable cell
 with probability scaled by the single-sided multiplier and activation dose.
+A cell is a column and bit under its row key; a fired cell's address is
+the inverse map of its packed coordinate, key * row_size + column.
 """
 
 from __future__ import annotations
@@ -265,16 +268,6 @@ class DramGeometry:
             * self.row_size
         )
 
-    def validate_coord(self, coord: DramCoord) -> None:
-        if not (
-            0 <= coord.dimm < self.dimms
-            and 0 <= coord.rank < self.ranks_per_dimm
-            and 0 <= coord.bank < self.banks_per_rank
-            and 0 <= coord.row < self.rows_per_bank
-            and 0 <= coord.column < self.row_size
-        ):
-            raise AddressRangeError(f"coordinate out of bounds: {coord}")
-
     def row_key_of(self, addr: int) -> int:
         """Packed row key of the row holding physical byte addr."""
         if addr < 0 or addr >= self.capacity:
@@ -351,16 +344,6 @@ def map_phys_to_dram(addr: int, geometry: DramGeometry) -> DramCoord:
     return DramCoord(*geometry.unpack_row_key(key), column)
 
 
-def unmap_dram_to_phys(coord: DramCoord, geometry: DramGeometry) -> int:
-    """Inverse of map_phys_to_dram."""
-    geometry.validate_coord(coord)
-    g = geometry
-    key = coord.dimm * g.ranks_per_dimm + coord.rank
-    key = key * g.banks_per_rank + coord.bank
-    key = key * g.rows_per_bank + coord.row
-    return _apply(g._inverse, key * g.row_size + coord.column)
-
-
 def page_row_keys(pfn: int, geometry: DramGeometry) -> set[tuple[int, int, int, int]]:
     """All (dimm, rank, bank, row) keys a 4 KiB page touches."""
     return {geometry.unpack_row_key(key)
@@ -369,9 +352,10 @@ def page_row_keys(pfn: int, geometry: DramGeometry) -> set[tuple[int, int, int, 
 
 @dataclass(frozen=True)
 class VulnCell:
-    """One flippable cell with its firing probability and direction."""
+    """One flippable cell of a row: its column and bit, firing probability
+    and direction."""
 
-    coord: DramCoord
+    column: int
     bit: int
     probability: float
     direction: str
@@ -455,8 +439,7 @@ class VulnerabilityMap:
                     col = rng.randrange(self.geometry.row_size)
                     bit = rng.randrange(8)
                     direction = rng.choice(FLIP_DIRECTIONS)
-                    made.append(VulnCell(DramCoord(*row_key, col), bit,
-                                         cal.cell_probability, direction))
+                    made.append(VulnCell(col, bit, cal.cell_probability, direction))
                 cells = tuple(made)
         self._cache[key] = cells
         return cells
@@ -488,7 +471,6 @@ class InjectedFlip:
     addr: int
     bit: int
     direction: str
-    coord: DramCoord
 
 
 class Dram:
@@ -553,10 +535,10 @@ class Dram:
                     p = min(1.0, cell.probability * mult * dose_factor)
                     if rng.random() >= p:
                         continue
-                    ident = (victim, cell.coord.column, cell.bit)
+                    ident = (victim, cell.column, cell.bit)
                     if ident in fired:
                         continue
                     fired.add(ident)
-                    addr = unmap_dram_to_phys(cell.coord, geometry)
-                    flips.append(InjectedFlip(addr, cell.bit, cell.direction, cell.coord))
+                    addr = _apply(geometry._inverse, victim * geometry.row_size + cell.column)
+                    flips.append(InjectedFlip(addr, cell.bit, cell.direction))
         return flips

@@ -316,19 +316,18 @@ def run_single_trial(
         raise HarnessError(f"unknown driver {driver!r}")
     if rounds_cap is not None and rounds_cap < 0:
         raise HarnessError("rounds_cap must be >= 0")
-    if mitigation and strategy != STRATEGY_AMBUSH:
-        raise HarnessError(f"strategy {strategy!r} has no guarded placement")
-    if strategy == STRATEGY_AMBUSH:
-        return _run_ambush_trial(
-            profile,
-            trial_seed,
-            driver=driver,
-            threshold_bytes=threshold_bytes,
-            mitigation=mitigation,
-            rounds_cap=rounds_cap,
-        )
-    return _run_baseline_trial(
-        profile, trial_seed, strategy=strategy, driver=driver
+    if strategy != STRATEGY_AMBUSH:
+        if mitigation or threshold_bytes is not None or rounds_cap is not None:
+            raise HarnessError(f"strategy {strategy!r} takes no mitigation, "
+                               "threshold_bytes or rounds_cap (ambush only)")
+        return _run_baseline_trial(profile, trial_seed, strategy=strategy, driver=driver)
+    return _run_ambush_trial(
+        profile,
+        trial_seed,
+        driver=driver,
+        threshold_bytes=threshold_bytes,
+        mitigation=mitigation,
+        rounds_cap=rounds_cap,
     )
 
 

@@ -2,19 +2,22 @@
 
 These deliberately recompute behavior through different mechanisms than
 the package: the mapping oracle folds selector bits with numpy over every
-address, the bitmap allocator tracks a free bitmap as one big integer
-instead of per-order free lists, the reference preload carves by trial and
-error where the package tests bitmasks of free pages, the reference hammer
-groups decoded (dimm, rank, bank, row) coordinates where the package
-compares packed row keys, the verification
-oracle sweeps every mapped page linearly instead of consulting the dirty
-index, the per-frame maps expand table runs and buffer chunks frame by
-frame where the OS model bisects runs, the per-frame memory keeps one
-dict entry for every backed frame where physical memory keeps pristine
-frames as runs, the reference pair selection translates and keys both
-pages of every draw where the package keys the buffer once per trial, and
-the reference escalation searches every frame's page for the record where
-the package searches each distinct page content once.
+address, the coordinate inverse takes a five-field (dimm, rank, bank, row,
+column) coordinate where the package names a cell by row key and column,
+the bitmap allocator tracks a free bitmap as one big integer instead of
+per-order free lists, the reference preload carves by trial and error
+where the package tests bitmasks of free pages, the reference hammer
+groups decoded (dimm, rank, bank, row) coordinates and decodes fired cells
+through that inverse where the package compares packed row keys, the
+verification oracle sweeps every mapped page linearly instead of
+consulting the dirty index, the per-frame maps expand table runs and
+buffer chunks frame by frame where the OS model bisects runs, the
+per-frame memory keeps one dict entry for every backed frame where
+physical memory keeps pristine frames as runs, the reference pair
+selection translates and keys both pages of every draw where the package
+keys the buffer once per trial, and the reference escalation searches
+every frame's page for the record where the package searches each
+distinct page content once.
 """
 
 from __future__ import annotations
@@ -42,17 +45,19 @@ from hammersim.dram_model import (
     FLIP_ONE_TO_ZERO,
     FLIP_ZERO_TO_ONE,
     PAGE_SIZE,
+    AddressRangeError,
     Dram,
+    DramCoord,
     DramGeometry,
     InjectedFlip,
     MappingSpec,
     VulnCalibration,
     VulnerabilityMap,
+    _apply,
     aligned_blocks,
     map_phys_to_dram,
     page_row_keys,
     rows_size_per_row_index,
-    unmap_dram_to_phys,
 )
 from hammersim import exploit, harness
 from hammersim.harness import CSV_COLUMNS, HarnessError, TrialReport, build_sim
@@ -130,6 +135,26 @@ def pack_row_key(geometry: DramGeometry, dimm: int, rank: int, bank: int,
     return key * geometry.rows_per_bank + row
 
 
+def validate_coord(coord: DramCoord, geometry: DramGeometry) -> None:
+    """Raise AddressRangeError unless every field of coord is in range."""
+    if not (
+        0 <= coord.dimm < geometry.dimms
+        and 0 <= coord.rank < geometry.ranks_per_dimm
+        and 0 <= coord.bank < geometry.banks_per_rank
+        and 0 <= coord.row < geometry.rows_per_bank
+        and 0 <= coord.column < geometry.row_size
+    ):
+        raise AddressRangeError(f"coordinate out of bounds: {coord}")
+
+
+def unmap_dram_to_phys(coord: DramCoord, geometry: DramGeometry) -> int:
+    """Inverse of map_phys_to_dram: the physical byte at coord, through the
+    geometry's inverse matrix."""
+    validate_coord(coord, geometry)
+    key = pack_row_key(geometry, coord.dimm, coord.rank, coord.bank, coord.row)
+    return _apply(geometry._inverse, key * geometry.row_size + coord.column)
+
+
 def user_pte(pfn: int) -> PteEntry:
     """A present, writable, user entry for frame pfn."""
     return PteEntry(_user_pte(pfn))
@@ -142,13 +167,14 @@ def unpacked_pairs(geometry: DramGeometry, pairs) -> tuple:
 
 
 def cells_map(geometry: DramGeometry, cells) -> VulnerabilityMap:
-    """A map holding exactly the given cells: zero density, with their rows
+    """A map holding exactly the given (row, cell) pairs, each row a packed
+    key or a (dimm, rank, bank, row) tuple: zero density, with their rows
     already in the row cache."""
     vm = VulnerabilityMap(geometry, VulnCalibration())
-    for cell in cells:
-        geometry.validate_coord(cell.coord)
-        c = cell.coord
-        key = pack_row_key(geometry, c.dimm, c.rank, c.bank, c.row)
+    for row, cell in cells:
+        row_coord = geometry.unpack_row_key(row) if isinstance(row, int) else row
+        validate_coord(DramCoord(*row_coord, cell.column), geometry)
+        key = pack_row_key(geometry, *row_coord)
         vm._cache[key] = vm._cache.get(key, ()) + (cell,)
     return vm
 
@@ -249,8 +275,8 @@ def reference_hammer(dram: Dram, aggressors: list[int], reps: int,
                      rng: random.Random) -> list[InjectedFlip]:
     """Dram.hammer on decoded coordinates: aggressors grouped by
     (dimm, rank, bank) tuples, victims at row - 1 and row + 1 inside the
-    bank.  Draws from rng and counts activations exactly as Dram.hammer
-    does."""
+    bank, and each fired cell's address decoded by unmap_dram_to_phys.
+    Draws from rng and counts activations exactly as Dram.hammer does."""
     if not aggressors:
         raise ValueError("at least one aggressor address required")
     if reps <= 0:
@@ -285,12 +311,12 @@ def reference_hammer(dram: Dram, aggressors: list[int], reps: int,
                 p = min(1.0, cell.probability * mult * dose_factor)
                 if rng.random() >= p:
                     continue
-                ident = (victim, cell.coord.column, cell.bit)
+                ident = (victim, cell.column, cell.bit)
                 if ident in fired:
                     continue
                 fired.add(ident)
-                addr = unmap_dram_to_phys(cell.coord, geometry)
-                flips.append(InjectedFlip(addr, cell.bit, cell.direction, cell.coord))
+                addr = unmap_dram_to_phys(DramCoord(*victim, cell.column), geometry)
+                flips.append(InjectedFlip(addr, cell.bit, cell.direction))
     return flips
 
 
@@ -804,8 +830,9 @@ def first_pages(buffer: DoubleOwnedBuffer, n: int) -> DoubleOwnedBuffer:
 def run_trial(profile, seed: int, *, reference: bool = False, **kwargs):
     """harness.run_single_trial for one trial seed; returns the CSV row, the
     trial's OS model and its hammered buffer (None without hammer rounds).
-    With reference, each round's pair comes from reference_select_pair and
-    a capture escalates through reference_escalate."""
+    With reference, each round's pair comes from reference_select_pair, the
+    round hammers through reference_hammer and a capture escalates through
+    reference_escalate."""
     hammer_loop, seen = harness.hammer_loop, []
 
     def loop(os_model, buffer, *args, **kw):
@@ -818,6 +845,7 @@ def run_trial(profile, seed: int, *, reference: bool = False, **kwargs):
                                          max_attempts=max_attempts)
 
         with (mock.patch.object(exploit, "select_hammer_pair", select),
+              mock.patch.object(Dram, "hammer", reference_hammer),
               mock.patch.object(exploit, "escalate_root", reference_escalate)):
             return hammer_loop(os_model, buffer, *args, **kw)
 

@@ -22,7 +22,6 @@ from hammersim.dram_model import (
     MappingSpec,
     rows_size_per_row_index,
     target_block_size,
-    unmap_dram_to_phys,
 )
 from hammersim.exploit import verify_and_take_pt
 from hammersim.harness import (
@@ -39,6 +38,7 @@ from helpers import (
     numpy_coord_keys,
     run_op_sequence,
     small_attack_sim,
+    unmap_dram_to_phys,
     user_pte,
     windows,
 )

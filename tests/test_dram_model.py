@@ -30,12 +30,11 @@ from hammersim.dram_model import (
     page_row_keys,
     rows_size_per_row_index,
     target_block_size,
-    unmap_dram_to_phys,
 )
 from hammersim.profiles import dell_geometry
 
 from helpers import (cells_map, numpy_coord_keys, pack_row_key, reference_hammer,
-                     simple_mapping)
+                     simple_mapping, unmap_dram_to_phys, validate_coord)
 
 
 # --- derive_seed ---
@@ -144,7 +143,7 @@ def _exhaustive_check(geo: DramGeometry) -> None:
     for _ in range(200):
         addr = rng.randrange(geo.capacity)
         coord = map_phys_to_dram(addr, geo)
-        geo.validate_coord(coord)
+        validate_coord(coord, geo)
         assert unmap_dram_to_phys(coord, geo) == addr
 
 
@@ -376,14 +375,14 @@ def test_vuln_map_cell_count_past_exp_underflow():
 
 def test_vuln_map_from_cells_and_validation():
     geo = simple_mapping(banks=2, rows=16, row_size=8192)
-    cell = VulnCell(DramCoord(0, 0, 1, 5, 100), 3, 1.0, FLIP_ONE_TO_ZERO)
-    vm = cells_map(geo, [cell])
+    cell = VulnCell(100, 3, 1.0, FLIP_ONE_TO_ZERO)
+    vm = cells_map(geo, [((0, 0, 1, 5), cell)])
     assert vm.cells_in_row(pack_row_key(geo, 0, 0, 1, 5)) == (cell,)
     assert vm.cells_in_row(pack_row_key(geo, 0, 0, 0, 5)) == ()
     with pytest.raises(ValueError):
-        VulnCell(DramCoord(0, 0, 1, 5, 0), 9, 1.0, FLIP_ONE_TO_ZERO)
+        VulnCell(0, 9, 1.0, FLIP_ONE_TO_ZERO)
     with pytest.raises(ValueError):
-        VulnCell(DramCoord(0, 0, 1, 5, 0), 0, 1.5, FLIP_ONE_TO_ZERO)
+        VulnCell(0, 0, 1.5, FLIP_ONE_TO_ZERO)
     for bad in (dict(weak_row_rate=2.0), dict(cells_per_weak_row=-1.0),
                 dict(cells_per_weak_row=math.nan), dict(cell_probability=1.5)):
         with pytest.raises(ValueError):
@@ -420,8 +419,8 @@ def test_double_sided_fires_exactly_the_planted_cell():
     # conflicts, both neighbours draw the cell, and it is reported once.
     geo = _geo16()
     coord = DramCoord(0, 0, 1, 5, 123)
-    cell = VulnCell(coord, 6, 1.0, FLIP_ONE_TO_ZERO)
-    dram = Dram(geo, cells_map(geo, [cell]))
+    cell = VulnCell(123, 6, 1.0, FLIP_ONE_TO_ZERO)
+    dram = Dram(geo, cells_map(geo, [((0, 0, 1, 5), cell)]))
     flips = dram.hammer(
         [_addr(geo, 1, 4), _addr(geo, 1, 6)],
         reps=dram.params.dose * 2,  # overcome the 0.5 multiplier
@@ -429,17 +428,30 @@ def test_double_sided_fires_exactly_the_planted_cell():
     )
     assert len(flips) == 1
     flip = flips[0]
-    assert flip.coord == coord
+    assert map_phys_to_dram(flip.addr, geo) == coord
     assert flip.bit == 6
     assert flip.direction == FLIP_ONE_TO_ZERO
     assert flip.addr == unmap_dram_to_phys(coord, geo)
 
 
+def test_cells_at_one_column_and_bit_of_two_victim_rows_both_fire():
+    # Rows 3 and 5 sit on either side of aggressor row 4 and hold a cell at
+    # the same column and bit: two cells, two flips, though one aggressor
+    # reaches both.
+    geo = _geo16()
+    cell = VulnCell(123, 6, 1.0, FLIP_ONE_TO_ZERO)
+    dram = Dram(geo, cells_map(geo, [((0, 0, 1, 3), cell), ((0, 0, 1, 5), cell)]))
+    flips = dram.hammer([_addr(geo, 1, 4), _addr(geo, 1, 12)], dram.params.dose * 2,
+                        random.Random(0))
+    assert [map_phys_to_dram(f.addr, geo) for f in flips] == [
+        DramCoord(0, 0, 1, 3, 123), DramCoord(0, 0, 1, 5, 123)]
+
+
 def test_single_sided_needs_bank_conflict_to_flip():
     geo = _geo16()
     coord = DramCoord(0, 0, 0, 5, 123)
-    cell = VulnCell(coord, 6, 1.0, FLIP_ZERO_TO_ONE)
-    dram = Dram(geo, cells_map(geo, [cell]))
+    cell = VulnCell(123, 6, 1.0, FLIP_ZERO_TO_ONE)
+    dram = Dram(geo, cells_map(geo, [((0, 0, 0, 5), cell)]))
     reps = dram.params.dose * 2  # overcome the 0.5 multiplier
     # Lone aggressor next to the victim: row buffer stays open, no flips.
     assert dram.hammer([_addr(geo, 0, 4)], reps, random.Random(0)) == []
@@ -449,7 +461,7 @@ def test_single_sided_needs_bank_conflict_to_flip():
                         random.Random(0))
     assert len(flips) == 1
     flip = flips[0]
-    assert flip.coord == coord
+    assert map_phys_to_dram(flip.addr, geo) == coord
     assert flip.bit == 6
     assert flip.direction == FLIP_ZERO_TO_ONE
     assert flip.addr == unmap_dram_to_phys(coord, geo)
@@ -458,13 +470,12 @@ def test_single_sided_needs_bank_conflict_to_flip():
 def test_single_sided_flips_at_bank_edge():
     # Victim row 0 via aggressor row 1: the lower neighbour is the edge.
     geo = _geo16()
-    edge_cell = VulnCell(DramCoord(0, 0, 0, 0, 9), 1, 1.0, FLIP_ONE_TO_ZERO)
-    dram = Dram(geo, cells_map(geo, [edge_cell]))
+    edge_cell = VulnCell(9, 1, 1.0, FLIP_ONE_TO_ZERO)
+    dram = Dram(geo, cells_map(geo, [((0, 0, 0, 0), edge_cell)]))
     reps = dram.params.dose * 2  # overcome the 0.5 multiplier
     flips = dram.hammer([_addr(geo, 0, 1), _addr(geo, 0, 9)], reps,
                         random.Random(3))
-    assert [(f.coord.dimm, f.coord.rank, f.coord.bank, f.coord.row)
-            for f in flips] == [(0, 0, 0, 0)]
+    assert [map_phys_to_dram(f.addr, geo) for f in flips] == [DramCoord(0, 0, 0, 0, 9)]
 
 
 def test_hammer_mode_validation():
@@ -509,11 +520,11 @@ def test_flips_confined_to_adjacent_rows(rows, seed):
         for row in bank_rows:
             allowed.update([(bank, row - 1), (bank, row + 1)])
     for flip in flips:
-        assert (flip.coord.bank, flip.coord.row) in allowed
+        coord = map_phys_to_dram(flip.addr, geo)
+        assert (coord.bank, coord.row) in allowed
         assert flip.direction in FLIP_DIRECTIONS
-        assert map_phys_to_dram(flip.addr, geo) == flip.coord
     # No duplicate cells in one call.
-    idents = [(f.coord, f.bit) for f in flips]
+    idents = [(f.addr, f.bit) for f in flips]
     assert len(idents) == len(set(idents))
 
 

@@ -523,16 +523,21 @@ def test_cli_rejects_negative_rounds_cap(ini_path, capsys):
     assert "error: rounds_cap must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["--mitigation"], ["--threshold-bytes", "1"],
+                                  ["--rounds-cap", "3"]],
+                         ids=["mitigation", "threshold_bytes", "rounds_cap"])
 @pytest.mark.parametrize("strategy", ["spray", "feng_shui"])
-def test_cli_rejects_mitigation_on_a_baseline_strategy(ini_path, capsys, strategy):
-    # A baseline placement has no guard rows; running it unguarded and
-    # reporting mitigation 0 would pass off a different experiment.
+def test_cli_rejects_mitigation_on_a_baseline_strategy(ini_path, capsys, strategy, flag):
+    # A baseline placement has no guard rows, no threshold and no hammer
+    # rounds; running it without them and reporting the defaults would
+    # pass off a different experiment.
     with pytest.raises(SystemExit) as exc:
-        main(["run", "--profile", ini_path, "--strategy", strategy, "--mitigation"])
+        main(["run", "--profile", ini_path, "--strategy", strategy, *flag])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: strategy {strategy!r} has no guarded placement\n"
+    assert captured.err == (f"error: strategy {strategy!r} takes no mitigation, "
+                            "threshold_bytes or rounds_cap (ambush only)\n")
 
 
 def test_cli_run_counts_the_attempts_of_a_failed_pair_selection(ini_path, capsys):

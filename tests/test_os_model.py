@@ -22,7 +22,6 @@ from hammersim.dram_model import (
     FLIP_ZERO_TO_ONE,
     PAGE_SIZE,
     Dram,
-    DramCoord,
     InjectedFlip,
 )
 from hammersim.os_model import (
@@ -799,11 +798,10 @@ def test_cred_plant_and_getuid():
 def test_apply_flips_filters_ineffective():
     os_model = make_os()
     os_model.memory.write(0, bytes([0b1000]))
-    coord = DramCoord(0, 0, 0, 0, 0)
     flips = [
-        InjectedFlip(0, 3, FLIP_ONE_TO_ZERO, coord),
-        InjectedFlip(0, 2, FLIP_ONE_TO_ZERO, coord),  # already zero
-        InjectedFlip(0, 1, FLIP_ZERO_TO_ONE, coord),
+        InjectedFlip(0, 3, FLIP_ONE_TO_ZERO),
+        InjectedFlip(0, 2, FLIP_ONE_TO_ZERO),  # already zero
+        InjectedFlip(0, 1, FLIP_ZERO_TO_ONE),
     ]
     applied = os_model.apply_flips(flips)
     assert [(f.bit, f.direction) for f in applied] == [

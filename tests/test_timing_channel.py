@@ -8,8 +8,7 @@ from functools import partial
 import pytest
 
 from hammersim.buddy_alloc import Block, BuddyState, Partition
-from hammersim.dram_model import (PAGE_SIZE, Dram, DramCoord, map_phys_to_dram,
-                                  unmap_dram_to_phys)
+from hammersim.dram_model import PAGE_SIZE, Dram, DramCoord, map_phys_to_dram
 from hammersim.os_model import BufferChunk, DoubleOwnedBuffer, OsModel
 from hammersim.profiles import dell_geometry, dell_profile, lenovo_profile, load_profile
 from hammersim.timing_channel import (
@@ -25,7 +24,7 @@ from hammersim.timing_channel import (
 )
 
 from helpers import (buffer_pages, first_pages, full_placement, reference_select_pair,
-                     sample_latency, simple_mapping, small_attack_sim)
+                     sample_latency, simple_mapping, small_attack_sim, unmap_dram_to_phys)
 from test_ambush import ODD_GEOMETRIES
 from test_dram_model import AUX_GEOMETRY
 
