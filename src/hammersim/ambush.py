@@ -209,9 +209,7 @@ def drain_small_blocks(os_model: OsModel, mapper: MappingDriver) -> tuple[int, i
     return drained, injected
 
 
-def _drain_phase(
-    os_model: OsModel, mapper: MappingDriver, cap_bytes: int | None = None
-) -> int:
+def _drain_phase(os_model: OsModel, mapper: MappingDriver, cap_bytes: int) -> int:
     """Map until the small blocks free now are drained, or cap_bytes of
     tables are; returns the table pages mapped.
 
@@ -221,12 +219,10 @@ def _drain_phase(
     target_order = _order_of(target_block_size(os_model.dram.geometry))
     small_pages = os_model.buddy.free_pages_below(KERNEL_PARTITION, target_order)
     per_map = mapper.pages_per_map
+    cap_maps = -(-cap_bytes // (per_map * PAGE_SIZE))
     maps = -(-small_pages // per_map)
-    capped = False
-    if cap_bytes is not None:
-        cap_maps = -(-cap_bytes // (per_map * PAGE_SIZE))
-        capped = cap_maps < maps
-        maps = min(maps, cap_maps)
+    capped = cap_maps < maps
+    maps = min(maps, cap_maps)
     # Mapping one at a time checks the budget before every map, and once
     # more before the cap ends the drain early.
     if maps + capped > mapper.budget_left:

@@ -183,14 +183,8 @@ class BuddyState:
             raise ValueError(f"order {order} out of range")
         lists = self._free[partition]
         for j in range(order, self.max_order + 1):
-            lst = lists[j]
-            if lst:
-                first = lst.pop(0)
-                while j > order:
-                    j -= 1
-                    insort(lists[j], first + (1 << j))
-                block = self._allocated[first] = Block(partition, first, 1 << order, owner)
-                return block
+            if lists[j]:
+                return self._split(partition, j, 0, lists[j][0], order, owner)
         raise OutOfMemoryError(f"no free block of order >= {order} in partition {partition!r}")
 
     def allocate_pages(self, partition: str, pages: int, owner: str) -> Block:
@@ -202,8 +196,6 @@ class BuddyState:
         if order > self.max_order:
             raise OutOfMemoryError("run larger than the maximum order")
         covering = self.allocate(partition, order, owner)
-        if covering.pages == pages:
-            return covering
         block = self._allocated[covering.first] = Block(partition, covering.first, pages, owner)
         self._release(partition, covering.first + pages, covering.pages - pages)
         return block
@@ -220,18 +212,26 @@ class BuddyState:
             lst = lists[j]
             i = bisect_left(lst, candidate)
             if i < len(lst) and lst[i] == candidate:
-                lst.pop(i)
-                while j > order:
-                    j -= 1
-                    half = 1 << j
-                    if first & half:
-                        insort(lists[j], candidate)
-                        candidate += half
-                    else:
-                        insort(lists[j], candidate + half)
-                block = self._allocated[first] = Block(partition, first, 1 << order, owner)
-                return block
+                return self._split(partition, j, i, first, order, owner)
         raise OutOfMemoryError(f"no free block containing page {first:#x}")
+
+    def _split(self, partition: str, j: int, i: int, first: int, order: int,
+               owner: str) -> Block:
+        """Take free block i of order j and split it down to the 2**order
+        pages from page first, freeing each half that does not hold them,
+        as Linux's expand() does for every path that takes a block."""
+        lists = self._free[partition]
+        low = lists[j].pop(i)
+        while j > order:
+            j -= 1
+            half = 1 << j
+            if first & half:
+                insort(lists[j], low)
+                low += half
+            else:
+                insort(lists[j], low + half)
+        block = self._allocated[first] = Block(partition, first, 1 << order, owner)
+        return block
 
     def take_pages(self, partition: str, n: int, owner: str) -> list[range]:
         """The frames that n allocate(partition, 0, owner) calls would

@@ -28,15 +28,16 @@ def _resolve_profile(spec: str) -> MachineProfile:
     return get_profile(spec)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, scope: str) -> None:
+    """The flags of both commands; scope is where --threshold-bytes applies."""
     parser.add_argument("--profile", default="dell",
                         help="builtin profile name or path to an INI file")
     parser.add_argument("--seed", type=int, default=0,
                         help="master seed for the run")
-    parser.add_argument("--driver", choices=DRIVERS, default=DRIVER_VIDEO,
-                        help="double-owned buffer driver")
+    parser.add_argument("--driver", choices=DRIVERS,
+                        help=f"double-owned buffer driver, {DRIVER_VIDEO} if not given")
     parser.add_argument("--threshold-bytes", type=int, default=None,
-                        help="memory threshold override in bytes (ambush only)")
+                        help=f"memory threshold override in bytes ({scope} only)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,7 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run seeded trials and emit a report")
-    _add_common(run_p)
+    _add_common(run_p, "ambush")
+    run_p.set_defaults(driver=DRIVER_VIDEO)
     run_p.add_argument("--strategy", choices=STRATEGIES,
                        default=STRATEGY_AMBUSH)
     run_p.add_argument("--trials", type=int, default=1)
@@ -62,9 +64,10 @@ def build_parser() -> argparse.ArgumentParser:
     info_p = sub.add_parser(
         "buddyinfo", help="dump allocator state for one seeded build"
     )
-    _add_common(info_p)
+    _add_common(info_p, "--placement")
     info_p.add_argument("--placement", action="store_true",
-                        help="dump after the ambush placement as well")
+                        help="dump after the ambush placement as well; --driver"
+                             " and --threshold-bytes apply only with it")
 
     sub.add_parser("profiles", help="list builtin machine profiles")
     return parser
@@ -89,15 +92,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_buddyinfo(args: argparse.Namespace) -> int:
+    if not args.placement and (args.driver or args.threshold_bytes is not None):
+        raise ValueError("--driver and --threshold-bytes apply only with --placement")
     profile = _resolve_profile(args.profile)
-    trial_seed = derive_seed(args.seed, "trial", 0)
-    bundle = build_sim(profile, trial_seed)
-    sys.stdout.write("after preload:\n")
-    sys.stdout.write(bundle.os.buddy.buddyinfo_text() + "\n")
+    bundle = build_sim(profile, derive_seed(args.seed, "trial", 0))
+    # Nothing is printed until the placement, if asked for, has succeeded.
+    text = f"after preload:\n{bundle.os.buddy.buddyinfo_text()}\n"
     if args.placement:
-        place(bundle, args.driver, args.threshold_bytes)
-        sys.stdout.write("after placement:\n")
-        sys.stdout.write(bundle.os.buddy.buddyinfo_text() + "\n")
+        place(bundle, args.driver or DRIVER_VIDEO, args.threshold_bytes)
+        text += f"after placement:\n{bundle.os.buddy.buddyinfo_text()}\n"
+    sys.stdout.write(text)
     return 0
 
 

@@ -161,63 +161,6 @@ def place(
     return run_ambush(bundle.os, plan_, mitigation=mitigation)
 
 
-def _run_ambush_trial(
-    profile: MachineProfile,
-    trial_seed: int,
-    *,
-    driver: str,
-    threshold_bytes: int | None,
-    mitigation: bool,
-    rounds_cap: int | None,
-) -> TrialReport:
-    bundle = build_sim(profile, trial_seed)
-    buddy = bundle.os.buddy
-    available = (buddy.free_pages(KERNEL_PARTITION)
-                 + buddy.free_pages(USER_PARTITION)) * PAGE_SIZE
-    placement = place(bundle, driver, threshold_bytes, mitigation=mitigation)
-    adjacency = verify_adjacency(bundle.os, placement)
-    bundle.os.plant_cred(
-        DEFAULT_PID, DEFAULT_UID, random.Random(derive_seed(trial_seed, "cred"))
-    )
-    cap = profile.rounds_cap if rounds_cap is None else rounds_cap
-    if cap > 0:
-        outcome = hammer_loop(
-            bundle.os,
-            placement.buffer,
-            profile.channel,
-            random.Random(derive_seed(trial_seed, "hammer")),
-            rounds_cap=cap,
-            reps_per_round=profile.reps_per_round,
-            pid=DEFAULT_PID,
-            pair_attempt_cap=profile.pair_attempt_cap,
-        )
-    else:
-        outcome = ExploitOutcome(status=STATUS_NONE, rounds=0)
-    guard_pairs = len(placement.buffer.chunks) if mitigation else 0
-    guard_cost = guard_pairs * 2 * profile.geometry.row_size
-    return TrialReport(
-        seed=trial_seed,
-        profile=profile.name,
-        strategy=STRATEGY_AMBUSH,
-        driver=driver,
-        mitigation=mitigation,
-        threshold_bytes=placement.plan.threshold_mem_size,
-        available_bytes=available,
-        footprint_bytes=placement.footprint_bytes,
-        adjacency=adjacency.adjacent,
-        adjacency_pairs=len(adjacency.pairs),
-        pt_pages=placement.pt_pages,
-        flips=outcome.flip_count,
-        pt_flips=outcome.pt_flip_count,
-        outcome=outcome.status,
-        rounds=outcome.rounds,
-        pair_attempts=outcome.pair_attempts,
-        activations=bundle.os.dram.total_activations,
-        guard_buffers=guard_pairs,
-        guard_cost_bytes=guard_cost,
-    )
-
-
 def _hoard(buddy: BuddyState, order: int, owner: str) -> list:
     held = []
     while True:
@@ -321,13 +264,51 @@ def run_single_trial(
             raise HarnessError(f"strategy {strategy!r} takes no mitigation, "
                                "threshold_bytes or rounds_cap (ambush only)")
         return _run_baseline_trial(profile, trial_seed, strategy=strategy, driver=driver)
-    return _run_ambush_trial(
-        profile,
-        trial_seed,
+    bundle = build_sim(profile, trial_seed)
+    buddy = bundle.os.buddy
+    available = (buddy.free_pages(KERNEL_PARTITION)
+                 + buddy.free_pages(USER_PARTITION)) * PAGE_SIZE
+    placement = place(bundle, driver, threshold_bytes, mitigation=mitigation)
+    adjacency = verify_adjacency(bundle.os, placement)
+    bundle.os.plant_cred(
+        DEFAULT_PID, DEFAULT_UID, random.Random(derive_seed(trial_seed, "cred"))
+    )
+    cap = profile.rounds_cap if rounds_cap is None else rounds_cap
+    if cap > 0:
+        outcome = hammer_loop(
+            bundle.os,
+            placement.buffer,
+            profile.channel,
+            random.Random(derive_seed(trial_seed, "hammer")),
+            rounds_cap=cap,
+            reps_per_round=profile.reps_per_round,
+            pid=DEFAULT_PID,
+            pair_attempt_cap=profile.pair_attempt_cap,
+        )
+    else:
+        outcome = ExploitOutcome(status=STATUS_NONE, rounds=0)
+    guard_pairs = len(placement.buffer.chunks) if mitigation else 0
+    guard_cost = guard_pairs * 2 * profile.geometry.row_size
+    return TrialReport(
+        seed=trial_seed,
+        profile=profile.name,
+        strategy=STRATEGY_AMBUSH,
         driver=driver,
-        threshold_bytes=threshold_bytes,
         mitigation=mitigation,
-        rounds_cap=rounds_cap,
+        threshold_bytes=placement.plan.threshold_mem_size,
+        available_bytes=available,
+        footprint_bytes=placement.footprint_bytes,
+        adjacency=adjacency.adjacent,
+        adjacency_pairs=len(adjacency.pairs),
+        pt_pages=placement.pt_pages,
+        flips=outcome.flip_count,
+        pt_flips=outcome.pt_flip_count,
+        outcome=outcome.status,
+        rounds=outcome.rounds,
+        pair_attempts=outcome.pair_attempts,
+        activations=bundle.os.dram.total_activations,
+        guard_buffers=guard_pairs,
+        guard_cost_bytes=guard_cost,
     )
 
 

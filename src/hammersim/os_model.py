@@ -11,7 +11,8 @@ runs, each backed by a cycle of shared pristine pages: the tables of one
 mapping call and the marker pages of a file are a few rows, not a dict
 entry per frame.  Frames written or flipped since live in a private dict
 over it, copied on their first change; the memory is itself the read-only
-frame -> page Mapping over both.
+frame -> page Mapping over both.  Every access stays within one page, as
+every virtual access must; one that crosses a page raises ValueError.
 
 Mappings are runs: one file mapped count times back to back, from MAP_BASE
 up, with one table per 2 MiB window.  The tables are one list indexed by
@@ -22,10 +23,11 @@ layer, whose table runs carry their first window number, and a buffer
 page's frame is one over the buffer's page runs; neither is a per-frame
 table.
 
-Physical memory marks every entry a write or flip touches in a table frame,
-bisecting for the frame's window on its first mark only (new runs forget
-the numbers found), so each probe write of the escalation walk, about 3.4 us
-a frame in all, finds its window with one dict lookup.  Marker scans visit
+Physical memory marks every entry a write or flip touches in a table frame.
+It remembers the run it marked last, as it does the run it read last, and
+bisects only for a frame outside it; base rows are never removed, so a
+remembered run stays valid, and the escalation walk's probe writes, all in
+the captured table, hit it every time.  Marker scans visit
 only pages behind a written entry: a page behind a pristine entry reads its
 own file page, and the scan never reports such a page.  Every candidate is
 re-read through the normal translation path before being reported, which
@@ -74,8 +76,8 @@ MARKER_PAGE = MARKER.to_bytes(8, "little").ljust(PAGE_SIZE, b"\0")
 ZERO_PAGE = bytes(PAGE_SIZE)
 _U64 = struct.Struct("<Q")
 _TABLE = struct.Struct(f"<{PTES_PER_PAGE}Q")
-_UNSEEN = object()  # a frame whose window number is not looked up yet
-_CROSSING = "virtual accesses must stay within one page"
+_NO_RUN = (0, 0, None, ())  # the row of a key in no run
+_CROSSING = "accesses must stay within one page"
 
 VIDEO_CHUNK_BYTES = 600 * 1024
 VIDEO_MAX_CHUNKS = 32
@@ -130,7 +132,8 @@ class _RunIndex:
     """Disjoint key runs sorted by first key.  A run is a row (start, stop,
     first, pages): key start + i has the value first + i, or none when
     first is None, and physical memory's base layer reads its page from
-    pages.  A lookup is one bisection."""
+    pages.  A lookup is one bisection, in row; get, base page reads and
+    table marks all go through it."""
 
     def __init__(self) -> None:
         self.rows: list[tuple] = []
@@ -148,13 +151,16 @@ class _RunIndex:
         self.rows = sorted([*self.rows, *rows])
         self.starts = [row[0] for row in self.rows]
 
-    def get(self, key: int) -> int | None:
+    def row(self, key: int) -> tuple | None:
+        """The run that holds key, or None."""
         i = bisect(self.starts, key) - 1
-        if i >= 0:
-            start, stop, first, _ = self.rows[i]
-            if key < stop and first is not None:
-                return first + key - start
+        if i >= 0 and key < self.rows[i][1]:
+            return self.rows[i]
         return None
+
+    def get(self, key: int) -> int | None:
+        start, _, first, _ = self.row(key) or _NO_RUN
+        return None if first is None else first + key - start
 
 
 class PhysicalMemory(Mapping):
@@ -165,19 +171,20 @@ class PhysicalMemory(Mapping):
     identical page tables, or a file's marker pages, cost one row.  The
     private layer is a dict of the frames written or flipped since; the
     first change to a base frame copies it there, and reads try the dict
-    before they bisect the base.  As a Mapping it is frame -> page over
-    both layers, backed frames only; pages is the memory itself.
+    before the base.  As a Mapping it is frame -> page over both layers,
+    backed frames only; pages is the memory itself.  Reads and writes stay
+    within one page: one that crosses a page raises ValueError.
 
     Table runs carry their first window number, so a write or flip that
     lands in a table frame marks the entries it touched in dirty: entry
-    index -> the window numbers of the tables written there.
+    index -> the window numbers of the tables written there.  Base lookups
+    and marks each try the run they used last before they bisect.
     """
 
     def __init__(self) -> None:
         self.private: dict[int, bytearray] = {}
         self.base = _RunIndex()
-        self._last = (0, 0, None, ())  # the base run read last
-        self._windows: dict[int, int | None] = {}  # frame -> window, or None
+        self._last = self._marked = _NO_RUN  # the base runs read and marked last
         self.dirty: defaultdict[int, set[int]] = defaultdict(set)
 
     @property
@@ -207,7 +214,6 @@ class PhysicalMemory(Mapping):
         """
         outside = [pfn for pfn in self.private if self._base_page(pfn) is None]
         self.base.merge(rows)
-        self._windows.clear()  # a frame outside the base may be in a table now
         for pfn in outside:
             if self._base_page(pfn) is not None:
                 del self.private[pfn]
@@ -217,11 +223,10 @@ class PhysicalMemory(Mapping):
         # its most recently used section before it searches the FlatView.
         start, stop, _, pages = self._last
         if not start <= pfn < stop:
-            base = self.base
-            i = bisect(base.starts, pfn) - 1
-            if i < 0 or pfn >= base.rows[i][1]:
+            row = self.base.row(pfn)
+            if row is None:
                 return None
-            start, stop, _, pages = self._last = base.rows[i]
+            start, stop, _, pages = self._last = row
         return pages[(pfn - start) % len(pages)]
 
     def _page(self, pfn: int) -> bytearray:
@@ -232,52 +237,43 @@ class PhysicalMemory(Mapping):
         return page
 
     def read(self, addr: int, length: int) -> bytes:
-        """The bytes at addr.  A whole base page is its shared object; only
-        a read that crosses a page boundary joins chunks."""
+        """The bytes at addr; a whole base page is its shared object."""
         pfn, off = divmod(addr, PAGE_SIZE)
-        if off + length <= PAGE_SIZE:
-            page = self.private.get(pfn) or self._base_page(pfn) or ZERO_PAGE
-            return bytes(page[off : off + length])
-        chunks = []
-        end = addr + length
-        while addr < end:
-            pfn, off = divmod(addr, PAGE_SIZE)
-            n = min(end - addr, PAGE_SIZE - off)
-            page = self.private.get(pfn) or self._base_page(pfn) or ZERO_PAGE
-            chunks.append(page[off : off + n])
-            addr += n
-        return b"".join(chunks)
+        if off + length > PAGE_SIZE:
+            raise ValueError(_CROSSING)
+        page = self.private.get(pfn) or self._base_page(pfn) or ZERO_PAGE
+        return bytes(page[off : off + length])
 
     def read_u64(self, addr: int) -> int:
         pfn, off = divmod(addr, PAGE_SIZE)
         if off > PAGE_SIZE - 8:
-            return int.from_bytes(self.read(addr, 8), "little")
+            raise ValueError(_CROSSING)
         page = self.private.get(pfn) or self._base_page(pfn) or ZERO_PAGE
         return _U64.unpack_from(page, off)[0]
 
     def _mark(self, pfn: int, start: int, end: int) -> None:
         """Mark the entries bytes start..end-1 of frame pfn touch, if it
-        is a table frame."""
-        number = self._windows.get(pfn, _UNSEEN)
-        if number is _UNSEEN:
-            number = self._windows[pfn] = self.base.get(pfn)
+        is a table frame.  The run marked last is tried first."""
+        first, stop, number, _ = self._marked
+        if not first <= pfn < stop:
+            first, stop, number, _ = self._marked = self.base.row(pfn) or _NO_RUN
         if number is not None:
+            number += pfn - first
             for idx in range(start // PTE_SIZE, (end + PTE_SIZE - 1) // PTE_SIZE):
                 self.dirty[idx].add(number)
 
     def write(self, addr: int, data: bytes) -> None:
-        pos = 0
-        while pos < len(data):
-            pfn, off = divmod(addr + pos, PAGE_SIZE)
-            n = min(len(data) - pos, PAGE_SIZE - off)
-            self._page(pfn)[off : off + n] = data[pos : pos + n]
-            self._mark(pfn, off, off + n)
-            pos += n
+        pfn, off = divmod(addr, PAGE_SIZE)
+        end = off + len(data)
+        if end > PAGE_SIZE:
+            raise ValueError(_CROSSING)
+        self._page(pfn)[off:end] = data
+        self._mark(pfn, off, end)
 
     def write_u64(self, addr: int, value: int) -> None:
         pfn, off = divmod(addr, PAGE_SIZE)
         if off > PAGE_SIZE - 8:
-            return self.write(addr, _U64.pack(value))
+            raise ValueError(_CROSSING)
         _U64.pack_into(self.private.get(pfn) or self._page(pfn), off, value)
         self._mark(pfn, off, off + 8)
 

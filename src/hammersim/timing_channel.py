@@ -59,15 +59,6 @@ class ChannelModel:
             raise ValueError("low lobe would cross below zero cycles")
 
 
-@dataclass(frozen=True)
-class LatencySample:
-    """One paired-access measurement and its classification."""
-
-    cycles: int
-    classified_conflict: bool
-    true_conflict: bool
-
-
 class KeyedPages(NamedTuple):
     """A mapped buffer, each chunk's first page index, each page's row key."""
 
@@ -97,12 +88,6 @@ def _row_conflict(key_a: int, key_b: int, rows_per_bank: int) -> bool:
     return key_a != key_b and key_a // rows_per_bank == key_b // rows_per_bank
 
 
-def is_row_conflict_pair(addr_a: int, addr_b: int, geometry: DramGeometry) -> bool:
-    """Ground truth: same dimm/rank/bank, different rows."""
-    return _row_conflict(geometry.row_key_of(addr_a), geometry.row_key_of(addr_b),
-                         geometry.rows_per_bank)
-
-
 def _draw_cycles(truth: bool, model: ChannelModel, rng: random.Random) -> int:
     """A paired-access latency from the lobe the rates pick for the pair's
     true arrangement; at or above the threshold it reads as a conflict."""
@@ -110,14 +95,6 @@ def _draw_cycles(truth: bool, model: ChannelModel, rng: random.Random) -> int:
             else rng.random() >= model.p_low_given_other):
         return model.threshold_cycles + int(rng.triangular(0, HIGH_SPREAD, HIGH_SPREAD * 0.25))
     return model.threshold_cycles - 1 - int(rng.triangular(0, LOW_SPREAD, LOW_SPREAD * 0.25))
-
-
-def sample_latency_phys(addr_a: int, addr_b: int, geometry: DramGeometry,
-                        model: ChannelModel, rng: random.Random) -> LatencySample:
-    """Draw a paired-access latency for two physical addresses."""
-    truth = is_row_conflict_pair(addr_a, addr_b, geometry)
-    cycles = _draw_cycles(truth, model, rng)
-    return LatencySample(cycles, cycles >= model.threshold_cycles, truth)
 
 
 def _index_pair(rng: random.Random, n: int) -> tuple[int, int]:

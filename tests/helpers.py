@@ -15,7 +15,9 @@ buffer chunks frame by frame where the OS model bisects runs, the
 per-frame memory keeps one dict entry for every backed frame where
 physical memory keeps pristine frames as runs, the reference pair
 selection translates and keys both pages of every draw where the package
-keys the buffer once per trial, and the reference escalation searches
+keys the buffer once per trial, the physical-address latency sampler
+decides a pair's ground truth from decoded coordinates where the package
+compares packed row keys, and the reference escalation searches
 every frame's page for the record where the package searches each
 distinct page content once.
 """
@@ -27,6 +29,7 @@ import io
 import random
 import struct
 from itertools import chain, cycle
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -63,8 +66,7 @@ from hammersim import exploit, harness
 from hammersim.harness import CSV_COLUMNS, HarnessError, TrialReport, build_sim
 from hammersim.os_model import (MARKER, PROBE_PTE, PT_SPAN, PTE_SIZE, BufferChunk,
                                 DoubleOwnedBuffer, OsModel, PteEntry, _user_pte, cred_pattern)
-from hammersim.timing_channel import (ChannelError, ChannelModel, LatencySample,
-                                      PairSelectionError, sample_latency_phys)
+from hammersim.timing_channel import ChannelError, ChannelModel, PairSelectionError, _draw_cycles
 from hammersim.profiles import ProfileError, get_profile
 
 MIB = 1024 * 1024
@@ -762,6 +764,30 @@ def brute_force_verify(os_model: OsModel) -> tuple[int, int] | None:
             return va, found
         os_model.write_u64_virtual(va + 8, old_pte)
     return None
+
+
+class LatencySample(NamedTuple):
+    """One paired-access measurement and its classification."""
+
+    cycles: int
+    classified_conflict: bool
+    true_conflict: bool
+
+
+def is_row_conflict_pair(addr_a: int, addr_b: int, geometry: DramGeometry) -> bool:
+    """Ground truth from the decoded coordinates: same dimm, rank and bank,
+    different rows."""
+    a, b = map_phys_to_dram(addr_a, geometry), map_phys_to_dram(addr_b, geometry)
+    return (a.dimm, a.rank, a.bank) == (b.dimm, b.rank, b.bank) and a.row != b.row
+
+
+def sample_latency_phys(addr_a: int, addr_b: int, geometry: DramGeometry,
+                        model: ChannelModel, rng: random.Random) -> LatencySample:
+    """Draw a paired-access latency for two physical addresses, by the
+    lobe rule select_hammer_pair draws from."""
+    truth = is_row_conflict_pair(addr_a, addr_b, geometry)
+    cycles = _draw_cycles(truth, model, rng)
+    return LatencySample(cycles, cycles >= model.threshold_cycles, truth)
 
 
 def sample_latency(os_model: OsModel, vaddr_a: int, vaddr_b: int, model: ChannelModel,

@@ -30,13 +30,13 @@ from hammersim.harness import (
     run_trials,
 )
 from hammersim.profiles import get_profile
-from hammersim.timing_channel import sample_latency_phys
 
 from helpers import (
     brute_force_verify,
     fuzz_injections,
     numpy_coord_keys,
     run_op_sequence,
+    sample_latency_phys,
     small_attack_sim,
     unmap_dram_to_phys,
     user_pte,

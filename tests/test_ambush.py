@@ -170,7 +170,7 @@ def _drain_one_map_at_a_time(small_pages, per_map, budget, cap_bytes):
     while maps * per_map < small_pages:
         if budget - maps <= 0:
             return None
-        if cap_bytes is not None and maps * per_map * PAGE_SIZE >= cap_bytes:
+        if maps * per_map * PAGE_SIZE >= cap_bytes:
             break
         maps += 1
     return maps
@@ -181,7 +181,7 @@ def test_drain_count_matches_one_at_a_time_loop(per_map):
     geometry = simple_mapping(banks=2, rows=8192, row_size=8192)
     for small_pages in range(6):
         for budget in range(5):
-            for cap_bytes in (None, 0, 1, PAGE_SIZE, 2 * PAGE_SIZE, 3 * PAGE_SIZE + 1):
+            for cap_bytes in (0, 1, PAGE_SIZE, 2 * PAGE_SIZE, 3 * PAGE_SIZE + 1):
                 os_model = SimpleNamespace(
                     dram=SimpleNamespace(geometry=geometry),
                     buddy=SimpleNamespace(

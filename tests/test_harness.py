@@ -523,21 +523,34 @@ def test_cli_rejects_negative_rounds_cap(ini_path, capsys):
     assert "error: rounds_cap must be >= 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", [["--mitigation"], ["--threshold-bytes", "1"],
-                                  ["--rounds-cap", "3"]],
-                         ids=["mitigation", "threshold_bytes", "rounds_cap"])
-@pytest.mark.parametrize("strategy", ["spray", "feng_shui"])
-def test_cli_rejects_mitigation_on_a_baseline_strategy(ini_path, capsys, strategy, flag):
+AMBUSH_ONLY_FLAGS = {"mitigation": ["--mitigation"], "threshold_bytes": ["--threshold-bytes", "1"],
+                     "rounds_cap": ["--rounds-cap", "3"]}
+PLACEMENT_ONLY = "error: --driver and --threshold-bytes apply only with --placement\n"
+REFUSED_FLAGS = {
+    f"{strategy}-{name}": (["run", "--strategy", strategy, *flag],
+                           f"error: strategy {strategy!r} takes no mitigation, "
+                           "threshold_bytes or rounds_cap (ambush only)\n")
+    for strategy in ("feng_shui", "spray") for name, flag in AMBUSH_ONLY_FLAGS.items()
+} | {
+    "buddyinfo-threshold_bytes": (["buddyinfo", "--threshold-bytes", "1"], PLACEMENT_ONLY),
+    "buddyinfo-driver": (["buddyinfo", "--driver", "sg"], PLACEMENT_ONLY),
+    "buddyinfo-refused_threshold": (
+        ["buddyinfo", "--placement", "--threshold-bytes", "1"],
+        "error: threshold leaves no room for the mapping file and buffers\n"),
+}
+
+
+@pytest.mark.parametrize("argv,message", REFUSED_FLAGS.values(), ids=REFUSED_FLAGS)
+def test_cli_rejects_mitigation_on_a_baseline_strategy(ini_path, capsys, argv, message):
     # A baseline placement has no guard rows, no threshold and no hammer
     # rounds; running it without them and reporting the defaults would
-    # pass off a different experiment.
+    # pass off a different experiment.  Likewise buddyinfo's driver and
+    # threshold shape only its placement snapshot, and a refused placement
+    # prints no snapshot before its error.
     with pytest.raises(SystemExit) as exc:
-        main(["run", "--profile", ini_path, "--strategy", strategy, *flag])
+        main([*argv, "--profile", ini_path])
     assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (f"error: strategy {strategy!r} takes no mitigation, "
-                            "threshold_bytes or rounds_cap (ambush only)\n")
+    assert capsys.readouterr() == ("", message)
 
 
 def test_cli_run_counts_the_attempts_of_a_failed_pair_selection(ini_path, capsys):

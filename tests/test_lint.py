@@ -120,3 +120,37 @@ def test_record_fields_are_read():
                 if name not in read:
                     unread.append(f"{path.name}: {cls.name}.{name}")
     assert unread == []
+
+
+def test_public_names_have_a_runtime_reader():
+    # Every public def, class and method of the package must be read under
+    # src/, bench/ or scripts/; a name only the tests read is test-only API
+    # and belongs in tests/helpers.py.  Names, attributes, imports and
+    # string constants all count, as bench/tracer.py patches methods by
+    # name.  check_invariants, the allocator's invariant oracle, stays
+    # beside the state it checks.
+    allowed = {"check_invariants"}
+    root = PACKAGE.parents[1]
+    read = set()
+    for path in sorted(chain(*(root.glob(f"{d}/**/*.py") for d in ("src", "bench", "scripts")))):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            methods = node.body if isinstance(node, ast.ClassDef) else ()
+            names = [node.name] + [f"{node.name}.{item.name}" for item in methods
+                                   if isinstance(item, ast.FunctionDef)]
+            unread += [f"{path.name}: {name}" for name in names
+                       if not name.rpartition(".")[2].startswith("_")
+                       and name.rpartition(".")[2] not in read | allowed]
+    assert unread == []

@@ -84,10 +84,19 @@ def test_physical_memory_sparse_and_flips():
     assert mem.read(5 * PAGE_SIZE, 16) == bytes(16)
     mem.write(5 * PAGE_SIZE + 100, b"hello")
     assert mem.read(5 * PAGE_SIZE + 100, 5) == b"hello"
-    # Crossing a page boundary works in both directions.
-    mem.write(6 * PAGE_SIZE - 2, b"abcd")
-    assert mem.read(6 * PAGE_SIZE - 2, 4) == b"abcd"
-    assert mem.backed_pfns() == [5, 6]
+    # Accesses stay within one page: each accessor refuses a crossing
+    # and changes nothing.  One that ends on a page's last byte is local.
+    for access in (lambda: mem.write(6 * PAGE_SIZE - 2, b"abcd"),
+                   lambda: mem.read(6 * PAGE_SIZE - 2, 4),
+                   lambda: mem.write_u64(6 * PAGE_SIZE - 2, 1),
+                   lambda: mem.read_u64(6 * PAGE_SIZE - 2)):
+        with pytest.raises(ValueError, match="within one page"):
+            access()
+    assert mem.backed_pfns() == [5] and mem.dirty == {}
+    mem.write(6 * PAGE_SIZE - 4, b"abcd")
+    assert mem.read(6 * PAGE_SIZE - 4, 4) == b"abcd"
+    assert mem.read_u64(6 * PAGE_SIZE - 8) == int.from_bytes(b"\0" * 4 + b"abcd", "little")
+    assert mem.backed_pfns() == [5]
     # 1->0 only fires on a set bit, 0->1 only on a clear bit.
     addr = 5 * PAGE_SIZE + 100  # 'h' == 0x68, bit 3 set
     assert mem.flip_bit(addr, 3, FLIP_ONE_TO_ZERO)
@@ -121,7 +130,7 @@ def test_writes_and_flips_mark_dirty_table_entries():
 @pytest.mark.parametrize("offset,marked", [
     (16, {2: {6}}),  # aligned: one entry
     (13, {1: {6}, 2: {6}}),  # unaligned within the page: two entries
-    (PAGE_SIZE - 3, {511: {6}, 0: {7}}),  # across into the next table
+    (PAGE_SIZE - 3, None),  # across into the next table: refused
 ], ids=["aligned", "unaligned", "crossing"])
 def test_write_u64_writes_and_marks_like_write(offset, marked):
     template = bytes(range(256)) * 16
@@ -130,6 +139,16 @@ def test_write_u64_writes_and_marks_like_write(offset, marked):
         # Frames 10..13 are the tables of windows 5..8.
         memory.map_runs([(10, 14, 5, (template,))])
     addr, value = 11 * PAGE_SIZE + offset, 0x0123_4567_89AB_CDEF
+    if marked is None:
+        # Every accessor refuses the crossing, and nothing is written or marked.
+        for access in (lambda: mem.write_u64(addr, value),
+                       lambda: mem.write(addr, struct.pack("<Q", value)),
+                       lambda: mem.read_u64(addr),
+                       lambda: mem.read(addr, 8)):
+            with pytest.raises(ValueError, match="within one page"):
+                access()
+        assert mem.private == {} and mem.dirty == {}
+        return
     mem.write_u64(addr, value)
     ref.write(addr, struct.pack("<Q", value))
     assert mem.private == ref.private and mem.read_u64(addr) == value
@@ -180,11 +199,13 @@ def test_two_layer_memory_matches_per_frame_reference(seed):
     segments = segments[:12]
     mem, ref = PhysicalMemory(), FrameMemory()
 
-    def addr():
+    def addr(length):
+        """An address an access of length bytes can start at without
+        leaving its page; some such accesses end on the page's last byte."""
         pfn = rng.randrange(frames + 2)
-        if rng.random() < 0.3:  # near the page end, so accesses may cross it
-            return pfn * PAGE_SIZE + PAGE_SIZE - rng.randrange(1, 9)
-        return pfn * PAGE_SIZE + rng.randrange(PAGE_SIZE)
+        if rng.random() < 0.3:  # near the page end
+            return pfn * PAGE_SIZE + PAGE_SIZE - length - rng.randrange(4)
+        return pfn * PAGE_SIZE + rng.randrange(PAGE_SIZE - length + 1)
 
     for _ in range(160):
         roll = rng.random()
@@ -201,22 +222,23 @@ def test_two_layer_memory_matches_per_frame_reference(seed):
             mem.map_runs(rows)
             ref.map_runs(rows)
         elif roll < 0.35:
-            a, data = addr(), rng.randbytes(rng.randint(1, 12))
+            data = rng.randbytes(rng.randint(1, 12))
+            a = addr(len(data))
             mem.write(a, data)
             ref.write(a, data)
         elif roll < 0.5:
-            a, value = addr(), rng.getrandbits(64)
+            a, value = addr(8), rng.getrandbits(64)
             mem.write_u64(a, value)
             ref.write_u64(a, value)
         else:
             # Either direction, so about half the pulls change nothing.
-            a, bit = addr(), rng.randrange(8)
+            a, bit = addr(1), rng.randrange(8)
             direction = rng.choice([FLIP_ONE_TO_ZERO, FLIP_ZERO_TO_ONE])
             assert mem.flip_bit(a, bit, direction) == ref.flip_bit(a, bit, direction)
         for _ in range(4):
-            a = addr()
+            a, b = addr(8), addr(20)
             assert mem.read_u64(a) == ref.read_u64(a)
-            assert mem.read(a, 20) == ref.read(a, 20)
+            assert mem.read(b, 20) == ref.read(b, 20)
         # A whole page and a range inside one, unbacked frames included.
         pfn = rng.randrange(frames + 2)
         assert mem.read(pfn * PAGE_SIZE, PAGE_SIZE) == ref.read(pfn * PAGE_SIZE, PAGE_SIZE)

@@ -17,14 +17,13 @@ from hammersim.timing_channel import (
     ChannelError,
     ChannelModel,
     PairSelectionError,
-    is_row_conflict_pair,
     key_buffer,
-    sample_latency_phys,
     select_hammer_pair,
 )
 
-from helpers import (buffer_pages, first_pages, full_placement, reference_select_pair,
-                     sample_latency, simple_mapping, small_attack_sim, unmap_dram_to_phys)
+from helpers import (buffer_pages, first_pages, full_placement, is_row_conflict_pair,
+                     reference_select_pair, sample_latency, sample_latency_phys,
+                     simple_mapping, small_attack_sim, unmap_dram_to_phys)
 from test_ambush import ODD_GEOMETRIES
 from test_dram_model import AUX_GEOMETRY
 
