@@ -28,16 +28,11 @@ def _resolve_profile(spec: str) -> MachineProfile:
     return get_profile(spec)
 
 
-def _add_common(parser: argparse.ArgumentParser, scope: str) -> None:
-    """The flags of both commands; scope is where --threshold-bytes applies."""
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--profile", default="dell",
                         help="builtin profile name or path to an INI file")
     parser.add_argument("--seed", type=int, default=0,
                         help="master seed for the run")
-    parser.add_argument("--driver", choices=DRIVERS,
-                        help=f"double-owned buffer driver, {DRIVER_VIDEO} if not given")
-    parser.add_argument("--threshold-bytes", type=int, default=None,
-                        help=f"memory threshold override in bytes ({scope} only)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,8 +43,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run seeded trials and emit a report")
-    _add_common(run_p, "ambush")
-    run_p.set_defaults(driver=DRIVER_VIDEO)
+    _add_common(run_p)
+    run_p.add_argument("--driver", choices=DRIVERS, default=DRIVER_VIDEO,
+                       help="double-owned buffer driver")
+    run_p.add_argument("--threshold-bytes", type=int, default=None,
+                       help="memory threshold override in bytes (ambush only)")
     run_p.add_argument("--strategy", choices=STRATEGIES,
                        default=STRATEGY_AMBUSH)
     run_p.add_argument("--trials", type=int, default=1)
@@ -64,10 +62,13 @@ def build_parser() -> argparse.ArgumentParser:
     info_p = sub.add_parser(
         "buddyinfo", help="dump allocator state for one seeded build"
     )
-    _add_common(info_p, "--placement")
+    _add_common(info_p)
     info_p.add_argument("--placement", action="store_true",
-                        help="dump after the ambush placement as well; --driver"
-                             " and --threshold-bytes apply only with it")
+                        help="dump after the ambush placement as well")
+    info_p.add_argument("--driver", choices=DRIVERS,
+                        help=f"buffer driver, {DRIVER_VIDEO} if not given (with --placement only)")
+    info_p.add_argument("--threshold-bytes", type=int,
+                        help="memory threshold override in bytes (with --placement only)")
 
     sub.add_parser("profiles", help="list builtin machine profiles")
     return parser
@@ -94,8 +95,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_buddyinfo(args: argparse.Namespace) -> int:
     if not args.placement and (args.driver or args.threshold_bytes is not None):
         raise ValueError("--driver and --threshold-bytes apply only with --placement")
-    profile = _resolve_profile(args.profile)
-    bundle = build_sim(profile, derive_seed(args.seed, "trial", 0))
+    bundle = build_sim(_resolve_profile(args.profile), derive_seed(args.seed, "trial", 0))
     # Nothing is printed until the placement, if asked for, has succeeded.
     text = f"after preload:\n{bundle.os.buddy.buddyinfo_text()}\n"
     if args.placement:

@@ -15,11 +15,13 @@ buffer chunks frame by frame where the OS model bisects runs, the
 per-frame memory keeps one dict entry for every backed frame where
 physical memory keeps pristine frames as runs, the reference pair
 selection translates and keys both pages of every draw where the package
-keys the buffer once per trial, the physical-address latency sampler
-decides a pair's ground truth from decoded coordinates where the package
-compares packed row keys, and the reference escalation searches
+keys the buffer once per trial, and the reference escalation searches
 every frame's page for the record where the package searches each
 distinct page content once.
+
+The physical-address latency sampler is no oracle: it draws by the
+package's own packed-key rule and lobes, and lives here because only the
+tests time a single pair of physical addresses.
 """
 
 from __future__ import annotations
@@ -66,7 +68,8 @@ from hammersim import exploit, harness
 from hammersim.harness import CSV_COLUMNS, HarnessError, TrialReport, build_sim
 from hammersim.os_model import (MARKER, PROBE_PTE, PT_SPAN, PTE_SIZE, BufferChunk,
                                 DoubleOwnedBuffer, OsModel, PteEntry, _user_pte, cred_pattern)
-from hammersim.timing_channel import ChannelError, ChannelModel, PairSelectionError, _draw_cycles
+from hammersim.timing_channel import (ChannelError, ChannelModel, PairSelectionError,
+                                      _draw_cycles, _row_conflict)
 from hammersim.profiles import ProfileError, get_profile
 
 MIB = 1024 * 1024
@@ -775,10 +778,10 @@ class LatencySample(NamedTuple):
 
 
 def is_row_conflict_pair(addr_a: int, addr_b: int, geometry: DramGeometry) -> bool:
-    """Ground truth from the decoded coordinates: same dimm, rank and bank,
+    """Ground truth by the package's packed-key rule: same dimm/rank/bank,
     different rows."""
-    a, b = map_phys_to_dram(addr_a, geometry), map_phys_to_dram(addr_b, geometry)
-    return (a.dimm, a.rank, a.bank) == (b.dimm, b.rank, b.bank) and a.row != b.row
+    return _row_conflict(geometry.row_key_of(addr_a), geometry.row_key_of(addr_b),
+                         geometry.rows_per_bank)
 
 
 def sample_latency_phys(addr_a: int, addr_b: int, geometry: DramGeometry,
