@@ -5,15 +5,17 @@ is charged at whole mebibytes, the page-table budget is what remains of the
 threshold after the buffer and the mapping file, and the file doubles until
 the mapping count fits under the VMA limit.  One mapping of a 2 MiB file
 costs exactly one page-table page, so draining the allocator's small blocks
-is just repeated mapping, and each phase knows its mapping count up front
-and maps it as one run.
+is just repeated mapping.
 
-Execution enforces the threshold as a hard cap on actual bytes charged to
-the attack (buffer blocks + file pages + table pages), which stops the
-stuffing phase slightly before the plan's mapping budget when the charged
-buffer figure was rounded down.  The drain, which maps before the buffers
-exist, is capped by the same room, the buffers charged at the size they
-will be allocated.
+Execution works out the table room once, in whole mappings: what the
+threshold leaves beside the file and the buffers, each buffer charged at
+the size it will be allocated (whole pages, or under mitigation whole
+row-index spans).  A buffer is allocated at least its request, so the room
+never exceeds the plan's budget, and the footprint (buffer blocks + file
+pages + table pages) stays within the threshold, as run_ambush checks at
+the end.  The drain maps within the room before the buffers exist, and the
+stuffing takes what it left; each phase knows its mapping count up front
+and maps it as one run.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .dram_model import PAGE_SIZE, DramGeometry, rows_size_per_row_index, target
 from .dram_model import page_row_keys  # noqa: F401  (bench/tracer.py patches it here)
 from .os_model import (
     KERNEL_PARTITION,
-    PT_SPAN,
     OsModel,
     SG_MAX_BYTES,
     VIDEO_CHUNK_BYTES,
@@ -33,7 +34,6 @@ from .os_model import (
     VMA_LIMIT,
     DoubleOwnedBuffer,
     TmpFile,
-    VmaLimitError,
 )
 
 MIB = 1 << 20
@@ -51,10 +51,6 @@ class AmbushError(Exception):
 
 
 class PlanError(AmbushError):
-    pass
-
-
-class DrainError(AmbushError):
     pass
 
 
@@ -145,109 +141,55 @@ class Placement:
         return self.buffer.allocated_bytes + self.file.size + self.pt_pages * PAGE_SIZE
 
 
-class MappingDriver:
-    """Owns the mapping file and budget; stamps markers after the first map.
-
-    table_room is the table pages the threshold leaves beside the file and
-    the buffers, each charged at the size it will be allocated: under
-    mitigation, a buffer chunk fills whole row-index spans.
-    """
-
-    def __init__(self, os_model: OsModel, plan_: AmbushPlan, *,
-                 mitigation: bool = False) -> None:
-        self.os = os_model
-        self.plan = plan_
-        self.file = os_model.create_tmp_file(plan_.file_size)
-        self.pages_per_map = plan_.file_size // PT_SPAN
-        self.mapped = 0
-        self.pt_pages = 0
-        unit = rows_size_per_row_index(os_model.dram.geometry) if mitigation else PAGE_SIZE
-        buffers = plan_.chunk_count * -(-plan_.chunk_size // unit) * unit
-        spare = plan_.threshold_mem_size - plan_.file_size - buffers
-        self.table_room = max(0, spare) // PAGE_SIZE
-
-    @property
-    def budget_left(self) -> int:
-        return self.plan.vma_num - self.mapped
-
-    def map(self, count: int) -> int:
-        """Map the file count more times as one run; returns the table
-        pages added."""
-        if count <= 0:
-            return 0
-        if count > self.budget_left:
-            raise VmaLimitError("plan mapping budget exhausted")
-        added = len(self.os.mmap_primitive(self.file, count))
-        if not self.mapped:
-            self.os.write_markers(self.file)
-        self.mapped += count
-        self.pt_pages += added
-        return added
+def _map(os_model: OsModel, file: TmpFile, count: int) -> None:
+    """Map the file count more times as one run; the model's first mapping
+    marks the file."""
+    if count > 0:
+        first = not os_model.vmas
+        os_model.mmap_primitive(file, count)
+        if first:
+            os_model.write_markers(file)
 
 
-def drain_small_blocks(os_model: OsModel, mapper: MappingDriver) -> tuple[int, int]:
+def drain_small_blocks(os_model: OsModel, file: TmpFile, room: int) -> tuple[int, int]:
     """Map the file until no free block below the target order remains.
 
-    The kernel partition's FRESH blocks are then freed, and as many bytes
-    of small blocks as that injected are drained too.  Neither phase maps
-    past the mapper's table room.  Returns (pt pages drained, fresh bytes
-    injected).
+    Each table page takes one page from the smallest free block, so the
+    small blocks last exactly as many table pages as they hold pages.  The
+    kernel partition's FRESH blocks are then freed, and as many bytes of
+    small blocks as that injected are drained too.  The two phases map at
+    most room mappings between them.  Returns (pt pages drained, fresh
+    bytes injected).
     """
-    def room() -> int:
-        """The bytes of whole mappings that still fit in the table room."""
-        per_map = mapper.pages_per_map
-        return (mapper.table_room - mapper.pt_pages) // per_map * per_map * PAGE_SIZE
-
-    drained = _drain_phase(os_model, mapper, room())
     buddy = os_model.buddy
+    per_map = len(file.templates)  # one table per 2 MiB window of the file
+    target_order = (target_block_size(os_model.dram.geometry) // PAGE_SIZE).bit_length() - 1
+
+    def drain(cap: int) -> int:
+        small = buddy.free_pages_below(KERNEL_PARTITION, target_order)
+        maps = min(-(-small // per_map), cap)
+        _map(os_model, file, maps)
+        return maps
+
+    maps = drain(room)
     fresh = [b for b in buddy.blocks(KERNEL_PARTITION) if b.owner == FRESH]
     for block in fresh:
         buddy.free(block)
     injected = sum(block.size for block in fresh)
-    if injected:
-        drained += _drain_phase(os_model, mapper, min(injected, room()))
-    return drained, injected
-
-
-def _drain_phase(os_model: OsModel, mapper: MappingDriver, cap_bytes: int) -> int:
-    """Map until the small blocks free now are drained, or cap_bytes of
-    tables are; returns the table pages mapped.
-
-    Each table page takes one page from the smallest free block, so the
-    small blocks last exactly as many table pages as they hold pages.
-    """
-    target_order = _order_of(target_block_size(os_model.dram.geometry))
-    small_pages = os_model.buddy.free_pages_below(KERNEL_PARTITION, target_order)
-    per_map = mapper.pages_per_map
-    cap_maps = -(-cap_bytes // (per_map * PAGE_SIZE))
-    maps = -(-small_pages // per_map)
-    capped = cap_maps < maps
-    maps = min(maps, cap_maps)
-    # Mapping one at a time checks the budget before every map, and once
-    # more before the cap ends the drain early.
-    if maps + capped > mapper.budget_left:
-        raise DrainError("mapping budget exhausted before small blocks were drained")
-    return mapper.map(maps)
-
-
-def _order_of(size: int) -> int:
-    pages = size // PAGE_SIZE
-    return pages.bit_length() - 1
+    maps += drain(min(-(-injected // (per_map * PAGE_SIZE)), room - maps))
+    return maps * per_map, injected
 
 
 def place_interleaved(
     os_model: OsModel,
     plan_: AmbushPlan,
-    mapper: MappingDriver,
+    file: TmpFile,
+    maps: int,
     *,
     mitigation: bool = False,
-) -> DoubleOwnedBuffer:
-    """Reserve the device buffers, then stuff tables into the splits.
-
-    Stuffing continues until either the plan's mapping budget or the
-    threshold cap on actual charged bytes is reached, whichever binds
-    first.
-    """
+) -> tuple[DoubleOwnedBuffer, int]:
+    """Reserve the device buffers, then stuff maps more mappings' tables
+    into the splits; returns the buffer and the table pages stuffed."""
     if plan_.driver == DRIVER_VIDEO:
         buffer = os_model.open_video(plan_.chunk_count, isolated=mitigation)
     else:
@@ -255,11 +197,8 @@ def place_interleaved(
             plan_.chunk_count, plan_.chunk_size, isolated=mitigation
         )
     os_model.map_buffer(buffer)
-    if buffer.allocated_bytes + plan_.file_size > plan_.threshold_mem_size:
-        raise PlacementError("buffers and file alone exceed the threshold")
-    fits = max(0, (mapper.table_room - mapper.pt_pages) // mapper.pages_per_map)
-    mapper.map(min(mapper.budget_left, fits))
-    return buffer
+    _map(os_model, file, maps)
+    return buffer, maps * len(file.templates)
 
 
 def run_ambush(
@@ -269,17 +208,18 @@ def run_ambush(
     mitigation: bool = False,
 ) -> Placement:
     """Execute the full placement: file, drain (fresh blocks included),
-    buffers, stuffing."""
-    mapper = MappingDriver(os_model, plan_, mitigation=mitigation)
-    drained, _ = drain_small_blocks(os_model, mapper)
-    buffer = place_interleaved(os_model, plan_, mapper, mitigation=mitigation)
-    placement = Placement(
-        plan=plan_,
-        file=mapper.file,
-        buffer=buffer,
-        drained_pt_pages=drained,
-        stuffed_pt_pages=mapper.pt_pages - drained,
-    )
+    buffers, stuffing, all within the table room."""
+    file = os_model.create_tmp_file(plan_.file_size)
+    per_map = len(file.templates)
+    unit = rows_size_per_row_index(os_model.dram.geometry) if mitigation else PAGE_SIZE
+    buffers = plan_.chunk_count * -(-plan_.chunk_size // unit) * unit
+    room = (plan_.threshold_mem_size - file.size - buffers) // (PAGE_SIZE * per_map)
+    if room < 0:
+        raise PlacementError("buffers and file alone exceed the threshold")
+    drained, _ = drain_small_blocks(os_model, file, room)
+    buffer, stuffed = place_interleaved(os_model, plan_, file, room - drained // per_map,
+                                        mitigation=mitigation)
+    placement = Placement(plan_, file, buffer, drained, stuffed)
     if placement.footprint_bytes > plan_.threshold_mem_size:
         raise PlacementError("placement exceeded the memory threshold")
     return placement

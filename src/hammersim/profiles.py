@@ -87,8 +87,9 @@ class MachineProfile:
             raise ProfileError("kernel partition must fit inside DRAM")
         if self.max_order < 0:
             raise ProfileError("max_order must be >= 0")
-        # The preload holds one bit per page of a max-order block.
-        if PAGE_SIZE << self.max_order > self.geometry.capacity:
+        # The preload holds one bit per page of a max-order block.  The
+        # order is compared, not shifted, so a huge one is refused cheaply.
+        if self.max_order >= (self.geometry.capacity // PAGE_SIZE).bit_length():
             raise ProfileError(f"a max_order {self.max_order} block is larger than the DRAM")
         # A fresh allocator lists every max-order block (dell at order 0: 2**21).
         blocks = self.geometry.capacity // (PAGE_SIZE << self.max_order)

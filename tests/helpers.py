@@ -9,7 +9,8 @@ per-order free lists, the reference preload carves by trial and error
 where the package tests bitmasks of free pages, the reference hammer
 groups decoded (dimm, rank, bank, row) coordinates and decodes fired cells
 through that inverse where the package compares packed row keys, the
-verification oracle sweeps every mapped page linearly instead of
+reference adjacency pairs (dimm, rank, bank, row) tuples page by page
+where the package packs the keys of clipped runs, the verification oracle sweeps every mapped page linearly instead of
 consulting the dirty index, the per-frame maps expand table runs and
 buffer chunks frame by frame where the OS model bisects runs, the
 per-frame memory keeps one dict entry for every backed frame where
@@ -36,7 +37,7 @@ from unittest import mock
 
 import numpy as np
 
-from hammersim.ambush import DRIVER_VIDEO, plan, run_ambush
+from hammersim.ambush import DRIVER_VIDEO, AdjacencyReport, plan, run_ambush
 from hammersim.buddy_alloc import (
     _PLACE_ATTEMPTS,
     Block,
@@ -682,10 +683,11 @@ def full_placement(profile, driver: str, seed: int, *, mitigation: bool = False)
     return os_model, placement
 
 
-def reference_adjacency(os_model: OsModel, placement) -> tuple:
-    """Sorted (buffer row, table row) pairs of row adjacency, on
+def reference_adjacency(os_model: OsModel, placement) -> AdjacencyReport:
+    """Row adjacency between buffer rows and page-table rows, found on
     (dimm, rank, bank, row) tuple sets: one page_row_keys call per page,
-    neighbours built as tuples."""
+    neighbours built as tuples.  Only the sorted pairs are packed, by
+    pack_row_key, into the report verify_adjacency gives."""
     geometry = os_model.dram.geometry
     pt_rows: set[tuple[int, int, int, int]] = set()
     for pfn in os_model.pt_pfns():
@@ -698,7 +700,9 @@ def reference_adjacency(os_model: OsModel, placement) -> tuple:
                 for neighbor_row in (row - 1, row + 1):
                     if (d, r, b, neighbor_row) in pt_rows:
                         pairs.add(((d, r, b, row), (d, r, b, neighbor_row)))
-    return tuple(sorted(pairs))
+    packed = sorted((pack_row_key(geometry, *buffer_row), pack_row_key(geometry, *pt_row))
+                    for buffer_row, pt_row in pairs)
+    return AdjacencyReport(bool(packed), tuple(packed))
 
 
 def fuzz_injections(os_model: OsModel, rng: random.Random, count: int) -> int:
@@ -859,8 +863,9 @@ def first_pages(buffer: DoubleOwnedBuffer, n: int) -> DoubleOwnedBuffer:
 def run_trial(profile, seed: int, *, reference: bool = False, **kwargs):
     """harness.run_single_trial for one trial seed; returns the CSV row, the
     trial's OS model and its hammered buffer (None without hammer rounds).
-    With reference, each round's pair comes from reference_select_pair, the
-    round hammers through reference_hammer and a capture escalates through
+    With reference, the adjacency check is reference_adjacency, each
+    round's pair comes from reference_select_pair, the round hammers
+    through reference_hammer and a capture escalates through
     reference_escalate."""
     hammer_loop, seen = harness.hammer_loop, []
 
@@ -878,7 +883,9 @@ def run_trial(profile, seed: int, *, reference: bool = False, **kwargs):
               mock.patch.object(exploit, "escalate_root", reference_escalate)):
             return hammer_loop(os_model, buffer, *args, **kw)
 
-    with mock.patch.object(harness, "hammer_loop", loop):
+    adjacency = reference_adjacency if reference else harness.verify_adjacency
+    with (mock.patch.object(harness, "hammer_loop", loop),
+          mock.patch.object(harness, "verify_adjacency", adjacency)):
         report = harness.run_single_trial(profile, seed, **kwargs)
     os_model, buffer = seen[0] if seen else (None, None)
     return harness._row_values(report), os_model, buffer

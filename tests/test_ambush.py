@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
@@ -12,24 +13,24 @@ from hypothesis import strategies as st
 from hammersim.ambush import (
     DRIVER_SG,
     DRIVER_VIDEO,
-    DrainError,
-    MappingDriver,
+    PlacementError,
     PlanError,
-    _drain_phase,
     drain_small_blocks,
     plan,
     run_ambush,
     verify_adjacency,
 )
-from hammersim.buddy_alloc import Block, BuddyState, Partition, preload_workload
+from hammersim.buddy_alloc import FRESH, Block, BuddyState, Partition, preload_workload
 from hammersim.dram_model import (PAGE_SIZE, Dram, DramGeometry, MappingSpec,
-                                  target_block_size)
-from hammersim.os_model import MARKER, BufferChunk, OsModel, VmaLimitError
+                                  rows_size_per_row_index, target_block_size)
+from hammersim.os_model import MARKER, PT_SPAN, BufferChunk, OsModel
+from hammersim.profiles import get_profile
 
 from helpers import (assert_guarded, full_placement, page_row_keys, reference_adjacency,
                      simple_mapping, small_attack_sim, unpacked_pairs)
 
 MIB = 1024 * 1024
+DELL_ROW_SPAN = rows_size_per_row_index(get_profile("dell").geometry)
 
 
 # --- plan arithmetic ---
@@ -95,6 +96,14 @@ def test_plan_invariants(threshold_mib, opens, reserved_kib):
         assert p.dev_buf_size == p.dev_request_bytes // MIB * MIB
         assert p.dev_buf_size <= p.dev_request_bytes < p.dev_buf_size + MIB
         assert p.file_size % (2 * MIB) == 0
+        # A buffer is allocated at least its request, in whole pages or
+        # whole row spans, so the table room run_ambush works out never
+        # exceeds the plan's mapping budget.
+        map_bytes = PAGE_SIZE * (p.file_size // PT_SPAN)  # tables per mapping
+        for unit in (PAGE_SIZE, DELL_ROW_SPAN):
+            buffers = p.chunk_count * -(-p.chunk_size // unit) * unit
+            assert buffers >= p.dev_buf_size
+            assert (threshold - p.file_size - buffers) // map_bytes <= p.vma_num
 
 
 # --- execution fixtures ---
@@ -123,53 +132,48 @@ def build_sim(*, residue=2 * MIB, fresh=0, seed=1):
     return os_model
 
 
+def video_room(threshold):
+    """The table room, in mappings of a 2 MiB file, that run_ambush leaves
+    at threshold beside unguarded video buffers."""
+    return (threshold - 2 * MIB - 32 * 600 * 1024) // PAGE_SIZE
+
+
 def test_drain_consumes_exactly_the_residue():
     os_model = build_sim(residue=2 * MIB)
     target_order = (target_block_size(os_model.dram.geometry)
                     // PAGE_SIZE).bit_length() - 1
     assert os_model.buddy.free_pages_below("kernel", target_order) == 2 * MIB // PAGE_SIZE
-    mapper = MappingDriver(os_model, plan(24 * MIB, DRIVER_VIDEO))
-    drained, injected = drain_small_blocks(os_model, mapper)
+    file = os_model.create_tmp_file(2 * MIB)
+    drained, injected = drain_small_blocks(os_model, file, video_room(24 * MIB))
     assert drained == 2 * MIB // PAGE_SIZE
     assert injected == 0
     assert os_model.buddy.free_pages_below("kernel", target_order) == 0
     # The drain consumed small blocks only: every table sits below the
     # target order, so no pristine large block was broken.
-    assert mapper.mapped == drained
+    assert sum(run.count for run in os_model.vmas) == drained
 
 
 def test_drain_on_pristine_pool_is_a_noop():
     os_model = build_sim(residue=0)
-    mapper = MappingDriver(os_model, plan(24 * MIB, DRIVER_VIDEO))
-    drained, _ = drain_small_blocks(os_model, mapper)
+    file = os_model.create_tmp_file(2 * MIB)
+    drained, _ = drain_small_blocks(os_model, file, video_room(24 * MIB))
     assert drained == 0
-    assert mapper.mapped == 0
-
-
-def test_drain_respects_budget():
-    os_model = build_sim(residue=2 * MIB)
-    # A 20 MiB threshold plans zero mappings: draining must fail loudly.
-    mapper = MappingDriver(os_model, plan(20 * MIB, DRIVER_VIDEO))
-    with pytest.raises(DrainError):
-        drain_small_blocks(os_model, mapper)
+    assert os_model.vmas == []
 
 
 def test_drain_absorbs_fresh_blocks_up_to_cap():
     os_model = build_sim(residue=2 * MIB, fresh=1 * MIB)
-    mapper = MappingDriver(os_model, plan(24 * MIB, DRIVER_VIDEO))
-    drained, injected = drain_small_blocks(os_model, mapper)
+    file = os_model.create_tmp_file(2 * MIB)
+    drained, injected = drain_small_blocks(os_model, file, video_room(24 * MIB))
     assert injected == 1 * MIB
     assert drained == 3 * MIB // PAGE_SIZE
     assert os_model.buddy.free_pages_below("kernel", 3) == 0
 
 
-def _drain_one_map_at_a_time(small_pages, per_map, budget, cap_bytes):
-    """The drain as a loop of single mappings: maps made, or None where it
-    raises DrainError."""
+def _drain_one_map_at_a_time(small_pages, per_map, cap_bytes):
+    """The drain as a loop of single mappings: the maps made."""
     maps = 0
     while maps * per_map < small_pages:
-        if budget - maps <= 0:
-            return None
         if maps * per_map * PAGE_SIZE >= cap_bytes:
             break
         maps += 1
@@ -178,42 +182,74 @@ def _drain_one_map_at_a_time(small_pages, per_map, budget, cap_bytes):
 
 @pytest.mark.parametrize("per_map", [1, 2])
 def test_drain_count_matches_one_at_a_time_loop(per_map):
+    # Each phase's count against the loop: the first capped by the room,
+    # the second by the fresh bytes and what the first left of the room.
     geometry = simple_mapping(banks=2, rows=8192, row_size=8192)
-    for small_pages in range(6):
-        for budget in range(5):
-            for cap_bytes in (0, 1, PAGE_SIZE, 2 * PAGE_SIZE, 3 * PAGE_SIZE + 1):
-                os_model = SimpleNamespace(
-                    dram=SimpleNamespace(geometry=geometry),
-                    buddy=SimpleNamespace(
-                        free_pages_below=lambda *_: small_pages))
-                made = []
-                mapper = SimpleNamespace(
-                    pages_per_map=per_map, budget_left=budget,
-                    map=lambda count: made.append(count) or count * per_map)
-                want = _drain_one_map_at_a_time(small_pages, per_map, budget, cap_bytes)
-                if want is None:
-                    with pytest.raises(DrainError):
-                        _drain_phase(os_model, mapper, cap_bytes)
-                    assert made == []
-                else:
-                    assert _drain_phase(os_model, mapper, cap_bytes) == want * per_map
-                    assert made == [want]
+    file = SimpleNamespace(templates=(b"",) * per_map)
+    unit = per_map * PAGE_SIZE
+    caps = (0, 1, PAGE_SIZE, 2 * PAGE_SIZE, 3 * PAGE_SIZE + 1)
+    for small, small_after, fresh_bytes, room in product(range(6), range(6), caps, range(5)):
+        calls, freed = [], []
+        fresh = [SimpleNamespace(owner=FRESH, size=fresh_bytes)] * bool(fresh_bytes)
+        os_model = SimpleNamespace(
+            dram=SimpleNamespace(geometry=geometry),
+            buddy=SimpleNamespace(
+                free_pages_below=lambda *_: small_after if freed else small,
+                blocks=lambda *_: iter(fresh), free=freed.append),
+            vmas=[],
+            mmap_primitive=lambda f, count: calls.append(count) or os_model.vmas.append(f),
+            write_markers=lambda f: calls.append("markers"))
+        first = _drain_one_map_at_a_time(small, per_map, room * unit)
+        second = _drain_one_map_at_a_time(small_after, per_map,
+                                          min(fresh_bytes, (room - first) * unit))
+        assert drain_small_blocks(os_model, file, room) == (
+            (first + second) * per_map, fresh_bytes)
+        made = [count for count in (first, second) if count]
+        assert calls == made[:1] + ["markers"] * bool(made) + made[1:]
 
 
-def test_mapping_driver_budget_and_markers():
-    os_model = build_sim(residue=0)
-    p = plan(22 * MIB, DRIVER_VIDEO)  # pt 2 MiB -> 512 mappings
-    mapper = MappingDriver(os_model, p)
-    assert mapper.budget_left == 512
-    assert mapper.map(1) == 1
-    assert os_model.read_u64_virtual(os_model.vmas[0].base) == MARKER
-    with pytest.raises(VmaLimitError):
-        mapper.map(512)
-    assert mapper.map(511) == 511
-    assert mapper.budget_left == 0
-    assert os_model.read_u64_virtual(os_model.vmas[1].end - PAGE_SIZE) == MARKER
-    with pytest.raises(VmaLimitError):
-        mapper.map(1)
+def test_run_ambush_marks_the_file_once_across_its_mappings():
+    os_model = build_sim(residue=2 * MIB, fresh=1 * MIB)
+    placement = run_ambush(os_model, plan(24 * MIB, DRIVER_VIDEO))
+    runs = os_model.vmas
+    assert [run.count for run in runs] == [512, 256, video_room(24 * MIB) - 768]
+    assert placement.pt_pages == video_room(24 * MIB)
+    for vaddr in (runs[0].base, runs[-1].end - PAGE_SIZE):
+        assert os_model.read_u64_virtual(vaddr) == MARKER
+
+
+def test_run_ambush_with_no_table_room_maps_nothing():
+    # The threshold holds exactly the file and the buffers as allocated,
+    # although the plan, which charges the buffers at whole mebibytes,
+    # budgets 192 mappings.
+    os_model = build_sim(residue=2 * MIB)
+    p = plan(2 * MIB + 32 * 600 * 1024, DRIVER_VIDEO)
+    assert p.vma_num == 192 and video_room(p.threshold_mem_size) == 0
+    placement = run_ambush(os_model, p)
+    assert os_model.vmas == [] and placement.pt_pages == 0
+    assert placement.footprint_bytes == p.threshold_mem_size
+    # The residue is still free (the buffers' block tails add to it).
+    assert os_model.buddy.free_pages_below("kernel", 3) >= 2 * MIB // PAGE_SIZE
+    assert all(os_model.memory.read_u64(pfn * PAGE_SIZE) == 0
+               for pfn in placement.file.pfns)
+
+
+def test_run_ambush_refuses_buffers_and_file_past_the_threshold():
+    os_model = build_sim(residue=2 * MIB)
+    with pytest.raises(PlacementError, match="buffers and file alone exceed"):
+        run_ambush(os_model, plan(20 * MIB, DRIVER_VIDEO))
+    assert os_model.vmas == []
+
+
+def test_run_ambush_fills_the_budget_with_a_capped_drain():
+    # sg buffers are exactly 31 MiB, so the room equals the plan's budget,
+    # and the 512 small pages outlast it: the drain takes the whole room.
+    os_model = build_sim(residue=2 * MIB)
+    p = plan(34 * MIB, DRIVER_SG)
+    assert p.dev_request_bytes == p.dev_buf_size == 31 * MIB and p.vma_num == 256
+    placement = run_ambush(os_model, p)
+    assert (placement.drained_pt_pages, placement.stuffed_pt_pages) == (256, 0)
+    assert placement.footprint_bytes == 34 * MIB
 
 
 # --- full placement ---
@@ -281,7 +317,7 @@ def test_adjacency_stops_at_bank_edges(table_row, adjacent):
     chunk = BufferChunk(Block("kernel", page(1, 0), 1, "t"), PAGE_SIZE)
     placement = SimpleNamespace(buffer=SimpleNamespace(chunks=[chunk]))
     report = verify_adjacency(os_model, placement)
-    assert unpacked_pairs(geo, report.pairs) == reference_adjacency(os_model, placement)
+    assert report == reference_adjacency(os_model, placement)
     assert report.adjacent == adjacent
     assert unpacked_pairs(geo, report.pairs) == (((0, 0, 1, 0), (0, 0, *table_row)),) * adjacent
 
@@ -299,9 +335,8 @@ def test_packed_key_adjacency_matches_tuple_reference(profile, driver, mitigatio
         os_model, placement = full_placement(profile, driver, seed,
                                              mitigation=mitigation)
         report = verify_adjacency(os_model, placement)
-        pairs = unpacked_pairs(os_model.dram.geometry, report.pairs)
-        assert pairs == reference_adjacency(os_model, placement)
-        assert report.adjacent == bool(pairs) != mitigation
+        assert report == reference_adjacency(os_model, placement)
+        assert report.adjacent != mitigation
 
 
 # 128 MiB geometries the builtin profiles do not cover, with 8 KiB rows
@@ -326,10 +361,7 @@ def test_adjacency_matches_tuple_reference_on_odd_geometries(name, mitigation):
     for seed in (1, 2):
         os_model, placement = small_attack_sim(geometry=ODD_GEOMETRIES[name], seed=seed,
                                                mitigation=mitigation)
-        report = verify_adjacency(os_model, placement)
-        pairs = unpacked_pairs(os_model.dram.geometry, report.pairs)
-        assert pairs == reference_adjacency(os_model, placement)
-        assert report.adjacent == bool(pairs)
+        assert verify_adjacency(os_model, placement) == reference_adjacency(os_model, placement)
 
 
 def table_pages_read(monkeypatch, os_model, placement) -> list[int]:
@@ -377,7 +409,7 @@ def test_adjacency_reads_only_the_bordering_slice_of_a_table_run(monkeypatch):
     placement = SimpleNamespace(buffer=SimpleNamespace(chunks=[chunk]))
     assert table_pages_read(monkeypatch, os_model, placement) == [4, 5, 6, 7]
     report = verify_adjacency(os_model, placement)
-    assert unpacked_pairs(geo, report.pairs) == reference_adjacency(os_model, placement)
+    assert report == reference_adjacency(os_model, placement)
     assert unpacked_pairs(geo, report.pairs) == (((0, 0, 1, 0), (0, 0, 1, 1)),)
 
 

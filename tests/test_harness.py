@@ -6,13 +6,18 @@ import configparser
 import dataclasses
 import gc
 import hashlib
+import io
 import os
 import subprocess
 import sys
 import weakref
+from contextlib import redirect_stderr, redirect_stdout
+from itertools import chain
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hammersim import profiles
 from hammersim.ambush import DRIVER_VIDEO, plan, run_ambush
@@ -348,6 +353,9 @@ BAD_PROFILES = {
     # dell holds 2**21 pages, so an order-40 block would need a 2**40-bit mask.
     "huge_max_order": ("[allocator]\nmax_order = 40\n",
                        "error: a max_order 40 block is larger than the DRAM"),
+    # Shifting a page by this order would not fit in memory.
+    "overflowing_max_order": (f"[allocator]\nmax_order = {10 ** 30}\n",
+                              f"error: a max_order {10 ** 30} block is larger than the DRAM"),
     # dell's preload draws pair halves up to order 6 (its 512 KiB target block).
     "max_order_below_pairs": ("[allocator]\nmax_order = 2\n",
                               "error: max_order 2 is below the preload's pair order 6"),
@@ -537,6 +545,11 @@ REFUSED_FLAGS = {
     "buddyinfo-refused_threshold": (
         ["buddyinfo", "--placement", "--threshold-bytes", "1"],
         "error: threshold leaves no room for the mapping file and buffers\n"),
+    # The plan budgets 0 tables at 20 MiB, but 32 video buffers of 600 KiB
+    # and the 2 MiB file already pass it.
+    "run-buffers_past_threshold": (
+        ["run", "--threshold-bytes", str(20 * MIB)],
+        "error: buffers and file alone exceed the threshold\n"),
 }
 
 
@@ -571,3 +584,122 @@ def test_cli_reports_infeasible_guarded_placement(ini_path, capsys):
               "--mitigation", "--threshold-bytes", str(60 * MIB)])
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_places_sg_when_the_drain_fills_the_plan_budget(capsys):
+    # 256 sg buffers of 124 KiB are exactly 31 MiB, so at 43 MiB the table
+    # room equals the plan's budget of 2,560 mappings, and dell's small
+    # blocks outlast it: the drain alone fills the threshold.
+    threshold = 45_088_768
+    assert main(["run", "--driver", "sg", "--threshold-bytes", str(threshold),
+                 "--rounds-cap", "0"]) == 0
+    (row,) = parse_report(capsys.readouterr().out)
+    assert (row.footprint_bytes, row.pt_pages) == (threshold, 2560)
+
+
+# --- no input gives a traceback ---
+
+# One drawn INI file gives all its keys values of one kind: typical, zero,
+# negative, huge, wrong-type or garbage.  The values are by parser, with a
+# key's own where the parser's would not do.  Huge values are refused or
+# cost nothing; values that ask for real work stay out of the draw: round
+# caps stay at most 2, pair attempts at 5,000, cells per weak row at dell's
+# 96, the max order at least 2 (at 0, dell lists 2**21 free blocks), and a
+# [dram] section describes at most dell's 8 GiB.
+KINDS = ("typical", "zero", "negative", "huge", "wrong_type", "garbage")
+HUGE = str(10 ** 30)
+INI_VALUES = {
+    int: ("1", "0", "-1", HUGE, "1.5", "x"),
+    float: ("0.5", "0", "-0.1", "1e308", "x", "nan"),
+    str: ("mybox", "", "-", "x" * 300, "1", "100%"),
+    profiles._parse_size: ("2m", "0", "-4k", HUGE + "g", "1.5m", "x"),
+    profiles._parse_selectors: ("6", "", "-1", HUGE, "1.5", "13;;14"),
+    profiles._parse_bit_range: ("18-32", "0-0", "-1-3", "0-" + HUGE, "5", "x"),
+}
+KEY_VALUES = {  # kind -> value, where a key departs from its parser's
+    "base": {"typical": "lenovo", "garbage": "vax"},
+    "kernel_bytes": {"typical": "1g"},
+    "max_order": {"typical": "10", "zero": "2"},
+    "threshold_video": {"typical": "43m"},
+    "threshold_sg": {"typical": "43m"},
+    "rounds_cap": {"typical": "2", "huge": "2"},
+    "pair_attempt_cap": {"huge": "5000"},
+    "threshold_cycles": {"typical": "360"},
+    "conflict_rate": {"typical": "0.927"},
+    "other_rate": {"typical": "0.974"},
+    "cells_per_weak_row": {"typical": "96", "huge": "65537"},
+    "dimms": {"typical": "2"},
+    "ranks_per_dimm": {"typical": "2"},
+    "banks_per_rank": {"typical": "8"},
+    "rows_per_bank": {"typical": "32768"},
+    "row_size": {"typical": "8192"},
+    "rank_bits": {"typical": "17"},
+    "bank_bits": {"typical": "13;14;15"},
+}
+INI_KEYS = [(section, key, parse) for section, (_, keys) in profiles._SCHEMA.items()
+            for key, (_, parse) in keys.items()]
+THRESHOLDS = [None, -1, 0, 20 * MIB, 43 * MIB, 45_088_768, 88 * MIB, 1 << 30, 1 << 40]
+
+
+def typical(values):
+    """values[0] at least half the time, else any of values."""
+    return st.sampled_from(values[:1]) | st.sampled_from(values)
+
+
+@st.composite
+def ini_text(draw):
+    """INI text over profiles._SCHEMA: up to four drawn keys outside
+    [dram] and, one time in four, a whole [dram] section, all of one drawn
+    kind; and always an [attack] rounds_cap of at most 2."""
+    kind = draw(st.sampled_from(KINDS))
+
+    def value(key, parse):
+        return KEY_VALUES.get(key, {}).get(kind) or INI_VALUES[parse][KINDS.index(kind)]
+
+    keys = [entry for entry in INI_KEYS if entry[0] != "dram"]
+    chosen = draw(st.lists(st.sampled_from(keys), max_size=4, unique=True))
+    if draw(st.integers(0, 3)) == 0:
+        chosen += [entry for entry in INI_KEYS if entry[0] == "dram"
+                   and (entry[1] in profiles._DRAM_KEYS or draw(st.booleans()))]
+    sections = {"attack": {"rounds_cap": draw(typical(["2", "0", "1", "-1", "x"]))}}
+    for section, key, parse in chosen:
+        sections.setdefault(section, {})[key] = value(key, parse)
+    return "".join(f"[{name}]\n" + "".join(f"{key} = {text}\n" for key, text in keys.items())
+                   for name, keys in sections.items())
+
+
+def cli_argv():
+    """run or buddyinfo argv, at most one trial; the profile goes last."""
+    def flag(name, values):
+        return typical(values).map(
+            lambda value: [] if value is None else [name] if value is True
+            else [name, str(value)])
+
+    def command(name, *flags):
+        return st.tuples(*flags).map(lambda parts: [name, *chain.from_iterable(parts)])
+
+    common = (flag("--seed", [None, 2026, -1, 10 ** 30]),
+              flag("--threshold-bytes", THRESHOLDS), flag("--driver", [None, "video", "sg"]))
+    return command("run", *common, flag("--strategy", [None, "spray", "feng_shui"]),
+                   flag("--trials", [None, 0, -5]), flag("--mitigation", [None, True]),
+                   flag("--rounds-cap", [None, 0, 2, -3]),
+                   flag("--format", [None, "text"])) | command(
+        "buddyinfo", *common, flag("--placement", [True, None]))
+
+
+@given(text=ini_text(), argv=cli_argv())
+@settings(max_examples=300, deadline=None)
+def test_cli_exits_cleanly_on_any_drawn_input(tmp_path_factory, text, argv):
+    # Any input ends in exit 0 with nothing on stderr, or in exit 2 with
+    # one "error: ..." line; an exception escaping main fails the test.
+    path = tmp_path_factory.mktemp("cli") / "drawn.ini"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([*argv, "--profile", str(path)])
+    except SystemExit as exc:
+        code = exc.code
+    lines = err.getvalue().splitlines()
+    assert (code, lines) == (0, []) or (
+        code == 2 and len(lines) == 1 and lines[0].startswith("error: ")), (code, lines)
