@@ -11,8 +11,9 @@ on both sides.  The output is the median per-op time of each side, the
 median over ops of the ratio B/A, and the ratio of the summed times B/A
 (a few slow ops weigh more in it than in the median).  Ops that escalate
 cost far more than the rest and dominate the sum, so ``scan`` also reports
-its capture and non-capture batches apart, and ``exploit`` its root trials
-and all other trials.
+its capture and non-capture batches apart, and ``exploit`` its trials by
+outcome status (``none``, ``flippable_only``, ``kernel_privilege``,
+``root_privilege``), which shows where a saving lands.
 
 Preparing an op is timed apart from running it.  ``bench/run.py`` leaves a
 ``scan`` episode build out of the per-op times but counts it in
@@ -70,17 +71,19 @@ def _timed(workload, index: int):
     return t1 - t0, perf_counter() - t1, record
 
 
-# Groups a row can report in beside "all", in print order; "prepare" rows
-# are episode builds, not ops.
-GROUP_ORDER = ("non-capture", "capture", "other", "root", "prepare")
+# Groups a row can report in beside "all", in print order: scan batches by
+# capture, exploit trials by outcome status.  "prepare" rows are episode
+# builds, not ops.
+GROUP_ORDER = ("non-capture", "capture", "none", "flippable_only", "kernel_privilege",
+               "root_privilege", "prepare")
 
 
-def _group(name: str, record, hs) -> str | None:
-    """A scan batch's group by capture, an exploit trial's by root."""
+def _group(name: str, record) -> str | None:
+    """A scan batch's group by capture, an exploit trial's by outcome."""
     if name == "scan":
         return "non-capture" if record["found"] is None else "capture"
     if name == "exploit":
-        return "root" if record.outcome == hs.exploit.STATUS_ROOT else "other"
+        return record.outcome
     return None
 
 
@@ -103,7 +106,7 @@ def run_pairs(sides, name: str, seed: int, ops: int):
             raise AssertionError(f"op {index} differs:\nA: {text_a}\nB: {text_b}")
         if builds:
             rows.append((prep_a, prep_b, "prepare"))
-        rows.append((time_a, time_b, _group(name, record_a, sides[0][0])))
+        rows.append((time_a, time_b, _group(name, record_a)))
     return rows
 
 
@@ -113,7 +116,7 @@ def summary(rows) -> list[str]:
     groups = {"all": [r for r in rows if r[2] != "prepare"]}
     for label in GROUP_ORDER:
         groups[label] = [r for r in rows if r[2] == label]
-    lines = [f"{'ops':>15} {'A p50 ms':>9} {'B p50 ms':>9} {'B/A p50':>8} {'B/A sum':>8}"]
+    lines = [f"{'ops':>20} {'A p50 ms':>9} {'B p50 ms':>9} {'B/A p50':>8} {'B/A sum':>8}"]
     for label, group in groups.items():
         if not group:
             continue
@@ -122,7 +125,7 @@ def summary(rows) -> list[str]:
         ratio = statistics.median(r[1] / r[0] for r in group)
         summed = rows if label == "all" else group
         total = sum(r[1] for r in summed) / sum(r[0] for r in summed)
-        lines.append(f"{label:<11}{len(group):>4} {a:9.3f} {b:9.3f} {ratio:8.3f} {total:8.3f}")
+        lines.append(f"{label:<16}{len(group):>4} {a:9.3f} {b:9.3f} {ratio:8.3f} {total:8.3f}")
     return lines
 
 

@@ -459,10 +459,11 @@ def preload_workload(
         place(order, "workload placement failed")
         left -= PAGE_SIZE << order
 
-    def build_pairs(total_bytes: int) -> list[tuple[int, int]]:
-        """Place buddy pairs; returns each half's first page and order."""
+    def build_pairs(total_bytes: int, pool: str) -> list[tuple[int, int]]:
+        """Place the pool's buddy pairs; returns each half's first page and
+        order."""
         halves: list[tuple[int, int]] = []
-        remaining = _pages(total_bytes)
+        remaining, failure = _pages(total_bytes), f"could not place {pool} pair"
         while remaining > 0:
             orders = min(small_max_order, remaining.bit_length() - 1) + 1
             k = orders.bit_length()
@@ -471,13 +472,13 @@ def preload_workload(
                 order = getrandbits(k)
             if order > top:
                 raise ValueError(f"order {order} out of range")
-            anchor = place(order + 1, "could not place residue pair")
+            anchor = place(order + 1, failure)
             halves.append((anchor + (1 << order), order))
             remaining -= 1 << order
         return halves
 
-    residue = build_pairs(residue_bytes)
-    fresh = build_pairs(fresh_bytes)
+    residue = build_pairs(residue_bytes, "residue")
+    fresh = build_pairs(fresh_bytes, FRESH)
 
     # One ascending walk over the blocks that were free: an untouched max-order
     # block stays free; the rest, less the halves, joins the run in maximal spans.

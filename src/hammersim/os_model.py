@@ -179,6 +179,12 @@ class PhysicalMemory(Mapping):
     lands in a table frame marks the entries it touched in dirty: entry
     index -> the window numbers of the tables written there.  Base lookups
     and marks each try the run they used last before they bisect.
+
+    A checkpoint opens a journal: until the next checkpoint or
+    end_journal, the first write or landed flip in each frame records the
+    page the frame held.  unchanged_since compares those pages, the base
+    runs and dirty with the checkpoint's, so it tells exactly whether the
+    memory still reads, and marks, as it did then.
     """
 
     def __init__(self) -> None:
@@ -186,6 +192,7 @@ class PhysicalMemory(Mapping):
         self.base = _RunIndex()
         self._last = self._marked = _NO_RUN  # the base runs read and marked last
         self.dirty: defaultdict[int, set[int]] = defaultdict(set)
+        self.journal: dict[int, bytes] | None = None  # frame -> its page at the checkpoint
 
     @property
     def pages(self) -> Mapping[int, bytes | bytearray]:
@@ -236,6 +243,29 @@ class PhysicalMemory(Mapping):
             page = self.private[pfn] = bytearray(self._base_page(pfn) or PAGE_SIZE)
         return page
 
+    def _record(self, pfn: int) -> None:
+        """Journal the frame's page before its first change since the
+        checkpoint."""
+        if pfn not in self.journal:
+            self.journal[pfn] = bytes(self.private.get(pfn) or self._base_page(pfn) or ZERO_PAGE)
+
+    def checkpoint(self) -> tuple:
+        """Open a new journal; the returned mark is what unchanged_since
+        compares with."""
+        self.journal = {}
+        return self.journal, self.base.rows, {idx: set(marks) for idx, marks in self.dirty.items()}
+
+    def unchanged_since(self, mark: tuple) -> bool:
+        """Whether every frame reads, and dirty holds, what they did at the
+        checkpoint that gave mark, its journal still open."""
+        journal, rows, dirty = mark
+        return (journal is self.journal and rows is self.base.rows and dirty == self.dirty
+                and all((self.private.get(pfn) or self._base_page(pfn) or ZERO_PAGE) == page
+                        for pfn, page in journal.items()))
+
+    def end_journal(self) -> None:
+        self.journal = None
+
     def read(self, addr: int, length: int) -> bytes:
         """The bytes at addr; a whole base page is its shared object."""
         pfn, off = divmod(addr, PAGE_SIZE)
@@ -267,6 +297,8 @@ class PhysicalMemory(Mapping):
         end = off + len(data)
         if end > PAGE_SIZE:
             raise ValueError(_CROSSING)
+        if self.journal is not None:
+            self._record(pfn)
         self._page(pfn)[off:end] = data
         self._mark(pfn, off, end)
 
@@ -274,6 +306,8 @@ class PhysicalMemory(Mapping):
         pfn, off = divmod(addr, PAGE_SIZE)
         if off > PAGE_SIZE - 8:
             raise ValueError(_CROSSING)
+        if self.journal is not None:
+            self._record(pfn)
         _U64.pack_into(self.private.get(pfn) or self._page(pfn), off, value)
         self._mark(pfn, off, off + 8)
 
@@ -286,6 +320,8 @@ class PhysicalMemory(Mapping):
         page = self.private.get(pfn) or self._base_page(pfn) or ZERO_PAGE
         if page[off] >> bit & 1 != (direction == FLIP_ONE_TO_ZERO):
             return False
+        if self.journal is not None:
+            self._record(pfn)
         self._page(pfn)[off] ^= 1 << bit
         self._mark(pfn, off, off + 1)
         return True

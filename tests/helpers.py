@@ -16,9 +16,11 @@ buffer chunks frame by frame where the OS model bisects runs, the
 per-frame memory keeps one dict entry for every backed frame where
 physical memory keeps pristine frames as runs, the reference pair
 selection translates and keys both pages of every draw where the package
-keys the buffer once per trial, and the reference escalation searches
+keys the buffer once per trial, the reference escalation searches
 every frame's page for the record where the package searches each
-distinct page content once.
+distinct page content once, and the reference hammer loop runs the
+verification scan every round where the package replays a scan whose
+result and effects it knows.
 
 The physical-address latency sampler is no oracle: it draws by the
 package's own packed-key rule and lobes, and lives here because only the
@@ -605,7 +607,7 @@ def reference_preload(
             order -= 1
         placed += place(order).size
 
-    def build_pairs(total_bytes: int, owner: str) -> list[Block]:
+    def build_pairs(total_bytes: int, owner: str, pool: str) -> list[Block]:
         halves: list[Block] = []
         remaining = total_bytes // PAGE_SIZE
         while remaining > 0:
@@ -632,11 +634,11 @@ def reference_preload(
                 remaining -= 1 << order
                 break
             else:
-                raise OutOfMemoryError("could not place residue pair")
+                raise OutOfMemoryError(f"could not place {pool} pair")
         return halves
 
-    residue_halves = build_pairs(residue_bytes, "workload")
-    build_pairs(fresh_bytes, FRESH)
+    residue_halves = build_pairs(residue_bytes, "workload", "residue")
+    build_pairs(fresh_bytes, FRESH, "fresh")
     stranded = buddy.free_pages_below(partition, buddy.max_order)
     buddy.take_pages(partition, stranded, "workload")
     for half in residue_halves:
@@ -860,28 +862,71 @@ def first_pages(buffer: DoubleOwnedBuffer, n: int) -> DoubleOwnedBuffer:
     return DoubleOwnedBuffer(buffer.driver, chunks, user_mapped=True)
 
 
+def scan_every_round(os_model: OsModel, buffer: DoubleOwnedBuffer, channel: ChannelModel,
+                     rng: random.Random, *, rounds_cap: int, reps_per_round: int, pid: int,
+                     pair_attempt_cap: int = 5000) -> exploit.ExploitOutcome:
+    """hammer_loop without replay: every round runs the verification scan.
+    The pair selection, hammer, scan and escalation are looked up in the
+    exploit module at call time, so a twin can patch them."""
+    outcome = exploit.ExploitOutcome(status=exploit.STATUS_NONE, rounds=0)
+    pages = exploit.key_buffer(buffer, os_model.dram.geometry)
+    for _ in range(rounds_cap):
+        outcome.rounds += 1
+        try:
+            _, attempts, aggressors = exploit.select_hammer_pair(
+                pages, channel, rng, max_attempts=pair_attempt_cap)
+        except PairSelectionError as exc:
+            outcome.pair_attempts += exc.attempts
+            outcome.pair_selection_failed = True
+            break
+        outcome.pair_attempts += attempts
+        applied = os_model.apply_flips(
+            os_model.dram.hammer(list(aggressors), reps_per_round, rng))
+        outcome.flips.extend(applied)
+        outcome.pt_flip_count += sum(
+            1 for f in applied if os_model.is_pt_frame(f.addr // PAGE_SIZE))
+        os_model.flush_tlb()
+        result = exploit.verify_and_take_pt(os_model)
+        if result is not None:
+            outcome.found_va, outcome.found_vb = result
+            outcome.status = exploit.STATUS_KERNEL
+            if exploit.escalate_root(os_model, *result, pid):
+                outcome.status = exploit.STATUS_ROOT
+            break
+    if outcome.status == exploit.STATUS_NONE and outcome.pt_flip_count > 0:
+        outcome.status = exploit.STATUS_FLIPPABLE
+    return outcome
+
+
+def reference_loop(os_model: OsModel, buffer: DoubleOwnedBuffer, *args, verify=None, **kwargs):
+    """scan_every_round with reference_select_pair, reference_hammer and
+    reference_escalate, and verify when given, patched in where it looks
+    them up."""
+
+    def select(pages, model, rng, *, max_attempts):
+        return reference_select_pair(os_model, list(buffer_pages(pages.buffer)), model, rng,
+                                     max_attempts=max_attempts)
+
+    with (mock.patch.object(exploit, "select_hammer_pair", select),
+          mock.patch.object(Dram, "hammer", reference_hammer),
+          mock.patch.object(exploit, "escalate_root", reference_escalate),
+          mock.patch.object(exploit, "verify_and_take_pt",
+                            verify or exploit.verify_and_take_pt)):
+        return scan_every_round(os_model, buffer, *args, **kwargs)
+
+
 def run_trial(profile, seed: int, *, reference: bool = False, **kwargs):
     """harness.run_single_trial for one trial seed; returns the CSV row, the
     trial's OS model and its hammered buffer (None without hammer rounds).
-    With reference, the adjacency check is reference_adjacency, each
-    round's pair comes from reference_select_pair, the round hammers
-    through reference_hammer and a capture escalates through
-    reference_escalate."""
+    With reference, the adjacency check is reference_adjacency and the
+    hammer loop is reference_loop: each round runs the scan, takes its pair
+    from reference_select_pair and hammers through reference_hammer, and a
+    capture escalates through reference_escalate."""
     hammer_loop, seen = harness.hammer_loop, []
 
     def loop(os_model, buffer, *args, **kw):
         seen.append((os_model, buffer))
-        if not reference:
-            return hammer_loop(os_model, buffer, *args, **kw)
-
-        def select(pages, model, rng, *, max_attempts):
-            return reference_select_pair(os_model, list(buffer_pages(pages.buffer)), model, rng,
-                                         max_attempts=max_attempts)
-
-        with (mock.patch.object(exploit, "select_hammer_pair", select),
-              mock.patch.object(Dram, "hammer", reference_hammer),
-              mock.patch.object(exploit, "escalate_root", reference_escalate)):
-            return hammer_loop(os_model, buffer, *args, **kw)
+        return (reference_loop if reference else hammer_loop)(os_model, buffer, *args, **kw)
 
     adjacency = reference_adjacency if reference else harness.verify_adjacency
     with (mock.patch.object(harness, "hammer_loop", loop),

@@ -481,12 +481,13 @@ def preload_pools(draw):
 
 
 def preload_outcome(preload, buddy: BuddyState, kwargs: dict, seed: int):
-    """(exception type or None, generator state) of one preload."""
+    """(exception type and message, or None, generator state) of one
+    preload."""
     rng = random.Random(seed)
     try:
         preload(buddy, "pool", rng=rng, **kwargs)
     except (OutOfMemoryError, ValueError) as exc:
-        return type(exc), rng.getstate()
+        return (type(exc), str(exc)), rng.getstate()
     return None, rng.getstate()
 
 

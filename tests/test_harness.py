@@ -403,6 +403,17 @@ def test_cli_rejects_bad_profile(tmp_path, capsys, command, text, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("command", ["run", "buddyinfo"])
+def test_cli_names_the_fresh_pool_whose_pairs_do_not_fit(tmp_path, capsys, command):
+    # The residue pairs fit; 200 MiB of fresh ones do not.
+    path = tmp_path / "fresh.ini"
+    path.write_text("[workload]\nfresh_bytes = 200m\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--profile", str(path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: could not place fresh pair\n"
+
+
 def test_readme_schema_sample_loads_as_dell(tmp_path):
     # The documented sample lists every key the loader knows, and with
     # dell's name it loads as dell.

@@ -51,14 +51,17 @@ def test_paired_ops_times_scan_episode_builds_as_their_own_row():
 
 
 def test_paired_ops_splits_exploit_trials_by_outcome():
-    # Two exploit trials of seed 2026, neither reaching root: an "other"
-    # row beside "all", and no empty "root" row.
-    lines = paired_ops("--workload", "exploit", "--ops", "2")
-    assert lines[0] == "exploit: seed 2026, 2 ops per side, reports equal"
-    assert [line.split()[:2] for line in lines[-2:]] == [["all", "2"], ["other", "2"]]
+    # Three exploit trials of seed 2026: trials 0 and 1 land no table flip,
+    # trial 2 lands some; a row for each status beside "all", and no empty
+    # rows.
+    lines = paired_ops("--workload", "exploit", "--ops", "3")
+    assert lines[0] == "exploit: seed 2026, 3 ops per side, reports equal"
+    assert [line.split()[:2] for line in lines[-3:]] == [
+        ["all", "3"], ["none", "2"], ["flippable_only", "1"]]
 
-    rows = [(1.0, 0.5, "other"), (1.0, 0.5, "other"), (4.0, 4.0, "root")]
+    rows = [(1.0, 0.5, "flippable_only"), (1.0, 0.5, "none"), (4.0, 4.0, "root_privilege"),
+            (1.0, 0.5, "flippable_only")]
     table = [line.split() for line in load_script().summary(rows)[1:]]
     assert [(row[0], row[1], row[4], row[5]) for row in table] == [
-        ("all", "3", "0.500", "0.833"), ("other", "2", "0.500", "0.500"),
-        ("root", "1", "1.000", "1.000")]
+        ("all", "4", "0.500", "0.786"), ("none", "1", "0.500", "0.500"),
+        ("flippable_only", "2", "0.500", "0.500"), ("root_privilege", "1", "1.000", "1.000")]
