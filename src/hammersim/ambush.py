@@ -73,29 +73,21 @@ class AmbushPlan:
     pt_size: int
     map_mem_size: int
     vma_num: int
-    vma_limit: int
 
 
-def plan(
-    threshold: int,
-    driver: str,
-    *,
-    sg_opens: int = DEFAULT_SG_OPENS,
-    sg_reserved: int = SG_MAX_BYTES,
-    file_size: int = DEFAULT_FILE_SIZE,
-    vma_limit: int = VMA_LIMIT,
-) -> AmbushPlan:
-    """Compute the placement arithmetic, doubling the file as needed."""
+def plan(threshold: int, driver: str, *, sg_opens: int = DEFAULT_SG_OPENS) -> AmbushPlan:
+    """Compute the placement arithmetic, doubling the file from 2 MiB
+    until the mapping count fits under VMA_LIMIT.  sg buffers are
+    resized to their largest reservation."""
     if driver == DRIVER_VIDEO:
         chunk_size, chunk_count = VIDEO_CHUNK_BYTES, VIDEO_MAX_CHUNKS
     elif driver == DRIVER_SG:
-        chunk_size, chunk_count = sg_reserved, sg_opens
+        chunk_size, chunk_count = SG_MAX_BYTES, sg_opens
     else:
         raise PlanError(f"unknown driver {driver!r}")
     dev_request = chunk_size * chunk_count
     dev_charged = (dev_request // MIB) * MIB
-    if file_size <= 0 or file_size % DEFAULT_FILE_SIZE:
-        raise PlanError("file size must be a positive multiple of 2 MiB")
+    file_size = DEFAULT_FILE_SIZE
     while True:
         pt_size = threshold - dev_charged - file_size
         if pt_size < 0:
@@ -104,7 +96,7 @@ def plan(
             )
         map_mem = pt_size * (PAGE_SIZE // 8)
         vma_num = map_mem // file_size
-        if vma_num < vma_limit:
+        if vma_num < VMA_LIMIT:
             break
         file_size *= 2
     return AmbushPlan(
@@ -118,7 +110,6 @@ def plan(
         pt_size=pt_size,
         map_mem_size=map_mem,
         vma_num=vma_num,
-        vma_limit=vma_limit,
     )
 
 
@@ -145,7 +136,7 @@ def _map(os_model: OsModel, file: TmpFile, count: int) -> None:
     """Map the file count more times as one run; the model's first mapping
     marks the file."""
     if count > 0:
-        first = not os_model.vmas
+        first = os_model.file is None
         os_model.mmap_primitive(file, count)
         if first:
             os_model.write_markers(file)
@@ -231,7 +222,6 @@ class AdjacencyReport:
     (buffer row, table row) pairs of packed row keys, which
     DramGeometry.unpack_row_key decodes."""
 
-    adjacent: bool
     pairs: tuple[tuple[int, int], ...]
 
 
@@ -248,7 +238,7 @@ def verify_adjacency(os_model: OsModel, placement: Placement) -> AdjacencyReport
     buffer_runs = [chunk.frames() for chunk in placement.buffer.chunks]
     table_runs = _bordering_runs(geometry, os_model.pt_runs, buffer_runs)
     if not table_runs:
-        return AdjacencyReport(False, ())
+        return AdjacencyReport(())
     pt_rows = geometry.packed_row_keys(table_runs)
     buffer_rows = geometry.packed_row_keys(buffer_runs)
     found = []
@@ -258,7 +248,7 @@ def verify_adjacency(os_model: OsModel, placement: Placement) -> AdjacencyReport
             found.append((key, key - 1))
         if row < rows - 1 and key + 1 in pt_rows:
             found.append((key, key + 1))
-    return AdjacencyReport(bool(found), tuple(sorted(found)))
+    return AdjacencyReport(tuple(sorted(found)))
 
 
 _PAGE_SHIFT = PAGE_SIZE.bit_length() - 1

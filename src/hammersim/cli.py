@@ -6,7 +6,7 @@ import argparse
 import os
 import sys
 
-from .ambush import AmbushError, DRIVER_VIDEO, DRIVERS
+from .ambush import AmbushError, DRIVER_VIDEO, DRIVERS, MIB
 from .buddy_alloc import BuddyError
 from .dram_model import DramError, derive_seed
 from .harness import (
@@ -107,14 +107,11 @@ def _cmd_buddyinfo(args: argparse.Namespace) -> int:
 
 def _cmd_profiles(_args: argparse.Namespace) -> int:
     for name, profile in sorted(builtin_profiles().items()):
-        geometry = profile.geometry
-        thresholds = ", ".join(
-            f"{driver}={size // (1024 * 1024)}MiB"
-            for driver, size in sorted(profile.thresholds.items())
-        )
+        thresholds = ", ".join(f"{driver}={profile.threshold_for(driver) // MIB}MiB"
+                               for driver in sorted(DRIVERS))
         sys.stdout.write(
-            f"{name}: {geometry.capacity // (1024 ** 3)} GiB, "
-            f"residue {profile.residue_bytes // (1024 * 1024)} MiB, "
+            f"{name}: {profile.geometry.capacity // (1024 ** 3)} GiB, "
+            f"residue {profile.residue_bytes // MIB} MiB, "
             f"thresholds {thresholds}\n"
         )
     return 0

@@ -298,7 +298,7 @@ def run_single_trial(
         threshold_bytes=placement.plan.threshold_mem_size,
         available_bytes=available,
         footprint_bytes=placement.footprint_bytes,
-        adjacency=adjacency.adjacent,
+        adjacency=bool(adjacency.pairs),
         adjacency_pairs=len(adjacency.pairs),
         pt_pages=placement.pt_pages,
         flips=outcome.flip_count,

@@ -14,14 +14,15 @@ over it, copied on their first change; the memory is itself the read-only
 frame -> page Mapping over both.  Every access stays within one page, as
 every virtual access must; one that crosses a page raises ValueError.
 
-Mappings are runs: one file mapped count times back to back, from MAP_BASE
-up, with one table per 2 MiB window.  The tables are one list indexed by
-window number, so finding a page's entry, its run and its pristine value is
-arithmetic; a file carries its windows' pristine tables.  The reverse
-lookups are by run too: a table frame's window is a bisection of the base
-layer, whose table runs carry their first window number, and a buffer
-page's frame is one over the buffer's page runs; neither is a per-frame
-table.
+The model maps one file, as the attack does: every mapping of it lies
+back to back from MAP_BASE up, with one table per 2 MiB window, and the
+model keeps the file and a count of mappings.  The tables are one list
+indexed by window number, so finding a page's entry, its file frame and
+its pristine value is arithmetic; the file carries its windows' pristine
+tables.  The reverse lookups are by run: a table frame's window is a
+bisection of the base layer, whose table runs carry their first window
+number, and a buffer page's frame is one over the buffer's page runs;
+neither is a per-frame table.
 
 Physical memory marks every entry a write or flip touches in a table frame.
 It remembers the run it marked last, as it does the run it read last, and
@@ -43,8 +44,6 @@ from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from operator import attrgetter
-from typing import NamedTuple
 
 from .buddy_alloc import Block, BuddyState, OutOfMemoryError
 from .dram_model import (
@@ -357,21 +356,6 @@ class TmpFile:
     templates: tuple[bytes, ...]
 
 
-class MapRun(NamedTuple):
-    """count mappings of one file, back to back from base."""
-
-    base: int
-    file: TmpFile
-    count: int
-
-    @property
-    def end(self) -> int:
-        return self.base + self.count * self.file.size
-
-
-_RUN_BASE = attrgetter("base")
-
-
 @dataclass
 class BufferChunk:
     """One driver reservation; block may be row-padded under mitigation."""
@@ -394,7 +378,6 @@ class DoubleOwnedBuffer:
 
     driver: str
     chunks: list[BufferChunk]
-    user_mapped: bool = False
 
     @property
     def allocated_bytes(self) -> int:
@@ -417,16 +400,14 @@ def cred_pattern(uid: int) -> bytes:
 class OsModel:
     """Wires DRAM, the allocator, and the virtual-memory surface together."""
 
-    def __init__(
-        self, dram: Dram, buddy: BuddyState, *, vma_limit: int = VMA_LIMIT
-    ) -> None:
+    def __init__(self, dram: Dram, buddy: BuddyState) -> None:
         self.dram = dram
         self.buddy = buddy
-        self.vma_limit = vma_limit
         self.map_base = MAP_BASE
         self.memory = PhysicalMemory()
         self.tlb = TlbCache()
-        self.vmas: list[MapRun] = []
+        self.file: TmpFile | None = None  # the one file mapped
+        self.mappings = 0
         self.creds: dict[int, CredPage] = {}
         self._pt_pfns: list[int] = []  # window number from MAP_BASE -> table
         self.pt_runs: list[range] = []  # the table frames, as taken
@@ -448,29 +429,31 @@ class OsModel:
 
     def _file_pfn(self, vaddr: int) -> int:
         """The file frame that mapped vaddr reads through a pristine entry."""
-        # Runs are appended at ascending bases and cover every window.
-        run = self.vmas[bisect(self.vmas, vaddr, key=_RUN_BASE) - 1]
-        pfns = run.file.pfns
-        return pfns[(vaddr - run.base) // PAGE_SIZE % len(pfns)]
+        pfns = self.file.pfns
+        return pfns[(vaddr - MAP_BASE) // PAGE_SIZE % len(pfns)]
 
     def mmap_primitive(self, file: TmpFile, count: int = 1) -> list[int]:
         """Map the file count times back to back at the next free address
         and build the tables; returns the new table frames in window order.
 
-        Raises VmaLimitError when the mapping count would reach the limit,
-        and OutOfMemoryError when the kernel partition lacks the table
-        pages; either way nothing changes.
+        Raises ValueError for a file other than the one mapped already,
+        VmaLimitError when the mapping count would reach the limit, and
+        OutOfMemoryError when the kernel partition lacks the table pages;
+        either way nothing changes.
         """
         if count < 1:
             raise ValueError("mapping count must be positive")
-        if sum(run.count for run in self.vmas) + count >= self.vma_limit:
-            raise VmaLimitError(f"mapping limit of {self.vma_limit} reached")
+        if self.file is not None and file is not self.file:
+            raise ValueError("the model maps one file only")
+        if self.mappings + count >= VMA_LIMIT:
+            raise VmaLimitError(f"mapping limit of {VMA_LIMIT} reached")
         templates = file.templates
         windows = len(templates)
         runs = self.buddy.take_pages(KERNEL_PARTITION, count * windows, "page_table")
         # Windows are contiguous from MAP_BASE, so the next one is free.
         first = len(self._pt_pfns)
-        self.vmas.append(MapRun(MAP_BASE + first * PT_SPAN, file, count))
+        self.file = file
+        self.mappings += count
         self.pt_runs.extend(runs)
         self._pt_pfns.extend(chain.from_iterable(runs))
         # Window first + i maps file window i % windows.
@@ -634,7 +617,6 @@ class OsModel:
             vpn = chunk.vbase // PAGE_SIZE
             runs.append((vpn, vpn + len(frames), frames.start, None))
         self._buffer.merge(runs)
-        buffer.user_mapped = True
 
     # -- creds ------------------------------------------------------------------
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field, replace
 
-from .ambush import DRIVER_SG, DRIVER_VIDEO, DRIVERS
+from .ambush import DEFAULT_SG_OPENS, DRIVER_SG, DRIVER_VIDEO, MIB
 from .dram_model import (
     PAGE_SIZE,
     DramError,
@@ -27,9 +27,9 @@ from .dram_model import (
     VulnCalibration,
     target_block_size,
 )
-from .timing_channel import ChannelModel
+from .os_model import SG_MAX_OPENS
+from .timing_channel import PAIR_ATTEMPT_CAP, ChannelModel
 
-MIB = 1024 * 1024
 GIB = 1024 * MIB
 
 
@@ -67,6 +67,8 @@ class MachineProfile:
     geometry: DramGeometry
     channel: ChannelModel
     vulnerability: VulnCalibration
+    threshold_video: int
+    threshold_sg: int
     kernel_bytes: int = 1 * GIB
     residue_bytes: int = 56 * MIB
     bulk_bytes: int = 256 * MIB
@@ -76,9 +78,8 @@ class MachineProfile:
     hammer: HammerParams = field(default_factory=HammerParams)
     rounds_cap: int = 40
     reps_per_round: int = 1_000_000
-    pair_attempt_cap: int = 5000
-    thresholds: dict[str, int] = field(default_factory=dict)
-    sg_opens: int = 256
+    pair_attempt_cap: int = PAIR_ATTEMPT_CAP
+    sg_opens: int = DEFAULT_SG_OPENS
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -110,11 +111,10 @@ class MachineProfile:
         budget = self.residue_bytes + self.bulk_bytes + self.reserve_low_bytes
         if budget > self.kernel_bytes:
             raise ProfileError("workload preload exceeds the kernel partition")
-        for driver, value in self.thresholds.items():
-            if driver not in DRIVERS:
-                raise ProfileError(f"unknown driver {driver!r} in thresholds")
-            if value <= 0:
-                raise ProfileError("thresholds must be positive")
+        if self.threshold_video <= 0 or self.threshold_sg <= 0:
+            raise ProfileError("thresholds must be positive")
+        if not 1 <= self.sg_opens <= SG_MAX_OPENS:
+            raise ProfileError(f"sg_opens must be within 1..{SG_MAX_OPENS}")
         if self.rounds_cap < 0 or self.reps_per_round <= 0:
             raise ProfileError("rounds_cap >= 0 and reps_per_round > 0 required")
         if self.pair_attempt_cap < 1:
@@ -130,14 +130,11 @@ class MachineProfile:
         return (target_block_size(self.geometry) // PAGE_SIZE).bit_length() - 2
 
     def threshold_for(self, driver: str) -> int:
-        if driver not in DRIVERS:
-            raise ProfileError(f"unknown driver {driver!r}")
-        try:
-            return self.thresholds[driver]
-        except KeyError:
-            raise ProfileError(
-                f"profile {self.name!r} has no threshold for {driver!r}"
-            ) from None
+        if driver == DRIVER_VIDEO:
+            return self.threshold_video
+        if driver == DRIVER_SG:
+            return self.threshold_sg
+        raise ProfileError(f"unknown driver {driver!r}")
 
 
 def dell_profile() -> MachineProfile:
@@ -154,7 +151,8 @@ def dell_profile() -> MachineProfile:
             cell_probability=1.0,
         ),
         residue_bytes=56 * MIB,
-        thresholds={DRIVER_VIDEO: 88 * MIB, DRIVER_SG: 109 * MIB},
+        threshold_video=88 * MIB,
+        threshold_sg=109 * MIB,
     )
 
 
@@ -167,7 +165,8 @@ def lenovo_profile() -> MachineProfile:
             p_low_given_other=0.990,
         ),
         residue_bytes=115 * MIB,
-        thresholds={DRIVER_VIDEO: 147 * MIB, DRIVER_SG: 168 * MIB},
+        threshold_video=147 * MIB,
+        threshold_sg=168 * MIB,
     )
 
 
@@ -228,10 +227,10 @@ def _geometry(dimms, ranks_per_dimm, banks_per_rank, rows_per_bank, row_size,
 
 # Every INI section: the profile field it builds (None: it sets fields of
 # the profile itself) and, per key, the field the key sets and the parser
-# of its text.  A tuple field is one entry of a dict field; [profile] base
-# sets no field, it picks the profile the others override.  [dram] builds
-# the whole geometry, so it must give every key of _DRAM_KEYS; every other
-# section overrides single fields of the base profile.
+# of its text.  [profile] base sets no field, it picks the profile the
+# others override.  [dram] builds the whole geometry, so it must give every
+# key of _DRAM_KEYS; every other section overrides single fields of the
+# base profile.
 _SCHEMA = {
     "profile": (None, {"name": ("name", str), "base": (None, str)}),
     "dram": ("geometry", {
@@ -270,8 +269,8 @@ _SCHEMA = {
         "single_sided_multiplier": ("single_sided_multiplier", float),
     }),
     "attack": (None, {
-        "threshold_video": (("thresholds", DRIVER_VIDEO), _parse_size),
-        "threshold_sg": (("thresholds", DRIVER_SG), _parse_size),
+        "threshold_video": ("threshold_video", _parse_size),
+        "threshold_sg": ("threshold_sg", _parse_size),
         "rounds_cap": ("rounds_cap", int),
         "reps_per_round": ("reps_per_round", int),
         "sg_opens": ("sg_opens", int),
@@ -320,9 +319,6 @@ def _read_section(parser: configparser.ConfigParser, section: str,
                 value = parse(text)
             except ValueError:
                 raise ProfileError(f"bad {key} value {text!r}") from None
-            if isinstance(name, tuple):
-                name, entry = name
-                value = {**values.get(name, getattr(base, name)), entry: value}
             if name is not None:
                 values[name] = value
         if target is None:

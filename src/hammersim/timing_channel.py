@@ -28,6 +28,8 @@ CONFLICT_THRESHOLD_CYCLES = 360
 # Widths of the latency lobes above and below the threshold, in cycles.
 HIGH_SPREAD = 140
 LOW_SPREAD = 120
+# Pairs timed before pair selection gives up.
+PAIR_ATTEMPT_CAP = 5000
 
 
 class ChannelError(Exception):
@@ -77,7 +79,7 @@ class KeyedPages(NamedTuple):
 def key_buffer(buffer: DoubleOwnedBuffer, geometry: DramGeometry) -> KeyedPages:
     """Key a mapped buffer's pages once.  They translate through their
     chunks' frames, never a page table, so no flip or flush moves them."""
-    if not buffer.user_mapped:
+    if any(chunk.vbase is None for chunk in buffer.chunks):
         raise OsModelError("buffer is not user mapped")
     frames = [chunk.frames() for chunk in buffer.chunks]
     starts = list(accumulate(map(len, frames), initial=0))
@@ -112,7 +114,8 @@ def _index_pair(rng: random.Random, n: int) -> tuple[int, int]:
 
 
 def select_hammer_pair(pages: KeyedPages, model: ChannelModel, rng: random.Random, *,
-                       max_attempts: int = 5000) -> tuple[tuple[int, int], int, tuple[int, int]]:
+                       max_attempts: int = PAIR_ATTEMPT_CAP
+                       ) -> tuple[tuple[int, int], int, tuple[int, int]]:
     """Probe random page pairs until one classifies as a row conflict.
 
     Each pair is the two page indexes rng.sample of the pages would draw,

@@ -193,6 +193,23 @@ def windows(os_model: OsModel) -> dict[int, int]:
             for i, pfn in enumerate(os_model._pt_pfns)}
 
 
+def mapped_pages(os_model: OsModel, slot: int | None = None) -> range:
+    """Every mapped page of the model's file, ascending; with slot given,
+    only the pages mapped through that entry index of their table."""
+    if os_model.file is None:
+        return range(0)
+    end = os_model.map_base + os_model.mappings * os_model.file.size
+    if slot is None:
+        return range(os_model.map_base, end, PAGE_SIZE)
+    return range(os_model.map_base + slot * PAGE_SIZE, end, PT_SPAN)
+
+
+def own_file_pfn(os_model: OsModel, vaddr: int) -> int:
+    """The file frame a pristine entry maps vaddr to."""
+    pfns = os_model.file.pfns
+    return pfns[(vaddr - os_model.map_base) // PAGE_SIZE % len(pfns)]
+
+
 def table_windows(os_model: OsModel) -> dict[int, int]:
     """Table frame -> the base of the window it maps, frame by frame from
     the table runs in window order."""
@@ -704,13 +721,13 @@ def reference_adjacency(os_model: OsModel, placement) -> AdjacencyReport:
                         pairs.add(((d, r, b, row), (d, r, b, neighbor_row)))
     packed = sorted((pack_row_key(geometry, *buffer_row), pack_row_key(geometry, *pt_row))
                     for buffer_row, pt_row in pairs)
-    return AdjacencyReport(bool(packed), tuple(packed))
+    return AdjacencyReport(tuple(packed))
 
 
 def fuzz_injections(os_model: OsModel, rng: random.Random, count: int) -> int:
     """Flip random bits in table frames (and a few file headers)."""
     pt_list = sorted(os_model.pt_pfns())
-    file = os_model.vmas[0].file
+    file = os_model.file
     injected = 0
     for _ in range(count):
         roll = rng.random()
@@ -739,22 +756,15 @@ def brute_force_verify(os_model: OsModel) -> tuple[int, int] | None:
     was a candidate in the first sweep counts only once its header changes.
     """
 
-    def sweep(stride_from: int | None) -> list[tuple[int, int]]:
+    def sweep(slot: int | None) -> list[tuple[int, int]]:
         out = []
-        for vma in os_model.vmas:
-            start = vma.base
-            step = PAGE_SIZE
-            if stride_from is not None:
-                start = vma.base + stride_from * PAGE_SIZE
-                step = 512 * PAGE_SIZE
-            pfns = vma.file.pfns
-            for vaddr in range(start, vma.end, step):
-                value = os_model.read_u64_virtual(vaddr)
-                if value is None or value == MARKER:
-                    continue
-                own = pfns[(vaddr - vma.base) // PAGE_SIZE % len(pfns)]
-                if value != os_model.memory.read_u64(own * PAGE_SIZE):
-                    out.append((vaddr, value))
+        for vaddr in mapped_pages(os_model, slot):
+            value = os_model.read_u64_virtual(vaddr)
+            if value is None or value == MARKER:
+                continue
+            own = own_file_pfn(os_model, vaddr)
+            if value != os_model.memory.read_u64(own * PAGE_SIZE):
+                out.append((vaddr, value))
         return out
 
     before = dict(sweep(None))
@@ -859,7 +869,7 @@ def first_pages(buffer: DoubleOwnedBuffer, n: int) -> DoubleOwnedBuffer:
         n -= take
         if not n:
             break
-    return DoubleOwnedBuffer(buffer.driver, chunks, user_mapped=True)
+    return DoubleOwnedBuffer(buffer.driver, chunks)
 
 
 def scan_every_round(os_model: OsModel, buffer: DoubleOwnedBuffer, channel: ChannelModel,

@@ -23,7 +23,7 @@ from hammersim.ambush import (
 from hammersim.buddy_alloc import FRESH, Block, BuddyState, Partition, preload_workload
 from hammersim.dram_model import (PAGE_SIZE, Dram, DramGeometry, MappingSpec,
                                   rows_size_per_row_index, target_block_size)
-from hammersim.os_model import MARKER, PT_SPAN, BufferChunk, OsModel
+from hammersim.os_model import MARKER, PT_SPAN, VMA_LIMIT, BufferChunk, OsModel
 from hammersim.profiles import get_profile
 
 from helpers import (assert_guarded, full_placement, page_row_keys, reference_adjacency,
@@ -60,7 +60,7 @@ def test_plan_doubles_file_under_vma_pressure():
     assert p.file_size == 4 * MIB
     assert p.pt_size == 378 * MIB
     assert p.vma_num == 48384
-    assert p.vma_num < p.vma_limit
+    assert p.vma_num < VMA_LIMIT
 
 
 def test_plan_boundary_and_errors():
@@ -71,17 +71,13 @@ def test_plan_boundary_and_errors():
         plan(19 * MIB, DRIVER_VIDEO)
     with pytest.raises(PlanError):
         plan(88 * MIB, "floppy")
-    with pytest.raises(PlanError):
-        plan(88 * MIB, DRIVER_VIDEO, file_size=3 * MIB)
 
 
-@given(st.integers(21, 500), st.integers(1, 1021), st.integers(1, 124))
+@given(st.integers(21, 500), st.integers(1, 1021))
 @settings(max_examples=80, deadline=None)
-def test_plan_invariants(threshold_mib, opens, reserved_kib):
+def test_plan_invariants(threshold_mib, opens):
     threshold = threshold_mib * MIB
-    for driver, kwargs in ((DRIVER_VIDEO, {}),
-                           (DRIVER_SG, dict(sg_opens=opens,
-                                            sg_reserved=reserved_kib * 1024))):
+    for driver, kwargs in ((DRIVER_VIDEO, {}), (DRIVER_SG, dict(sg_opens=opens))):
         try:
             p = plan(threshold, driver, **kwargs)
         except PlanError:
@@ -90,7 +86,7 @@ def test_plan_invariants(threshold_mib, opens, reserved_kib):
         assert p.pt_size >= 0
         assert p.map_mem_size == p.pt_size * 512
         assert p.vma_num == p.map_mem_size // p.file_size
-        assert p.vma_num < p.vma_limit
+        assert p.vma_num < VMA_LIMIT
         assert p.driver == driver
         assert p.dev_request_bytes == p.chunk_size * p.chunk_count
         assert p.dev_buf_size == p.dev_request_bytes // MIB * MIB
@@ -150,7 +146,7 @@ def test_drain_consumes_exactly_the_residue():
     assert os_model.buddy.free_pages_below("kernel", target_order) == 0
     # The drain consumed small blocks only: every table sits below the
     # target order, so no pristine large block was broken.
-    assert sum(run.count for run in os_model.vmas) == drained
+    assert os_model.mappings == drained
 
 
 def test_drain_on_pristine_pool_is_a_noop():
@@ -158,7 +154,7 @@ def test_drain_on_pristine_pool_is_a_noop():
     file = os_model.create_tmp_file(2 * MIB)
     drained, _ = drain_small_blocks(os_model, file, video_room(24 * MIB))
     assert drained == 0
-    assert os_model.vmas == []
+    assert os_model.file is None and os_model.mappings == 0
 
 
 def test_drain_absorbs_fresh_blocks_up_to_cap():
@@ -196,8 +192,8 @@ def test_drain_count_matches_one_at_a_time_loop(per_map):
             buddy=SimpleNamespace(
                 free_pages_below=lambda *_: small_after if freed else small,
                 blocks=lambda *_: iter(fresh), free=freed.append),
-            vmas=[],
-            mmap_primitive=lambda f, count: calls.append(count) or os_model.vmas.append(f),
+            file=None,
+            mmap_primitive=lambda f, count: calls.append(count) or setattr(os_model, "file", f),
             write_markers=lambda f: calls.append("markers"))
         first = _drain_one_map_at_a_time(small, per_map, room * unit)
         second = _drain_one_map_at_a_time(small_after, per_map,
@@ -210,11 +206,13 @@ def test_drain_count_matches_one_at_a_time_loop(per_map):
 
 def test_run_ambush_marks_the_file_once_across_its_mappings():
     os_model = build_sim(residue=2 * MIB, fresh=1 * MIB)
+    calls, mmap = [], os_model.mmap_primitive
+    os_model.mmap_primitive = lambda file, count: calls.append(count) or mmap(file, count)
     placement = run_ambush(os_model, plan(24 * MIB, DRIVER_VIDEO))
-    runs = os_model.vmas
-    assert [run.count for run in runs] == [512, 256, video_room(24 * MIB) - 768]
-    assert placement.pt_pages == video_room(24 * MIB)
-    for vaddr in (runs[0].base, runs[-1].end - PAGE_SIZE):
+    assert calls == [512, 256, video_room(24 * MIB) - 768]
+    assert placement.pt_pages == os_model.mappings == video_room(24 * MIB)
+    end = os_model.map_base + os_model.mappings * placement.file.size
+    for vaddr in (os_model.map_base, end - PAGE_SIZE):
         assert os_model.read_u64_virtual(vaddr) == MARKER
 
 
@@ -226,7 +224,7 @@ def test_run_ambush_with_no_table_room_maps_nothing():
     p = plan(2 * MIB + 32 * 600 * 1024, DRIVER_VIDEO)
     assert p.vma_num == 192 and video_room(p.threshold_mem_size) == 0
     placement = run_ambush(os_model, p)
-    assert os_model.vmas == [] and placement.pt_pages == 0
+    assert os_model.file is None and placement.pt_pages == 0
     assert placement.footprint_bytes == p.threshold_mem_size
     # The residue is still free (the buffers' block tails add to it).
     assert os_model.buddy.free_pages_below("kernel", 3) >= 2 * MIB // PAGE_SIZE
@@ -238,7 +236,7 @@ def test_run_ambush_refuses_buffers_and_file_past_the_threshold():
     os_model = build_sim(residue=2 * MIB)
     with pytest.raises(PlacementError, match="buffers and file alone exceed"):
         run_ambush(os_model, plan(20 * MIB, DRIVER_VIDEO))
-    assert os_model.vmas == []
+    assert os_model.file is None and os_model.mappings == 0
 
 
 def test_run_ambush_fills_the_budget_with_a_capped_drain():
@@ -266,7 +264,7 @@ def test_run_ambush_caps_footprint_at_threshold():
     assert placement.stuffed_pt_pages > 0
     assert placement.buffer is not None
     assert placement.buffer.allocated_bytes == 32 * 600 * 1024
-    assert sum(run.count for run in os_model.vmas) == placement.pt_pages
+    assert os_model.mappings == placement.pt_pages
     # Nothing small is left over after the stuffing phase.
     assert os_model.buddy.free_pages_below("kernel", 3) == 0
 
@@ -275,7 +273,6 @@ def test_run_ambush_interleaves_buffers_with_tables():
     os_model = build_sim(residue=2 * MIB)
     placement = run_ambush(os_model, plan(24 * MIB, DRIVER_VIDEO))
     report = verify_adjacency(os_model, placement)
-    assert report.adjacent
     assert len(report.pairs) > 0
     # Every reported pair is a buffer row next to a table row in one bank.
     for buffer_row, pt_row in unpacked_pairs(os_model.dram.geometry, report.pairs):
@@ -288,7 +285,6 @@ def test_run_ambush_mitigated_has_no_adjacency():
     placement = run_ambush(os_model, plan(26 * MIB, DRIVER_VIDEO),
                            mitigation=True)
     report = verify_adjacency(os_model, placement)
-    assert not report.adjacent
     assert report.pairs == ()
     # Guard rows cost two spans per chunk: one "guard" run each.
     span = 2 * 8192
@@ -318,7 +314,7 @@ def test_adjacency_stops_at_bank_edges(table_row, adjacent):
     placement = SimpleNamespace(buffer=SimpleNamespace(chunks=[chunk]))
     report = verify_adjacency(os_model, placement)
     assert report == reference_adjacency(os_model, placement)
-    assert report.adjacent == adjacent
+    assert bool(report.pairs) == adjacent
     assert unpacked_pairs(geo, report.pairs) == (((0, 0, 1, 0), (0, 0, *table_row)),) * adjacent
 
 
@@ -336,7 +332,7 @@ def test_packed_key_adjacency_matches_tuple_reference(profile, driver, mitigatio
                                              mitigation=mitigation)
         report = verify_adjacency(os_model, placement)
         assert report == reference_adjacency(os_model, placement)
-        assert report.adjacent != mitigation
+        assert bool(report.pairs) != mitigation
 
 
 # 128 MiB geometries the builtin profiles do not cover, with 8 KiB rows

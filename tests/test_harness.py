@@ -61,7 +61,8 @@ def small_profile(**overrides) -> MachineProfile:
         bulk_bytes=8 * MIB,
         reserve_low_bytes=40 * MIB,
         rounds_cap=0,
-        thresholds={"video": 24 * MIB, "sg": 36 * MIB},
+        threshold_video=24 * MIB,
+        threshold_sg=36 * MIB,
     )
     params.update(overrides)
     return MachineProfile(**params)
@@ -230,7 +231,7 @@ def test_same_seed_gives_same_csv_across_hash_seeds():
 
 
 def test_mitigation_removes_adjacency():
-    profile = small_profile(thresholds={"video": 26 * MIB, "sg": 36 * MIB})
+    profile = small_profile(threshold_video=26 * MIB)
     aggregate = run_trials(profile, STRATEGY_AMBUSH, 3, 9, mitigation=True, rounds_cap=0)
     assert aggregate.n == 3
     assert aggregate.adjacency_count == 0
@@ -378,6 +379,14 @@ BAD_PROFILES = {
     "negative_fresh": ("[workload]\nfresh_bytes = -4k\n", "error: fresh_bytes must be >= 0"),
     "pair_attempt_cap": ("[attack]\npair_attempt_cap = -1\n",
                          "error: pair_attempt_cap must be >= 1"),
+    "zero_threshold": ("[attack]\nthreshold_video = 0\n", "error: thresholds must be positive"),
+    "negative_threshold": ("[attack]\nthreshold_sg = -1m\n",
+                           "error: thresholds must be positive"),
+    # The sg driver takes 1..1021 opens; the profile refuses others even
+    # when the run uses the video driver.
+    "no_sg_opens": ("[attack]\nsg_opens = 0\n", "error: sg_opens must be within 1..1021"),
+    "too_many_sg_opens": ("[attack]\nsg_opens = 5000\n",
+                          "error: sg_opens must be within 1..1021"),
     "conflict_rate": ("[channel]\nconflict_rate = 1.5\n",
                       "error: [channel] p_high_given_conflict"),
     # One above dell's 8 KiB row of 65,536 bits.
@@ -447,9 +456,9 @@ def test_get_profile_builds_only_the_named_profile(monkeypatch):
 
 def test_cli_profiles_lists_builtins(capsys):
     assert main(["profiles"]) == 0
-    out = capsys.readouterr().out
-    assert "dell:" in out and "lenovo:" in out
-    assert "8 GiB" in out
+    assert capsys.readouterr().out == (
+        "dell: 8 GiB, residue 56 MiB, thresholds sg=109MiB, video=88MiB\n"
+        "lenovo: 8 GiB, residue 115 MiB, thresholds sg=168MiB, video=147MiB\n")
 
 
 def test_cli_run_emits_csv(ini_path, capsys):

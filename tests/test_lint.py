@@ -154,3 +154,30 @@ def test_public_names_have_a_runtime_reader():
                        if not name.rpartition(".")[2].startswith("_")
                        and name.rpartition(".")[2] not in read | allowed]
     assert unread == []
+
+
+def test_keyword_parameters_have_a_runtime_caller():
+    # Every keyword-only parameter of a package function must be passed by
+    # name, to a callee of that name (a class name for __init__), by some
+    # call under src/, bench/ or scripts/; one that only tests set is a
+    # setting no run can change.
+    root = PACKAGE.parents[1]
+    passed = set()
+    for path in sorted(chain(*(root.glob(f"{d}/**/*.py") for d in ("src", "bench", "scripts")))):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                passed.update((name, kw.arg) for kw in node.keywords if kw.arg)
+    unset = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owners = {item: cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                  for item in cls.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            callee = owners[node] if node.name == "__init__" else node.name
+            unset += [f"{path.name}: {callee}({arg.arg}=)" for arg in node.args.kwonlyargs
+                      if (callee, arg.arg) not in passed]
+    assert unset == []

@@ -35,6 +35,9 @@ from hammersim.os_model import (
     PTE_USER,
     PTE_WRITABLE,
     SG_MAX_BYTES,
+    VMA_LIMIT,
+    BufferChunk,
+    DoubleOwnedBuffer,
     DriverLimitError,
     OsModel,
     OsModelError,
@@ -45,19 +48,19 @@ from hammersim.os_model import (
 )
 from hammersim.timing_channel import key_buffer
 
-from helpers import (FrameMemory, buffer_pages, full_placement, simple_mapping,
-                     table_windows, user_pte, windows)
+from helpers import (FrameMemory, buffer_pages, full_placement, mapped_pages, own_file_pfn,
+                     simple_mapping, table_windows, user_pte, windows)
 
 MIB = 1024 * 1024
 
 
-def make_os(*, kernel=32 * MIB, user=32 * MIB, vma_limit=65536) -> OsModel:
+def make_os(*, kernel=32 * MIB, user=32 * MIB) -> OsModel:
     buddy = BuddyState([
         Partition("kernel", 0, kernel),
         Partition("user", kernel, user),
     ])
     dram = Dram(simple_mapping(banks=2, rows=64, row_size=8192))
-    return OsModel(dram, buddy, vma_limit=vma_limit)
+    return OsModel(dram, buddy)
 
 
 # --- page table entries ---
@@ -336,7 +339,7 @@ def test_placement_leaves_table_pages_shared(profile, driver, mitigation):
     assert all(kernel.base <= pfn * PAGE_SIZE < kernel.end for pfn in tables)
     # One 2 MiB file needs one template; its marker pages share one too.
     assert len({id(pages[pfn]) for pfn in tables}) == 1
-    assert len({id(pages[pfn]) for pfn in os_model.vmas[0].file.pfns}) == 1
+    assert len({id(pages[pfn]) for pfn in os_model.file.pfns}) == 1
 
 
 @pytest.mark.parametrize("mitigation", [False, True])
@@ -344,7 +347,7 @@ def test_placement_writes_no_table_or_marker_frame(mitigation):
     # The tables and the file's marker pages are base runs, one row per run
     # taken; the private layer holds only frames written since.
     os_model, _ = full_placement("dell", "video", 7, mitigation=mitigation)
-    memory, file = os_model.memory, os_model.vmas[0].file
+    memory, file = os_model.memory, os_model.file
     assert memory.private == {}
     assert len(memory.base.rows) == len(os_model.pt_runs) + len(file.runs)
     cred = os_model.plant_cred(1, 1000, random.Random(7))
@@ -421,15 +424,14 @@ def test_mmap_builds_one_table_per_window():
     kernel = os_model.buddy.partitions["kernel"]
     for pfn in pts:
         assert kernel.base <= pfn * PAGE_SIZE < kernel.end
-    # Every mapping is a fresh VMA with fresh tables.
+    # Every mapping is a fresh VMA with fresh tables, right after the last.
     pts2 = os_model.mmap_primitive(file)
     assert len(pts2) == 2
-    assert len(os_model.vmas) == 2
-    assert os_model.vmas[1].base == os_model.vmas[0].end
+    assert os_model.mappings == 2
     # Both mappings translate to the same shared frames.
-    for vma in os_model.vmas:
+    for base in (os_model.map_base, os_model.map_base + file.size):
         for i in range(len(file.pfns)):
-            assert os_model.translate(vma.base + i * PAGE_SIZE) == file.pfns[i]
+            assert os_model.translate(base + i * PAGE_SIZE) == file.pfns[i]
 
 
 def test_mmap_count_equals_repeated_single_maps():
@@ -441,13 +443,12 @@ def test_mmap_count_equals_repeated_single_maps():
     pfns = bulk.mmap_primitive(file, 5)
     want = [pfn for _ in range(5) for pfn in single.mmap_primitive(twin)]
     assert pfns == want and len(pfns) == 10
-    assert [(run.base, run.end, run.count) for run in bulk.vmas] == [
-        (bulk.map_base, bulk.map_base + 5 * file.size, 5)]
+    assert bulk.file is file and bulk.mappings == single.mappings == 5
     assert windows(bulk) == windows(single)
     assert bulk.memory.pages == single.memory.pages
     assert bulk.pt_pfns() == single.pt_pfns() == set(pfns)
     # The second table of each mapping holds the file's second half.
-    for vaddr in range(bulk.map_base, bulk.vmas[0].end, PAGE_SIZE * 97):
+    for vaddr in range(bulk.map_base, bulk.map_base + 5 * file.size, PAGE_SIZE * 97):
         assert bulk.translate(vaddr) == single.translate(vaddr)
         page = (vaddr - bulk.map_base) // PAGE_SIZE % len(file.pfns)
         assert bulk.translate(vaddr) == file.pfns[page]
@@ -469,28 +470,31 @@ def test_table_runs_may_start_mid_file():
 
 
 def test_mmap_failure_changes_nothing():
-    os_model = make_os(kernel=64 * 1024, vma_limit=8)
-    file = os_model.create_tmp_file(PT_SPAN)
+    os_model = make_os(kernel=64 * 1024)
+    file, other = os_model.create_tmp_file(PT_SPAN), os_model.create_tmp_file(PT_SPAN)
 
     def state():
         return (os_model.buddy.buddy_info(), os_model.buddy.free_pages("kernel"),
-                list(os_model.vmas), windows(os_model),
+                os_model.file, os_model.mappings, windows(os_model),
                 dict(os_model.memory.pages), os_model.pt_pfns())
 
     os_model.mmap_primitive(file, 3)
     before = state()
     with pytest.raises(VmaLimitError):
-        os_model.mmap_primitive(file, 5)  # the 8th mapping reaches the limit
+        os_model.mmap_primitive(file, VMA_LIMIT - 3)  # the last one reaches the limit
     assert state() == before
     with pytest.raises(ValueError):
         os_model.mmap_primitive(file, 0)
+    assert state() == before
+    with pytest.raises(ValueError, match="one file"):
+        os_model.mmap_primitive(other)
     assert state() == before
     big = make_os(kernel=64 * 1024)
     big_file = big.create_tmp_file(PT_SPAN)
     big.mmap_primitive(big_file, 10)
     with pytest.raises(OutOfMemoryError):
         big.mmap_primitive(big_file, 7)  # 16 kernel pages, 10 in use
-    assert len(big.pt_pfns()) == 10 and len(big.vmas) == 1
+    assert len(big.pt_pfns()) == 10 and big.mappings == 10
     assert big.buddy.free_pages("kernel") == 6
 
 
@@ -512,10 +516,15 @@ def test_window_tables_follow_map_order():
 
 
 def test_vma_limit_enforced():
-    os_model = make_os(vma_limit=4)
+    # The kernel partition holds a table for every mapping below the limit.
+    os_model = make_os(kernel=256 * MIB)
     file = os_model.create_tmp_file(PT_SPAN)
-    for _ in range(3):
-        os_model.mmap_primitive(file)
+    os_model.mmap_primitive(file, 3)
+    with pytest.raises(VmaLimitError):
+        os_model.mmap_primitive(file, VMA_LIMIT - 3)
+    assert os_model.mappings == 3
+    os_model.mmap_primitive(file, VMA_LIMIT - 4)
+    assert os_model.mappings == len(os_model.pt_pfns()) == VMA_LIMIT - 1
     with pytest.raises(VmaLimitError):
         os_model.mmap_primitive(file)
 
@@ -540,7 +549,7 @@ def test_tlb_staleness_until_flush():
     file = os_model.create_tmp_file(PT_SPAN)
     os_model.write_markers(file)
     (pt,) = os_model.mmap_primitive(file)
-    vaddr = os_model.vmas[0].base
+    vaddr = os_model.map_base
     assert os_model.translate(vaddr) == file.pfns[0]
     # Rewrite the entry to point at frame 3; the TLB still serves the old one.
     os_model.memory.write_u64(pt * PAGE_SIZE, user_pte(3).raw)
@@ -554,7 +563,7 @@ def test_demand_fault_heals_cleared_entry():
     os_model = make_os()
     file = os_model.create_tmp_file(PT_SPAN)
     (pt,) = os_model.mmap_primitive(file)
-    vaddr = os_model.vmas[0].base + 5 * PAGE_SIZE
+    vaddr = os_model.map_base + 5 * PAGE_SIZE
     os_model.memory.write_u64(pt * PAGE_SIZE + 5 * 8, 0)
     assert os_model.translate(vaddr) == file.pfns[5]
     raw = os_model.memory.read_u64(pt * PAGE_SIZE + 5 * 8)
@@ -569,16 +578,11 @@ def linear_sweep(os_model: OsModel, slot: int | None = None) -> list[int]:
     ascending, through the same read path, never consulting the index,
     that reads neither the marker nor its own file page's header."""
     out = []
-    for vma in os_model.vmas:
-        start, step = vma.base, PAGE_SIZE
-        if slot is not None:
-            start, step = vma.base + slot * PAGE_SIZE, PT_SPAN
-        pfns = vma.file.pfns
-        for vaddr in range(start, vma.end, step):
-            value = os_model.read_u64_virtual(vaddr)
-            own = pfns[(vaddr - vma.base) // PAGE_SIZE % len(pfns)]
-            if value not in (MARKER, os_model.memory.read_u64(own * PAGE_SIZE)):
-                out.append(vaddr)
+    for vaddr in mapped_pages(os_model, slot):
+        value = os_model.read_u64_virtual(vaddr)
+        own = own_file_pfn(os_model, vaddr)
+        if value not in (MARKER, os_model.memory.read_u64(own * PAGE_SIZE)):
+            out.append(vaddr)
     return out
 
 
@@ -597,7 +601,6 @@ def test_scan_reports_redirected_and_corrupted_pages():
     os_model.write_markers(file)
     pts = [os_model.mmap_primitive(file)[0] for _ in range(3)]
     # Redirect one entry of the second table to an unbacked frame.
-    victim_vma = os_model.vmas[1]
     os_model.memory.write_u64(pts[1] * PAGE_SIZE + 7 * 8,
                               user_pte(0x7FF00).raw)
     # Corrupt one shared file page header: every mapping of page 9 reads
@@ -607,20 +610,19 @@ def test_scan_reports_redirected_and_corrupted_pages():
     # header that differs from its own.
     os_model.memory.write_u64(pts[2] * PAGE_SIZE + 4 * 8,
                               user_pte(file.pfns[9]).raw)
-    expect = [victim_vma.base + 7 * PAGE_SIZE,
-              os_model.vmas[2].base + 4 * PAGE_SIZE]
+    expect = [os_model.map_base + PT_SPAN + 7 * PAGE_SIZE,
+              os_model.map_base + 2 * PT_SPAN + 4 * PAGE_SIZE]
     assert list(os_model.iter_nonmarker_pages()) == expect
     assert linear_sweep(copy.deepcopy(os_model)) == expect
 
 
 def test_scan_matches_brute_force_sweep():
+    # Each mapping of a 4 MiB file has two tables, over the file's halves.
     os_model = make_os()
-    files = [os_model.create_tmp_file(PT_SPAN) for _ in range(2)]
-    for f in files:
-        os_model.write_markers(f)
+    file = os_model.create_tmp_file(2 * PT_SPAN)
+    os_model.write_markers(file)
     for _ in range(4):
-        os_model.mmap_primitive(files[0])
-        os_model.mmap_primitive(files[1])
+        os_model.mmap_primitive(file)
     rng = random.Random(31)
     pt_list = list(windows(os_model).values())
     for _ in range(25):
@@ -629,8 +631,7 @@ def test_scan_matches_brute_force_sweep():
         os_model.memory.flip_bit(pt_pfn * PAGE_SIZE + off, rng.randrange(8),
                                  rng.choice([FLIP_ONE_TO_ZERO, FLIP_ZERO_TO_ONE]))
     for _ in range(5):
-        f = rng.choice(files)
-        os_model.memory.write(f.pfns[rng.randrange(len(f.pfns))] * PAGE_SIZE,
+        os_model.memory.write(rng.choice(file.pfns) * PAGE_SIZE,
                               bytes([rng.randrange(1, 256)]))
     linear = linear_sweep(copy.deepcopy(os_model))
     assert list(os_model.iter_nonmarker_pages()) == linear
@@ -643,7 +644,7 @@ def test_scan_prunes_restored_entries():
     file = os_model.create_tmp_file(PT_SPAN)
     os_model.write_markers(file)
     (pt,) = os_model.mmap_primitive(file)
-    vaddr = os_model.vmas[0].base + 3 * PAGE_SIZE
+    vaddr = os_model.map_base + 3 * PAGE_SIZE
     pristine = os_model.memory.read_u64(pt * PAGE_SIZE + 3 * 8)
     os_model.memory.write_u64(pt * PAGE_SIZE + 3 * 8, PROBE_PTE)
     os_model.flush_tlb()
@@ -660,7 +661,7 @@ def test_scan_keeps_restored_entry_while_tlb_is_stale():
     file = os_model.create_tmp_file(PT_SPAN)
     os_model.write_markers(file)
     (pt,) = os_model.mmap_primitive(file)
-    vaddr = os_model.vmas[0].base + 2 * PAGE_SIZE
+    vaddr = os_model.map_base + 2 * PAGE_SIZE
     entry = pt * PAGE_SIZE + 2 * 8
     pristine = os_model.memory.read_u64(entry)
     # Point the entry at the next file page, scan (caching that frame), and
@@ -684,19 +685,19 @@ class ScanMachine(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
         self.os = make_os()
-        self.files = [self.os.create_tmp_file(PT_SPAN) for _ in range(2)]
-        for file in self.files:
-            self.os.write_markers(file)
-            self.os.mmap_primitive(file)
+        # A 4 MiB file: each mapping has two tables, over the file's halves.
+        self.file = self.os.create_tmp_file(2 * PT_SPAN)
+        self.os.write_markers(self.file)
+        self.os.mmap_primitive(self.file)
         self.probes: list[tuple[int, int]] = []  # (entry addr, saved raw)
 
     def _table(self, index: int) -> int:
         pfns = sorted(self.os.pt_pfns())
         return pfns[index % len(pfns)]
 
-    # Entries and headers share the page range 0..3, and flipping a low
-    # frame-number bit points an entry at a neighbouring file page, so the
-    # rules often touch the same pages and undo each other.
+    # Entries and headers share the page range 0..3 of each half, and
+    # flipping a low frame-number bit points an entry at a neighbouring file
+    # page, so the rules often touch the same pages and undo each other.
     @rule(table=st.integers(0, 7), entry=st.integers(0, 3),
           bit=st.one_of(st.integers(12, 13), st.integers(0, 63)))
     def flip_table_bit(self, table, entry, bit):
@@ -706,10 +707,10 @@ class ScanMachine(RuleBasedStateMachine):
         else:
             self.os.memory.flip_bit(addr, bit % 8, FLIP_ZERO_TO_ONE)
 
-    @rule(file=st.integers(0, 1), page=st.integers(0, 3),
+    @rule(half=st.integers(0, 1), page=st.integers(0, 3),
           offset=st.integers(0, 7), value=st.integers(0, 255))
-    def dirty_file_header(self, file, page, offset, value):
-        pfn = self.files[file].pfns[page]
+    def dirty_file_header(self, half, page, offset, value):
+        pfn = self.file.pfns[half * PTES_PER_PAGE + page]
         self.os.memory.write(pfn * PAGE_SIZE + offset, bytes([value]))
 
     @rule(table=st.integers(0, 63))
@@ -728,16 +729,16 @@ class ScanMachine(RuleBasedStateMachine):
     def flush_tlb(self):
         self.os.flush_tlb()
 
-    @precondition(lambda self: len(self.os.vmas) < 5)
-    @rule(file=st.integers(0, 1), count=st.integers(1, 3))
-    def map_more(self, file, count):
-        self.os.mmap_primitive(self.files[file], count)
+    @precondition(lambda self: self.os.mappings < 5)
+    @rule(count=st.integers(1, 3))
+    def map_more(self, count):
+        self.os.mmap_primitive(self.file, count)
 
     @invariant()
     def scan_matches_linear_sweep(self):
         for slot in (None, 1):
             # Reads never touch the allocator, DRAM or files.
-            shared = (self.os.buddy, self.os.dram, *self.files)
+            shared = (self.os.buddy, self.os.dram, self.file)
             twin = copy.deepcopy(self.os, {id(obj): obj for obj in shared})
             assert list(self.os.iter_nonmarker_pages(slot)) == linear_sweep(twin, slot)
             assert self.os.memory.pages == twin.memory.pages
@@ -779,12 +780,16 @@ def test_sg_driver_limits_and_size():
 def test_map_buffer_exposes_chunk_pages():
     os_model = make_os()
     buffer = os_model.open_video(2)
-    assert not buffer.user_mapped
     assert all(chunk.vbase is None for chunk in buffer.chunks)
     with pytest.raises(OsModelError, match="not user mapped"):
         key_buffer(buffer, os_model.dram.geometry)
     os_model.map_buffer(buffer)
-    assert buffer.user_mapped
+    assert all(chunk.vbase is not None for chunk in buffer.chunks)
+    # A buffer with one chunk left unmapped is not mapped either.
+    first, second = buffer.chunks
+    partial = DoubleOwnedBuffer(buffer.driver, [first, BufferChunk(second.block, second.size)])
+    with pytest.raises(OsModelError, match="not user mapped"):
+        key_buffer(partial, os_model.dram.geometry)
     vaddrs = list(buffer_pages(buffer))
     assert len(vaddrs) == sum(c.page_count() for c in buffer.chunks)
     for chunk in buffer.chunks:
